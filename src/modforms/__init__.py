@@ -30,6 +30,7 @@ from .forms import (
     is_modular_member,
     monomial_basis,
     monomial_exponents,
+    span_coordinates,
     weight_basis,
 )
 from .nearly import (

@@ -125,13 +125,15 @@ def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
 
 
 @main.command("bracket")
-@click.option("--g", "g_name", required=True, help="Catalog name.")
-@click.option("--h", "h_name", required=True, help="Catalog name.")
+@click.option("--g", "g_name", required=True, help="Catalog name other than E2.")
+@click.option("--h", "h_name", required=True, help="Catalog name other than E2.")
 @click.option("--m", "order", type=int, required=True, help="Bracket order m >= 0.")
 @click.option("--prec", type=int, default=DEFAULT_PREC, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def bracket_cmd(g_name: str, h_name: str, order: int, prec: int, as_json: bool):
-    """Rankin-Cohen bracket [g, h]_m of two catalog forms."""
+    """Rankin-Cohen bracket [g, h]_m of two modular catalog forms."""
+    if "E2" in (g_name, h_name):
+        raise click.ClickException("E2 is quasimodular; brackets take modular forms")
     with _domain_errors():
         g = catalog_form(g_name, prec)
         h = catalog_form(h_name, prec)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactmath import as_rational, bernoulli, sigma, solve_linear
 from .qseries import GradedSeries, PrecisionError, QSeries
@@ -21,6 +21,7 @@ __all__ = [
     "weight_basis",
     "DELTA_WEIGHTS",
     "cusp_delta",
+    "span_coordinates",
     "is_modular_member",
     "GeneratorPoly",
     "eval_generator_poly",
@@ -118,18 +119,32 @@ def cusp_delta(k: int, prec: int) -> GradedSeries:
     coords = solve_linear(rows, [0, 1])
     if coords is None:
         raise RuntimeError(f"normalization system for weight {k} is inconsistent")
-    return _combination(basis, coords, k)
+    return GradedSeries(_combination([b.series for b in basis], coords, prec), k)
 
 
-def _combination(
-    basis: tuple[GradedSeries, ...], coords, weight: int
-) -> GradedSeries:
-    if not basis:
-        raise ValueError("empty basis has no combinations")
-    total = QSeries.zero(basis[0].prec)
-    for c, b in zip(coords, basis):
-        total = total + b.series * c
-    return GradedSeries(total, weight)
+def _combination(columns: Sequence[QSeries], coords, prec: int) -> QSeries:
+    total = QSeries.zero(prec)
+    for c, column in zip(coords, columns):
+        total = total + column * c
+    return total
+
+
+def span_coordinates(
+    columns: Sequence[QSeries], target: QSeries, window: int
+) -> Optional[list[Fraction]]:
+    """Exact coordinates of target in the span of columns, or None.
+
+    The system is solved on coefficients 0..window only; the combination
+    is then re-checked against every certified coefficient of target, so
+    a pseudo-solution that fails beyond the window is reported as None
+    rather than accepted. When the columns are independent on the window
+    the coordinates are unique, and None means target is outside the span.
+    """
+    rows = [[column[m] for column in columns] for m in range(window + 1)]
+    coords = solve_linear(rows, [target[m] for m in range(window + 1)])
+    if coords is None or _combination(columns, coords, target.prec) != target:
+        return None
+    return coords
 
 
 def is_modular_member(
@@ -137,9 +152,9 @@ def is_modular_member(
 ) -> Optional[list[Fraction]]:
     """Exact coordinates of f in the monomial basis of M_k, or None.
 
-    The linear system uses every available coefficient, not just
-    dim-many rows, so a pseudo-solution that fails beyond the leading
-    window is reported as a non-member rather than accepted.
+    The coordinates are solved on the first dim M_k + margin + 1
+    coefficients, which determine a form in M_k, and then re-checked
+    against every certified coefficient of f (see span_coordinates).
     """
     series = f.series if isinstance(f, GradedSeries) else f
     if k < 0 or k % 2 != 0:
@@ -151,13 +166,13 @@ def is_modular_member(
         raise ValueError(
             f"M_{k} is zero-dimensional; a nonzero series cannot belong to it"
         )
-    if series.prec < len(basis) + margin:
+    window = len(basis) + margin
+    if series.prec < window:
         raise PrecisionError(
-            f"membership test in M_{k} needs precision >= {len(basis) + margin}, "
+            f"membership test in M_{k} needs precision >= {window}, "
             f"have {series.prec}"
         )
-    rows = [[b[m] for b in basis] for m in range(series.prec + 1)]
-    return solve_linear(rows, list(series.coeffs))
+    return span_coordinates([b.series for b in basis], series, window)
 
 
 # ---------------------------------------------------------------------------

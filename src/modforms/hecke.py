@@ -1,14 +1,18 @@
 """Hecke operators on weight-tagged q-expansions and Y-polynomial forms,
 and the finite eigenform test.
 
-The coefficient action used throughout is
+One coefficient formula serves both: on the Y^r component of a weight-k
+form,
 
-    b_m = sum_{d | gcd(m, n)} d^(k-1) a_{m n / d^2},
+    b_m = n^r sum_{d | gcd(m, n)} d^(k-2r-1) a_{m n / d^2},
 
-the q-expansion form of the weight-k averaging operator. Its independent
+which comes from Im((nz + bd)/d^2) = n Im(z) / d^2: averaging a Y^r
+term rescales it by (d^2/n)^r, shifting the effective weight of that
+component to k - 2r and contributing the n^r prefactor. Depth 0 is the
+q-expansion form of the weight-k averaging operator. Its independent
 correctness oracles are multiplicativity T_m T_n = T_{mn} for coprime
 m, n and the prime-power recursion T_p T_{p^r} = T_{p^{r+1}} +
-p^(k-1) T_{p^(r-1)}, both exercised by the test suite.
+p^(k-1) T_{p^(r-1)}, both exercised by the test suite at depths 0 and 1.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .exactmath import divisors, rational_str
 from .nearly import YPolyForm
@@ -40,12 +44,29 @@ def _power(d: int, e: int) -> Union[int, Fraction]:
     return Fraction(1, d**-e)
 
 
-def _warn_if_shallow(prec: int, n: int) -> None:
+def _coefficient(series: QSeries, k: int, r: int, n: int, m: int) -> Fraction:
+    """b_m of T_n applied to the Y^r component of a weight-k form."""
+    total = Fraction(0)
+    for d in divisors(math.gcd(m, n)):  # m = 0 gives gcd n
+        total += n**r * _power(d, k - 2 * r - 1) * series[m * n // (d * d)]
+    return total
+
+
+def _act(components: Sequence[QSeries], k: int, n: int) -> list[QSeries]:
+    """T_n on every Y-component; the result certifies floor(prec/n) terms."""
+    if n < 1:
+        raise ValueError(f"Hecke operators are indexed by n >= 1, got {n}")
+    prec = components[0].prec
     if prec < n:
         warnings.warn(
             f"T_{n} on a series of precision {prec} certifies only the constant term",
             stacklevel=3,
         )
+    new_prec = prec // n
+    return [
+        QSeries([_coefficient(c, k, r, n, m) for m in range(new_prec + 1)])
+        for r, c in enumerate(components)
+    ]
 
 
 def hecke(f: GradedSeries, n: int) -> GradedSeries:
@@ -53,50 +74,13 @@ def hecke(f: GradedSeries, n: int) -> GradedSeries:
 
     The result certifies floor(prec/n) coefficients and keeps the weight.
     """
-    if n < 1:
-        raise ValueError(f"Hecke operators are indexed by n >= 1, got {n}")
-    _warn_if_shallow(f.prec, n)
-    k = f.weight
-    new_prec = f.prec // n
-    out = []
-    for m in range(new_prec + 1):
-        g = math.gcd(m, n)  # m = 0 gives g = n
-        total = Fraction(0)
-        for d in divisors(g):
-            total += _power(d, k - 1) * f[m * n // (d * d)]
-        out.append(total)
-    return GradedSeries(QSeries(out, prec=new_prec), k)
+    (series,) = _act((f.series,), f.weight, n)
+    return GradedSeries(series, f.weight)
 
 
 def hecke_nearly(form: YPolyForm, n: int) -> YPolyForm:
-    """Apply T_n to a Y-polynomial form of weight k.
-
-    On the Y^r component the action is
-
-        b_m = n^r sum_{d | gcd(m, n)} d^(k-2r-1) a_{m n / d^2},
-
-    which comes from Im((nz + bd)/d^2) = n Im(z) / d^2: averaging a
-    Y^r term rescales it by (d^2/n)^r, shifting the effective weight of
-    that component to k - 2r and contributing the n^r prefactor.
-    """
-    if n < 1:
-        raise ValueError(f"Hecke operators are indexed by n >= 1, got {n}")
-    _warn_if_shallow(form.prec, n)
-    k = form.weight
-    new_prec = form.prec // n
-    comps = []
-    for r in range(form.depth + 1):
-        series = form.component(r)
-        scale = n**r
-        out = []
-        for m in range(new_prec + 1):
-            g = math.gcd(m, n)  # m = 0 gives g = n
-            total = Fraction(0)
-            for d in divisors(g):
-                total += _power(d, k - 2 * r - 1) * series[m * n // (d * d)]
-            out.append(scale * total)
-        comps.append(QSeries(out, prec=new_prec))
-    return YPolyForm(comps, k)
+    """Apply T_n to a Y-polynomial form of weight k, component by component."""
+    return YPolyForm(_act(form.components, form.weight, n), form.weight)
 
 
 @dataclass(frozen=True)
@@ -162,17 +146,22 @@ def eigenform_test(
     """Check whether f is a simultaneous T_n eigenvector for n <= bound.
 
     lambda_n is read off at the first nonzero coefficient of f, then
-    T_n f = lambda_n f is compared on every coefficient the shrunk
-    precision floor(prec/n) certifies (all Y-components for Y-polynomial
-    inputs, so a form with both a_0 and a_1 nonzero has the consistency
-    of the two candidate ratios checked automatically). The input must
-    carry at least bound*window coefficients so that even T_bound leaves
-    a window of length >= window.
+    T_n f = lambda_n f is compared coefficient by coefficient on every
+    coefficient the shrunk precision floor(prec/n) certifies (all
+    Y-components for Y-polynomial inputs, so a form with both a_0 and a_1
+    nonzero has the consistency of the two candidate ratios checked
+    automatically). The scan stops at the first violation, so a miss
+    computes T_n f only up to its witness. The input must carry at least
+    bound*window coefficients so that even T_bound leaves a window of
+    length >= window.
     """
     if bound < 1:
         raise ValueError("the test needs a bound >= 1")
+    if window < 1:
+        raise ValueError("the test needs a window >= 1")
     is_ypoly = isinstance(f, YPolyForm)
     comps = f.components if is_ypoly else (f.series,)
+    k = f.weight
     prec = comps[0].prec
     if prec < bound * window:
         raise PrecisionError(
@@ -180,37 +169,26 @@ def eigenform_test(
             f"precision >= {bound * window}, have {prec}"
         )
 
-    first = None
-    for m in range(prec + 1):
-        for r, comp in enumerate(comps):
-            if comp[m] != 0:
-                first = (m, r)
-                break
-        if first:
-            break
+    first = next(
+        ((m, r) for m in range(prec + 1) for r, c in enumerate(comps) if c[m] != 0),
+        None,
+    )
     if first is None:
         raise ValueError("the zero form is not an eigenform candidate")
     m0, r0 = first
     leading = comps[r0][m0]
 
-    depth = len(comps) - 1
-    eigenvalues: list[tuple[int, Fraction]] = []
-    for n in range(1, bound + 1):
-        transformed = hecke_nearly(f, n) if is_ypoly else hecke(f, n)
-        tcomps = transformed.components if is_ypoly else (transformed.series,)
-        cprec = tcomps[0].prec
-
-        def tcoeff(r: int, m: int) -> Fraction:
-            return tcomps[r][m] if r < len(tcomps) else Fraction(0)
-
+    # T_1 is the identity, so lambda_1 = 1 needs no scan.
+    eigenvalues: list[tuple[int, Fraction]] = [(1, Fraction(1))]
+    for n in range(2, bound + 1):
+        cprec = prec // n
         if m0 > cprec:
             continue
-        lam = tcoeff(r0, m0) / leading
-        violation = None
+        lam = _coefficient(comps[r0], k, r0, n, m0) / leading
         for m in range(cprec + 1):
-            for r in range(depth + 1):
-                expected = lam * comps[r][m]
-                actual = tcoeff(r, m)
+            for r, comp in enumerate(comps):
+                expected = lam * comp[m]
+                actual = _coefficient(comp, k, r, n, m)
                 if expected != actual:
                     violation = Violation(
                         n=n,
@@ -219,17 +197,8 @@ def eigenform_test(
                         actual=actual,
                         y_power=r if is_ypoly else None,
                     )
-                    break
-            if violation:
-                break
-        if violation:
-            return EigenReport(
-                False,
-                bound,
-                tuple(eigenvalues),
-                violation,
-                prec,
-                prec // bound,
-            )
+                    return EigenReport(
+                        False, bound, tuple(eigenvalues), violation, prec, prec // bound
+                    )
         eigenvalues.append((n, lam))
     return EigenReport(True, bound, tuple(eigenvalues), None, prec, prec // bound)

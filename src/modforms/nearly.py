@@ -12,9 +12,9 @@ import warnings
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .exactmath import as_rational, solve_linear
+from .exactmath import as_rational
 from .qseries import GradedSeries, PrecisionError, QSeries
-from .forms import eisenstein, weight_basis
+from .forms import _combination, eisenstein, span_coordinates, weight_basis
 
 __all__ = [
     "Y_CONVENTION",
@@ -230,41 +230,28 @@ def quasimodular_decompose(
         raise ValueError(
             f"decomposition needs depth bound < weight/2; got {depth_bound} >= {k}/2"
         )
-    blocks = []
-    for r in range(depth_bound + 1):
-        basis = weight_basis(k - 2 * r, f.prec)
-        columns = []
+    bases = [weight_basis(k - 2 * r, f.prec) for r in range(depth_bound + 1)]
+    columns = []
+    for r, basis in enumerate(bases):
         for element in basis:
             series = element.series
             for _ in range(r):
                 series = series.derivative()
             columns.append(series)
-        blocks.append((r, basis, columns))
-    n_cols = sum(len(cols) for _, _, cols in blocks)
-    window = n_cols + margin
+    window = len(columns) + margin
     if f.prec < window:
         raise PrecisionError(
             f"decomposition at weight {k} needs precision >= {window}, have {f.prec}"
         )
-    rows = [
-        [col[m] for _, _, cols in blocks for col in cols] for m in range(window + 1)
-    ]
-    solution = solve_linear(rows, [f[m] for m in range(window + 1)])
+    solution = span_coordinates(columns, f.series, window)
     if solution is None:
         return None
 
     parts: list[tuple[int, GradedSeries]] = []
-    reconstruction = QSeries.zero(f.prec)
     index = 0
-    for r, basis, columns in blocks:
+    for r, basis in enumerate(bases):
         coords = solution[index : index + len(basis)]
         index += len(basis)
-        component = QSeries.zero(f.prec)
-        for c, element in zip(coords, basis):
-            component = component + element.series * c
+        component = _combination([b.series for b in basis], coords, f.prec)
         parts.append((r, GradedSeries(component, k - 2 * r)))
-        for c, col in zip(coords, columns):
-            reconstruction = reconstruction + col * c
-    if reconstruction != f.series:
-        return None
     return parts

@@ -79,6 +79,11 @@ class TestEigen:
         assert result.exit_code != 0
         assert "weight" in result.output
 
+    def test_window_zero_rejected(self):
+        result = invoke("eigen", "--input", "Delta12", "--window", "0")
+        assert result.exit_code != 0
+        assert result.output.splitlines() == ["Error: the test needs a window >= 1"]
+
 
 class TestBracket:
     def test_e4_e6_order_one(self):
@@ -87,6 +92,14 @@ class TestBracket:
         data = json.loads(result.output)
         assert data["weight"] == 12
         assert data["series"]["coeffs"][1] == "-3456/1"
+
+    def test_e2_rejected(self):
+        for args in (("--g", "E2", "--h", "E4"), ("--g", "E4", "--h", "E2")):
+            result = invoke("bracket", *args, "--m", "1", "--prec", "8")
+            assert result.exit_code != 0
+            assert len(result.output.splitlines()) == 1
+            assert result.output.startswith("Error:")
+            assert "quasimodular" in result.output
 
 
 class TestDecompose:

@@ -15,7 +15,7 @@ import pytest
 from modforms.exactmath import sigma
 from modforms.forms import CATALOG_NAMES, catalog_form, cusp_delta, eisenstein
 from modforms.hecke import eigenform_test, hecke, hecke_nearly
-from modforms.nearly import YPolyForm, e2_star
+from modforms.nearly import YPolyForm, e2_star, maass_shimura
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
 
 PREC = 128
@@ -140,18 +140,50 @@ class TestEigenformTest:
         assert not report.is_eigen_up_to_bound
         assert report.first_violation is not None
 
-    def test_violation_revalidates_from_raw_series(self):
-        # recompute the cited coefficient relation directly
-        e2, e4 = eisenstein(2, PREC), eisenstein(4, PREC)
-        candidate = e2 * e4
+    @pytest.mark.parametrize(
+        "make, witness",
+        [
+            (lambda: eisenstein(2, PREC) * eisenstein(4, PREC), (2, 1, None)),
+            (lambda: cusp_delta(12, PREC) ** 2, (2, 1, None)),
+            (lambda: e2_star(PREC) * eisenstein(4, PREC), (2, 0, 1)),
+        ],
+        ids=["e2_e4", "delta12_squared", "e4_e2star"],
+    )
+    def test_violation_revalidates_from_raw_series(self, make, witness):
+        # The scan stops at its first violation; recompute the cited
+        # coefficient relation, and every comparison before it, from the
+        # fully materialised T_n f.
+        candidate = make()
         report = eigenform_test(candidate)
         violation = report.first_violation
         assert violation is not None
-        transformed = hecke(candidate, violation.n)
-        v0 = candidate.valuation()
-        lam = transformed[v0] / candidate[v0]
-        assert transformed[violation.exponent] == violation.actual
-        assert lam * candidate[violation.exponent] == violation.expected
+        assert (violation.n, violation.exponent, violation.y_power) == witness
+        ypoly = isinstance(candidate, YPolyForm)
+        comps = candidate.components if ypoly else (candidate.series,)
+        m0, r0 = next(
+            (m, r) for m in range(PREC + 1) for r in range(len(comps)) if comps[r][m]
+        )
+        r_v = violation.y_power or 0
+        for n in range(1, violation.n + 1):
+            if ypoly:
+                transformed = hecke_nearly(candidate, n).components
+            else:
+                transformed = (hecke(candidate, n).series,)
+            assert len(transformed) == len(comps)
+            lam = transformed[r0][m0] / comps[r0][m0]
+            pairs = [
+                (m, r)
+                for m in range(transformed[0].prec + 1)
+                for r in range(len(comps))
+            ]
+            if n < violation.n:
+                assert report.eigenvalue(n) == lam
+            else:
+                pairs = pairs[: pairs.index((violation.exponent, r_v))]
+            for m, r in pairs:
+                assert transformed[r][m] == lam * comps[r][m], (n, m, r)
+        assert transformed[r_v][violation.exponent] == violation.actual
+        assert lam * comps[r_v][violation.exponent] == violation.expected
         assert violation.expected != violation.actual
 
     def test_deep_valuation_product_rejected(self):
@@ -168,6 +200,11 @@ class TestEigenformTest:
     def test_precision_guard(self):
         with pytest.raises(PrecisionError):
             eigenform_test(eisenstein(4, 100), bound=10, window=12)
+
+    @pytest.mark.parametrize("bound, window", [(0, 12), (10, 0), (10, -1)])
+    def test_bound_and_window_must_be_positive(self, bound, window):
+        with pytest.raises(ValueError, match="bound|window"):
+            eigenform_test(eisenstein(4, PREC), bound=bound, window=window)
 
     def test_report_serialization(self):
         report = eigenform_test(cusp_delta(12, PREC))
@@ -212,3 +249,38 @@ class TestHeckeNearly:
     def test_index_zero_rejected(self):
         with pytest.raises(ValueError):
             hecke_nearly(e2_star(16), 0)
+
+
+class TestHeckeNearlyOracles:
+    """Hecke-algebra relations on the Y^1 component of a depth-1 form.
+
+    F = E2star * E4 has weight 6 and Y-part -3 E4, so each relation
+    exercises the n^r and d^(k-2r-1) factors of the kernel at r = 1.
+    Differences of Y-polynomials are taken on the common precision.
+    """
+
+    @pytest.fixture(scope="class")
+    def form(self):
+        f = e2_star(PREC) * eisenstein(4, PREC)
+        assert (f.weight, f.depth) == (6, 1)
+        return f
+
+    @staticmethod
+    def assert_equal(lhs, rhs):
+        assert lhs.weight == rhs.weight
+        assert min(lhs.prec, rhs.prec) > 0
+        assert (lhs - rhs).is_zero()
+
+    def test_multiplicativity(self, form):
+        composed = hecke_nearly(hecke_nearly(form, 3), 2)
+        self.assert_equal(composed, hecke_nearly(form, 6))
+
+    def test_prime_power_recursion(self, form):
+        k = form.weight
+        lhs = hecke_nearly(hecke_nearly(form, 2), 2)
+        self.assert_equal(lhs, hecke_nearly(form, 4) + form * 2 ** (k - 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_commutes_with_raising_up_to_scaling(self, form, n):
+        lhs = hecke_nearly(maass_shimura(form), n)
+        self.assert_equal(lhs, maass_shimura(hecke_nearly(form, n)) * n)
