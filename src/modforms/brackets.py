@@ -23,8 +23,8 @@ def rankin_cohen(g: GradedSeries, h: GradedSeries, m: int) -> GradedSeries:
     if k1 < 1 or k2 < 1:
         raise ValueError("Rankin-Cohen brackets need weights >= 1")
 
-    g_derivs = [g.series]
-    h_derivs = [h.series]
+    g_derivs = [g]
+    h_derivs = [h]
     for _ in range(m):
         g_derivs.append(g_derivs[-1].derivative())
         h_derivs.append(h_derivs[-1].derivative())

@@ -14,6 +14,7 @@ import click
 
 from .exactmath import rational_str
 from .forms import (
+    _WINDOW_MARGIN,
     CATALOG_NAMES,
     GeneratorPoly,
     catalog_form,
@@ -43,14 +44,14 @@ def _domain_errors():
 
 def _resolve_form(text: str, prec: int) -> GradedSeries:
     """A catalog name, or a weight-homogeneous polynomial in E2, E4, E6."""
-    if text in CATALOG_NAMES:
-        return catalog_form(text, prec)
-    if _NAME_RE.match(text):
+    if text not in CATALOG_NAMES and _NAME_RE.match(text):
         raise click.ClickException(
             f"unknown form name {text!r}; catalog names are {', '.join(CATALOG_NAMES)}"
         )
     with _domain_errors():
-        return eval_generator_poly(text, prec, require_homogeneous=True)
+        if text in CATALOG_NAMES:
+            return catalog_form(text, prec)
+        return eval_generator_poly(text, prec)
 
 
 def _echo_series(form: GradedSeries, as_json: bool) -> None:
@@ -151,8 +152,8 @@ def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):
     with _domain_errors():
         poly = GeneratorPoly.parse(expr)
         n_cols = sum(dim_modular(weight - 2 * r) for r in range(depth + 1))
-        prec = max(32, n_cols + 11)
-        form = eval_generator_poly(poly, prec, require_homogeneous=True)
+        prec = max(32, n_cols + _WINDOW_MARGIN + 1)
+        form = eval_generator_poly(poly, prec)
         if form.weight != weight:
             raise click.ClickException(
                 f"expression has weight {form.weight}, not the requested {weight}"

@@ -5,9 +5,10 @@ of polynomials in the quasimodular generators E2, E4, E6.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactmath import as_rational, bernoulli, sigma, solve_linear
@@ -65,18 +66,25 @@ def dim_modular(k: int) -> int:
     return len(monomial_exponents(k))
 
 
-@lru_cache(maxsize=None)
-def _e4_power(a: int, prec: int) -> GradedSeries:
-    if a == 0:
-        return GradedSeries(QSeries.one(prec), 0)
-    return _e4_power(a - 1, prec) * eisenstein(4, prec)
+# E_k^0, E_k^1, ... per (k, prec), extended on demand.
+_POWERS: dict[tuple[int, int], list[GradedSeries]] = {}
 
 
-@lru_cache(maxsize=None)
-def _e6_power(b: int, prec: int) -> GradedSeries:
-    if b == 0:
-        return GradedSeries(QSeries.one(prec), 0)
-    return _e6_power(b - 1, prec) * eisenstein(6, prec)
+def _eisenstein_power(k: int, a: int, prec: int) -> GradedSeries:
+    """E_k^a, multiplying the cached list of lower powers up to a in a loop."""
+    powers = _POWERS.get((k, prec))
+    if powers is None:
+        one = GradedSeries(QSeries.one(prec), 0)
+        powers = _POWERS[(k, prec)] = [one, eisenstein(k, prec)]
+    while len(powers) <= a:
+        powers.append(powers[-1] * powers[1])
+    return powers[a]
+
+
+def _monomial(exponents: Sequence[int], weights: Sequence[int], prec: int) -> QSeries:
+    """The product of E_k^a over the (k, a) pairs; 1 when every a is 0."""
+    factors = [_eisenstein_power(k, a, prec) for k, a in zip(weights, exponents) if a]
+    return reduce(operator.mul, factors) if factors else QSeries.one(prec)
 
 
 @lru_cache(maxsize=None)
@@ -84,9 +92,7 @@ def monomial_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
     """The basis E4^a E6^b (4a + 6b = k, a descending) of M_k, k >= 4 even."""
     if k < 4 or k % 2 != 0:
         raise ValueError(f"monomial basis requires even k >= 4, got {k}")
-    return tuple(
-        _e4_power(a, prec) * _e6_power(b, prec) for a, b in monomial_exponents(k)
-    )
+    return tuple(_monomial(e, (4, 6), prec) for e in monomial_exponents(k))
 
 
 def weight_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
@@ -119,7 +125,7 @@ def cusp_delta(k: int, prec: int) -> GradedSeries:
     coords = solve_linear(rows, [0, 1])
     if coords is None:
         raise RuntimeError(f"normalization system for weight {k} is inconsistent")
-    return GradedSeries(_combination([b.series for b in basis], coords, prec), k)
+    return GradedSeries(_combination(basis, coords, prec), k)
 
 
 def _combination(columns: Sequence[QSeries], coords, prec: int) -> QSeries:
@@ -139,40 +145,45 @@ def span_coordinates(
     a pseudo-solution that fails beyond the window is reported as None
     rather than accepted. When the columns are independent on the window
     the coordinates are unique, and None means target is outside the span.
+    The re-check compares coefficients only, so target may be a form of
+    any weight.
     """
     rows = [[column[m] for column in columns] for m in range(window + 1)]
     coords = solve_linear(rows, [target[m] for m in range(window + 1)])
-    if coords is None or _combination(columns, coords, target.prec) != target:
+    if coords is None:
+        return None
+    if _combination(columns, coords, target.prec).coeffs != target.coeffs:
         return None
     return coords
 
 
-def is_modular_member(
-    f: Union[QSeries, GradedSeries], k: int, margin: int = 10
-) -> Optional[list[Fraction]]:
+# Coefficients solved beyond the column count in a span solve.
+_WINDOW_MARGIN = 10
+
+
+def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
     """Exact coordinates of f in the monomial basis of M_k, or None.
 
-    The coordinates are solved on the first dim M_k + margin + 1
+    The coordinates are solved on the first dim M_k + _WINDOW_MARGIN + 1
     coefficients, which determine a form in M_k, and then re-checked
     against every certified coefficient of f (see span_coordinates).
     """
-    series = f.series if isinstance(f, GradedSeries) else f
     if k < 0 or k % 2 != 0:
         raise ValueError(f"membership is tested against even weights, got {k}")
-    basis = weight_basis(k, series.prec)
+    basis = weight_basis(k, f.prec)
     if not basis:
-        if series.is_zero():
+        if f.is_zero():
             return []
         raise ValueError(
             f"M_{k} is zero-dimensional; a nonzero series cannot belong to it"
         )
-    window = len(basis) + margin
-    if series.prec < window:
+    window = len(basis) + _WINDOW_MARGIN
+    if f.prec < window:
         raise PrecisionError(
             f"membership test in M_{k} needs precision >= {window}, "
-            f"have {series.prec}"
+            f"have {f.prec}"
         )
-    return span_coordinates([b.series for b in basis], series, window)
+    return span_coordinates(basis, f, window)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +220,6 @@ class GeneratorPoly:
         exps = [0, 0, 0]
         exps[_GENERATOR_NAMES.index(name)] = 1
         return cls({tuple(exps): Fraction(1)})
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -279,18 +286,11 @@ class GeneratorPoly:
         """Maximal E2-degree across monomials."""
         return max((e[0] for e in self._terms), default=0)
 
-    def evaluate(self, prec: int) -> Union[GradedSeries, QSeries]:
+    def evaluate(self, prec: int) -> QSeries:
         """q-expansion of the polynomial; graded when weight-homogeneous."""
         total = QSeries.zero(prec)
-        for (i, j, l), c in self.monomials():
-            term = QSeries.constant(c, prec)
-            if i:
-                term = term * (eisenstein(2, prec).series ** i)
-            if j:
-                term = term * _e4_power(j, prec).series
-            if l:
-                term = term * _e6_power(l, prec).series
-            total = total + term
+        for exponents, c in self.monomials():
+            total = total + _monomial(exponents, _GENERATOR_WEIGHTS, prec) * c
         w = self.weight()
         if w is None:
             return total
@@ -427,20 +427,15 @@ class _PolyParser:
         raise ValueError(f"unexpected token {token!r} in generator polynomial")
 
 
-def eval_generator_poly(
-    poly: Union[str, GeneratorPoly],
-    prec: int,
-    require_homogeneous: bool = False,
-) -> Union[GradedSeries, QSeries]:
-    """Evaluate a polynomial in E2, E4, E6 to its q-expansion.
+def eval_generator_poly(poly: Union[str, GeneratorPoly], prec: int) -> GradedSeries:
+    """Evaluate a weight-homogeneous polynomial in E2, E4, E6 to its form.
 
-    Returns a GradedSeries when the polynomial is weight-homogeneous and
-    a bare QSeries otherwise; with require_homogeneous, a mixed-weight
-    polynomial is an error naming the offending monomials.
+    A mixed-weight polynomial is an error naming the offending monomials;
+    GeneratorPoly.evaluate gives its untagged q-expansion.
     """
     if isinstance(poly, str):
         poly = GeneratorPoly.parse(poly)
-    if require_homogeneous and not poly.is_homogeneous():
+    if not poly.is_homogeneous():
         weights = poly.monomial_weights()
         detail = ", ".join(
             f"{GeneratorPoly({e: c})} (weight {weights[e]})"
@@ -500,7 +495,3 @@ def catalog_form(name: str, prec: int) -> GradedSeries:
         if entry.name == name:
             return entry.form
     raise ValueError(f"unknown catalog form {name!r}")
-
-
-def catalog_index(name: str) -> int:
-    return CATALOG_NAMES.index(name)

@@ -74,7 +74,7 @@ def hecke(f: GradedSeries, n: int) -> GradedSeries:
 
     The result certifies floor(prec/n) coefficients and keeps the weight.
     """
-    (series,) = _act((f.series,), f.weight, n)
+    (series,) = _act((f,), f.weight, n)
     return GradedSeries(series, f.weight)
 
 
@@ -160,7 +160,7 @@ def eigenform_test(
     if window < 1:
         raise ValueError("the test needs a window >= 1")
     is_ypoly = isinstance(f, YPolyForm)
-    comps = f.components if is_ypoly else (f.series,)
+    comps = f.components if is_ypoly else (f,)
     k = f.weight
     prec = comps[0].prec
     if prec < bound * window:

@@ -14,7 +14,13 @@ from typing import Iterable, Optional, Union
 
 from .exactmath import as_rational
 from .qseries import GradedSeries, PrecisionError, QSeries
-from .forms import _combination, eisenstein, span_coordinates, weight_basis
+from .forms import (
+    _WINDOW_MARGIN,
+    _combination,
+    eisenstein,
+    span_coordinates,
+    weight_basis,
+)
 
 __all__ = [
     "Y_CONVENTION",
@@ -66,7 +72,7 @@ class YPolyForm:
 
     @classmethod
     def from_graded(cls, form: GradedSeries) -> "YPolyForm":
-        return cls([form.series], form.weight)
+        return cls([form], form.weight)
 
     @property
     def components(self) -> tuple[QSeries, ...]:
@@ -113,9 +119,7 @@ class YPolyForm:
         return YPolyForm(comps, self._weight)
 
     def __sub__(self, other):
-        if isinstance(other, GradedSeries):
-            other = YPolyForm.from_graded(other)
-        if not isinstance(other, YPolyForm):
+        if not isinstance(other, (YPolyForm, GradedSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -180,7 +184,7 @@ class YPolyForm:
 def e2_star(prec: int) -> YPolyForm:
     """The weight-2 nearly holomorphic eigenform E2 - 3Y."""
     return YPolyForm(
-        [eisenstein(2, prec).series, QSeries.constant(-3, prec)], weight=2
+        [eisenstein(2, prec), QSeries.constant(-3, prec)], weight=2
     )
 
 
@@ -212,7 +216,7 @@ def maass_shimura(form: Union[YPolyForm, GradedSeries]) -> YPolyForm:
 
 
 def quasimodular_decompose(
-    f: GradedSeries, depth_bound: int, margin: int = 10
+    f: GradedSeries, depth_bound: int
 ) -> Optional[list[tuple[int, GradedSeries]]]:
     """Write f = sum_r D^r(f_r) with f_r in M_{k-2r}, 0 <= r <= depth_bound.
 
@@ -220,7 +224,7 @@ def quasimodular_decompose(
     decomposition of quasimodular forms holds. Returns the list of
     (r, f_r) pairs, or None when f is not in the span (the input was not
     quasimodular of the claimed depth). The solved window is the column
-    count plus the margin; the reconstruction is then re-checked against
+    count plus _WINDOW_MARGIN; the reconstruction is then re-checked against
     every certified coefficient of f before the result is returned.
     """
     k = f.weight
@@ -234,16 +238,15 @@ def quasimodular_decompose(
     columns = []
     for r, basis in enumerate(bases):
         for element in basis:
-            series = element.series
             for _ in range(r):
-                series = series.derivative()
-            columns.append(series)
-    window = len(columns) + margin
+                element = element.derivative()
+            columns.append(element)
+    window = len(columns) + _WINDOW_MARGIN
     if f.prec < window:
         raise PrecisionError(
             f"decomposition at weight {k} needs precision >= {window}, have {f.prec}"
         )
-    solution = span_coordinates(columns, f.series, window)
+    solution = span_coordinates(columns, f, window)
     if solution is None:
         return None
 
@@ -252,6 +255,6 @@ def quasimodular_decompose(
     for r, basis in enumerate(bases):
         coords = solution[index : index + len(basis)]
         index += len(basis)
-        component = _combination([b.series for b in basis], coords, f.prec)
+        component = _combination(basis, coords, f.prec)
         parts.append((r, GradedSeries(component, k - 2 * r)))
     return parts

@@ -4,6 +4,17 @@ A series carries an explicit precision: coefficients are certified for
 exponents 0..prec and nothing beyond. All arithmetic returns the
 tightest provable precision (the min of the inputs), so a wrong tail
 coefficient can never be claimed silently.
+
+A GradedSeries is a QSeries tagged with its weight, and every QSeries
+operation applies to it. The tag follows three rules:
+
+- tagging: between two forms, + and - need equal weights (else
+  ValueError) and * adds them; a rational scalar, -f, truncate and
+  normalize keep the weight, ** multiplies it and the derivative adds 2;
+- equality: a form equals only a form of the same weight and
+  coefficients, so it never equals an untagged QSeries, in either order;
+- mixing: a form combined with an untagged QSeries by +, - or * gives an
+  untagged QSeries, in either order.
 """
 
 from __future__ import annotations
@@ -240,117 +251,93 @@ def _format_terms(coeffs, max_terms: int | None = None) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class GradedSeries:
-    """A q-expansion tagged with its weight.
+class GradedSeries(QSeries):
+    """A QSeries tagged with its weight.
 
     Catalog forms carry even weights; intermediate products may carry any
-    nonnegative weight (the sum of their factors' weights). Addition
-    requires equal weights, multiplication adds them, and the derivative
-    raises the weight by 2.
+    nonnegative weight (the sum of their factors' weights). Between two
+    forms, + and - require equal weights (else ValueError), * adds the
+    weights, and the derivative raises the weight by 2; a rational scalar,
+    -f, truncate and normalize keep it. A form combined with an untagged
+    QSeries by +, - or * gives an untagged QSeries in either order, and a
+    form never equals an untagged series. ``series`` is the untagged view.
     """
 
-    __slots__ = ("_series", "_weight")
+    __slots__ = ("_weight",)
 
     def __init__(self, series: QSeries, weight: int):
         if not isinstance(series, QSeries):
             raise TypeError("GradedSeries wraps a QSeries")
         if not isinstance(weight, int) or weight < 0:
             raise ValueError(f"weight must be a nonnegative integer, got {weight}")
-        self._series = series
+        self._coeffs = series._coeffs
         self._weight = weight
 
     @property
     def series(self) -> QSeries:
-        return self._series
+        return QSeries(self._coeffs)
 
     @property
     def weight(self) -> int:
         return self._weight
 
-    @property
-    def prec(self) -> int:
-        return self._series.prec
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._series.coeffs
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self._series[m]
-
-    def is_zero(self) -> bool:
-        return self._series.is_zero()
-
-    def valuation(self) -> Optional[int]:
-        return self._series.valuation()
-
     def truncate(self, prec: int) -> "GradedSeries":
-        return GradedSeries(self._series.truncate(prec), self._weight)
+        return GradedSeries(super().truncate(prec), self._weight)
+
+    def _same_weight(self, other: "GradedSeries", verb: str) -> None:
+        if self._weight != other._weight:
+            raise ValueError(
+                f"cannot {verb} forms of weights {self._weight} and {other._weight}"
+            )
 
     def __add__(self, other):
         if not isinstance(other, GradedSeries):
-            return NotImplemented
-        if self._weight != other._weight:
-            raise ValueError(
-                f"cannot add forms of weights {self._weight} and {other._weight}"
-            )
-        return GradedSeries(self._series + other._series, self._weight)
+            return super().__add__(other)
+        self._same_weight(other, "add")
+        return GradedSeries(super().__add__(other), self._weight)
 
     def __sub__(self, other):
         if not isinstance(other, GradedSeries):
-            return NotImplemented
-        if self._weight != other._weight:
-            raise ValueError(
-                f"cannot subtract forms of weights {self._weight} and {other._weight}"
-            )
-        return GradedSeries(self._series - other._series, self._weight)
+            return super().__sub__(other)
+        self._same_weight(other, "subtract")
+        return GradedSeries(super().__sub__(other), self._weight)
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries(-self._series, self._weight)
+        return GradedSeries(super().__neg__(), self._weight)
 
     def __mul__(self, other):
+        product = super().__mul__(other)
         if isinstance(other, GradedSeries):
-            return GradedSeries(
-                self._series * other._series, self._weight + other._weight
-            )
-        scalar = as_rational(other)
-        return GradedSeries(self._series * scalar, self._weight)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+            return GradedSeries(product, self._weight + other._weight)
+        if isinstance(other, QSeries):
+            return product
+        return GradedSeries(product, self._weight)
 
     def __pow__(self, exponent: int) -> "GradedSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("form powers require a nonnegative integer exponent")
-        return GradedSeries(self._series**exponent, self._weight * exponent)
+        return GradedSeries(super().__pow__(exponent), self._weight * exponent)
 
     def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
+        if not isinstance(other, QSeries):
             return NotImplemented
-        return self._weight == other._weight and self._series == other._series
-
-    __hash__ = None
+        same_weight = isinstance(other, GradedSeries) and self._weight == other._weight
+        return same_weight and super().__eq__(other)
 
     def derivative(self) -> "GradedSeries":
         """q d/dq, which sends weight k to weight k+2."""
-        return GradedSeries(self._series.derivative(), self._weight + 2)
-
-    def normalize(self) -> tuple["GradedSeries", Fraction]:
-        series, c = self._series.normalize()
-        return GradedSeries(series, self._weight), c
+        return GradedSeries(super().derivative(), self._weight + 2)
 
     def to_json_dict(self) -> dict:
-        return {"weight": self._weight, "series": self._series.to_json_dict()}
+        return {"weight": self._weight, "series": super().to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedSeries":
         return cls(QSeries.from_json_dict(data["series"]), data["weight"])
 
     def __str__(self) -> str:
-        return f"[weight {self._weight}] {self._series}"
+        return f"[weight {self._weight}] {super().__str__()}"
 
     def __repr__(self) -> str:
         return (
             f"GradedSeries(weight={self._weight}, prec={self.prec}, "
-            f"{_format_terms(self.coeffs, max_terms=6)})"
+            f"{_format_terms(self._coeffs, max_terms=6)})"
         )

@@ -66,7 +66,7 @@ def jsonable(value):
         return value
     if isinstance(value, float):
         return value
-    if isinstance(value, (QSeries, GradedSeries, YPolyForm, EigenReport, Violation)):
+    if isinstance(value, (QSeries, YPolyForm, EigenReport, Violation)):
         return value.to_json_dict()
     if is_dataclass(value) and not isinstance(value, type):
         return {k: jsonable(v) for k, v in asdict(value).items()}
@@ -141,7 +141,7 @@ class VerificationReport:
 
 
 def _difference_witness(left: GradedSeries, right: GradedSeries):
-    index = first_difference(left.series, right.series)
+    index = first_difference(left, right)
     if index is None:
         return None
     return {
@@ -331,37 +331,19 @@ class ProductHit:
         }
 
 
-# Every catalog product (D^r f)(D^s g) that is an eigenform. The sixteen
-# pairs of modular forms multiply to catalog forms; D(E4)*E4 = (1/2)D(E8);
-# and E2*Delta12 = D(Delta12). Keys are ordered by catalog position, then
-# derivative order.
-EXPECTED_EIGEN_PRODUCTS: tuple[tuple[str, int, str, int], ...] = (
-    ("E4", 0, "E4", 0),
-    ("E4", 0, "E6", 0),
-    ("E6", 0, "E8", 0),
-    ("E4", 0, "E10", 0),
-    ("E4", 0, "Delta12", 0),
-    ("E6", 0, "Delta12", 0),
-    ("E4", 0, "Delta16", 0),
-    ("E8", 0, "Delta12", 0),
-    ("E4", 0, "Delta18", 0),
-    ("E6", 0, "Delta16", 0),
-    ("E10", 0, "Delta12", 0),
-    ("E4", 0, "Delta22", 0),
-    ("E6", 0, "Delta20", 0),
-    ("E8", 0, "Delta18", 0),
-    ("E10", 0, "Delta16", 0),
-    ("E14", 0, "Delta12", 0),
-    ("E4", 0, "E4", 1),
-    ("E2", 0, "Delta12", 0),
-)
-
-_EXPECTED_PRODUCT_RESULTS = {
+# Every catalog product (D^r f)(D^s g) that is an eigenform, keyed
+# (f, r, g, s), with the identity that makes it one: the sixteen pairs
+# of PRODUCT_IDENTITIES in their order, then the two products involving
+# a derivative.
+_EXPECTED_PRODUCT_RESULTS: dict[tuple[str, int, str, int], str] = {
+    **{
+        (left, 0, right, 0): f"{left}*{right} = {result}"
+        for left, right, result in PRODUCT_IDENTITIES
+    },
     ("E4", 0, "E4", 1): "D(E4)*E4 = (1/2) D(E8)",
     ("E2", 0, "Delta12", 0): "E2*Delta12 = D(Delta12)",
 }
-for _left, _right, _result in PRODUCT_IDENTITIES:
-    _EXPECTED_PRODUCT_RESULTS[(_left, 0, _right, 0)] = f"{_left}*{_right} = {_result}"
+EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 
 
 def product_search(
@@ -435,12 +417,9 @@ def product_search(
         description = (
             f"{_deriv_label(key[0], key[1])}*{_deriv_label(key[2], key[3])}"
         )
-        anchor = _EXPECTED_PRODUCT_RESULTS.get(
-            key, f"{description} is an eigenform product"
-        )
         report.add(
             f"products.hit.{description}",
-            anchor,
+            _EXPECTED_PRODUCT_RESULTS[key],
             hit is not None,
             hit.to_json_dict() if hit else None,
         )
@@ -516,6 +495,7 @@ def bracket_search(
 
     modular = [name for name in CATALOG_NAMES if name != "E2"]
     entries = [(name, catalog_form(name, prec)) for name in modular]
+    weights = {name: form.weight for name, form in entries}
 
     hits: list[BracketHit] = []
     skipped: list[str] = []
@@ -570,7 +550,7 @@ def bracket_search(
         (key[0], key[2])
         for key in EXPECTED_EIGEN_PRODUCTS
         if key[1] == 0 and key[3] == 0 and key[0] != "E2"
-        and _weight_of(key[0]) + _weight_of(key[2]) <= max_weight
+        and weights[key[0]] + weights[key[2]] <= max_weight
     }
     report.add(
         "brackets.m0_matches_products",
@@ -601,12 +581,6 @@ def bracket_search(
 
     report.runtime_seconds = time.perf_counter() - start
     return hits, report
-
-
-def _weight_of(name: str) -> int:
-    if name.startswith("Delta"):
-        return int(name[5:])
-    return int(name[1:])
 
 
 # ---------------------------------------------------------------------------

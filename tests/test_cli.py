@@ -61,6 +61,20 @@ class TestHecke:
         assert result.exit_code != 0
         assert "unknown form name" in result.output
 
+    def test_catalog_input_bad_precision(self):
+        result = invoke("hecke", "--input", "Delta12", "--n", "2", "--prec", "0")
+        assert result.exit_code != 0
+        assert result.output.splitlines() == [
+            "Error: cusp form construction needs prec >= 1"
+        ]
+
+    def test_large_generator_power(self):
+        result = invoke("hecke", "--input", "E4^2000", "--n", "2", "--prec", "8", "--json")
+        assert result.exception is None and result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["weight"] == 8000
+        assert data["series"]["prec"] == 4
+
 
 class TestEigen:
     def test_eigenform(self):
@@ -78,6 +92,11 @@ class TestEigen:
         result = invoke("eigen", "--input", "E2+E4")
         assert result.exit_code != 0
         assert "weight" in result.output
+
+    def test_catalog_input_negative_precision(self):
+        result = invoke("eigen", "--input", "E4", "--prec", "-5")
+        assert result.exit_code != 0
+        assert result.output.splitlines() == ["Error: prec must be >= 0"]
 
     def test_window_zero_rejected(self):
         result = invoke("eigen", "--input", "Delta12", "--window", "0")

@@ -23,7 +23,7 @@ from modforms.forms import (
     weight_basis,
 )
 from modforms.exactmath import solve_linear
-from modforms.qseries import GradedSeries, PrecisionError, QSeries
+from modforms.qseries import GradedSeries, PrecisionError, QSeries, mul_reference
 
 PREC = 64
 
@@ -190,16 +190,26 @@ class TestGeneratorPoly:
         assert GeneratorPoly.parse("E4**2").evaluate(8) == eisenstein(4, 8) ** 2
 
     def test_inhomogeneous_returns_plain_series(self):
-        result = eval_generator_poly("E2 + E4", 8)
-        assert isinstance(result, QSeries)
+        result = GeneratorPoly.parse("E2 + E4").evaluate(8)
+        assert type(result) is QSeries
+        assert result == eisenstein(2, 8).series + eisenstein(4, 8).series
 
     def test_inhomogeneous_rejected_when_weight_required(self):
         with pytest.raises(ValueError, match="weight"):
-            eval_generator_poly("E2 + E4", 8, require_homogeneous=True)
+            eval_generator_poly("E2 + E4", 8)
 
     def test_error_lists_offending_monomials(self):
         with pytest.raises(ValueError, match=r"E2 \(weight 2\)"):
-            eval_generator_poly("E2 + E4", 8, require_homogeneous=True)
+            eval_generator_poly("E2 + E4", 8)
+
+    def test_mixed_monomial_matches_reference_product(self):
+        e2, e4, e6 = (eisenstein(k, 24) for k in (2, 4, 6))
+        expected = e2.series
+        for factor in (e2, e2, e4, e4, e6):
+            expected = mul_reference(expected, factor)
+        result = GeneratorPoly.parse("E2^3*E4^2*E6").evaluate(24)
+        assert result.weight == 20
+        assert result.coeffs == expected.coeffs
 
     def test_parse_errors(self):
         for bad in ("E3", "(E4", "E4)", "E4 +", "E4 / E2", "E4 ^ E2", "4q"):

@@ -3,6 +3,7 @@ the differential operator, and serialization."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -207,3 +208,61 @@ class TestGradedSeries:
     def test_json_roundtrip(self):
         f = GradedSeries(QSeries([0, 1, -24]), 12)
         assert GradedSeries.from_json_dict(f.to_json_dict()) == f
+
+
+# One form of weight 4 and one of weight 6, with their untagged series.
+E4 = GradedSeries(QSeries([1, 240, 2160]), 4)
+E6 = GradedSeries(QSeries([1, -504, -16632]), 6)
+
+
+class TestTaggingRule:
+    def test_subclass_without_forwarding_members(self):
+        assert issubclass(GradedSeries, QSeries)
+        for name in ("prec", "coeffs", "__getitem__", "is_zero", "valuation"):
+            assert name not in vars(GradedSeries)
+
+    @pytest.mark.parametrize(
+        "op, weight",
+        [
+            (lambda f, g: -f, 4),
+            (lambda f, g: f.truncate(1), 4),
+            (lambda f, g: (f * 3).normalize()[0], 4),
+            (lambda f, g: f * Fraction(1, 2), 4),
+            (lambda f, g: 3 * g, 6),
+            (lambda f, g: f**3, 12),
+            (lambda f, g: g.derivative(), 8),
+            (lambda f, g: f * g, 10),
+            (lambda f, g: f + f, 4),
+            (lambda f, g: g - g, 6),
+        ],
+        ids=[
+            "neg", "truncate", "normalize", "scalar", "rscalar", "pow",
+            "derivative", "form_mul", "add", "sub",
+        ],
+    )
+    def test_result_carries_weight(self, op, weight):
+        tagged = op(E4, E6)
+        plain = op(E4.series, E6.series)
+        assert type(tagged) is GradedSeries and tagged.weight == weight
+        assert type(plain) is QSeries and tagged.coeffs == plain.coeffs
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    def test_mixed_weights_rejected(self, op):
+        with pytest.raises(ValueError, match="weights 4 and 6"):
+            op(E4, E6)
+
+    def test_form_never_equals_untagged_series(self):
+        assert E4 != E4.series and E4.series != E4
+        assert not (E4 == E4.series) and not (E4.series == E4)
+        assert E4 == GradedSeries(E4.series, 4)
+
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"]
+    )
+    @pytest.mark.parametrize("form_first", [True, False], ids=["form_left", "form_right"])
+    def test_form_with_untagged_gives_untagged(self, op, form_first):
+        other = QSeries([2, 3, 5])
+        operands = (E4, other) if form_first else (other, E4)
+        untagged = (E4.series, other) if form_first else (other, E4.series)
+        result = op(*operands)
+        assert type(result) is QSeries and result == op(*untagged)
