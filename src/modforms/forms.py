@@ -327,6 +327,9 @@ class GeneratorPoly:
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<sym>E[246])|(?P<op>\*\*|[()^*/+\-]))")
+# Each parenthesis level costs five Python frames, so this keeps the
+# descent far below the interpreter's recursion limit.
+_MAX_NESTING = 100
 
 
 class _PolyParser:
@@ -343,6 +346,7 @@ class _PolyParser:
         self._text = text
         self._tokens = self._tokenize(text)
         self._pos = 0
+        self._depth = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
@@ -416,9 +420,15 @@ class _PolyParser:
     def _atom(self) -> GeneratorPoly:
         token = self._next()
         if token == "(":
+            self._depth += 1
+            if self._depth > _MAX_NESTING:
+                raise ValueError(
+                    f"generator polynomial nests parentheses deeper than {_MAX_NESTING}"
+                )
             value = self._expr()
             if self._next() != ")":
                 raise ValueError("unbalanced parentheses in generator polynomial")
+            self._depth -= 1
             return value
         if token.isdigit():
             return GeneratorPoly.constant(int(token))

@@ -14,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass, field, is_dataclass, asdict
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .brackets import rankin_cohen
 from .exactmath import bernoulli, rational_str, sigma
@@ -50,8 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 128
-_EIGEN_BOUND = 10
-_EIGEN_WINDOW = 12
 
 
 def jsonable(value):
@@ -63,8 +60,6 @@ def jsonable(value):
     if isinstance(value, Fraction):
         return rational_str(value)
     if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, float):
         return value
     if isinstance(value, (QSeries, YPolyForm, EigenReport, Violation)):
         return value.to_json_dict()
@@ -277,11 +272,11 @@ def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
         ("E2*E14", e2 * forms["E14"], False),
     )
     for label, candidate, should_pass in eigen_expected:
-        result = eigenform_test(candidate, bound=_EIGEN_BOUND, window=_EIGEN_WINDOW)
+        result = eigenform_test(candidate)
         verdict = "an" if should_pass else "not an"
         report.add(
             f"identities.eigen.{label}",
-            f"{label} is {verdict} eigenform up to T_{_EIGEN_BOUND}",
+            f"{label} is {verdict} eigenform up to T_{result.tested_bound}",
             result.is_eigen_up_to_bound == should_pass,
             _eigen_witness(result),
         )
@@ -295,12 +290,30 @@ def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _eigen_scan(candidates, skipped: list[str]):
+    """Run the eigenform test on each (key, label, form) candidate.
+
+    Yields the passes as (key, form, report) triples, in candidate order,
+    and appends to ``skipped`` one line per candidate whose precision is
+    too low. Yielding lets the caller drop each form before the next one
+    is built, so a scan holds one candidate at a time.
+    """
+    for key, label, form in candidates:
+        try:
+            result = eigenform_test(form)
+        except PrecisionError as exc:
+            skipped.append(f"{label}: {exc}")
+            continue
+        if result.is_eigen_up_to_bound:
+            yield key, form, result
+
+
 def _deriv_label(name: str, order: int) -> str:
-    if order == 0:
-        return name
-    if order == 1:
-        return f"D({name})"
-    return f"D^{order}({name})"
+    return f"D({name})" if order else name
+
+
+def _product_label(left: str, left_deriv: int, right: str, right_deriv: int) -> str:
+    return f"{_deriv_label(left, left_deriv)}*{_deriv_label(right, right_deriv)}"
 
 
 @dataclass(frozen=True)
@@ -318,10 +331,7 @@ class ProductHit:
 
     @property
     def description(self) -> str:
-        return (
-            f"{_deriv_label(self.left, self.left_deriv)}"
-            f"*{_deriv_label(self.right, self.right_deriv)}"
-        )
+        return _product_label(*self.key)
 
     def to_json_dict(self) -> dict:
         return {
@@ -346,84 +356,44 @@ _EXPECTED_PRODUCT_RESULTS: dict[tuple[str, int, str, int], str] = {
 EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 
 
-def product_search(
-    max_weight: int = 26,
-    max_deriv: int = 1,
-    bound: int = _EIGEN_BOUND,
-    prec: int = DEFAULT_PREC,
-) -> tuple[list[ProductHit], VerificationReport]:
-    """Test every unordered catalog product (D^r f)(D^s g) for eigenform-ness.
+def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], VerificationReport]:
+    """Test every unordered catalog product (D^r f)(D^s g), r, s <= 1,
+    for eigenform-ness.
 
     Returns the passing candidates and a report comparing them against
     the classified list: each expected hit must be found and nothing else
     may pass.
     """
-    if max_weight > 26:
-        raise ValueError("the catalog stops at weight 26")
-    if max_deriv > 3:
-        raise ValueError("derivative orders above 3 are outside the search design")
     start = time.perf_counter()
     report = VerificationReport("products")
 
     items: list[tuple[str, int, GradedSeries]] = []
     for name in CATALOG_NAMES:
         form = catalog_form(name, prec)
-        if form.weight > max_weight:
-            continue
-        current = form
-        for order in range(max_deriv + 1):
-            items.append((name, order, current))
-            current = current.derivative()
+        items += [(name, 0, form), (name, 1, form.derivative())]
 
-    hits: list[ProductHit] = []
+    def candidates():
+        for i, (left_name, left_order, left_form) in enumerate(items):
+            for right_name, right_order, right_form in items[i:]:
+                key = (left_name, left_order, right_name, right_order)
+                yield key, _product_label(*key), left_form * right_form
+
     skipped: list[str] = []
-    for i in range(len(items)):
-        left_name, left_order, left_form = items[i]
-        for j in range(i, len(items)):
-            right_name, right_order, right_form = items[j]
-            product = left_form * right_form
-            try:
-                result = eigenform_test(product, bound=bound)
-            except PrecisionError as exc:
-                skipped.append(
-                    f"{_deriv_label(left_name, left_order)}*"
-                    f"{_deriv_label(right_name, right_order)}: {exc}"
-                )
-                continue
-            if result.is_eigen_up_to_bound:
-                hits.append(
-                    ProductHit(
-                        left_name,
-                        left_order,
-                        right_name,
-                        right_order,
-                        product.weight,
-                        result.eigenvalues,
-                    )
-                )
+    hits = [
+        ProductHit(*key, form.weight, result.eigenvalues)
+        for key, form, result in _eigen_scan(candidates(), skipped)
+    ]
 
     found = {hit.key: hit for hit in hits}
-    names_in_scope = {name for name, _, _ in items}
-    expected = [
-        key
-        for key in EXPECTED_EIGEN_PRODUCTS
-        if key[0] in names_in_scope
-        and key[2] in names_in_scope
-        and key[1] <= max_deriv
-        and key[3] <= max_deriv
-    ]
-    for key in expected:
+    for key, anchor in _EXPECTED_PRODUCT_RESULTS.items():
         hit = found.get(key)
-        description = (
-            f"{_deriv_label(key[0], key[1])}*{_deriv_label(key[2], key[3])}"
-        )
         report.add(
-            f"products.hit.{description}",
-            _EXPECTED_PRODUCT_RESULTS[key],
+            f"products.hit.{_product_label(*key)}",
+            anchor,
             hit is not None,
             hit.to_json_dict() if hit else None,
         )
-    unexpected = [hit for hit in hits if hit.key not in set(expected)]
+    unexpected = [hit for hit in hits if hit.key not in _EXPECTED_PRODUCT_RESULTS]
     report.add(
         "products.no_unexpected",
         "no catalog product is an eigenform outside the classified list",
@@ -474,83 +444,65 @@ class BracketHit:
         }
 
 
-def bracket_search(
-    max_weight: int = 26,
-    max_m: int = 4,
-    bound: int = _EIGEN_BOUND,
-    prec: int = DEFAULT_PREC,
-) -> tuple[list[BracketHit], VerificationReport]:
-    """Eigenform scan over [g, h]_m for modular catalog pairs.
+def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], VerificationReport]:
+    """Eigenform scan over [g, h]_m, m <= 4, for modular catalog pairs up
+    to the top catalog weight.
 
     Every hit must land on the Eisenstein line of its weight or in a
     one-dimensional cusp space; the m = 0 slice must reproduce exactly
     the modular product hits.
     """
-    if max_weight > 26:
-        raise ValueError("the catalog stops at weight 26")
-    if max_m > 4:
-        raise ValueError("bracket orders above 4 are outside the search design")
     start = time.perf_counter()
     report = VerificationReport("brackets")
 
-    modular = [name for name in CATALOG_NAMES if name != "E2"]
-    entries = [(name, catalog_form(name, prec)) for name in modular]
-    weights = {name: form.weight for name, form in entries}
+    entries = [(name, catalog_form(name, prec)) for name in CATALOG_NAMES if name != "E2"]
+    top_weight = max(form.weight for _, form in entries)
 
-    hits: list[BracketHit] = []
+    def candidates():
+        for i, (g_name, g_form) in enumerate(entries):
+            for h_name, h_form in entries[i:]:
+                for m in range(5):
+                    if g_form.weight + h_form.weight + 2 * m > top_weight:
+                        continue
+                    bracket = rankin_cohen(g_form, h_form, m)
+                    if not bracket.is_zero():
+                        yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", bracket
+
     skipped: list[str] = []
-    for i in range(len(entries)):
-        g_name, g_form = entries[i]
-        for j in range(i, len(entries)):
-            h_name, h_form = entries[j]
-            for m in range(max_m + 1):
-                weight = g_form.weight + h_form.weight + 2 * m
-                if weight > max_weight:
-                    continue
-                bracket = rankin_cohen(g_form, h_form, m)
-                if bracket.is_zero():
-                    continue
-                try:
-                    result = eigenform_test(bracket, bound=bound)
-                except PrecisionError as exc:
-                    skipped.append(f"[{g_name},{h_name}]_{m}: {exc}")
-                    continue
-                if not result.is_eigen_up_to_bound:
-                    continue
-                coords = is_modular_member(bracket, weight)
-                if bracket[0] != 0:
-                    classification = "eisenstein-line"
-                    matches = bracket == eisenstein(weight, prec) * bracket[0]
-                else:
-                    classification = "cusp"
-                    matches = (
-                        weight in DELTA_WEIGHTS
-                        and bracket == cusp_delta(weight, prec) * bracket[1]
-                    )
-                hit = BracketHit(
-                    g_name,
-                    h_name,
-                    m,
-                    weight,
-                    result.eigenvalues,
-                    classification,
-                    tuple(coords) if coords else (),
-                )
-                hits.append(hit)
-                report.add(
-                    f"brackets.hit.{hit.description}",
-                    f"{hit.description} lies on the Eisenstein line or in a "
-                    f"one-dimensional cusp space of weight {weight}",
-                    matches and coords is not None,
-                    hit.to_json_dict(),
-                )
+    hits: list[BracketHit] = []
+    for key, bracket, result in _eigen_scan(candidates(), skipped):
+        weight = bracket.weight
+        coords = is_modular_member(bracket, weight)
+        if bracket[0] != 0:
+            classification = "eisenstein-line"
+            matches = bracket == eisenstein(weight, prec) * bracket[0]
+        else:
+            classification = "cusp"
+            matches = (
+                weight in DELTA_WEIGHTS
+                and bracket == cusp_delta(weight, prec) * bracket[1]
+            )
+        hit = BracketHit(
+            *key,
+            weight,
+            result.eigenvalues,
+            classification,
+            tuple(coords) if coords else (),
+        )
+        hits.append(hit)
+        report.add(
+            f"brackets.hit.{hit.description}",
+            f"{hit.description} lies on the Eisenstein line or in a "
+            f"one-dimensional cusp space of weight {weight}",
+            matches and coords is not None,
+            hit.to_json_dict(),
+        )
 
     slice_m0 = {(hit.g, hit.h) for hit in hits if hit.m == 0}
     expected_m0 = {
         (key[0], key[2])
         for key in EXPECTED_EIGEN_PRODUCTS
         if key[1] == 0 and key[3] == 0 and key[0] != "E2"
-        and weights[key[0]] + weights[key[2]] <= max_weight
     }
     report.add(
         "brackets.m0_matches_products",
@@ -590,11 +542,7 @@ def bracket_search(
 EQUATION_IDS = ("eq3", "eq4", "eq7", "quadratic")
 
 
-def diophantine_check(
-    equation: str,
-    k_range: Optional[Iterable[int]] = None,
-    exponent_range: Optional[Iterable[int]] = None,
-) -> list:
+def diophantine_check(equation: str) -> list:
     """Exact brute-force scan of one obstruction equation.
 
     eq3:  3^s (1 + 3^(k-1)) + 2^s + 28 = 2^(k+s-4) (2^s - 8)
@@ -610,22 +558,18 @@ def diophantine_check(
     four scans come back empty of (admissible) solutions.
     """
     if equation == "eq3":
-        ks = list(k_range) if k_range is not None else list(range(4, 41, 2))
-        ss = list(exponent_range) if exponent_range is not None else list(range(1, 41))
         return [
             (k, s)
-            for k in ks
-            for s in ss
+            for k in range(4, 41, 2)
+            for s in range(1, 41)
             if 3**s * (1 + 3 ** (k - 1)) + 2**s + 28
             == 2 ** (k + s - 4) * (2**s - 8)
         ]
     if equation == "eq4":
-        ks = list(k_range) if k_range is not None else list(range(4, 41, 2))
-        ss = list(exponent_range) if exponent_range is not None else list(range(1, 41))
         out = []
-        for k in ks:
+        for k in range(4, 41, 2):
             s2, s3, s5 = sigma(k - 1, 2), sigma(k - 1, 3), sigma(k - 1, 5)
-            for s in ss:
+            for s in range(1, 41):
                 value = (
                     5**s * s5
                     + 3 ** (s + 1) * s3
@@ -638,9 +582,8 @@ def diophantine_check(
                     out.append((k, s))
         return out
     if equation == "eq7":
-        rs = list(exponent_range) if exponent_range is not None else list(range(1, 65))
         out = []
-        for r in rs:
+        for r in range(1, 65):
             value = (
                 Fraction(2) ** (2 * r - 3) + 4 * 3**r + 21 * 2**r - 212
             )
@@ -648,12 +591,10 @@ def diophantine_check(
                 out.append((r,))
         return out
     if equation == "quadratic":
-        ks = list(k_range) if k_range is not None else [4, 6, 8, 10, 14]
-        rs = list(exponent_range) if exponent_range is not None else list(range(1, 41))
         records = []
-        for k in ks:
+        for k in (4, 6, 8, 10, 14):
             target = Fraction(2 * k) / bernoulli(k)
-            for r in rs:
+            for r in range(1, 41):
                 b = 4 * 3**r + 3 * 2**r * (2 ** (k - 1) - 1) + 1 + 3 ** (k - 1)
                 disc = b * b + 2 ** (2 * r + 3) * (2**k - 1)
                 root = math.isqrt(disc)
@@ -720,7 +661,7 @@ def verify_diophantine_suite() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def ghitza_check(weight_bound: int = 26, prec: int = 16) -> VerificationReport:
+def ghitza_check() -> VerificationReport:
     """Distinct-weight normalized cusp eigenforms differ within n <= 4.
 
     At level one the separation bound 4*(log N + 1)^2 evaluates to 4, so
@@ -729,9 +670,10 @@ def ghitza_check(weight_bound: int = 26, prec: int = 16) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport("ghitza")
     bound = 4
+    prec = 16
     delta12 = cusp_delta(12, prec)
     for k in DELTA_WEIGHTS:
-        if k == 12 or k > weight_bound:
+        if k == 12:
             continue
         delta_k = cusp_delta(k, prec)
         witness = next(

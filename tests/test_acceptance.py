@@ -146,7 +146,7 @@ CLASSIFIED_PRODUCTS = {
 
 
 def test_criterion_05_product_search():
-    hits, report = product_search(max_weight=26, max_deriv=1, bound=BOUND, prec=PREC)
+    hits, report = product_search()
     found = {hit.key for hit in hits}
     ok = found == CLASSIFIED_PRODUCTS and report.all_passed()
 
@@ -174,7 +174,7 @@ def test_criterion_06_diophantine_scans():
 
 
 def test_criterion_07_ghitza_separation():
-    report = ghitza_check(weight_bound=26)
+    report = ghitza_check()
     ok = report.all_passed() and len(report.checks) == 5
     for check in report.checks:
         ok = ok and check.witness["n"] <= 4

@@ -68,6 +68,14 @@ class TestHecke:
             "Error: cusp form construction needs prec >= 1"
         ]
 
+    def test_deep_nesting_is_one_error_line(self):
+        text = "(" * 3000 + "E4" + ")" * 3000
+        result = invoke("hecke", "--input", text, "--n", "2", "--prec", "8")
+        assert result.exit_code != 0
+        assert result.output.splitlines() == [
+            "Error: generator polynomial nests parentheses deeper than 100"
+        ]
+
     def test_large_generator_power(self):
         result = invoke("hecke", "--input", "E4^2000", "--n", "2", "--prec", "8", "--json")
         assert result.exception is None and result.exit_code == 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from modforms.forms import (
     CATALOG_NAMES,
@@ -222,6 +223,22 @@ class TestGeneratorPoly:
 
     def test_unary_minus(self):
         assert GeneratorPoly.parse("-E4 + E4").is_zero()
+
+    def test_nesting_limit(self):
+        assert GeneratorPoly.parse("(" * 100 + "E4" + ")" * 100).weight() == 4
+        with pytest.raises(ValueError, match="deeper than 100"):
+            GeneratorPoly.parse("(" * 101 + "E4" + ")" * 101)
+
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 3),
+            st.fractions(min_value=-50, max_value=50, max_denominator=20),
+            max_size=5,
+        )
+    )
+    def test_str_parse_round_trip(self, terms):
+        poly = GeneratorPoly(terms)
+        assert GeneratorPoly.parse(str(poly)).monomials() == poly.monomials()
 
 
 class TestCatalog:

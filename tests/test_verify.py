@@ -44,44 +44,40 @@ class TestIdentitySuite:
             assert check.anchor
 
 
+@pytest.fixture(scope="module")
+def products():
+    return product_search()
+
+
+@pytest.fixture(scope="module")
+def brackets():
+    return bracket_search()
+
+
 class TestProductSearch:
-    def test_restricted_scan_finds_exact_set(self):
-        hits, report = product_search(max_weight=14, max_deriv=0)
-        expected = {
-            ("E4", 0, "E4", 0),
-            ("E4", 0, "E6", 0),
-            ("E6", 0, "E8", 0),
-            ("E4", 0, "E10", 0),
-            ("E4", 0, "Delta12", 0),
-            ("E6", 0, "Delta12", 0),
-            ("E8", 0, "Delta12", 0),
-            ("E10", 0, "Delta12", 0),
-            ("E14", 0, "Delta12", 0),
-            ("E2", 0, "Delta12", 0),
-        }
-        assert {hit.key for hit in hits} == expected
+    def test_scan_finds_exact_set(self, products):
+        hits, report = products
+        assert {hit.key for hit in hits} == set(EXPECTED_EIGEN_PRODUCTS)
         assert report.all_passed()
 
-    def test_catalog_range_guard(self):
-        with pytest.raises(ValueError):
-            product_search(max_weight=30)
-
-    def test_hit_serialization(self):
-        hits, _ = product_search(max_weight=8, max_deriv=0)
+    def test_hit_serialization(self, products):
+        hits, _ = products
         data = jsonable(hits)
-        assert data[0]["left"] == "E4"
+        keys = {(d["left"], d["left_deriv"], d["right"], d["right_deriv"]) for d in data}
+        assert keys == set(EXPECTED_EIGEN_PRODUCTS)
+        assert all(isinstance(lam, str) for d in data for _, lam in d["eigenvalues"])
 
 
 class TestBracketSearch:
-    def test_small_scan(self):
-        hits, report = bracket_search(max_weight=16, max_m=2)
+    def test_scan(self, brackets):
+        hits, report = brackets
         keys = {hit.key for hit in hits}
         assert ("E4", "E6", 1) in keys
         assert ("E4", "E4", 1) not in keys  # zero by antisymmetry
         assert report.all_passed()
 
-    def test_hits_classified(self):
-        hits, _ = bracket_search(max_weight=16, max_m=2)
+    def test_hits_classified(self, brackets):
+        hits, _ = brackets
         for hit in hits:
             assert hit.classification in ("eisenstein-line", "cusp")
             assert hit.coordinates
@@ -96,8 +92,7 @@ class TestDiophantine:
         assert (lhs, rhs) == (114, -12)
 
     def test_eq4_empty(self):
-        assert diophantine_check("eq4", k_range=range(4, 21, 2),
-                                 exponent_range=range(1, 21)) == []
+        assert diophantine_check("eq4") == []
 
     def test_eq7_empty_and_exact_rational_at_small_r(self):
         assert diophantine_check("eq7") == []
@@ -154,6 +149,10 @@ class TestJsonable:
     def test_rationals_become_strings(self):
         assert jsonable(Fraction(-24)) == "-24/1"
         assert jsonable({"x": (Fraction(1, 3), 2)}) == {"x": ["1/3", 2]}
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            jsonable(0.5)
 
     def test_expected_products_cover_both_lists(self):
         assert len(EXPECTED_EIGEN_PRODUCTS) == 18
