@@ -6,11 +6,9 @@ brackets, and reproducible verification suites.
 """
 
 from .exactmath import (
-    Rational,
     bernoulli,
     binomial,
     divisors,
-    parse_rational,
     rational_str,
     sigma,
     solve_linear,

@@ -32,6 +32,19 @@ from .qseries import GradedSeries, PrecisionError
 from .verify import DEFAULT_PREC, SUITE_NAMES, run_suite
 
 _NAME_RE = re.compile(r"^[A-Za-z]\w*$")
+# Far above every suite and query; a larger value fails at once instead of running.
+_MAX_PREC = 4096
+
+
+def _prec_option(**kwargs):
+    """The --prec option; a value above _MAX_PREC is one Error: line."""
+
+    def bounded(ctx, param, value: int) -> int:
+        if value > _MAX_PREC:
+            raise click.ClickException(f"--prec {value} exceeds the maximum {_MAX_PREC}")
+        return value
+
+    return click.option("--prec", type=int, callback=bounded, **kwargs)
 
 
 @contextlib.contextmanager
@@ -68,7 +81,7 @@ def main():
 
 @main.command("eis")
 @click.option("--weight", type=int, required=True, help="Even weight k >= 2.")
-@click.option("--prec", type=int, required=True, help="Certified q-coefficients.")
+@_prec_option(required=True, help="Certified q-coefficients.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def eis_cmd(weight: int, prec: int, as_json: bool):
     """Eisenstein series of the given weight."""
@@ -79,7 +92,7 @@ def eis_cmd(weight: int, prec: int, as_json: bool):
 
 @main.command("delta")
 @click.option("--weight", type=int, required=True, help="One of 12,16,18,20,22,26.")
-@click.option("--prec", type=int, required=True, help="Certified q-coefficients.")
+@_prec_option(required=True, help="Certified q-coefficients.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def delta_cmd(weight: int, prec: int, as_json: bool):
     """Normalized cusp form of the given weight."""
@@ -91,7 +104,7 @@ def delta_cmd(weight: int, prec: int, as_json: bool):
 @main.command("hecke")
 @click.option("--input", "source", required=True, help="Catalog name or polynomial in E2,E4,E6.")
 @click.option("--n", "index", type=int, required=True, help="Operator index n >= 1.")
-@click.option("--prec", type=int, default=DEFAULT_PREC, show_default=True)
+@_prec_option(default=DEFAULT_PREC, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
     """Apply the n-th Hecke operator."""
@@ -105,7 +118,7 @@ def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
 @click.option("--input", "source", required=True, help="Catalog name or polynomial in E2,E4,E6.")
 @click.option("--bound", type=int, default=10, show_default=True, help="Test T_n for n <= bound.")
 @click.option("--window", type=int, default=12, show_default=True)
-@click.option("--prec", type=int, default=DEFAULT_PREC, show_default=True)
+@_prec_option(default=DEFAULT_PREC, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
     """Test whether a form is a Hecke eigenform up to the bound."""
@@ -129,7 +142,7 @@ def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
 @click.option("--g", "g_name", required=True, help="Catalog name other than E2.")
 @click.option("--h", "h_name", required=True, help="Catalog name other than E2.")
 @click.option("--m", "order", type=int, required=True, help="Bracket order m >= 0.")
-@click.option("--prec", type=int, default=DEFAULT_PREC, show_default=True)
+@_prec_option(default=DEFAULT_PREC, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def bracket_cmd(g_name: str, h_name: str, order: int, prec: int, as_json: bool):
     """Rankin-Cohen bracket [g, h]_m of two modular catalog forms."""
@@ -209,7 +222,7 @@ def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(SUITE_NAMES), required=True)
-@click.option("--prec", type=int, default=DEFAULT_PREC, show_default=True)
+@_prec_option(default=DEFAULT_PREC, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Also write the JSON report to a file.")

@@ -13,20 +13,14 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 __all__ = [
-    "Rational",
     "as_rational",
     "rational_str",
-    "parse_rational",
     "bernoulli",
     "sigma",
     "binomial",
     "divisors",
     "solve_linear",
 ]
-
-# Exact signed rational in lowest terms with positive denominator; the
-# stdlib Fraction already guarantees both invariants.
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -47,11 +41,6 @@ def rational_str(value: Fraction) -> str:
     """Canonical "num/den" string used in all JSON output."""
     value = as_rational(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of rational_str; also accepts a bare integer string."""
-    return Fraction(text)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from functools import lru_cache, reduce
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactmath import as_rational, bernoulli, sigma, solve_linear
-from .qseries import GradedSeries, PrecisionError, QSeries
+from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
 
 __all__ = [
     "eisenstein",
@@ -152,7 +152,7 @@ def span_coordinates(
     coords = solve_linear(rows, [target[m] for m in range(window + 1)])
     if coords is None:
         return None
-    if _combination(columns, coords, target.prec).coeffs != target.coeffs:
+    if first_difference(_combination(columns, coords, target.prec), target) is not None:
         return None
     return coords
 
@@ -192,6 +192,8 @@ def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
 
 _GENERATOR_WEIGHTS = (2, 4, 6)
 _GENERATOR_NAMES = ("E2", "E4", "E6")
+# The heaviest monomial a product may build: the weight of E4^2000.
+_MAX_POLY_WEIGHT = 8000
 
 
 class GeneratorPoly:
@@ -243,6 +245,9 @@ class GeneratorPoly:
         return GeneratorPoly({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "GeneratorPoly") -> "GeneratorPoly":
+        heaviest = sum(max(p.monomial_weights().values(), default=0) for p in (self, other))
+        if heaviest > _MAX_POLY_WEIGHT:
+            raise ValueError(f"polynomial weight {heaviest} exceeds the cap {_MAX_POLY_WEIGHT}")
         terms: dict = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -316,9 +321,7 @@ class GeneratorPoly:
             elif c == -1 and factors:
                 parts.append(f"-{body}")
             else:
-                coeff = (
-                    str(c) if c.denominator == 1 else f"({c.numerator}/{c.denominator})"
-                )
+                coeff = str(c) if c.denominator == 1 else f"({c})"
                 parts.append(coeff if not factors else f"{coeff}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
 

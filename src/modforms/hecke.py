@@ -17,11 +17,10 @@ p^(k-1) T_{p^(r-1)}, both exercised by the test suite at depths 0 and 1.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .exactmath import divisors, rational_str
 from .nearly import YPolyForm
@@ -36,20 +35,21 @@ __all__ = [
 ]
 
 
-def _power(d: int, e: int) -> Union[int, Fraction]:
-    # d^e for integer e of either sign; negative exponents arise on the
-    # Y^r components once 2r + 1 exceeds the weight.
-    if e >= 0:
-        return d**e
-    return Fraction(1, d**-e)
+def _kernel(nums: Sequence[int], k: int, r: int, n: int) -> tuple[Callable[[int], int], int]:
+    """T_n on the Y^r component of a weight-k form, in integers.
 
+    Returns (b, D): b(m) sums c_d * nums[mn/d^2] over d | gcd(m, n), where
+    n^r d^(k-2r-1) = c_d / D. A negative exponent (once 2r + 1 exceeds the
+    weight) is written as (n/d)^(2r+1-k) over D = n^(2r+1-k), so every c_d
+    is an integer and b_m of T_n is b(m) / (D * series denominator).
+    """
+    e = k - 2 * r - 1
+    weights = [(d, n**r * (d**e if e >= 0 else (n // d) ** -e)) for d in divisors(n)]
 
-def _coefficient(series: QSeries, k: int, r: int, n: int, m: int) -> Fraction:
-    """b_m of T_n applied to the Y^r component of a weight-k form."""
-    total = Fraction(0)
-    for d in divisors(math.gcd(m, n)):  # m = 0 gives gcd n
-        total += n**r * _power(d, k - 2 * r - 1) * series[m * n // (d * d)]
-    return total
+    def b(m: int) -> int:
+        return sum(c * nums[m * n // (d * d)] for d, c in weights if m % d == 0)
+
+    return b, n ** max(-e, 0)
 
 
 def _act(components: Sequence[QSeries], k: int, n: int) -> list[QSeries]:
@@ -63,10 +63,12 @@ def _act(components: Sequence[QSeries], k: int, n: int) -> list[QSeries]:
             stacklevel=3,
         )
     new_prec = prec // n
-    return [
-        QSeries([_coefficient(c, k, r, n, m) for m in range(new_prec + 1)])
-        for r, c in enumerate(components)
-    ]
+    out = []
+    for r, c in enumerate(components):
+        b, den = _kernel(c.numerators, k, r, n)
+        nums = [b(m) for m in range(new_prec + 1)]
+        out.append(QSeries.from_numerators(nums, c.denominator * den))
+    return out
 
 
 def hecke(f: GradedSeries, n: int) -> GradedSeries:
@@ -169,14 +171,14 @@ def eigenform_test(
             f"precision >= {bound * window}, have {prec}"
         )
 
+    nums = [c.numerators for c in comps]
     first = next(
-        ((m, r) for m in range(prec + 1) for r, c in enumerate(comps) if c[m] != 0),
+        ((m, r) for m in range(prec + 1) for r in range(len(comps)) if nums[r][m]),
         None,
     )
     if first is None:
         raise ValueError("the zero form is not an eigenform candidate")
     m0, r0 = first
-    leading = comps[r0][m0]
 
     # T_1 is the identity, so lambda_1 = 1 needs no scan.
     eigenvalues: list[tuple[int, Fraction]] = [(1, Fraction(1))]
@@ -184,17 +186,22 @@ def eigenform_test(
         cprec = prec // n
         if m0 > cprec:
             continue
-        lam = _coefficient(comps[r0], k, r0, n, m0) / leading
+        kernels = [_kernel(nums[r], k, r, n) for r in range(len(comps))]
+        b0, den0 = kernels[r0]
+        lam = Fraction(b0(m0), den0 * nums[r0][m0])
+        p, q = lam.numerator, lam.denominator
+        # lambda a_m = b_m, with a_m = a / s and b_m = b / (s D), reads
+        # p a D = q b: the series denominator s cancels.
         for m in range(cprec + 1):
-            for r, comp in enumerate(comps):
-                expected = lam * comp[m]
-                actual = _coefficient(comp, k, r, n, m)
-                if expected != actual:
+            for r, (b_of, den) in enumerate(kernels):
+                a, b = nums[r][m], b_of(m)
+                if p * a * den != q * b:
+                    s = comps[r].denominator
                     violation = Violation(
                         n=n,
                         exponent=m,
-                        expected=expected,
-                        actual=actual,
+                        expected=Fraction(p * a, q * s),
+                        actual=Fraction(b, s * den),
                         y_power=r if is_ypoly else None,
                     )
                     return EigenReport(

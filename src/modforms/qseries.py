@@ -20,8 +20,8 @@ operation applies to it. The tag follows three rules:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .exactmath import as_rational, rational_str
 
@@ -33,23 +33,20 @@ __all__ = [
     "first_difference",
 ]
 
-_ZERO = Fraction(0)
-
 
 class PrecisionError(ValueError):
     """An operation was asked to certify more coefficients than it can."""
 
 
-def _rescaled_ints(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    # Clear denominators once so the convolution runs on plain ints.
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 class QSeries:
-    """The truncated expansion sum_{m<=prec} a_m q^m over exact rationals."""
+    """The truncated expansion sum_{m<=prec} a_m q^m over exact rationals.
 
-    __slots__ = ("_coeffs",)
+    Stored as integer numerators over one positive common denominator in
+    lowest terms (no prime divides the denominator and every numerator),
+    so equal series have equal storage and every operation runs on ints.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable, prec: int | None = None):
         cs = [as_rational(c) for c in coeffs]
@@ -59,9 +56,22 @@ class QSeries:
             prec = len(cs) - 1
         if prec < 0:
             raise ValueError("prec must be >= 0")
-        if len(cs) < prec + 1:
-            cs.extend([_ZERO] * (prec + 1 - len(cs)))
-        self._coeffs = tuple(cs[: prec + 1])
+        cs = cs[: prec + 1]
+        # The lcm of reduced denominators is already in lowest terms.
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums.extend([0] * (prec + 1 - len(nums)))
+        self._nums = tuple(nums)
+        self._den = den
+
+    @staticmethod
+    def from_numerators(nums: Sequence[int], den: int) -> "QSeries":
+        """The series with coefficients nums[m]/den, for ints and den > 0."""
+        g = gcd(den, *nums)
+        series = object.__new__(QSeries)
+        series._nums = tuple(nums) if g == 1 else tuple(a // g for a in nums)
+        series._den = den // g
+        return series
 
     @classmethod
     def zero(cls, prec: int) -> "QSeries":
@@ -77,73 +87,68 @@ class QSeries:
 
     @property
     def prec(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(a, self._den) for a in self._nums)
 
     def __getitem__(self, m: int) -> Fraction:
         if not 0 <= m <= self.prec:
             raise IndexError(
                 f"coefficient of q^{m} is outside the certified precision {self.prec}"
             )
-        return self._coeffs[m]
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
+        return Fraction(self._nums[m], self._den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._nums)
 
     def valuation(self) -> Optional[int]:
         """Index of the first nonzero coefficient, or None for the zero series."""
-        for m, c in enumerate(self._coeffs):
-            if c != 0:
-                return m
-        return None
+        return next((m for m, a in enumerate(self._nums) if a), None)
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError(
                 f"cannot extend precision {self.prec} to {prec} without new data"
             )
-        return QSeries(self._coeffs[: prec + 1])
+        return QSeries.from_numerators(self._nums[: prec + 1], self._den)
 
     # -- ring operations ------------------------------------------------
 
+    def _linear(self, other: "QSeries", sign: int) -> "QSeries":
+        # self + sign * other over the lcm of the two denominators.
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        nums = [a * s + b * t for a, b in zip(self._nums, other._nums)]
+        return QSeries.from_numerators(nums, den)
+
     def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        return QSeries(
-            [a + b for a, b in zip(self._coeffs, other._coeffs)], prec=prec
-        )
+        return self._linear(other, 1) if isinstance(other, QSeries) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        return QSeries(
-            [a - b for a, b in zip(self._coeffs, other._coeffs)], prec=prec
-        )
+        return self._linear(other, -1) if isinstance(other, QSeries) else NotImplemented
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self._coeffs])
+        return QSeries.from_numerators([-a for a in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
             prec = min(self.prec, other.prec)
-            a, da = _rescaled_ints(self._coeffs[: prec + 1])
-            b, db = _rescaled_ints(other._coeffs[: prec + 1])
-            den = da * db
-            out = [
-                Fraction(sum(a[i] * b[m - i] for i in range(m + 1)), den)
-                for m in range(prec + 1)
-            ]
-            return QSeries(out)
+            a, b = self._nums, other._nums
+            out = [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(prec + 1)]
+            return QSeries.from_numerators(out, self._den * other._den)
         scalar = as_rational(other)
-        return QSeries([c * scalar for c in self._coeffs])
+        nums = [a * scalar.numerator for a in self._nums]
+        return QSeries.from_numerators(nums, self._den * scalar.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -152,8 +157,7 @@ class QSeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers require a nonnegative integer exponent")
         result = QSeries.one(self.prec)
-        base = self
-        e = exponent
+        base, e = self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -165,7 +169,7 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     __hash__ = None
 
@@ -173,14 +177,14 @@ class QSeries:
 
     def derivative(self) -> "QSeries":
         """Apply q d/dq: the coefficient of q^m becomes m*a_m."""
-        return QSeries([m * c for m, c in enumerate(self._coeffs)])
+        return QSeries.from_numerators([m * a for m, a in enumerate(self._nums)], self._den)
 
     def normalize(self) -> tuple["QSeries", Fraction]:
         """Divide by the first nonzero coefficient c; returns (f/c, c)."""
         v = self.valuation()
         if v is None:
             raise ValueError("cannot normalize the zero series")
-        c = self._coeffs[v]
+        c = self[v]
         return self * (Fraction(1) / c), c
 
     # -- serialization and display ---------------------------------------
@@ -188,7 +192,7 @@ class QSeries:
     def to_json_dict(self) -> dict:
         return {
             "prec": self.prec,
-            "coeffs": [rational_str(c) for c in self._coeffs],
+            "coeffs": [rational_str(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -196,72 +200,57 @@ class QSeries:
         return cls([Fraction(s) for s in data["coeffs"]], prec=data["prec"])
 
     def __str__(self) -> str:
-        return f"{_format_terms(self._coeffs)} + O(q^{self.prec + 1})"
+        return f"{_format_terms(self.coeffs)} + O(q^{self.prec + 1})"
 
     def __repr__(self) -> str:
-        return f"QSeries(prec={self.prec}, {_format_terms(self._coeffs, max_terms=6)})"
+        return f"QSeries(prec={self.prec}, {_format_terms(self.coeffs, max_terms=6)})"
 
 
 def mul_reference(f: QSeries, g: QSeries) -> QSeries:
     """Schoolbook Cauchy product over Fractions.
 
-    Oracle for the integer-rescaled product in QSeries.__mul__; the two
+    Oracle for the integer-numerator product in QSeries.__mul__; the two
     must agree bit for bit.
     """
     prec = min(f.prec, g.prec)
     out = []
     for m in range(prec + 1):
-        out.append(sum((f[i] * g[m - i] for i in range(m + 1)), _ZERO))
+        out.append(sum((f[i] * g[m - i] for i in range(m + 1)), Fraction(0)))
     return QSeries(out, prec=prec)
 
 
 def first_difference(f: QSeries, g: QSeries) -> Optional[int]:
     """Smallest exponent where f and g disagree on their common precision."""
-    prec = min(f.prec, g.prec)
-    for m in range(prec + 1):
-        if f[m] != g[m]:
+    # a/f_den == b/g_den, cross-multiplied; zip stops at the shorter series.
+    fd, gd = f._den, g._den
+    for m, (a, b) in enumerate(zip(f._nums, g._nums)):
+        if a * gd != b * fd:
             return m
     return None
 
 
 def _format_terms(coeffs, max_terms: int | None = None) -> str:
     parts: list[str] = []
-    shown = 0
     for m, c in enumerate(coeffs):
         if c == 0:
             continue
-        if max_terms is not None and shown == max_terms:
+        if len(parts) == max_terms:
             parts.append("+ ...")
             break
-        shown += 1
         mag = abs(c)
-        coeff_txt = (
-            str(mag.numerator) if mag.denominator == 1 else f"({mag.numerator}/{mag.denominator})"
-        )
-        if m == 0:
-            body = coeff_txt
-        else:
-            power = "q" if m == 1 else f"q^{m}"
-            body = power if mag == 1 else f"{coeff_txt}*{power}"
-        sign = "-" if c < 0 else "+"
+        coeff_txt = str(mag) if mag.denominator == 1 else f"({mag})"
+        power = "q" if m == 1 else f"q^{m}"
+        body = coeff_txt if m == 0 else power if mag == 1 else f"{coeff_txt}*{power}"
         if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
+            parts.append(body if c > 0 else f"-{body}")
         else:
-            parts.append(f"{sign} {body}")
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
     return " ".join(parts) if parts else "0"
 
 
 class GradedSeries(QSeries):
-    """A QSeries tagged with its weight.
-
-    Catalog forms carry even weights; intermediate products may carry any
-    nonnegative weight (the sum of their factors' weights). Between two
-    forms, + and - require equal weights (else ValueError), * adds the
-    weights, and the derivative raises the weight by 2; a rational scalar,
-    -f, truncate and normalize keep it. A form combined with an untagged
-    QSeries by +, - or * gives an untagged QSeries in either order, and a
-    form never equals an untagged series. ``series`` is the untagged view.
-    """
+    """A QSeries tagged with its weight, by the rules in the module
+    docstring. ``series`` is the untagged view."""
 
     __slots__ = ("_weight",)
 
@@ -270,12 +259,13 @@ class GradedSeries(QSeries):
             raise TypeError("GradedSeries wraps a QSeries")
         if not isinstance(weight, int) or weight < 0:
             raise ValueError(f"weight must be a nonnegative integer, got {weight}")
-        self._coeffs = series._coeffs
+        self._nums = series._nums
+        self._den = series._den
         self._weight = weight
 
     @property
     def series(self) -> QSeries:
-        return QSeries(self._coeffs)
+        return QSeries.from_numerators(self._nums, self._den)
 
     @property
     def weight(self) -> int:
@@ -339,5 +329,5 @@ class GradedSeries(QSeries):
     def __repr__(self) -> str:
         return (
             f"GradedSeries(weight={self._weight}, prec={self.prec}, "
-            f"{_format_terms(self._coeffs, max_terms=6)})"
+            f"{_format_terms(self.coeffs, max_terms=6)})"
         )

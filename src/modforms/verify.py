@@ -676,9 +676,7 @@ def ghitza_check() -> VerificationReport:
         if k == 12:
             continue
         delta_k = cusp_delta(k, prec)
-        witness = next(
-            (n for n in range(1, prec + 1) if delta_k[n] != delta12[n]), None
-        )
+        witness = first_difference(delta_k, delta12)  # both a_0 are 0
         report.add(
             f"ghitza.Delta{k}",
             f"Delta{k} and Delta12 differ at some n <= {bound}",

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from modforms.cli import main
+from modforms.cli import _MAX_PREC, main
 
 
 def invoke(*args):
@@ -74,6 +75,13 @@ class TestHecke:
         assert result.exit_code != 0
         assert result.output.splitlines() == [
             "Error: generator polynomial nests parentheses deeper than 100"
+        ]
+
+    def test_generator_power_above_the_weight_cap(self):
+        result = invoke("hecke", "--input", "E4^2001", "--n", "2", "--prec", "8")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: polynomial weight 8004 exceeds the cap 8000"
         ]
 
     def test_large_generator_power(self):
@@ -182,3 +190,23 @@ class TestVerify:
     def test_identity_precision_guard(self):
         result = invoke("verify", "--suite", "identities", "--prec", "32")
         assert result.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("eis", "--weight", "4"),
+        ("delta", "--weight", "12"),
+        ("hecke", "--input", "E4", "--n", "2"),
+        ("eigen", "--input", "E4"),
+        ("bracket", "--g", "E4", "--h", "E6", "--m", "1"),
+        ("verify", "--suite", "ghitza"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_precision_above_the_maximum_is_one_error_line(command):
+    result = invoke(*command, "--prec", str(_MAX_PREC + 1))
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"Error: --prec {_MAX_PREC + 1} exceeds the maximum {_MAX_PREC}"
+    ]

@@ -11,7 +11,6 @@ from modforms.exactmath import (
     bernoulli,
     binomial,
     divisors,
-    parse_rational,
     rational_str,
     sigma,
     solve_linear,
@@ -156,6 +155,6 @@ class TestSolveLinear:
 
 def test_rational_string_roundtrip():
     assert rational_str(Fraction(-24)) == "-24/1"
-    assert parse_rational("-24/1") == -24
-    assert parse_rational("5") == 5
-    assert parse_rational(rational_str(Fraction(22, 7))) == Fraction(22, 7)
+    assert Fraction("-24/1") == -24
+    assert Fraction("5") == 5
+    assert Fraction(rational_str(Fraction(22, 7))) == Fraction(22, 7)

@@ -1,37 +1,63 @@
-"""The verify-all report at prec 256, checked record by record against
-the digests recorded in perfbench/golden/ (runtime_seconds aside)."""
+"""Engine outputs checked against the digests recorded in perfbench/golden/:
+both verify reports record by record (runtime_seconds aside), and the
+prec-120 part of the query-mix universe answer by answer."""
 
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from modforms.cli import main
 
-GOLDEN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "golden.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _golden_module():
-    spec = importlib.util.spec_from_file_location("perfbench_golden", GOLDEN_PY)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_verify_all_matches_golden_digests():
-    golden = _golden_module()
+golden = _load("golden")
+queries = _load("queries")
+
+
+@pytest.mark.parametrize("workload", sorted(golden.SUITES))
+def test_verify_matches_golden_digests(workload):
+    suite, prec = golden.SUITES[workload]
     result = CliRunner().invoke(
-        main, ["verify", "--suite", "all", "--prec", "256", "--json"]
+        main, ["verify", "--suite", suite, "--prec", str(prec), "--json"]
     )
     assert result.exit_code == 0
     got = golden.report_digests(json.loads(result.output))
-    expected = golden.load("suites.json")["verify-all"]
+    expected = golden.load("suites.json")[workload]
     differing = [
         want[0] for want, have in zip(expected["checks"], got["checks"]) if want != have
     ]
     assert differing == []
     assert len(got["checks"]) == len(expected["checks"])
     assert got["report"] == expected["report"]
+
+
+def _at_prec_120(args: list[str]) -> bool:
+    # decompose queries carry no --prec; they choose their own.
+    return "--prec" not in args or args[args.index("--prec") + 1] == "120"
+
+
+def test_query_mix_at_prec_120_matches_golden_digests():
+    answers = golden.load("queries.json")
+    replay = [args for args in queries.universe() if _at_prec_120(args)]
+    assert len(replay) == 678
+    out = io.StringIO()
+    differing = []
+    for args in replay:
+        code, text = golden.invoke(main, args, out)
+        if golden.output_digest(code, text) != answers[queries.key(args)]:
+            differing.append(queries.key(args))
+    assert differing == []

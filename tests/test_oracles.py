@@ -1,11 +1,18 @@
-"""Independent oracles for Delta12: each expectation is computed here in
-plain integers, sharing no code path with the engine's cusp-form solve."""
+"""Independent oracles: each expectation is computed here, sharing no code
+path with the engine. Delta12 is checked in plain integers against the
+cusp-form solve, and the integer Hecke kernel against its formula summed
+in Fractions straight from the coefficients."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from modforms.forms import cusp_delta
+import pytest
+
+from modforms.forms import catalog_form, cusp_delta
+from modforms.hecke import hecke, hecke_nearly
+from modforms.nearly import e2_star
 
 PREC = 128
 
@@ -51,3 +58,33 @@ def test_deligne_bound_at_primes():
     assert len(primes) == 31
     for p in primes:
         assert tau[p] ** 2 <= 4 * p**11
+
+
+def _hecke_formula(series, k: int, r: int, n: int) -> list[Fraction]:
+    """b_m = n^r sum_{d | (m, n)} d^(k-2r-1) a_{mn/d^2}, in Fractions."""
+    return [
+        n**r
+        * sum(
+            Fraction(d) ** (k - 2 * r - 1) * series[m * n // (d * d)]
+            for d in range(1, n + 1)
+            if n % d == 0 and m % d == 0
+        )
+        for m in range(series.prec // n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hecke_nearly_matches_the_formula_on_e2star_squared(n):
+    # Weight 4, depth 2: the Y^2 component has the negative exponent -1.
+    form = e2_star(60) * e2_star(60)
+    assert (form.weight, form.depth) == (4, 2)
+    image = hecke_nearly(form, n)
+    for r in range(3):
+        expected = _hecke_formula(form.component(r), 4, r, n)
+        assert list(image.component(r).coeffs) == expected, r
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hecke_matches_the_formula_on_delta12(n):
+    delta = catalog_form("Delta12", 60)
+    assert list(hecke(delta, n).coeffs) == _hecke_formula(delta, 12, 0, n)

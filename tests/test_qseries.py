@@ -3,6 +3,7 @@ the differential operator, and serialization."""
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -159,6 +160,25 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_fast_product_matches_schoolbook(self, f, g):
         assert f * g == mul_reference(f, g)
+
+    @given(series_strategy(), small_fractions.filter(lambda c: c != 0))
+    @settings(max_examples=60, deadline=None)
+    def test_storage_is_canonical(self, f, c):
+        assert math.gcd(f.denominator, *f.numerators) == 1
+        assert QSeries(f.coeffs) == f
+        assert (f * c) * (1 / c) == f
+
+    @given(series_strategy(), series_strategy(), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_first_difference_is_first_differing_coefficient(self, f, g, shift):
+        # f + g*q^shift agrees with f below shift, so late differences occur too.
+        late = f + g * QSeries([0] * shift + [1], prec=g.prec)
+        for other in (g, late):
+            expected = next(
+                (m for m, (a, b) in enumerate(zip(f.coeffs, other.coeffs)) if a != b),
+                None,
+            )
+            assert first_difference(f, other) == expected
 
 
 class TestSerialization:
