@@ -67,11 +67,8 @@ def _resolve_form(text: str, prec: int) -> GradedSeries:
         return eval_generator_poly(text, prec)
 
 
-def _echo_series(form: GradedSeries, as_json: bool) -> None:
-    if as_json:
-        click.echo(jsonlib.dumps(form.to_json_dict(), indent=2))
-    else:
-        click.echo(str(form))
+def _series_text(form: GradedSeries, as_json: bool) -> str:
+    return jsonlib.dumps(form.to_json_dict(), indent=2) if as_json else str(form)
 
 
 @click.group()
@@ -86,8 +83,8 @@ def main():
 def eis_cmd(weight: int, prec: int, as_json: bool):
     """Eisenstein series of the given weight."""
     with _domain_errors():
-        form = eisenstein(weight, prec)
-    _echo_series(form, as_json)
+        text = _series_text(eisenstein(weight, prec), as_json)
+    click.echo(text)
 
 
 @main.command("delta")
@@ -97,8 +94,8 @@ def eis_cmd(weight: int, prec: int, as_json: bool):
 def delta_cmd(weight: int, prec: int, as_json: bool):
     """Normalized cusp form of the given weight."""
     with _domain_errors():
-        form = cusp_delta(weight, prec)
-    _echo_series(form, as_json)
+        text = _series_text(cusp_delta(weight, prec), as_json)
+    click.echo(text)
 
 
 @main.command("hecke")
@@ -110,8 +107,8 @@ def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
     """Apply the n-th Hecke operator."""
     form = _resolve_form(source, prec)
     with _domain_errors():
-        result = hecke(form, index)
-    _echo_series(result, as_json)
+        text = _series_text(hecke(form, index), as_json)
+    click.echo(text)
 
 
 @main.command("eigen")
@@ -125,17 +122,18 @@ def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
     form = _resolve_form(source, prec)
     with _domain_errors():
         report = eigenform_test(form, bound=bound, window=window)
-    if as_json:
-        click.echo(jsonlib.dumps(report.to_json_dict(), indent=2))
-        return
-    if report.is_eigen_up_to_bound:
-        click.echo(f"eigenform up to T_{report.tested_bound}")
-        for n, lam in report.eigenvalues:
-            click.echo(f"  lambda_{n} = {lam}")
-    else:
-        v = report.first_violation
-        click.echo(f"not an eigenform: T_{v.n} fails at q^{v.exponent}")
-        click.echo(f"  expected {v.expected}, got {v.actual}")
+        if as_json:
+            lines = [jsonlib.dumps(report.to_json_dict(), indent=2)]
+        elif report.is_eigen_up_to_bound:
+            lines = [f"eigenform up to T_{report.tested_bound}"]
+            lines += [f"  lambda_{n} = {lam}" for n, lam in report.eigenvalues]
+        else:
+            v = report.first_violation
+            lines = [
+                f"not an eigenform: T_{v.n} fails at q^{v.exponent}",
+                f"  expected {v.expected}, got {v.actual}",
+            ]
+    click.echo("\n".join(lines))
 
 
 @main.command("bracket")
@@ -151,8 +149,8 @@ def bracket_cmd(g_name: str, h_name: str, order: int, prec: int, as_json: bool):
     with _domain_errors():
         g = catalog_form(g_name, prec)
         h = catalog_form(h_name, prec)
-        result = rankin_cohen(g, h, order)
-    _echo_series(result, as_json)
+        text = _series_text(rankin_cohen(g, h, order), as_json)
+    click.echo(text)
 
 
 @main.command("decompose")
@@ -172,12 +170,17 @@ def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):
                 f"expression has weight {form.weight}, not the requested {weight}"
             )
         parts = quasimodular_decompose(form, depth)
+        text = _decomposition_text(parts, weight, depth, as_json)
+    click.echo(text)
+    if parts is None:
+        raise SystemExit(1)
+
+
+def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
     if parts is None:
         if as_json:
-            click.echo(jsonlib.dumps({"weight": weight, "depth_bound": depth, "decomposable": False}))
-        else:
-            click.echo(f"not decomposable with depth bound {depth}")
-        raise SystemExit(1)
+            return jsonlib.dumps({"weight": weight, "depth_bound": depth, "decomposable": False})
+        return f"not decomposable with depth bound {depth}"
 
     def coordinates(part: GradedSeries) -> list[str]:
         if part.weight < 4:
@@ -204,20 +207,19 @@ def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):
                 for r, part in parts
             ],
         }
-        click.echo(jsonlib.dumps(payload, indent=2))
-    else:
-        for r, part in parts:
-            labels = (
-                ", ".join(
-                    f"{c} * E4^{a}*E6^{b}"
-                    for c, (a, b) in zip(
-                        coordinates(part), monomial_exponents(part.weight)
-                    )
-                )
-                if part.weight >= 4
-                else "0"
+        return jsonlib.dumps(payload, indent=2)
+    lines = []
+    for r, part in parts:
+        labels = (
+            ", ".join(
+                f"{c} * E4^{a}*E6^{b}"
+                for c, (a, b) in zip(coordinates(part), monomial_exponents(part.weight))
             )
-            click.echo(f"D^{r} component (weight {part.weight}): {labels}")
+            if part.weight >= 4
+            else "0"
+        )
+        lines.append(f"D^{r} component (weight {part.weight}): {labels}")
+    return "\n".join(lines)
 
 
 @main.command("verify")
@@ -231,15 +233,12 @@ def verify_cmd(ctx, suite: str, prec: int, as_json: bool, out: str | None):
     """Run a verification suite; exit 0 only if every check passes."""
     with _domain_errors():
         report = run_suite(suite, prec)
-    payload = jsonlib.dumps(report.to_json_dict(), indent=2)
+        payload = jsonlib.dumps(report.to_json_dict(), indent=2)
+        text = payload if as_json else "\n".join(report.summary_lines())
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
-    if as_json:
-        click.echo(payload)
-    else:
-        for line in report.summary_lines():
-            click.echo(line)
+    click.echo(text)
     ctx.exit(0 if report.all_passed() else 1)
 
 

@@ -194,6 +194,25 @@ _GENERATOR_WEIGHTS = (2, 4, 6)
 _GENERATOR_NAMES = ("E2", "E4", "E6")
 # The heaviest monomial a product may build: the weight of E4^2000.
 _MAX_POLY_WEIGHT = 8000
+# The longest numerator or denominator, in bits, a constant power may build.
+_MAX_CONSTANT_BITS = 2**16
+
+
+def _constant_power(base: Fraction, exponent: int) -> Fraction:
+    """base ** exponent, refused when a part of the result would be longer
+    than _MAX_CONSTANT_BITS.
+
+    An integer n has more than e * (bit_length(n) - 1) bits in n^e, so the
+    first check refuses only powers over the cap, before computing them;
+    the powers it lets through have at most twice the cap.
+    """
+    parts = (base.numerator, base.denominator)
+    if any(exponent * (abs(n).bit_length() - 1) >= _MAX_CONSTANT_BITS for n in parts):
+        raise ValueError(f"constant power exceeds the cap of {_MAX_CONSTANT_BITS} bits")
+    value = base**exponent
+    if max(abs(value.numerator).bit_length(), value.denominator.bit_length()) > _MAX_CONSTANT_BITS:
+        raise ValueError(f"constant power exceeds the cap of {_MAX_CONSTANT_BITS} bits")
+    return value
 
 
 class GeneratorPoly:
@@ -258,6 +277,11 @@ class GeneratorPoly:
     def __pow__(self, exponent: int) -> "GeneratorPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers require a nonnegative integer")
+        if self.is_constant():
+            base = self._terms.get((0, 0, 0), Fraction(0))
+            return GeneratorPoly.constant(_constant_power(base, exponent))
+        # Binary powering squares many-term polynomials, which costs more
+        # than this loop: (E2+E4+E6)^80 took 3.65 s against 1.65 s.
         result = GeneratorPoly.constant(1)
         for _ in range(exponent):
             result = result * self

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field, is_dataclass, asdict
 from fractions import Fraction
+from functools import partial
 
 from .brackets import rankin_cohen
 from .exactmath import bernoulli, rational_str, sigma
@@ -290,15 +291,39 @@ def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _eigen_scan(candidates, skipped: list[str]):
-    """Run the eigenform test on each (key, label, form) candidate.
+# The prefix precision of the eigen scans' sieve, and the precision the
+# full eigenform test needs at its default bound 10 and window 12.
+_SIEVE_PREC = 16
+_FULL_TEST_PREC = 120
 
-    Yields the passes as (key, form, report) triples, in candidate order,
-    and appends to ``skipped`` one line per candidate whose precision is
-    too low. Yielding lets the caller drop each form before the next one
-    is built, so a scan holds one candidate at a time.
+
+def _eigen_scan(candidates, prec: int, skipped: list[str]):
+    """Run the eigenform test on each (key, label, build) candidate, where
+    build(p) returns the candidate at precision p.
+
+    Each candidate is first built at _SIEVE_PREC. A zero prefix drops it:
+    a product of nonzero catalog forms has order at most 2, and a bracket
+    has weight at most 26, so by Sturm's bound it is zero once a_0..a_2
+    vanish. A prefix that fails T_2 on exponents 0..8 drops it too: that
+    test reads only a_0..a_16, so its violation is the first one the full
+    test would find, and a miss never reaches a report. Below
+    _FULL_TEST_PREC the sieve is off, so that every nonzero candidate
+    records its PrecisionError.
+
+    Yields the passes of the full test at ``prec`` as (key, form, report)
+    triples, in candidate order, and appends to ``skipped`` one line per
+    candidate whose precision is too low. Yielding lets the caller drop
+    each form before the next one is built, so a scan holds one candidate
+    at a time.
     """
-    for key, label, form in candidates:
+    sieve = prec >= _FULL_TEST_PREC
+    for key, label, build in candidates:
+        prefix = build(min(prec, _SIEVE_PREC))
+        if prefix.is_zero():
+            continue
+        if sieve and not eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound:
+            continue
+        form = build(prec)
         try:
             result = eigenform_test(form)
         except PrecisionError as exc:
@@ -306,6 +331,14 @@ def _eigen_scan(candidates, skipped: list[str]):
             continue
         if result.is_eigen_up_to_bound:
             yield key, form, result
+
+
+def _truncated_product(left: GradedSeries, right: GradedSeries, prec: int) -> GradedSeries:
+    return left.truncate(prec) * right.truncate(prec)
+
+
+def _truncated_bracket(g: GradedSeries, h: GradedSeries, m: int, prec: int) -> GradedSeries:
+    return rankin_cohen(g.truncate(prec), h.truncate(prec), m)
 
 
 def _deriv_label(name: str, order: int) -> str:
@@ -356,6 +389,18 @@ _EXPECTED_PRODUCT_RESULTS: dict[tuple[str, int, str, int], str] = {
 EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 
 
+def _product_candidates(prec: int):
+    """The (key, label, build) candidates of the product scan."""
+    items: list[tuple[str, int, GradedSeries]] = []
+    for name in CATALOG_NAMES:
+        form = catalog_form(name, prec)
+        items += [(name, 0, form), (name, 1, form.derivative())]
+    for i, (left_name, left_order, left_form) in enumerate(items):
+        for right_name, right_order, right_form in items[i:]:
+            key = (left_name, left_order, right_name, right_order)
+            yield key, _product_label(*key), partial(_truncated_product, left_form, right_form)
+
+
 def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], VerificationReport]:
     """Test every unordered catalog product (D^r f)(D^s g), r, s <= 1,
     for eigenform-ness.
@@ -367,21 +412,10 @@ def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], Verifica
     start = time.perf_counter()
     report = VerificationReport("products")
 
-    items: list[tuple[str, int, GradedSeries]] = []
-    for name in CATALOG_NAMES:
-        form = catalog_form(name, prec)
-        items += [(name, 0, form), (name, 1, form.derivative())]
-
-    def candidates():
-        for i, (left_name, left_order, left_form) in enumerate(items):
-            for right_name, right_order, right_form in items[i:]:
-                key = (left_name, left_order, right_name, right_order)
-                yield key, _product_label(*key), left_form * right_form
-
     skipped: list[str] = []
     hits = [
         ProductHit(*key, form.weight, result.eigenvalues)
-        for key, form, result in _eigen_scan(candidates(), skipped)
+        for key, form, result in _eigen_scan(_product_candidates(prec), prec, skipped)
     ]
 
     found = {hit.key: hit for hit in hits}
@@ -444,6 +478,19 @@ class BracketHit:
         }
 
 
+def _bracket_candidates(prec: int):
+    """The (key, label, build) candidates of the bracket scan: [g, h]_m,
+    m <= 4, for modular catalog pairs up to the top catalog weight."""
+    entries = [(name, catalog_form(name, prec)) for name in CATALOG_NAMES if name != "E2"]
+    top_weight = max(form.weight for _, form in entries)
+    for i, (g_name, g_form) in enumerate(entries):
+        for h_name, h_form in entries[i:]:
+            for m in range(5):
+                if g_form.weight + h_form.weight + 2 * m <= top_weight:
+                    build = partial(_truncated_bracket, g_form, h_form, m)
+                    yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", build
+
+
 def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], VerificationReport]:
     """Eigenform scan over [g, h]_m, m <= 4, for modular catalog pairs up
     to the top catalog weight.
@@ -455,22 +502,9 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
     start = time.perf_counter()
     report = VerificationReport("brackets")
 
-    entries = [(name, catalog_form(name, prec)) for name in CATALOG_NAMES if name != "E2"]
-    top_weight = max(form.weight for _, form in entries)
-
-    def candidates():
-        for i, (g_name, g_form) in enumerate(entries):
-            for h_name, h_form in entries[i:]:
-                for m in range(5):
-                    if g_form.weight + h_form.weight + 2 * m > top_weight:
-                        continue
-                    bracket = rankin_cohen(g_form, h_form, m)
-                    if not bracket.is_zero():
-                        yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", bracket
-
     skipped: list[str] = []
     hits: list[BracketHit] = []
-    for key, bracket, result in _eigen_scan(candidates(), skipped):
+    for key, bracket, result in _eigen_scan(_bracket_candidates(prec), prec, skipped):
         weight = bracket.weight
         coords = is_modular_member(bracket, weight)
         if bracket[0] != 0:

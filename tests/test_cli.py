@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -90,6 +91,23 @@ class TestHecke:
         data = json.loads(result.output)
         assert data["weight"] == 8000
         assert data["series"]["prec"] == 4
+
+    def test_constant_power_folds_at_once(self):
+        start = time.perf_counter()
+        result = invoke("hecke", "--input", "1^100000000", "--n", "2", "--prec", "4")
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 0
+        assert result.output == invoke("hecke", "--input", "1", "--n", "2", "--prec", "4").output
+        assert result.output.startswith("[weight 0]")
+
+    def test_constant_power_above_the_bit_cap(self):
+        start = time.perf_counter()
+        result = invoke("hecke", "--input", "(2^8000)^8000*E4", "--n", "2", "--prec", "4")
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: constant power exceeds the cap of 65536 bits"
+        ]
 
 
 class TestEigen:
@@ -210,3 +228,20 @@ def test_precision_above_the_maximum_is_one_error_line(command):
     assert result.output.splitlines() == [
         f"Error: --prec {_MAX_PREC + 1} exceeds the maximum {_MAX_PREC}"
     ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("hecke", "--input", "2^20000*E4", "--n", "2", "--prec", "4"),
+        ("hecke", "--input", "2^20000*E4", "--n", "2", "--prec", "4", "--json"),
+        ("eigen", "--input", "2^20000*E2*E4", "--prec", "130"),
+        ("decompose", "--expr", "2^20000*E2*E4", "--weight", "6", "--depth", "1"),
+    ],
+    ids=["hecke", "hecke-json", "eigen", "decompose"],
+)
+def test_coefficients_too_long_to_print_are_one_error_line(command):
+    result = invoke(*command)
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line.startswith("Error: Exceeds the limit (4300 digits) for integer string conversion")

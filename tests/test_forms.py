@@ -229,6 +229,27 @@ class TestGeneratorPoly:
         with pytest.raises(ValueError, match="deeper than 100"):
             GeneratorPoly.parse("(" * 101 + "E4" + ")" * 101)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1^100000000", Fraction(1)),
+            ("(-1)^100000001", Fraction(-1)),
+            ("0^0", Fraction(1)),
+            ("(2/3)^3", Fraction(8, 27)),
+        ],
+    )
+    def test_constant_power_folds(self, text, value):
+        assert GeneratorPoly.parse(text).monomials() == [((0, 0, 0), value)]
+
+    def test_constant_power_bit_cap(self):
+        # 2^65535 has 65536 bits, the cap; 2^65536 is refused before it is
+        # computed, and 3^41400 (65617 bits) after it.
+        half = GeneratorPoly.parse("(1/2)^65535")
+        assert half.monomials() == [((0, 0, 0), Fraction(1, 2**65535))]
+        for text in ("2^65536", "(1/2)^65536", "3^41400", "(2^8000)^8000"):
+            with pytest.raises(ValueError, match="constant power exceeds the cap"):
+                GeneratorPoly.parse(text)
+
     @given(
         st.dictionaries(
             st.tuples(*[st.integers(0, 3)] * 3),

@@ -7,8 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from modforms import verify
+from modforms.forms import catalog_form
+from modforms.hecke import eigenform_test
+from modforms.qseries import PrecisionError
 from modforms.verify import (
+    _FULL_TEST_PREC,
+    _SIEVE_PREC,
     EXPECTED_EIGEN_PRODUCTS,
+    _bracket_candidates,
+    _eigen_scan,
+    _product_candidates,
     bracket_search,
     diophantine_check,
     ghitza_check,
@@ -81,6 +90,65 @@ class TestBracketSearch:
         for hit in hits:
             assert hit.classification in ("eisenstein-line", "cusp")
             assert hit.coordinates
+
+
+def _series_key(form):
+    return form.weight, form.numerators, form.denominator
+
+
+class TestPrefixSieve:
+    @pytest.mark.parametrize(
+        "candidates", [_product_candidates, _bracket_candidates], ids=["products", "brackets"]
+    )
+    def test_sieve_agrees_with_the_full_test(self, candidates, monkeypatch):
+        # Every candidate at prec 128: a zero prefix means a zero form, a
+        # sieve miss is a full-test miss with the same first violation,
+        # and exactly the sieve passes reach the full test, in order.
+        prec = 128
+        passes = []
+        for _, label, build in candidates(prec):
+            prefix, form = build(_SIEVE_PREC), build(prec)
+            assert prefix.is_zero() == form.is_zero(), label
+            if form.is_zero():
+                continue
+            sieved = eigenform_test(prefix, 2, _SIEVE_PREC // 2)
+            if sieved.is_eigen_up_to_bound:
+                passes.append(_series_key(form))
+            else:
+                full = eigenform_test(form)
+                assert not full.is_eigen_up_to_bound, label
+                assert full.first_violation == sieved.first_violation, label
+
+        tested = []
+
+        def spy(form, *args):
+            if form.prec == prec:
+                tested.append(_series_key(form))
+            return eigenform_test(form, *args)
+
+        monkeypatch.setattr(verify, "eigenform_test", spy)
+        skipped = []
+        list(_eigen_scan(candidates(prec), prec, skipped))
+        assert tested == passes
+        assert not skipped
+
+    @pytest.mark.parametrize(
+        "search, count",
+        [(product_search, 300), (bracket_search, 92)],
+        ids=["products", "brackets"],
+    )
+    def test_low_precision_records_every_candidate(self, search, count):
+        _, report = search(64)
+        (check,) = [c for c in report.checks if c.check_id.endswith(".scan_complete")]
+        assert not check.passed
+        assert len(check.witness) == count
+        assert all(line.endswith("needs precision >= 120, have 64") for line in check.witness)
+
+    def test_full_test_precision_is_the_default_need(self):
+        form = catalog_form("E4", _FULL_TEST_PREC)
+        assert eigenform_test(form).is_eigen_up_to_bound
+        with pytest.raises(PrecisionError):
+            eigenform_test(form.truncate(_FULL_TEST_PREC - 1))
 
 
 class TestDiophantine:
