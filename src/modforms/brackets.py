@@ -3,19 +3,35 @@
 from __future__ import annotations
 
 from .exactmath import binomial
-from .qseries import GradedSeries, QSeries
+from .qseries import GradedSeries
 
 __all__ = ["rankin_cohen"]
 
 
-def rankin_cohen(g: GradedSeries, h: GradedSeries, m: int) -> GradedSeries:
-    """The m-th Rankin-Cohen bracket of forms of weights k1 and k2:
+def rankin_cohen(
+    g: GradedSeries, h: GradedSeries, m: int, products: list | None = None
+) -> GradedSeries:
+    """The m-th Rankin-Cohen bracket of forms of weights k1 and k2,
 
         [g, h]_m = sum_{r+s=m} (-1)^r C(m+k1-1, s) C(m+k2-1, r) D^r(g) D^s(h),
 
-    a form of weight k1 + k2 + 2m. The out-of-range-zero binomial
-    convention lets the sum run without edge cases; m = 0 is the plain
-    product and odd m with g = h gives zero by antisymmetry.
+    a form of weight k1 + k2 + 2m; m = 0 is the plain product and odd m
+    with g = h gives zero by antisymmetry.
+
+    It is built from the products Q_i = D^i(g) h, i <= m:
+
+        [g, h]_m = sum_i beta_i D^(m-i)(Q_i),
+        beta_i = (-1)^i sum_{r<=i} C(m+k1-1, m-r) C(m+k2-1, r) C(m-r, i-r).
+
+    On a product, D = D_g + D_h, where D_g and D_h differentiate one factor
+    (D(D^r g D^s h) = D^(r+1) g D^s h + D^r g D^(s+1) h). So D^r(g) D^s(h)
+    = (D - D_g)^s (D^r(g) h) = sum_t (-1)^t C(s, t) D^(s-t)(Q_(r+t)), and
+    the terms with r + t = i sum to beta_i D^(m-i)(Q_i).
+
+    A lone bracket costs m + 1 products, like the textbook sum. Pass one
+    list as ``products`` to every order of a pair (g, h): it holds Q_0,
+    Q_1, ... and is extended in place up to Q_m, so the orders of a pair
+    together cost only the products of the largest.
     """
     if m < 0:
         raise ValueError(f"bracket order must be nonnegative, got {m}")
@@ -23,20 +39,23 @@ def rankin_cohen(g: GradedSeries, h: GradedSeries, m: int) -> GradedSeries:
     if k1 < 1 or k2 < 1:
         raise ValueError("Rankin-Cohen brackets need weights >= 1")
 
-    g_derivs = [g]
-    h_derivs = [h]
-    for _ in range(m):
-        g_derivs.append(g_derivs[-1].derivative())
-        h_derivs.append(h_derivs[-1].derivative())
+    if products is None:
+        products = []
+    g_deriv = g
+    for i in range(m + 1):
+        if i == len(products):
+            products.append(g_deriv * h)
+        if len(products) <= m:
+            g_deriv = g_deriv.derivative()
 
-    prec = min(g.prec, h.prec)
-    total = QSeries.zero(prec)
-    for r in range(m + 1):
-        s = m - r
-        coeff = binomial(m + k1 - 1, s) * binomial(m + k2 - 1, r)
-        if r % 2:
-            coeff = -coeff
-        if coeff == 0:
-            continue
-        total = total + (g_derivs[r] * h_derivs[s]) * coeff
-    return GradedSeries(total, k1 + k2 + 2 * m)
+    def beta(i: int) -> int:
+        return (-1) ** i * sum(
+            binomial(m + k1 - 1, m - r) * binomial(m + k2 - 1, r) * binomial(m - r, i - r)
+            for r in range(i + 1)
+        )
+
+    # Horner's rule in D: (((beta_0 Q_0)' + beta_1 Q_1)' + ...)' + beta_m Q_m.
+    total = products[0] * beta(0)
+    for i in range(1, m + 1):
+        total = total.derivative() + products[i] * beta(i)
+    return total

@@ -17,6 +17,7 @@ from .forms import (
     _WINDOW_MARGIN,
     CATALOG_NAMES,
     GeneratorPoly,
+    _homogeneous_weight,
     catalog_form,
     cusp_delta,
     dim_modular,
@@ -34,6 +35,8 @@ from .verify import DEFAULT_PREC, SUITE_NAMES, run_suite
 _NAME_RE = re.compile(r"^[A-Za-z]\w*$")
 # Far above every suite and query; a larger value fails at once instead of running.
 _MAX_PREC = 4096
+# The largest precision decompose derives; its solve grows as the cube of it.
+_MAX_DECOMPOSE_PREC = 100
 
 
 def _prec_option(**kwargs):
@@ -105,6 +108,8 @@ def delta_cmd(weight: int, prec: int, as_json: bool):
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
     """Apply the n-th Hecke operator."""
+    if index > _MAX_PREC:
+        raise click.ClickException(f"--n {index} exceeds the maximum {_MAX_PREC}")
     form = _resolve_form(source, prec)
     with _domain_errors():
         text = _series_text(hecke(form, index), as_json)
@@ -162,14 +167,18 @@ def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):
     """Split a quasimodular form into derivatives of modular forms."""
     with _domain_errors():
         poly = GeneratorPoly.parse(expr)
+        actual = _homogeneous_weight(poly)
+        if actual != weight:
+            raise click.ClickException(f"expression has weight {actual}, not the requested {weight}")
+        if not 0 <= 2 * depth < weight:
+            raise click.ClickException(f"--depth {depth} must satisfy 0 <= depth < weight/2")
         n_cols = sum(dim_modular(weight - 2 * r) for r in range(depth + 1))
         prec = max(32, n_cols + _WINDOW_MARGIN + 1)
-        form = eval_generator_poly(poly, prec)
-        if form.weight != weight:
+        if prec > _MAX_DECOMPOSE_PREC:
             raise click.ClickException(
-                f"expression has weight {form.weight}, not the requested {weight}"
+                f"decomposition needs precision {prec}, above the maximum {_MAX_DECOMPOSE_PREC}"
             )
-        parts = quasimodular_decompose(form, depth)
+        parts = quasimodular_decompose(eval_generator_poly(poly, prec), depth)
         text = _decomposition_text(parts, weight, depth, as_json)
     click.echo(text)
     if parts is None:

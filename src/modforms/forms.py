@@ -33,14 +33,20 @@ __all__ = [
 ]
 
 
+# Far above every suite (28) and query (16); B_k grows as the square of k.
+_MAX_EISENSTEIN_WEIGHT = 256
+
+
 @lru_cache(maxsize=None)
 def eisenstein(k: int, prec: int) -> GradedSeries:
     """Weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(m) q^m.
 
     k = 2 gives the quasimodular E2; k >= 4 the modular series.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"Eisenstein series requires even k >= 2, got {k}")
+    if k < 2 or k % 2 != 0 or k > _MAX_EISENSTEIN_WEIGHT:
+        raise ValueError(
+            f"Eisenstein series requires even 2 <= k <= {_MAX_EISENSTEIN_WEIGHT}, got {k}"
+        )
     factor = -Fraction(2 * k) / bernoulli(k)
     coeffs = [Fraction(1)]
     coeffs.extend(factor * sigma(k - 1, m) for m in range(1, prec + 1))
@@ -472,6 +478,12 @@ def eval_generator_poly(poly: Union[str, GeneratorPoly], prec: int) -> GradedSer
     """
     if isinstance(poly, str):
         poly = GeneratorPoly.parse(poly)
+    _homogeneous_weight(poly)
+    return poly.evaluate(prec)
+
+
+def _homogeneous_weight(poly: GeneratorPoly) -> int:
+    """The weight of poly; a mixed weight is an error naming the monomials."""
     if not poly.is_homogeneous():
         weights = poly.monomial_weights()
         detail = ", ".join(
@@ -479,7 +491,7 @@ def eval_generator_poly(poly: Union[str, GeneratorPoly], prec: int) -> GradedSer
             for e, c in poly.monomials()
         )
         raise ValueError(f"polynomial is not weight-homogeneous: {detail}")
-    return poly.evaluate(prec)
+    return poly.weight()
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,13 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             prec = min(self.prec, other.prec)
-            a, b = self._nums, other._nums
-            out = [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(prec + 1)]
+            a, b = self._nums[: prec + 1], other._nums[: prec + 1]
+            if not any(a[1:]):
+                a, b = b, a
+            if any(b[1:]):
+                out = [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(prec + 1)]
+            else:  # a constant factor: scale instead of convolving
+                out = [x * b[0] for x in a]
             return QSeries.from_numerators(out, self._den * other._den)
         scalar = as_rational(other)
         nums = [a * scalar.numerator for a in self._nums]

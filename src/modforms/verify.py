@@ -179,101 +179,97 @@ PRODUCT_IDENTITIES = (
 )
 
 
+# The derivative identities D(f) = (E2*f - g)/c of the generators f, as
+# (anchor, g, c); E4^2 is the product kept from PRODUCT_IDENTITIES.
+_DERIVATIVE_SYSTEM = {
+    "E2": ("D(E2) = (E2^2 - E4)/12", "E4", 12),
+    "E4": ("D(E4) = (E2*E4 - E6)/3", "E6", 3),
+    "E6": ("D(E6) = (E2*E6 - E4^2)/2", "E4^2", 2),
+}
+
+# The eigenform verdicts the suite reports, in order: label -> expected.
+_EIGEN_EXPECTED = {
+    "E2*Delta12": True,
+    "E2star": True,
+    "E2^2": False,
+    **{f"E2*{name}": False for name in ("E4", "E6", "E8", "E10", "E14")},
+}
+
+
+def _equality(check_id: str, anchor: str, left: GradedSeries, right: GradedSeries):
+    return check_id, anchor, left == right, _difference_witness(left, right)
+
+
 def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
-    """Every coefficientwise identity plus the eigen/not-eigen classifications."""
+    """Every coefficientwise identity plus the eigen/not-eigen classifications.
+
+    E2star*f is built once per catalog form f, and its Y^0 component is
+    E2*f. Each check keeps only its record, so no product outlives the
+    form it belongs to; the records are reported in a fixed order.
+    """
     if prec < 128:
         raise ValueError("the identity suite is specified for prec >= 128")
     start = time.perf_counter()
     report = VerificationReport("identities")
     forms = {name: catalog_form(name, prec) for name in CATALOG_NAMES}
-    e2, e4, e6, e8 = forms["E2"], forms["E4"], forms["E6"], forms["E8"]
-    delta12 = forms["Delta12"]
 
     for left, right, result in PRODUCT_IDENTITIES:
         product = forms[left] * forms[right]
-        report.add(
-            f"identities.product.{left}*{right}",
-            f"{left}*{right} = {result}",
-            product == forms[result],
-            _difference_witness(product, forms[result]),
-        )
-
-    derivative_system = (
-        ("D(E2) = (E2^2 - E4)/12", e2.derivative(), (e2 * e2 - e4) * Fraction(1, 12)),
-        ("D(E4) = (E2*E4 - E6)/3", e4.derivative(), (e2 * e4 - e6) * Fraction(1, 3)),
-        (
-            "D(E6) = (E2*E6 - E4^2)/2",
-            e6.derivative(),
-            (e2 * e6 - e4 * e4) * Fraction(1, 2),
-        ),
-    )
-    for anchor, left_form, right_form in derivative_system:
-        slug = anchor.split(" =")[0].replace("D(", "D").rstrip(")")
-        report.add(
-            f"identities.derivative.{slug}",
-            anchor,
-            left_form == right_form,
-            _difference_witness(left_form, right_form),
-        )
-
-    d_delta = delta12.derivative()
-    e2_delta = e2 * delta12
-    report.add(
-        "identities.derivative.DDelta12",
-        "D(Delta12) = E2*Delta12",
-        d_delta == e2_delta,
-        _difference_witness(d_delta, e2_delta),
-    )
-
-    lhs = e4.derivative() * e4
-    rhs = e8.derivative() * Fraction(1, 2)
-    report.add(
-        "identities.derivative.DE4*E4",
-        "D(E4)*E4 = (1/2) D(E8)",
-        lhs == rhs,
-        _difference_witness(lhs, rhs),
-    )
+        if left == right == "E4":
+            forms["E4^2"] = product
+        anchor = f"{left}*{right} = {result}"
+        report.add(*_equality(f"identities.product.{left}*{right}", anchor, product, forms[result]))
 
     estar = e2_star(prec)
-    raised = maass_shimura(delta12)
-    star_product = estar * delta12
-    report.add(
-        "identities.nearly.delta12",
-        "raising Delta12 by one weight step gives E2star*Delta12",
-        raised == star_product,
-        None if raised == star_product else {"note": "Y-components differ"},
-    )
-
+    derivatives, nearly, reductions = [], [], []
+    eigen = {"E2star": eigenform_test(estar)}
     for name in CATALOG_NAMES:
-        if name == "E2":
-            continue
         form = forms[name]
         k = form.weight
-        reduced = maass_shimura(form) - (estar * form) * Fraction(k, 12)
-        ok_depth = reduced.depth == 0
+        star = estar * form
+        e2_form = constant_term(star)
+        if name in _DERIVATIVE_SYSTEM:
+            anchor, subtrahend, divisor = _DERIVATIVE_SYSTEM[name]
+            right_form = (e2_form - forms[subtrahend]) * Fraction(1, divisor)
+            check_id = f"identities.derivative.D{name}"
+            derivatives.append(_equality(check_id, anchor, form.derivative(), right_form))
+        label = "E2^2" if name == "E2" else f"E2*{name}"
+        if label in _EIGEN_EXPECTED:
+            eigen[label] = eigenform_test(e2_form)
+        if name == "E2":
+            continue
+        raised = maass_shimura(form)
+        if name == "Delta12":
+            anchor = "D(Delta12) = E2*Delta12"
+            derivatives.append(
+                _equality("identities.derivative.DDelta12", anchor, form.derivative(), e2_form)
+            )
+            nearly.append((
+                "identities.nearly.delta12",
+                "raising Delta12 by one weight step gives E2star*Delta12",
+                raised == star,
+                None if raised == star else {"note": "Y-components differ"},
+            ))
+        reduced = raised - star * Fraction(k, 12)
         coords = None
-        if ok_depth:
+        if reduced.depth == 0:
             coords = is_modular_member(constant_term(reduced), k + 2)
-        passed = ok_depth and coords is not None
-        report.add(
+        reductions.append((
             f"identities.nearly.reduction.{name}",
             f"raised {name} minus ({k}/12)*E2star*{name} is holomorphic of weight {k + 2}",
-            passed,
+            coords is not None,
             {"depth": reduced.depth, "coordinates": coords},
-        )
+        ))
 
-    eigen_expected = (
-        ("E2*Delta12", e2 * delta12, True),
-        ("E2star", estar, True),
-        ("E2^2", e2 * e2, False),
-        ("E2*E4", e2 * e4, False),
-        ("E2*E6", e2 * e6, False),
-        ("E2*E8", e2 * e8, False),
-        ("E2*E10", e2 * forms["E10"], False),
-        ("E2*E14", e2 * forms["E14"], False),
-    )
-    for label, candidate, should_pass in eigen_expected:
-        result = eigenform_test(candidate)
+    e4 = forms["E4"]
+    lhs, rhs = e4.derivative() * e4, forms["E8"].derivative() * Fraction(1, 2)
+    anchor = "D(E4)*E4 = (1/2) D(E8)"
+    derivatives.append(_equality("identities.derivative.DE4*E4", anchor, lhs, rhs))
+    for record in derivatives + nearly + reductions:
+        report.add(*record)
+
+    for label, should_pass in _EIGEN_EXPECTED.items():
+        result = eigen[label]
         verdict = "an" if should_pass else "not an"
         report.add(
             f"identities.eigen.{label}",
@@ -337,8 +333,11 @@ def _truncated_product(left: GradedSeries, right: GradedSeries, prec: int) -> Gr
     return left.truncate(prec) * right.truncate(prec)
 
 
-def _truncated_bracket(g: GradedSeries, h: GradedSeries, m: int, prec: int) -> GradedSeries:
-    return rankin_cohen(g.truncate(prec), h.truncate(prec), m)
+def _truncated_bracket(
+    g: GradedSeries, h: GradedSeries, m: int, products: dict, prec: int
+) -> GradedSeries:
+    shared = products.setdefault(prec, [])
+    return rankin_cohen(g.truncate(prec), h.truncate(prec), m, shared)
 
 
 def _deriv_label(name: str, order: int) -> str:
@@ -480,14 +479,17 @@ class BracketHit:
 
 def _bracket_candidates(prec: int):
     """The (key, label, build) candidates of the bracket scan: [g, h]_m,
-    m <= 4, for modular catalog pairs up to the top catalog weight."""
+    m <= 4, for modular catalog pairs up to the top catalog weight. The
+    orders of a pair share one list of products D^i(g)*h per precision
+    (see rankin_cohen)."""
     entries = [(name, catalog_form(name, prec)) for name in CATALOG_NAMES if name != "E2"]
     top_weight = max(form.weight for _, form in entries)
     for i, (g_name, g_form) in enumerate(entries):
         for h_name, h_form in entries[i:]:
+            products: dict[int, list] = {}
             for m in range(5):
                 if g_form.weight + h_form.weight + 2 * m <= top_weight:
-                    build = partial(_truncated_bracket, g_form, h_form, m)
+                    build = partial(_truncated_bracket, g_form, h_form, m, products)
                     yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", build
 
 
@@ -548,16 +550,9 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
         },
     )
 
-    e4e6_1 = rankin_cohen(
-        catalog_form("E4", prec), catalog_form("E6", prec), 1
-    )
+    e4e6_1 = rankin_cohen(catalog_form("E4", prec), catalog_form("E6", prec), 1)
     target = catalog_form("Delta12", prec) * (-3456)
-    report.add(
-        "brackets.e4_e6_1",
-        "[E4,E6]_1 = -3456 * Delta12",
-        e4e6_1 == target,
-        _difference_witness(e4e6_1, target),
-    )
+    report.add(*_equality("brackets.e4_e6_1", "[E4,E6]_1 = -3456 * Delta12", e4e6_1, target))
     report.add(
         "brackets.scan_complete",
         "every bracket candidate was tested at full precision",

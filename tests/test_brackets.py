@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from modforms.brackets import rankin_cohen
+from modforms.exactmath import binomial
 from modforms.forms import catalog, cusp_delta, eisenstein, is_modular_member
+from modforms.qseries import GradedSeries, QSeries, mul_reference
 
 PREC = 64
 
@@ -82,8 +84,49 @@ def test_domain_errors():
     e4 = eisenstein(4, 8)
     with pytest.raises(ValueError):
         rankin_cohen(e4, e4, -1)
-    from modforms.qseries import GradedSeries, QSeries
-
     weight_zero = GradedSeries(QSeries.one(8), 0)
     with pytest.raises(ValueError):
         rankin_cohen(e4, weight_zero, 1)
+
+
+def _textbook_bracket(g, h, m):
+    """sum_r (-1)^r C(m+k1-1, m-r) C(m+k2-1, r) D^r(g) D^(m-r)(h), with
+    every product taken by the Fraction schoolbook oracle."""
+    g_derivs, h_derivs = [g], [h]
+    for _ in range(m):
+        g_derivs.append(g_derivs[-1].derivative())
+        h_derivs.append(h_derivs[-1].derivative())
+    total = QSeries.zero(min(g.prec, h.prec))
+    for r in range(m + 1):
+        coeff = (-1) ** r * binomial(m + g.weight - 1, m - r) * binomial(m + h.weight - 1, r)
+        total = total + mul_reference(g_derivs[r], h_derivs[m - r]) * coeff
+    return GradedSeries(total, g.weight + h.weight + 2 * m)
+
+
+MODULAR_32 = [(e.name, e.form) for e in catalog(32) if e.name != "E2"]
+
+
+@pytest.mark.parametrize("i", range(len(MODULAR_32)), ids=[name for name, _ in MODULAR_32])
+def test_matches_the_textbook_sum(i):
+    # Every unordered modular catalog pair and m <= 4 (test_sign_symmetry
+    # covers the swapped order), alone and with the orders of a pair
+    # sharing one list of products D^i(g)*h.
+    g_name, g = MODULAR_32[i]
+    for h_name, h in MODULAR_32[i:]:
+        shared = []
+        for m in range(5):
+            expected = _textbook_bracket(g, h, m)
+            assert rankin_cohen(g, h, m) == expected, (g_name, h_name, m)
+            assert rankin_cohen(g, h, m, shared) == expected, (g_name, h_name, m)
+            assert len(shared) == m + 1
+
+
+def test_shared_products_extend_only_to_the_order_asked():
+    e4, d12 = eisenstein(4, 16), cusp_delta(12, 16)
+    shared = []
+    rankin_cohen(e4, d12, 3, shared)
+    assert shared == [e4 * d12, e4.derivative() * d12,
+                      e4.derivative().derivative() * d12,
+                      e4.derivative().derivative().derivative() * d12]
+    rankin_cohen(e4, d12, 1, shared)
+    assert len(shared) == 4

@@ -245,3 +245,43 @@ def test_coefficients_too_long_to_print_are_one_error_line(command):
     assert result.exit_code == 1
     (line,) = result.output.splitlines()
     assert line.startswith("Error: Exceeds the limit (4300 digits) for integer string conversion")
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (
+            ("hecke", "--input", "E4", "--n", "1000000000000000000", "--prec", "8"),
+            f"--n 1000000000000000000 exceeds the maximum {_MAX_PREC}",
+        ),
+        (
+            ("eis", "--weight", "1000", "--prec", "1"),
+            "Eisenstein series requires even 2 <= k <= 256, got 1000",
+        ),
+        (
+            ("decompose", "--expr", "E4", "--weight", "200000000", "--depth", "0"),
+            "expression has weight 4, not the requested 200000000",
+        ),
+        (
+            ("decompose", "--expr", "E4", "--weight", "4", "--depth", "300000000"),
+            "--depth 300000000 must satisfy 0 <= depth < weight/2",
+        ),
+        (
+            ("decompose", "--expr", "E4^100", "--weight", "400", "--depth", "199"),
+            "decomposition needs precision 3444, above the maximum 100",
+        ),
+    ],
+    ids=["hecke-n", "eis-weight", "decompose-weight", "decompose-depth", "decompose-prec"],
+)
+def test_oversized_input_is_one_error_line_at_once(command, error):
+    start = time.perf_counter()
+    result = invoke(*command)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {error}"]
+
+
+def test_caps_admit_their_bounds():
+    with pytest.warns(UserWarning, match="certifies only the constant term"):
+        assert invoke("hecke", "--input", "E4", "--n", str(_MAX_PREC), "--prec", "8").exit_code == 0
+    assert invoke("eis", "--weight", "256", "--prec", "1").exit_code == 0

@@ -1,6 +1,7 @@
 """Engine outputs checked against the digests recorded in perfbench/golden/:
-both verify reports record by record (runtime_seconds aside), and the
-prec-120 part of the query-mix universe answer by answer."""
+both verify reports record by record (runtime_seconds aside), verify-all
+also at prec 128, and the prec-120 part of the query-mix universe answer
+by answer."""
 
 from __future__ import annotations
 
@@ -28,9 +29,16 @@ golden = _load("golden")
 queries = _load("queries")
 
 
-@pytest.mark.parametrize("workload", sorted(golden.SUITES))
-def test_verify_matches_golden_digests(workload):
-    suite, prec = golden.SUITES[workload]
+# Each workload at its own precision, and verify-all also at prec 128,
+# where the report is the same and the eigen scans take their sieve path
+# at a second precision.
+@pytest.mark.parametrize(
+    "workload, prec",
+    [pytest.param(w, golden.SUITES[w][1], id=w) for w in sorted(golden.SUITES)]
+    + [pytest.param("verify-all", 128, id="verify-all-prec-128")],
+)
+def test_verify_matches_golden_digests(workload, prec):
+    suite = golden.SUITES[workload][0]
     result = CliRunner().invoke(
         main, ["verify", "--suite", suite, "--prec", str(prec), "--json"]
     )

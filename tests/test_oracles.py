@@ -1,7 +1,8 @@
 """Independent oracles: each expectation is computed here, sharing no code
 path with the engine. Delta12 is checked in plain integers against the
-cusp-form solve, and the integer Hecke kernel against its formula summed
-in Fractions straight from the coefficients."""
+cusp-form solve, the integer Hecke kernel against its formula summed in
+Fractions straight from the coefficients, and the eigenvalues of every
+product and bracket hit against closed forms that use no Hecke code."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 from modforms.forms import catalog_form, cusp_delta
 from modforms.hecke import hecke, hecke_nearly
 from modforms.nearly import e2_star
+from modforms.verify import bracket_search, product_search
 
 PREC = 128
 
@@ -34,8 +36,12 @@ def _tau() -> list[int]:
     return [c.numerator for c in series.coeffs]
 
 
+def _sigma(j: int, n: int) -> int:
+    return sum(d**j for d in range(1, n + 1) if n % d == 0)
+
+
 def _sigma11(n: int) -> int:
-    return sum(d**11 for d in range(1, n + 1) if n % d == 0)
+    return _sigma(11, n)
 
 
 def _is_prime(n: int) -> bool:
@@ -88,3 +94,39 @@ def test_hecke_nearly_matches_the_formula_on_e2star_squared(n):
 def test_hecke_matches_the_formula_on_delta12(n):
     delta = catalog_form("Delta12", 60)
     assert list(hecke(delta, n).coeffs) == _hecke_formula(delta, 12, 0, n)
+
+
+def _eigenvalue_formula(weight: int, eisenstein_line: bool):
+    """lambda_n of the normalized eigenform of the given weight: sigma_{k-1}(n)
+    on the Eisenstein line, a_n(Delta_k) for a cusp form."""
+    if eisenstein_line:
+        return lambda n: _sigma(weight - 1, n)
+    return cusp_delta(weight, PREC).__getitem__
+
+
+def _product_formula(hit):
+    if hit.key == ("E4", 0, "E4", 1):  # D(E4)*E4 = (1/2) D(E8)
+        return lambda n: n * _sigma(7, n)
+    if hit.key == ("E2", 0, "Delta12", 0):  # E2*Delta12 = D(Delta12)
+        return lambda n: n * cusp_delta(12, PREC)[n]
+    return _eigenvalue_formula(hit.weight, "Delta" not in hit.left + hit.right)
+
+
+def _bracket_formula(hit):
+    # A bracket of order m >= 1 has no constant term, so it is a cusp form.
+    return _eigenvalue_formula(hit.weight, hit.m == 0 and "Delta" not in hit.g + hit.h)
+
+
+@pytest.mark.parametrize(
+    "search, formula, count",
+    [(product_search, _product_formula, 18), (bracket_search, _bracket_formula, 64)],
+    ids=["products", "brackets"],
+)
+def test_hit_eigenvalues_match_closed_forms(search, formula, count):
+    hits, _ = search(PREC)
+    assert len(hits) == count
+    for hit in hits:
+        expected = formula(hit)
+        assert [n for n, _ in hit.eigenvalues] == list(range(1, 11)), hit.key
+        for n, eigenvalue in hit.eigenvalues:
+            assert eigenvalue == expected(n), (hit.key, n)

@@ -286,3 +286,39 @@ class TestTaggingRule:
         untagged = (E4.series, other) if form_first else (other, E4.series)
         result = op(*operands)
         assert type(result) is QSeries and result == op(*untagged)
+
+
+class TestConstantFactor:
+    """A factor whose only nonzero coefficient (up to the common precision)
+    is a_0 is applied as a scaling; the product must not change."""
+
+    @pytest.mark.parametrize(
+        "constant",
+        [
+            QSeries.constant(0, 5),
+            QSeries.constant(Fraction(-3, 2), 5),
+            QSeries([7, 0, 0, 11]),  # constant only within E4's precision 2
+        ],
+        ids=["zero", "minus_three_halves", "constant_within_precision"],
+    )
+    @pytest.mark.parametrize("tag", [None, 0], ids=["untagged", "weight_0"])
+    @pytest.mark.parametrize("form", [E4, E4.series], ids=["form", "series"])
+    def test_matches_schoolbook_in_both_orders(self, constant, tag, form):
+        if tag is not None:
+            constant = GradedSeries(constant, tag)
+        both_tagged = isinstance(constant, GradedSeries) and isinstance(form, GradedSeries)
+        for left, right in ((constant, form), (form, constant)):
+            product = left * right
+            assert product.coeffs == mul_reference(left, right).coeffs
+            if both_tagged:
+                assert type(product) is GradedSeries and product.weight == 4
+            else:
+                assert type(product) is QSeries
+
+    @given(series_strategy(), small_fractions, st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_constant_series_equals_scalar(self, f, c, prec):
+        constant = QSeries.constant(c, prec)
+        expected = (f * c).truncate(min(prec, f.prec))
+        assert constant * f == expected == f * constant
+        assert constant * f == mul_reference(constant, f)

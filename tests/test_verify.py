@@ -10,7 +10,7 @@ import pytest
 from modforms import verify
 from modforms.forms import catalog_form
 from modforms.hecke import eigenform_test
-from modforms.qseries import PrecisionError
+from modforms.qseries import PrecisionError, QSeries
 from modforms.verify import (
     _FULL_TEST_PREC,
     _SIEVE_PREC,
@@ -149,6 +149,43 @@ class TestPrefixSieve:
         assert eigenform_test(form).is_eigen_up_to_bound
         with pytest.raises(PrecisionError):
             eigenform_test(form.truncate(_FULL_TEST_PREC - 1))
+
+
+def _full_products(monkeypatch, run, prec):
+    """The products of two non-constant series at precision prec that run()
+    makes, as unordered operand pairs. run() first runs once unwatched, so
+    that the catalog, basis and Eisenstein caches are filled."""
+    run()
+    original = QSeries.__mul__
+    products = []
+
+    def spy(self, other):
+        if isinstance(other, QSeries) and min(self.prec, other.prec) == prec:
+            operands = [(f.numerators[: prec + 1], f.denominator) for f in (self, other)]
+            if all(any(nums[1:]) for nums, _ in operands):
+                products.append(frozenset(operands))
+        return original(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", spy)
+    run()
+    return products
+
+
+class TestSharedProducts:
+    def test_bracket_suite(self, monkeypatch):
+        # Each pair builds D^i(g)*h once, up to its largest sieve-passing
+        # order (the textbook sum, m + 1 products per bracket, makes 174).
+        # Only the closing [E4,E6]_1 check repeats two: E4*E6, D(E4)*E6.
+        products = _full_products(monkeypatch, lambda: bracket_search(256), 256)
+        assert len(products) == 95
+        assert len(set(products)) == 93
+
+    def test_identity_suite(self, monkeypatch):
+        # E2*f is read off E2star*f, and E4*E4 is kept from the product
+        # identities; building each on its own makes 41, 12 of them repeats.
+        products = _full_products(monkeypatch, lambda: verify_identity_suite(128), 128)
+        assert len(products) == 29
+        assert len(set(products)) == 29
 
 
 class TestDiophantine:
