@@ -29,7 +29,6 @@ from .forms import (
     monomial_basis,
     monomial_exponents,
     span_coordinates,
-    weight_basis,
 )
 from .nearly import (
     Y_CONVENTION,

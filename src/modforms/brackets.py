@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .exactmath import binomial
+from .forms import _MAX_EISENSTEIN_WEIGHT
 from .qseries import GradedSeries
 
 __all__ = ["rankin_cohen"]
@@ -16,7 +17,8 @@ def rankin_cohen(
         [g, h]_m = sum_{r+s=m} (-1)^r C(m+k1-1, s) C(m+k2-1, r) D^r(g) D^s(h),
 
     a form of weight k1 + k2 + 2m; m = 0 is the plain product and odd m
-    with g = h gives zero by antisymmetry.
+    with g = h gives zero by antisymmetry. Weights above the Eisenstein
+    cap are refused: the beta_i below cost O(m^2) big-integer products.
 
     It is built from the products Q_i = D^i(g) h, i <= m:
 
@@ -38,6 +40,10 @@ def rankin_cohen(
     k1, k2 = g.weight, h.weight
     if k1 < 1 or k2 < 1:
         raise ValueError("Rankin-Cohen brackets need weights >= 1")
+    if k1 + k2 + 2 * m > _MAX_EISENSTEIN_WEIGHT:
+        raise ValueError(
+            f"bracket weight {k1 + k2 + 2 * m} exceeds the cap {_MAX_EISENSTEIN_WEIGHT}"
+        )
 
     if products is None:
         products = []

@@ -17,13 +17,11 @@ from .forms import (
     _WINDOW_MARGIN,
     CATALOG_NAMES,
     GeneratorPoly,
-    _homogeneous_weight,
     catalog_form,
     cusp_delta,
     dim_modular,
     eisenstein,
     eval_generator_poly,
-    is_modular_member,
     monomial_exponents,
 )
 from .hecke import eigenform_test, hecke
@@ -167,7 +165,7 @@ def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):
     """Split a quasimodular form into derivatives of modular forms."""
     with _domain_errors():
         poly = GeneratorPoly.parse(expr)
-        actual = _homogeneous_weight(poly)
+        actual = poly.weight()
         if actual != weight:
             raise click.ClickException(f"expression has weight {actual}, not the requested {weight}")
         if not 0 <= 2 * depth < weight:
@@ -191,11 +189,7 @@ def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
             return jsonlib.dumps({"weight": weight, "depth_bound": depth, "decomposable": False})
         return f"not decomposable with depth bound {depth}"
 
-    def coordinates(part: GradedSeries) -> list[str]:
-        if part.weight < 4:
-            return []
-        return [rational_str(c) for c in is_modular_member(part, part.weight)]
-
+    # Every component has weight k - 2r >= 2; at weight 2 its basis is empty.
     if as_json:
         payload = {
             "weight": weight,
@@ -205,29 +199,21 @@ def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
                 {
                     "r": r,
                     "weight": part.weight,
-                    "basis": [
-                        f"E4^{a}*E6^{b}" for a, b in monomial_exponents(part.weight)
-                    ]
-                    if part.weight >= 4
-                    else [],
-                    "coordinates": coordinates(part),
+                    "basis": [f"E4^{a}*E6^{b}" for a, b in monomial_exponents(part.weight)],
+                    "coordinates": [rational_str(c) for c in coords],
                     "series": part.series.to_json_dict(),
                 }
-                for r, part in parts
+                for r, part, coords in parts
             ],
         }
         return jsonlib.dumps(payload, indent=2)
     lines = []
-    for r, part in parts:
-        labels = (
-            ", ".join(
-                f"{c} * E4^{a}*E6^{b}"
-                for c, (a, b) in zip(coordinates(part), monomial_exponents(part.weight))
-            )
-            if part.weight >= 4
-            else "0"
+    for r, part, coords in parts:
+        labels = ", ".join(
+            f"{rational_str(c)} * E4^{a}*E6^{b}"
+            for c, (a, b) in zip(coords, monomial_exponents(part.weight))
         )
-        lines.append(f"D^{r} component (weight {part.weight}): {labels}")
+        lines.append(f"D^{r} component (weight {part.weight}): {labels or '0'}")
     return "\n".join(lines)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "dim_modular",
     "monomial_exponents",
     "monomial_basis",
-    "weight_basis",
     "DELTA_WEIGHTS",
     "cusp_delta",
     "span_coordinates",
@@ -65,10 +64,6 @@ def monomial_exponents(k: int) -> list[tuple[int, int]]:
 
 def dim_modular(k: int) -> int:
     """dim M_k at level one, counted directly from the monomial basis."""
-    if k < 0 or k % 2 != 0:
-        return 0
-    if k == 0:
-        return 1
     return len(monomial_exponents(k))
 
 
@@ -87,27 +82,17 @@ def _eisenstein_power(k: int, a: int, prec: int) -> GradedSeries:
     return powers[a]
 
 
-def _monomial(exponents: Sequence[int], weights: Sequence[int], prec: int) -> QSeries:
+def _monomial(exponents: Sequence[int], weights: Sequence[int], prec: int) -> GradedSeries:
     """The product of E_k^a over the (k, a) pairs; 1 when every a is 0."""
     factors = [_eisenstein_power(k, a, prec) for k, a in zip(weights, exponents) if a]
-    return reduce(operator.mul, factors) if factors else QSeries.one(prec)
+    return reduce(operator.mul, factors) if factors else GradedSeries(QSeries.one(prec), 0)
 
 
 @lru_cache(maxsize=None)
 def monomial_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
-    """The basis E4^a E6^b (4a + 6b = k, a descending) of M_k, k >= 4 even."""
-    if k < 4 or k % 2 != 0:
-        raise ValueError(f"monomial basis requires even k >= 4, got {k}")
+    """The basis E4^a E6^b (4a + 6b = k, a descending) of M_k: the constant
+    1 at k = 0, and empty at k = 2, at odd k and at negative k."""
     return tuple(_monomial(e, (4, 6), prec) for e in monomial_exponents(k))
-
-
-def weight_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
-    """Basis of M_k for any even k >= 0; empty for k = 2 (and odd k)."""
-    if k == 0:
-        return (GradedSeries(QSeries.one(prec), 0),)
-    if k < 0 or k % 2 != 0 or k == 2:
-        return ()
-    return monomial_basis(k, prec)
 
 
 # Weights whose cusp space is one dimensional, carrying a unique
@@ -176,7 +161,7 @@ def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
     """
     if k < 0 or k % 2 != 0:
         raise ValueError(f"membership is tested against even weights, got {k}")
-    basis = weight_basis(k, f.prec)
+    basis = monomial_basis(k, f.prec)
     if not basis:
         if f.is_zero():
             return []
@@ -200,6 +185,10 @@ _GENERATOR_WEIGHTS = (2, 4, 6)
 _GENERATOR_NAMES = ("E2", "E4", "E6")
 # The heaviest monomial a product may build: the weight of E4^2000.
 _MAX_POLY_WEIGHT = 8000
+# The most terms a product may build, counted as the product of its
+# factors' term counts, which its work grows with: (E2+E4+E6)^36, with
+# 703 terms, is the largest power of that sum.
+_MAX_POLY_TERMS = 2048
 # The longest numerator or denominator, in bits, a constant power may build.
 _MAX_CONSTANT_BITS = 2**16
 
@@ -273,6 +262,11 @@ class GeneratorPoly:
         heaviest = sum(max(p.monomial_weights().values(), default=0) for p in (self, other))
         if heaviest > _MAX_POLY_WEIGHT:
             raise ValueError(f"polynomial weight {heaviest} exceeds the cap {_MAX_POLY_WEIGHT}")
+        pairs = len(self._terms) * len(other._terms)
+        if pairs > _MAX_POLY_TERMS:
+            raise ValueError(
+                f"polynomial product may build {pairs} terms, above the cap {_MAX_POLY_TERMS}"
+            )
         terms: dict = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -305,31 +299,27 @@ class GeneratorPoly:
             for e in self._terms
         }
 
-    def is_homogeneous(self) -> bool:
-        return len(set(self.monomial_weights().values())) <= 1
-
-    def weight(self) -> Optional[int]:
-        """Homogeneous weight; None when monomials mix weights. Zero poly: 0."""
-        weights = set(self.monomial_weights().values())
-        if not weights:
-            return 0
-        if len(weights) > 1:
-            return None
-        return weights.pop()
+    def weight(self) -> int:
+        """The homogeneous weight, 0 for the zero polynomial; a mixed weight
+        is an error naming the monomials."""
+        weights = self.monomial_weights()
+        if len(set(weights.values())) > 1:
+            detail = ", ".join(
+                f"{GeneratorPoly({e: c})} (weight {weights[e]})" for e, c in self.monomials()
+            )
+            raise ValueError(f"polynomial is not weight-homogeneous: {detail}")
+        return next(iter(weights.values()), 0)
 
     def depth(self) -> int:
         """Maximal E2-degree across monomials."""
         return max((e[0] for e in self._terms), default=0)
 
-    def evaluate(self, prec: int) -> QSeries:
-        """q-expansion of the polynomial; graded when weight-homogeneous."""
-        total = QSeries.zero(prec)
-        for exponents, c in self.monomials():
-            total = total + _monomial(exponents, _GENERATOR_WEIGHTS, prec) * c
-        w = self.weight()
-        if w is None:
-            return total
-        return GradedSeries(total, w)
+    def evaluate(self, prec: int) -> GradedSeries:
+        """The q-expansion of the polynomial, tagged with its weight."""
+        weight = self.weight()
+        monomials = self.monomials()
+        columns = [_monomial(e, _GENERATOR_WEIGHTS, prec) for e, _ in monomials]
+        return GradedSeries(_combination(columns, [c for _, c in monomials], prec), weight)
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorPoly":
@@ -471,27 +461,11 @@ class _PolyParser:
 
 
 def eval_generator_poly(poly: Union[str, GeneratorPoly], prec: int) -> GradedSeries:
-    """Evaluate a weight-homogeneous polynomial in E2, E4, E6 to its form.
-
-    A mixed-weight polynomial is an error naming the offending monomials;
-    GeneratorPoly.evaluate gives its untagged q-expansion.
-    """
+    """Evaluate a weight-homogeneous polynomial in E2, E4, E6 to its form;
+    a mixed weight is an error naming the offending monomials."""
     if isinstance(poly, str):
         poly = GeneratorPoly.parse(poly)
-    _homogeneous_weight(poly)
     return poly.evaluate(prec)
-
-
-def _homogeneous_weight(poly: GeneratorPoly) -> int:
-    """The weight of poly; a mixed weight is an error naming the monomials."""
-    if not poly.is_homogeneous():
-        weights = poly.monomial_weights()
-        detail = ", ".join(
-            f"{GeneratorPoly({e: c})} (weight {weights[e]})"
-            for e, c in poly.monomials()
-        )
-        raise ValueError(f"polynomial is not weight-homogeneous: {detail}")
-    return poly.weight()
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from .forms import (
     _WINDOW_MARGIN,
     _combination,
     eisenstein,
+    monomial_basis,
     span_coordinates,
-    weight_basis,
 )
 
 __all__ = [
@@ -160,12 +160,6 @@ class YPolyForm:
             "components": [c.to_json_dict() for c in self._components],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "YPolyForm":
-        return cls(
-            [QSeries.from_json_dict(c) for c in data["components"]], data["weight"]
-        )
-
     def __repr__(self) -> str:
         return (
             f"YPolyForm(weight={self._weight}, depth={self.depth}, prec={self.prec})"
@@ -217,15 +211,16 @@ def maass_shimura(form: Union[YPolyForm, GradedSeries]) -> YPolyForm:
 
 def quasimodular_decompose(
     f: GradedSeries, depth_bound: int
-) -> Optional[list[tuple[int, GradedSeries]]]:
+) -> Optional[list[tuple[int, GradedSeries, list[Fraction]]]]:
     """Write f = sum_r D^r(f_r) with f_r in M_{k-2r}, 0 <= r <= depth_bound.
 
     Requires depth_bound < k/2, the regime where the direct sum
     decomposition of quasimodular forms holds. Returns the list of
-    (r, f_r) pairs, or None when f is not in the span (the input was not
-    quasimodular of the claimed depth). The solved window is the column
-    count plus _WINDOW_MARGIN; the reconstruction is then re-checked against
-    every certified coefficient of f before the result is returned.
+    (r, f_r, coordinates of f_r in monomial_basis(k - 2r)) triples, or
+    None when f is not in the span (the input was not quasimodular of the
+    claimed depth). The solved window is the column count plus
+    _WINDOW_MARGIN; the reconstruction is then re-checked against every
+    certified coefficient of f before the result is returned.
     """
     k = f.weight
     if depth_bound < 0:
@@ -234,7 +229,7 @@ def quasimodular_decompose(
         raise ValueError(
             f"decomposition needs depth bound < weight/2; got {depth_bound} >= {k}/2"
         )
-    bases = [weight_basis(k - 2 * r, f.prec) for r in range(depth_bound + 1)]
+    bases = [monomial_basis(k - 2 * r, f.prec) for r in range(depth_bound + 1)]
     columns = []
     for r, basis in enumerate(bases):
         for element in basis:
@@ -250,11 +245,11 @@ def quasimodular_decompose(
     if solution is None:
         return None
 
-    parts: list[tuple[int, GradedSeries]] = []
+    parts = []
     index = 0
     for r, basis in enumerate(bases):
         coords = solution[index : index + len(basis)]
         index += len(basis)
         component = _combination(basis, coords, f.prec)
-        parts.append((r, GradedSeries(component, k - 2 * r)))
+        parts.append((r, GradedSeries(component, k - 2 * r), coords))
     return parts

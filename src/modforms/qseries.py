@@ -9,8 +9,8 @@ A GradedSeries is a QSeries tagged with its weight, and every QSeries
 operation applies to it. The tag follows three rules:
 
 - tagging: between two forms, + and - need equal weights (else
-  ValueError) and * adds them; a rational scalar, -f, truncate and
-  normalize keep the weight, ** multiplies it and the derivative adds 2;
+  ValueError) and * adds them; a rational scalar, -f and truncate keep
+  the weight, and the derivative adds 2;
 - equality: a form equals only a form of the same weight and
   coefficients, so it never equals an untagged QSeries, in either order;
 - mixing: a form combined with an untagged QSeries by +, - or * gives an
@@ -111,10 +111,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not any(self._nums)
 
-    def valuation(self) -> Optional[int]:
-        """Index of the first nonzero coefficient, or None for the zero series."""
-        return next((m for m, a in enumerate(self._nums) if a), None)
-
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError(
@@ -158,19 +154,6 @@ class QSeries:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, exponent: int) -> "QSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers require a nonnegative integer exponent")
-        result = QSeries.one(self.prec)
-        base, e = self, exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -178,19 +161,11 @@ class QSeries:
 
     __hash__ = None
 
-    # -- calculus and normalization ---------------------------------------
+    # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "QSeries":
         """Apply q d/dq: the coefficient of q^m becomes m*a_m."""
         return QSeries.from_numerators([m * a for m, a in enumerate(self._nums)], self._den)
-
-    def normalize(self) -> tuple["QSeries", Fraction]:
-        """Divide by the first nonzero coefficient c; returns (f/c, c)."""
-        v = self.valuation()
-        if v is None:
-            raise ValueError("cannot normalize the zero series")
-        c = self[v]
-        return self * (Fraction(1) / c), c
 
     # -- serialization and display ---------------------------------------
 
@@ -199,10 +174,6 @@ class QSeries:
             "prec": self.prec,
             "coeffs": [rational_str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QSeries":
-        return cls([Fraction(s) for s in data["coeffs"]], prec=data["prec"])
 
     def __str__(self) -> str:
         return f"{_format_terms(self.coeffs)} + O(q^{self.prec + 1})"
@@ -308,9 +279,6 @@ class GradedSeries(QSeries):
             return product
         return GradedSeries(product, self._weight)
 
-    def __pow__(self, exponent: int) -> "GradedSeries":
-        return GradedSeries(super().__pow__(exponent), self._weight * exponent)
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -323,10 +291,6 @@ class GradedSeries(QSeries):
 
     def to_json_dict(self) -> dict:
         return {"weight": self._weight, "series": super().to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GradedSeries":
-        return cls(QSeries.from_json_dict(data["series"]), data["weight"])
 
     def __str__(self) -> str:
         return f"[weight {self._weight}] {super().__str__()}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -26,9 +26,9 @@ from .forms import (
     eisenstein,
     is_modular_member,
 )
-from .hecke import EigenReport, Violation, eigenform_test
-from .nearly import YPolyForm, constant_term, e2_star, maass_shimura
-from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
+from .hecke import EigenReport, eigenform_test
+from .nearly import constant_term, e2_star, maass_shimura
+from .qseries import GradedSeries, PrecisionError, first_difference
 
 __all__ = [
     "DEFAULT_PREC",
@@ -55,17 +55,15 @@ DEFAULT_PREC = 128
 def jsonable(value):
     """Recursively convert report data to JSON-safe values.
 
-    Rationals become "num/den" strings; series, forms and reports use
-    their own dict serializations.
+    Rationals become "num/den" strings; series, forms, eigen reports and
+    hits use their own to_json_dict, the shape the reports carry.
     """
     if isinstance(value, Fraction):
         return rational_str(value)
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, (QSeries, YPolyForm, EigenReport, Violation)):
+    if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: jsonable(v) for k, v in asdict(value).items()}
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -212,7 +212,7 @@ def test_criterion_08_decomposition_roundtrip():
             ok = False
             continue
         total = QSeries.zero(PREC)
-        for r, part in parts:
+        for r, part, _ in parts:
             series = part.series
             for _ in range(r):
                 series = series.derivative()

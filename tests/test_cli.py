@@ -270,8 +270,19 @@ def test_coefficients_too_long_to_print_are_one_error_line(command):
             ("decompose", "--expr", "E4^100", "--weight", "400", "--depth", "199"),
             "decomposition needs precision 3444, above the maximum 100",
         ),
+        (
+            ("bracket", "--g", "E4", "--h", "E6", "--m", "124"),
+            "bracket weight 258 exceeds the cap 256",
+        ),
+        (
+            ("hecke", "--input", "(E2+E4+E6)^200", "--n", "2", "--prec", "8"),
+            "polynomial product may build 2109 terms, above the cap 2048",
+        ),
     ],
-    ids=["hecke-n", "eis-weight", "decompose-weight", "decompose-depth", "decompose-prec"],
+    ids=[
+        "hecke-n", "eis-weight", "decompose-weight", "decompose-depth", "decompose-prec",
+        "bracket-weight", "poly-terms",
+    ],
 )
 def test_oversized_input_is_one_error_line_at_once(command, error):
     start = time.perf_counter()
@@ -285,3 +296,4 @@ def test_caps_admit_their_bounds():
     with pytest.warns(UserWarning, match="certifies only the constant term"):
         assert invoke("hecke", "--input", "E4", "--n", str(_MAX_PREC), "--prec", "8").exit_code == 0
     assert invoke("eis", "--weight", "256", "--prec", "1").exit_code == 0
+    assert invoke("bracket", "--g", "E4", "--h", "E6", "--m", "123", "--prec", "16").exit_code == 0

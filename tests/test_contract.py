@@ -1,0 +1,62 @@
+"""The engine's outward contract: the benchmark's tracer
+(``perfbench/tracer.py``) patches the engine from outside by name, so a
+renamed or removed layer function breaks ``perfbench/run.py --trace 1``;
+and every name a module exports must exist."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import modforms
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Run in its own process: instrument() rebinds engine functions and
+# methods for the life of the interpreter.
+_TRACED_CALL = """
+import json, sys
+import modforms.cli
+import tracer
+from click.testing import CliRunner
+
+spans = tracer.Tracer()
+tracer.instrument(spans)
+result = CliRunner().invoke(modforms.cli.main, sys.argv[1:])
+print(json.dumps({
+    "exit_code": result.exit_code,
+    "layers": sorted(tracer.layers_seen(spans)),
+    "metrics": tracer.layer_metrics(spans),
+}))
+"""
+
+
+def test_tracer_instruments_a_cli_call():
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    argv = ["bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "16"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_CALL, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["exit_code"] == 0
+    assert {"qseries", "forms", "brackets", "cli"} <= set(out["layers"])
+    metrics = out["metrics"]
+    assert metrics["cli.command.calls"] == 1
+    assert metrics["brackets.rankin_cohen.calls"] == 1
+    assert metrics["forms.catalog.builds"] == 1
+    assert metrics["qseries.mul.calls"] > 0
+
+
+def test_every_export_resolves():
+    for info in pkgutil.iter_modules(modforms.__path__):
+        module = importlib.import_module(f"modforms.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)

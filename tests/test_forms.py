@@ -21,7 +21,6 @@ from modforms.forms import (
     is_modular_member,
     monomial_basis,
     monomial_exponents,
-    weight_basis,
 )
 from modforms.exactmath import solve_linear
 from modforms.qseries import GradedSeries, PrecisionError, QSeries, mul_reference
@@ -72,8 +71,9 @@ class TestMonomialBasis:
         basis = monomial_basis(12, 8)
         assert len(basis) == 2
         assert monomial_exponents(12) == [(3, 0), (0, 2)]
-        assert basis[0] == eisenstein(4, 8) ** 3
-        assert basis[1] == eisenstein(6, 8) ** 2
+        e4, e6 = eisenstein(4, 8), eisenstein(6, 8)
+        assert basis[0] == e4 * e4 * e4
+        assert basis[1] == e6 * e6
 
     def test_weight_14_and_26(self):
         assert monomial_exponents(14) == [(2, 1)]
@@ -85,10 +85,9 @@ class TestMonomialBasis:
             assert dim_modular(k) == expected, k
 
     def test_weight_basis_handles_low_weights(self):
-        assert weight_basis(2, 8) == ()
-        assert len(weight_basis(0, 8)) == 1
-        with pytest.raises(ValueError):
-            monomial_basis(2, 8)
+        assert monomial_basis(0, 8) == (GradedSeries(QSeries.one(8), 0),)
+        for k in (2, 5, -4):
+            assert monomial_basis(k, 8) == () and dim_modular(k) == 0
 
 
 class TestCuspDelta:
@@ -180,7 +179,8 @@ class TestGeneratorPoly:
 
     def test_rational_literal(self):
         poly = GeneratorPoly.parse("3/2*E4^3")
-        assert poly.evaluate(8) == eisenstein(4, 8) ** 3 * Fraction(3, 2)
+        e4 = eisenstein(4, 8)
+        assert poly.evaluate(8) == e4 * e4 * e4 * Fraction(3, 2)
 
     def test_whitespace_insensitive(self):
         a = GeneratorPoly.parse("( E2 ^ 2 - E4 ) / 12").evaluate(8)
@@ -188,16 +188,14 @@ class TestGeneratorPoly:
         assert a == b
 
     def test_double_star_power(self):
-        assert GeneratorPoly.parse("E4**2").evaluate(8) == eisenstein(4, 8) ** 2
-
-    def test_inhomogeneous_returns_plain_series(self):
-        result = GeneratorPoly.parse("E2 + E4").evaluate(8)
-        assert type(result) is QSeries
-        assert result == eisenstein(2, 8).series + eisenstein(4, 8).series
+        e4 = eisenstein(4, 8)
+        assert GeneratorPoly.parse("E4**2").evaluate(8) == e4 * e4
 
     def test_inhomogeneous_rejected_when_weight_required(self):
         with pytest.raises(ValueError, match="weight"):
             eval_generator_poly("E2 + E4", 8)
+        with pytest.raises(ValueError, match="not weight-homogeneous"):
+            GeneratorPoly.parse("E2 + E4").evaluate(8)
 
     def test_error_lists_offending_monomials(self):
         with pytest.raises(ValueError, match=r"E2 \(weight 2\)"):
@@ -240,6 +238,12 @@ class TestGeneratorPoly:
     )
     def test_constant_power_folds(self, text, value):
         assert GeneratorPoly.parse(text).monomials() == [((0, 0, 0), value)]
+
+    def test_product_term_cap(self):
+        # The last step of ^37 would multiply 703 terms by 3.
+        assert len(GeneratorPoly.parse("(E2+E4+E6)^36").monomials()) == 703
+        with pytest.raises(ValueError, match="may build 2109 terms, above the cap 2048"):
+            GeneratorPoly.parse("(E2+E4+E6)^37")
 
     def test_constant_power_bit_cap(self):
         # 2^65535 has 65536 bits, the cap; 2^65536 is refused before it is

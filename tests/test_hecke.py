@@ -144,7 +144,7 @@ class TestEigenformTest:
         "make, witness",
         [
             (lambda: eisenstein(2, PREC) * eisenstein(4, PREC), (2, 1, None)),
-            (lambda: cusp_delta(12, PREC) ** 2, (2, 1, None)),
+            (lambda: cusp_delta(12, PREC) * cusp_delta(12, PREC), (2, 1, None)),
             (lambda: e2_star(PREC) * eisenstein(4, PREC), (2, 0, 1)),
         ],
         ids=["e2_e4", "delta12_squared", "e4_e2star"],

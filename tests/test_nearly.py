@@ -68,10 +68,14 @@ class TestYPolyForm:
         assert square.component(1) == e2 * -6
 
     def test_json_roundtrip_records_scaling(self):
-        estar = e2_star(6)
-        data = estar.to_json_dict()
-        assert data["scaling"] == Y_CONVENTION
-        assert YPolyForm.from_json_dict(data) == estar
+        assert e2_star(2).to_json_dict() == {
+            "weight": 2,
+            "scaling": Y_CONVENTION,
+            "components": [
+                {"prec": 2, "coeffs": ["1/1", "-24/1", "-72/1"]},
+                {"prec": 2, "coeffs": ["-3/1", "0/1", "0/1"]},
+            ],
+        }
 
     def test_constant_term_of_product_depends_only_on_constant_terms(self):
         rng = random.Random(7)
@@ -137,21 +141,21 @@ class TestQuasimodularDecompose:
         form = GeneratorPoly.parse("E2*E4").evaluate(PREC)
         parts = quasimodular_decompose(form, 1)
         assert parts is not None
-        assert parts[0] == (0, eisenstein(6, PREC))
-        assert parts[1] == (1, eisenstein(4, PREC) * 3)
+        assert parts[0] == (0, eisenstein(6, PREC), [1])
+        assert parts[1] == (1, eisenstein(4, PREC) * 3, [3])
 
     def test_identity_case(self):
         e4 = eisenstein(4, PREC)
         parts = quasimodular_decompose(e4, 0)
-        assert parts == [(0, e4)]
+        assert parts == [(0, e4, [1])]
 
     def test_d_delta12(self):
         d12 = cusp_delta(12, PREC)
         parts = quasimodular_decompose(d12.derivative(), 1)
         assert parts is not None
-        zero_part, delta_part = parts
-        assert zero_part[1].is_zero()
-        assert delta_part == (1, d12)
+        (_, zero_part, zero_coords), delta_part = parts
+        assert zero_part.is_zero() and zero_coords == [0]
+        assert delta_part == (1, d12, list(is_modular_member(d12, 12)))
 
     def test_depth_bound_at_weight_over_two_rejected(self):
         with pytest.raises(ValueError, match="depth bound"):
@@ -194,7 +198,8 @@ class TestQuasimodularDecompose:
             parts = quasimodular_decompose(form, p)
             assert parts is not None, poly
             total = QSeries.zero(PREC)
-            for r, part in parts:
+            for r, part, coords in parts:
+                assert coords == is_modular_member(part, part.weight), poly
                 series = part.series
                 for _ in range(r):
                     series = series.derivative()

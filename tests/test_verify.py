@@ -18,6 +18,7 @@ from modforms.verify import (
     _bracket_candidates,
     _eigen_scan,
     _product_candidates,
+    _product_label,
     bracket_search,
     diophantine_check,
     ghitza_check,
@@ -70,11 +71,17 @@ class TestProductSearch:
         assert report.all_passed()
 
     def test_hit_serialization(self, products):
-        hits, _ = products
-        data = jsonable(hits)
-        keys = {(d["left"], d["left_deriv"], d["right"], d["right_deriv"]) for d in data}
-        assert keys == set(EXPECTED_EIGEN_PRODUCTS)
-        assert all(isinstance(lam, str) for d in data for _, lam in d["eigenvalues"])
+        # A hit serializes to the witness its report check carries.
+        hits, report = products
+        data = {d["product"]: d for d in jsonable(hits)}
+        witnesses = {
+            c.check_id.removeprefix("products.hit."): c.witness
+            for c in report.checks
+            if c.check_id.startswith("products.hit.")
+        }
+        assert data == witnesses
+        assert set(data) == {_product_label(*key) for key in EXPECTED_EIGEN_PRODUCTS}
+        assert all(isinstance(lam, str) for d in data.values() for _, lam in d["eigenvalues"])
 
 
 class TestBracketSearch:
