@@ -1,6 +1,20 @@
 """The level-one catalog: Eisenstein series, monomial bases of C[E4,E6],
 normalized cusp forms, exact membership tests against M_k, and evaluation
 of polynomials in the quasimodular generators E2, E4, E6.
+
+The four builders ``eisenstein``, ``monomial_basis``, ``cusp_delta`` and
+``catalog`` each keep one store: one value per form (per weight, or the
+one catalog), built at the largest precision asked for so far. A request
+at a smaller precision is answered by truncating the stored value, which
+equals a fresh build because a series is kept in lowest terms; a larger
+one rebuilds and replaces it. Memory is therefore bounded by the number
+of forms a process asks for, each held once at its largest precision,
+and not by the number of precisions it asks at. Nothing built on the way
+is kept: the powers of E4 and E6 live for one basis or polynomial, and
+the bases that ``cusp_delta`` solves over are not stored. Each builder
+has ``cache_info()`` with its hits (requests answered from the store),
+misses (builds) and currsize (forms held), and ``__wrapped__``, the
+unstored builder.
 """
 
 from __future__ import annotations
@@ -8,8 +22,8 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import reduce, wraps
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .exactmath import as_rational, bernoulli, sigma, solve_linear
 from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
@@ -32,20 +46,74 @@ __all__ = [
 ]
 
 
+class CacheInfo(NamedTuple):
+    """The counts of one stored builder."""
+
+    hits: int
+    misses: int
+    currsize: int
+
+
+def _truncated(value, prec: int):
+    """A stored value cut down to prec: a series, a catalog entry, or a
+    tuple of either."""
+    if isinstance(value, QSeries):
+        return value.truncate(prec)
+    if isinstance(value, FormCatalogEntry):
+        return FormCatalogEntry(value.name, value.form.truncate(prec))
+    return tuple(_truncated(item, prec) for item in value)
+
+
+def _stored(check: Optional[Callable[..., None]] = None):
+    """The store of the module docstring; the arguments before prec name
+    the form. A negative prec, and whatever ``check(*args)`` raises, are
+    refused before the store is read, so a precision too small for a form
+    is an error even while a larger value is held."""
+
+    def decorate(build):
+        held: dict = {}  # form key -> (prec, value)
+        counts = [0, 0]  # hits, misses
+
+        @wraps(build)
+        def stored(*args):
+            *key, prec = args
+            if prec < 0:
+                raise ValueError("prec must be >= 0")
+            if check is not None:
+                check(*args)
+            key = tuple(key)
+            have, value = held.get(key, (-1, None))
+            if have >= prec:
+                counts[0] += 1
+                return value if have == prec else _truncated(value, prec)
+            counts[1] += 1
+            value = build(*args)
+            held[key] = (prec, value)
+            return value
+
+        stored.cache_info = lambda: CacheInfo(counts[0], counts[1], len(held))
+        return stored
+
+    return decorate
+
+
 # Far above every suite (28) and query (16); B_k grows as the square of k.
 _MAX_EISENSTEIN_WEIGHT = 256
 
 
-@lru_cache(maxsize=None)
+def _check_eisenstein(k: int, prec: int) -> None:
+    if k < 2 or k % 2 != 0 or k > _MAX_EISENSTEIN_WEIGHT:
+        raise ValueError(
+            f"Eisenstein series requires even 2 <= k <= {_MAX_EISENSTEIN_WEIGHT}, got {k}"
+        )
+
+
+@_stored(_check_eisenstein)
 def eisenstein(k: int, prec: int) -> GradedSeries:
     """Weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(m) q^m.
 
     k = 2 gives the quasimodular E2; k >= 4 the modular series.
     """
-    if k < 2 or k % 2 != 0 or k > _MAX_EISENSTEIN_WEIGHT:
-        raise ValueError(
-            f"Eisenstein series requires even 2 <= k <= {_MAX_EISENSTEIN_WEIGHT}, got {k}"
-        )
     factor = -Fraction(2 * k) / bernoulli(k)
     coeffs = [Fraction(1)]
     coeffs.extend(factor * sigma(k - 1, m) for m in range(1, prec + 1))
@@ -67,32 +135,33 @@ def dim_modular(k: int) -> int:
     return len(monomial_exponents(k))
 
 
-# E_k^0, E_k^1, ... per (k, prec), extended on demand.
-_POWERS: dict[tuple[int, int], list[GradedSeries]] = {}
+def _monomials(
+    rows: Sequence[Sequence[int]], weights: Sequence[int], prec: int
+) -> list[GradedSeries]:
+    """For each row of exponents, the product of E_k^a over the (k, a)
+    pairs, 1 when every a is 0. The powers E_k^a are multiplied up in a
+    loop and shared by the rows, and dropped with the call."""
+    one = GradedSeries(QSeries.one(prec), 0)
+    powers: dict[int, list[GradedSeries]] = {}
+
+    def power(k: int, a: int) -> GradedSeries:
+        ladder = powers.setdefault(k, [one, eisenstein(k, prec)])
+        while len(ladder) <= a:
+            ladder.append(ladder[-1] * ladder[1])
+        return ladder[a]
+
+    out = []
+    for row in rows:
+        factors = [power(k, a) for k, a in zip(weights, row) if a]
+        out.append(reduce(operator.mul, factors) if factors else one)
+    return out
 
 
-def _eisenstein_power(k: int, a: int, prec: int) -> GradedSeries:
-    """E_k^a, multiplying the cached list of lower powers up to a in a loop."""
-    powers = _POWERS.get((k, prec))
-    if powers is None:
-        one = GradedSeries(QSeries.one(prec), 0)
-        powers = _POWERS[(k, prec)] = [one, eisenstein(k, prec)]
-    while len(powers) <= a:
-        powers.append(powers[-1] * powers[1])
-    return powers[a]
-
-
-def _monomial(exponents: Sequence[int], weights: Sequence[int], prec: int) -> GradedSeries:
-    """The product of E_k^a over the (k, a) pairs; 1 when every a is 0."""
-    factors = [_eisenstein_power(k, a, prec) for k, a in zip(weights, exponents) if a]
-    return reduce(operator.mul, factors) if factors else GradedSeries(QSeries.one(prec), 0)
-
-
-@lru_cache(maxsize=None)
+@_stored()
 def monomial_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
     """The basis E4^a E6^b (4a + 6b = k, a descending) of M_k: the constant
     1 at k = 0, and empty at k = 2, at odd k and at negative k."""
-    return tuple(_monomial(e, (4, 6), prec) for e in monomial_exponents(k))
+    return tuple(_monomials(monomial_exponents(k), (4, 6), prec))
 
 
 # Weights whose cusp space is one dimensional, carrying a unique
@@ -100,18 +169,26 @@ def monomial_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
 DELTA_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 
-@lru_cache(maxsize=None)
+def _check_cusp_prec(prec: int) -> None:
+    if prec < 1:
+        raise ValueError("cusp form construction needs prec >= 1")
+
+
+def _check_cusp(k: int, prec: int) -> None:
+    if k not in DELTA_WEIGHTS:
+        raise ValueError(f"no one-dimensional cusp space catalogued at weight {k}")
+    _check_cusp_prec(prec)
+
+
+@_stored(_check_cusp)
 def cusp_delta(k: int, prec: int) -> GradedSeries:
     """The unique normalized cusp form of weight k in {12,16,18,20,22,26}.
 
     Constructed by solving a_0 = 0, a_1 = 1 over the monomial basis, not
-    from the product identities it is later used to verify.
+    from the product identities it is later used to verify. The basis is
+    built unstored and dropped after the solve.
     """
-    if k not in DELTA_WEIGHTS:
-        raise ValueError(f"no one-dimensional cusp space catalogued at weight {k}")
-    if prec < 1:
-        raise ValueError("cusp form construction needs prec >= 1")
-    basis = monomial_basis(k, prec)
+    basis = monomial_basis.__wrapped__(k, prec)
     rows = [[b[0] for b in basis], [b[1] for b in basis]]
     coords = solve_linear(rows, [0, 1])
     if coords is None:
@@ -300,25 +377,27 @@ class GeneratorPoly:
         }
 
     def weight(self) -> int:
-        """The homogeneous weight, 0 for the zero polynomial; a mixed weight
-        is an error naming the monomials."""
+        """The homogeneous weight, 0 for the zero polynomial.
+
+        A mixed weight is an error naming the first monomial, without its
+        coefficient, of the first two weights met, and the number of
+        weights, so the message stays short for any polynomial.
+        """
         weights = self.monomial_weights()
         if len(set(weights.values())) > 1:
-            detail = ", ".join(
-                f"{GeneratorPoly({e: c})} (weight {weights[e]})" for e, c in self.monomials()
-            )
-            raise ValueError(f"polynomial is not weight-homogeneous: {detail}")
+            first: dict[int, tuple] = {}
+            for e, _ in self.monomials():
+                first.setdefault(weights[e], e)
+            named = [f"{GeneratorPoly({e: 1})} (weight {w})" for w, e in list(first.items())[:2]]
+            more = f", ... ({len(first)} weights)" if len(first) > 2 else ""
+            raise ValueError(f"polynomial is not weight-homogeneous: {', '.join(named)}{more}")
         return next(iter(weights.values()), 0)
-
-    def depth(self) -> int:
-        """Maximal E2-degree across monomials."""
-        return max((e[0] for e in self._terms), default=0)
 
     def evaluate(self, prec: int) -> GradedSeries:
         """The q-expansion of the polynomial, tagged with its weight."""
         weight = self.weight()
         monomials = self.monomials()
-        columns = [_monomial(e, _GENERATOR_WEIGHTS, prec) for e, _ in monomials]
+        columns = _monomials([e for e, _ in monomials], _GENERATOR_WEIGHTS, prec)
         return GradedSeries(_combination(columns, [c for _, c in monomials], prec), weight)
 
     @classmethod
@@ -462,7 +541,7 @@ class _PolyParser:
 
 def eval_generator_poly(poly: Union[str, GeneratorPoly], prec: int) -> GradedSeries:
     """Evaluate a weight-homogeneous polynomial in E2, E4, E6 to its form;
-    a mixed weight is an error naming the offending monomials."""
+    a mixed weight is an error naming two monomials of different weights."""
     if isinstance(poly, str):
         poly = GeneratorPoly.parse(poly)
     return poly.evaluate(prec)
@@ -494,7 +573,7 @@ CATALOG_NAMES = (
 )
 
 
-@lru_cache(maxsize=None)
+@_stored(_check_cusp_prec)
 def catalog(prec: int) -> tuple[FormCatalogEntry, ...]:
     """All catalog forms at the given precision, in fixed display order."""
     entries = [

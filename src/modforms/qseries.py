@@ -15,6 +15,17 @@ operation applies to it. The tag follows three rules:
   coefficients, so it never equals an untagged QSeries, in either order;
 - mixing: a form combined with an untagged QSeries by +, - or * gives an
   untagged QSeries, in either order.
+
+Two series multiply by Kronecker substitution (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC
+2009): each numerator tuple is packed into one big integer, one
+coefficient per w-bit slot, the two integers are multiplied once, and
+the product's coefficients are read back off the slots. The slot holds
+(prec+1) * max(1, max|a|) * max(1, max|b|), a bound on every product
+coefficient, plus a sign bit. A factor that is constant within the
+common precision scales the other instead. ``mul_reference``, a
+schoolbook product over Fractions that shares no code with it, is the
+oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -137,14 +148,17 @@ class QSeries:
         return QSeries.from_numerators([-a for a in self._nums], self._den)
 
     def __mul__(self, other):
+        """The product to the common precision, with a series (by Kronecker
+        substitution, or a scaling when one factor is constant there) or
+        with a rational scalar."""
         if isinstance(other, QSeries):
             prec = min(self.prec, other.prec)
             a, b = self._nums[: prec + 1], other._nums[: prec + 1]
             if not any(a[1:]):
                 a, b = b, a
             if any(b[1:]):
-                out = [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(prec + 1)]
-            else:  # a constant factor: scale instead of convolving
+                out = _kronecker_product(a, b)
+            else:  # a constant factor: scale instead of multiplying
                 out = [x * b[0] for x in a]
             return QSeries.from_numerators(out, self._den * other._den)
         scalar = as_rational(other)
@@ -182,11 +196,39 @@ class QSeries:
         return f"QSeries(prec={self.prec}, {_format_terms(self.coeffs, max_terms=6)})"
 
 
+def _pack(nums: Sequence[int], width: int) -> int:
+    """sum nums[i] * 2^(8*width*i), for |nums[i]| < 2^(8*width). The
+    positive and the negative parts are packed apart, each into unsigned
+    slots, and subtracted."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in nums)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in nums)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The first n = len(a) coefficients of the product of two integer
+    polynomials of length n, from their values at X = 2^w (see the module
+    docstring). Adding 2^(w-1) to each of the n low slots of the product
+    makes every digit nonnegative, and masking to n slots drops the
+    higher terms, which are multiples of X^n; what is left are the
+    digits c_m + 2^(w-1), where |c_m| < 2^(w-1)."""
+    n = len(a)
+    bound = n * max(1, max(map(abs, a))) * max(1, max(map(abs, b)))
+    width = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(w-1)
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    digits = (_pack(a, width) * _pack(b, width) + offset) & ((1 << (8 * width * n)) - 1)
+    data = digits.to_bytes(width * n, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)
+    ]
+
+
 def mul_reference(f: QSeries, g: QSeries) -> QSeries:
     """Schoolbook Cauchy product over Fractions.
 
-    Oracle for the integer-numerator product in QSeries.__mul__; the two
-    must agree bit for bit.
+    Oracle for the Kronecker-substitution product in QSeries.__mul__,
+    sharing none of its code; the two must agree bit for bit.
     """
     prec = min(f.prec, g.prec)
     out = []

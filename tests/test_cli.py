@@ -292,6 +292,14 @@ def test_oversized_input_is_one_error_line_at_once(command, error):
     assert result.output.splitlines() == [f"Error: {error}"]
 
 
+def test_mixed_weight_error_is_short():
+    result = invoke("hecke", "--input", "(E2+E4+E6)^36", "--n", "2", "--prec", "8")
+    assert result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: polynomial is not weight-homogeneous: E2^36 (weight 72)")
+    assert len(line) < 300
+
+
 def test_caps_admit_their_bounds():
     with pytest.warns(UserWarning, match="certifies only the constant term"):
         assert invoke("hecke", "--input", "E4", "--n", str(_MAX_PREC), "--prec", "8").exit_code == 0

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import modforms
+from modforms import forms
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,6 +54,13 @@ def test_tracer_instruments_a_cli_call():
     assert metrics["brackets.rankin_cohen.calls"] == 1
     assert metrics["forms.catalog.builds"] == 1
     assert metrics["qseries.mul.calls"] > 0
+
+
+def test_stored_builders_expose_cache_counts():
+    # tracer.instrument reads these four before it patches the engine.
+    for name in ("eisenstein", "monomial_basis", "cusp_delta", "catalog"):
+        info = getattr(forms, name).cache_info()
+        assert isinstance(info.hits, int) and isinstance(info.misses, int), name
 
 
 def test_every_export_resolves():

@@ -3,7 +3,11 @@ membership testing, and generator polynomials."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,7 +168,7 @@ class TestGeneratorPoly:
     def test_parse_ramanujan_identity(self):
         poly = GeneratorPoly.parse("(E2^2 - E4)/12")
         assert poly.weight() == 4
-        assert poly.depth() == 2
+        assert max(e2 for (e2, _, _), _ in poly.monomials()) == 2
         assert poly.evaluate(PREC) == eisenstein(2, PREC).derivative()
 
     def test_single_generator(self):
@@ -173,7 +177,7 @@ class TestGeneratorPoly:
     def test_product_weight_and_depth(self):
         poly = GeneratorPoly.parse("E2*E4")
         assert poly.weight() == 6
-        assert poly.depth() == 1
+        assert [e for e, _ in poly.monomials()] == [(1, 1, 0)]
         form = poly.evaluate(16)
         assert isinstance(form, GradedSeries) and form.weight == 6
 
@@ -278,6 +282,72 @@ class TestCatalog:
         assert catalog_form("E4", 8) == eisenstein(4, 8)
         with pytest.raises(ValueError):
             catalog_form("E12", 8)
+
+
+# Run in its own process, so the store starts empty.
+_CATALOG_COUNTS = """
+import sys
+from modforms.forms import catalog
+for prec in sys.argv[1:]:
+    catalog(int(prec))
+info = catalog.cache_info()
+print(info.hits, info.misses, info.currsize)
+"""
+
+
+class TestStore:
+    """Each builder keeps one value per form at the largest precision asked
+    for, and answers a smaller request by truncating it."""
+
+    @pytest.mark.parametrize(
+        "builder, k",
+        [
+            (eisenstein, 2),
+            (eisenstein, 12),
+            (cusp_delta, 12),
+            (cusp_delta, 26),
+            (monomial_basis, 24),
+        ],
+    )
+    def test_truncation_equals_a_fresh_build(self, builder, k):
+        builder(k, 300)
+        stored, fresh = builder(k, 120), builder.__wrapped__(k, 120)
+        pairs = zip(stored, fresh) if builder is monomial_basis else [(stored, fresh)]
+        for a, b in pairs:
+            assert a.prec == 120 and a.weight == b.weight
+            assert (a.numerators, a.denominator) == (b.numerators, b.denominator)
+
+    @pytest.mark.parametrize(
+        "precs, counts",
+        [((120, 160, 200, 240), (0, 4, 1)), ((240, 120), (1, 1, 1))],
+        ids=["ascending", "descending"],
+    )
+    def test_catalog_is_built_once_per_larger_precision(self, precs, counts):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CATALOG_COUNTS, *map(str, precs)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hits, misses, currsize = map(int, proc.stdout.split())
+        assert (hits, misses, currsize) == counts
+
+    @pytest.mark.parametrize(
+        "call, low, error",
+        [
+            (lambda p: cusp_delta(12, p), 0, "cusp form construction needs prec >= 1"),
+            (catalog, 0, "cusp form construction needs prec >= 1"),
+            (catalog, -1, "prec must be >= 0"),
+            (lambda p: eisenstein(4, p), -1, "prec must be >= 0"),
+            (lambda p: monomial_basis(12, p), -1, "prec must be >= 0"),
+        ],
+        ids=["cusp_delta", "catalog", "catalog-negative", "eisenstein", "monomial_basis"],
+    )
+    def test_domain_checks_run_before_the_store(self, call, low, error):
+        call(300)
+        with pytest.raises(ValueError, match=error):
+            call(low)
 
 
 class TestProductIdentities:

@@ -8,8 +8,9 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from modforms.forms import catalog_form
 from modforms.qseries import (
     GradedSeries,
     PrecisionError,
@@ -155,6 +156,62 @@ class TestProperties:
                 None,
             )
             assert first_difference(f, other) == expected
+
+
+# Small and large numerators of both signs, over unrelated denominators.
+numerators = st.one_of(
+    st.integers(-6, 6),
+    st.integers(2**100, 2**140).flatmap(lambda n: st.sampled_from([n, -n])),
+)
+numerator_series = st.builds(
+    QSeries.from_numerators,
+    st.lists(numerators, min_size=1, max_size=12),
+    st.integers(1, 10**6),
+)
+
+
+class TestKroneckerProduct:
+    """QSeries.__mul__ packs each operand into one big integer and reads
+    the product off fixed-width slots; mul_reference shares no code with
+    it and must agree bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(f, g):
+        product, expected = f * g, mul_reference(f, g)
+        assert product.numerators == expected.numerators
+        assert product.denominator == expected.denominator
+
+    # a_1 of the product is 2^127 = n * max|a| * max|b|, the slot bound, and
+    # its bit length is a whole number of bytes: the sign bit must be extra.
+    @example(QSeries.from_numerators([2**63, 2**63], 1), QSeries.from_numerators([2**63, 2**63], 1))
+    @given(numerator_series, numerator_series)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, f, g):
+        self.assert_matches_reference(f, g)
+
+    @given(numerator_series, st.integers(0, 11))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_operand(self, f, prec):
+        zero = QSeries.zero(prec)
+        self.assert_matches_reference(f, zero)
+        self.assert_matches_reference(zero, f)
+
+    @given(numerator_series, numerator_series)
+    @settings(max_examples=60, deadline=None)
+    def test_prec_zero(self, f, g):
+        self.assert_matches_reference(f.truncate(0), g)
+
+    @given(numerator_series, numerator_series, st.integers(0, 20), st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_tag(self, f, g, k, l):
+        product = GradedSeries(f, k) * GradedSeries(g, l)
+        assert type(product) is GradedSeries and product.weight == k + l
+        self.assert_matches_reference(GradedSeries(f, k), GradedSeries(g, l))
+
+    def test_catalog_product_at_prec_512(self):
+        left = catalog_form("Delta12", 512) * catalog_form("E2", 512)
+        right = catalog_form("E14", 512).derivative()
+        self.assert_matches_reference(left, right)
 
 
 class TestSerialization:
