@@ -9,12 +9,13 @@ at a smaller precision is answered by truncating the stored value, which
 equals a fresh build because a series is kept in lowest terms; a larger
 one rebuilds and replaces it. Memory is therefore bounded by the number
 of forms a process asks for, each held once at its largest precision,
-and not by the number of precisions it asks at. Nothing built on the way
-is kept: the powers of E4 and E6 live for one basis or polynomial, and
-the bases that ``cusp_delta`` solves over are not stored. Each builder
-has ``cache_info()`` with its hits (requests answered from the store),
-misses (builds) and currsize (forms held), and ``__wrapped__``, the
-unstored builder.
+and not by the number of precisions it asks at. ``eisenstein_power``
+keeps one ladder E_k^0, E_k^1, ... per generator E_k the same way, grown
+by one product per new rung, for the monomials; ``cusp_delta`` solves
+over the stored basis. Each builder has ``cache_info()`` with its hits
+(requests answered from the store), misses (builds or growths) and
+currsize (forms or ladders held), and all but the ladder have
+``__wrapped__``, the unstored builder.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
 
 __all__ = [
     "eisenstein",
+    "eisenstein_power",
     "dim_modular",
     "monomial_exponents",
     "monomial_basis",
@@ -135,24 +137,34 @@ def dim_modular(k: int) -> int:
     return len(monomial_exponents(k))
 
 
+_LADDERS: dict[int, tuple[int, list[GradedSeries]]] = {}  # k -> (prec, powers)
+_LADDER_COUNTS = [0, 0]  # hits, misses
+
+
+def eisenstein_power(k: int, a: int, prec: int) -> GradedSeries:
+    """E_k^a, read from the one ladder of E_k (see the module docstring)."""
+    have, ladder = _LADDERS.get(k, (-1, []))
+    miss = have < prec or len(ladder) <= a
+    if not 0 <= prec <= have:  # eisenstein refuses a negative prec
+        have, ladder = prec, [GradedSeries(QSeries.one(prec), 0), eisenstein(k, prec)]
+        _LADDERS[k] = (prec, ladder)
+    _LADDER_COUNTS[miss] += 1
+    while len(ladder) <= a:
+        ladder.append(ladder[-1] * ladder[1])
+    return ladder[a] if have == prec else ladder[a].truncate(prec)
+
+
+eisenstein_power.cache_info = lambda: CacheInfo(*_LADDER_COUNTS, len(_LADDERS))
+
+
 def _monomials(
     rows: Sequence[Sequence[int]], weights: Sequence[int], prec: int
 ) -> list[GradedSeries]:
-    """For each row of exponents, the product of E_k^a over the (k, a)
-    pairs, 1 when every a is 0. The powers E_k^a are multiplied up in a
-    loop and shared by the rows, and dropped with the call."""
+    """Per row of exponents, the product of E_k^a over its (k, a) pairs."""
     one = GradedSeries(QSeries.one(prec), 0)
-    powers: dict[int, list[GradedSeries]] = {}
-
-    def power(k: int, a: int) -> GradedSeries:
-        ladder = powers.setdefault(k, [one, eisenstein(k, prec)])
-        while len(ladder) <= a:
-            ladder.append(ladder[-1] * ladder[1])
-        return ladder[a]
-
     out = []
     for row in rows:
-        factors = [power(k, a) for k, a in zip(weights, row) if a]
+        factors = [eisenstein_power(k, a, prec) for k, a in zip(weights, row) if a]
         out.append(reduce(operator.mul, factors) if factors else one)
     return out
 
@@ -184,11 +196,10 @@ def _check_cusp(k: int, prec: int) -> None:
 def cusp_delta(k: int, prec: int) -> GradedSeries:
     """The unique normalized cusp form of weight k in {12,16,18,20,22,26}.
 
-    Constructed by solving a_0 = 0, a_1 = 1 over the monomial basis, not
-    from the product identities it is later used to verify. The basis is
-    built unstored and dropped after the solve.
+    Constructed by solving a_0 = 0, a_1 = 1 over the stored monomial
+    basis, not from the product identities it is later used to verify.
     """
-    basis = monomial_basis.__wrapped__(k, prec)
+    basis = monomial_basis(k, prec)
     rows = [[b[0] for b in basis], [b[1] for b in basis]]
     coords = solve_linear(rows, [0, 1])
     if coords is None:

@@ -496,26 +496,34 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
     to the top catalog weight.
 
     Every hit must land on the Eisenstein line of its weight or in a
-    one-dimensional cusp space; the m = 0 slice must reproduce exactly
-    the modular product hits.
+    one-dimensional cusp space, and a hit c*f on such a line f takes c
+    times the coordinates of f, solved once per line; the m = 0 slice
+    must reproduce exactly the modular product hits.
     """
     start = time.perf_counter()
     report = VerificationReport("brackets")
 
     skipped: list[str] = []
     hits: list[BracketHit] = []
+    lines: dict[tuple[int, str], list[Fraction] | None] = {}  # coordinates of each line
+    e4e6_1 = None
     for key, bracket, result in _eigen_scan(_bracket_candidates(prec), prec, skipped):
         weight = bracket.weight
-        coords = is_modular_member(bracket, weight)
         if bracket[0] != 0:
-            classification = "eisenstein-line"
-            matches = bracket == eisenstein(weight, prec) * bracket[0]
+            classification, scale = "eisenstein-line", bracket[0]
+            line = eisenstein(weight, prec)
         else:
-            classification = "cusp"
-            matches = (
-                weight in DELTA_WEIGHTS
-                and bracket == cusp_delta(weight, prec) * bracket[1]
-            )
+            classification, scale = "cusp", bracket[1]
+            line = cusp_delta(weight, prec) if weight in DELTA_WEIGHTS else None
+        matches = line is not None and bracket == line * scale
+        if matches:
+            if (weight, classification) not in lines:
+                lines[weight, classification] = is_modular_member(line, weight)
+            line_coords = lines[weight, classification]
+            coords = None if line_coords is None else [c * scale for c in line_coords]
+        else:
+            coords = is_modular_member(bracket, weight)
+        e4e6_1 = bracket if key == ("E4", "E6", 1) else e4e6_1
         hit = BracketHit(
             *key,
             weight,
@@ -548,7 +556,8 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
         },
     )
 
-    e4e6_1 = rankin_cohen(catalog_form("E4", prec), catalog_form("E6", prec), 1)
+    if e4e6_1 is None:  # the scan yields no hit below _FULL_TEST_PREC
+        e4e6_1 = rankin_cohen(catalog_form("E4", prec), catalog_form("E6", prec), 1)
     target = catalog_form("Delta12", prec) * (-3456)
     report.add(*_equality("brackets.e4_e6_1", "[E4,E6]_1 = -3456 * Delta12", e4e6_1, target))
     report.add(

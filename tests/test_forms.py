@@ -21,6 +21,7 @@ from modforms.forms import (
     cusp_delta,
     dim_modular,
     eisenstein,
+    eisenstein_power,
     eval_generator_poly,
     is_modular_member,
     monomial_basis,
@@ -284,7 +285,7 @@ class TestCatalog:
             catalog_form("E12", 8)
 
 
-# Run in its own process, so the store starts empty.
+# Each script runs in its own process, so the stores start empty.
 _CATALOG_COUNTS = """
 import sys
 from modforms.forms import catalog
@@ -293,6 +294,55 @@ for prec in sys.argv[1:]:
 info = catalog.cache_info()
 print(info.hits, info.misses, info.currsize)
 """
+
+# Series products made by catalog(768), then by the identity suite after it.
+_PRODUCT_COUNTS = """
+from modforms import qseries
+from modforms.forms import catalog
+from modforms.verify import verify_identity_suite
+calls = [0]
+kronecker = qseries._kronecker_product
+def spy(a, b):
+    calls[0] += 1
+    return kronecker(a, b)
+qseries._kronecker_product = spy
+catalog(768)
+made = calls[0]
+verify_identity_suite(768)
+print(made, calls[0] - made)
+"""
+
+# Store hits and misses of the cusp-weight bases asked for after a catalog.
+_CUSP_BASES = """
+from modforms.forms import DELTA_WEIGHTS, catalog, monomial_basis
+catalog(200)
+before = monomial_basis.cache_info()
+for k in DELTA_WEIGHTS:
+    monomial_basis(k, 200)
+after = monomial_basis.cache_info()
+print(after.hits - before.hits, after.misses - before.misses)
+"""
+
+_LADDER_COUNTS = """
+import sys
+from modforms.forms import eisenstein_power
+for prec in sys.argv[1:]:
+    eisenstein_power(4, 3, int(prec))
+info = eisenstein_power.cache_info()
+print(info.hits, info.misses, info.currsize)
+"""
+
+
+def _fresh(script: str, *args) -> tuple[int, ...]:
+    """The integers a script prints, run in a new interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(int, proc.stdout.split()))
 
 
 class TestStore:
@@ -323,15 +373,35 @@ class TestStore:
         ids=["ascending", "descending"],
     )
     def test_catalog_is_built_once_per_larger_precision(self, precs, counts):
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", _CATALOG_COUNTS, *map(str, precs)],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        hits, misses, currsize = map(int, proc.stdout.split())
-        assert (hits, misses, currsize) == counts
+        assert _fresh(_CATALOG_COUNTS, *precs) == counts
+
+    def test_powers_are_multiplied_once(self):
+        # One shared ladder per generator; a ladder per basis build makes
+        # 34 and then 79.
+        catalog_products, identity_products = _fresh(_PRODUCT_COUNTS)
+        assert catalog_products <= 13
+        assert identity_products <= 37
+
+    def test_catalog_leaves_the_cusp_bases_stored(self):
+        assert _fresh(_CUSP_BASES) == (len(DELTA_WEIGHTS), 0)
+
+    @pytest.mark.parametrize(
+        "precs, counts",
+        [((120, 300, 200), (1, 2, 1)), ((300, 120, 300), (2, 1, 1))],
+        ids=["ascending", "descending"],
+    )
+    def test_a_larger_precision_replaces_the_ladder(self, precs, counts):
+        assert _fresh(_LADDER_COUNTS, *precs) == counts
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_powers_below_the_ladder_equal_a_fresh_build(self, k):
+        eisenstein_power(k, 5, 300)
+        fresh = eisenstein.__wrapped__(k, 120)
+        for a in range(1, 6):
+            stored = eisenstein_power(k, a, 120)
+            assert stored.prec == 120 and stored.weight == k * a
+            assert (stored.numerators, stored.denominator) == (fresh.numerators, fresh.denominator)
+            fresh = fresh * eisenstein.__wrapped__(k, 120)
 
     @pytest.mark.parametrize(
         "call, low, error",
@@ -341,8 +411,12 @@ class TestStore:
             (catalog, -1, "prec must be >= 0"),
             (lambda p: eisenstein(4, p), -1, "prec must be >= 0"),
             (lambda p: monomial_basis(12, p), -1, "prec must be >= 0"),
+            (lambda p: eisenstein_power(4, 2, p), -1, "prec must be >= 0"),
         ],
-        ids=["cusp_delta", "catalog", "catalog-negative", "eisenstein", "monomial_basis"],
+        ids=[
+            "cusp_delta", "catalog", "catalog-negative", "eisenstein", "monomial_basis",
+            "eisenstein_power",
+        ],
     )
     def test_domain_checks_run_before_the_store(self, call, low, error):
         call(300)

@@ -1,8 +1,10 @@
 """Independent oracles: each expectation is computed here, sharing no code
 path with the engine. Delta12 is checked in plain integers against the
 cusp-form solve, the integer Hecke kernel against its formula summed in
-Fractions straight from the coefficients, and the eigenvalues of every
-product and bracket hit against closed forms that use no Hecke code."""
+Fractions straight from the coefficients, the eigenvalues of every
+product and bracket hit against closed forms that use no Hecke code, and
+the coordinates of every bracket hit, which the search reads off its
+line, against a membership solve on the bracket itself."""
 
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from modforms.forms import catalog_form, cusp_delta
+from modforms.brackets import rankin_cohen
+from modforms.forms import catalog_form, cusp_delta, is_modular_member
 from modforms.hecke import hecke, hecke_nearly
 from modforms.nearly import e2_star
 from modforms.verify import bracket_search, product_search
@@ -130,3 +133,11 @@ def test_hit_eigenvalues_match_closed_forms(search, formula, count):
         assert [n for n, _ in hit.eigenvalues] == list(range(1, 11)), hit.key
         for n, eigenvalue in hit.eigenvalues:
             assert eigenvalue == expected(n), (hit.key, n)
+
+
+def test_bracket_hit_coordinates_match_a_direct_solve():
+    hits, _ = bracket_search(PREC)
+    assert len(hits) == 64
+    for hit in hits:
+        form = rankin_cohen(catalog_form(hit.g, PREC), catalog_form(hit.h, PREC), hit.m)
+        assert hit.coordinates == tuple(is_modular_member(form, hit.weight)), hit.key

@@ -181,10 +181,10 @@ def _full_products(monkeypatch, run, prec):
 class TestSharedProducts:
     def test_bracket_suite(self, monkeypatch):
         # Each pair builds D^i(g)*h once, up to its largest sieve-passing
-        # order (the textbook sum, m + 1 products per bracket, makes 174).
-        # Only the closing [E4,E6]_1 check repeats two: E4*E6, D(E4)*E6.
+        # order (the textbook sum, m + 1 products per bracket, makes 174),
+        # and the closing [E4,E6]_1 check reuses the scan's hit.
         products = _full_products(monkeypatch, lambda: bracket_search(256), 256)
-        assert len(products) == 95
+        assert len(products) == 93
         assert len(set(products)) == 93
 
     def test_identity_suite(self, monkeypatch):
