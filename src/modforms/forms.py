@@ -2,20 +2,17 @@
 normalized cusp forms, exact membership tests against M_k, and evaluation
 of polynomials in the quasimodular generators E2, E4, E6.
 
-The four builders ``eisenstein``, ``monomial_basis``, ``cusp_delta`` and
-``catalog`` each keep one store: one value per form (per weight, or the
-one catalog), built at the largest precision asked for so far. A request
-at a smaller precision is answered by truncating the stored value, which
-equals a fresh build because a series is kept in lowest terms; a larger
-one rebuilds and replaces it. Memory is therefore bounded by the number
-of forms a process asks for, each held once at its largest precision,
-and not by the number of precisions it asks at. ``eisenstein_power``
-keeps one ladder E_k^0, E_k^1, ... per generator E_k the same way, grown
-by one product per new rung, for the monomials; ``cusp_delta`` solves
-over the stored basis. Each builder has ``cache_info()`` with its hits
-(requests answered from the store), misses (builds or growths) and
-currsize (forms or ladders held), and all but the ladder have
-``__wrapped__``, the unstored builder.
+The builders ``eisenstein``, ``eisenstein_power``, ``monomial_basis``,
+``cusp_delta`` and ``catalog`` each keep one store: one value per form
+(per weight, per power, or the one catalog), built at the largest
+precision asked for so far. A request at a smaller precision is answered
+by truncating the stored value, which equals a fresh build because a
+series is kept in lowest terms; a larger one rebuilds and replaces it.
+Memory is therefore bounded by the number of forms a process asks for,
+each held once at its largest precision, and not by the number of
+precisions it asks at. Each builder has ``cache_info()`` with its hits
+(requests answered from the store), misses (builds) and currsize (forms
+held), and ``__wrapped__``, the unstored builder.
 """
 
 from __future__ import annotations
@@ -137,24 +134,22 @@ def dim_modular(k: int) -> int:
     return len(monomial_exponents(k))
 
 
-_LADDERS: dict[int, tuple[int, list[GradedSeries]]] = {}  # k -> (prec, powers)
-_LADDER_COUNTS = [0, 0]  # hits, misses
+def _check_power(k: int, a: int, prec: int) -> None:
+    _check_eisenstein(k, prec)
+    if a < 0:
+        raise ValueError(f"Eisenstein powers require a >= 0, got {a}")
 
 
+@_stored(_check_power)
 def eisenstein_power(k: int, a: int, prec: int) -> GradedSeries:
-    """E_k^a, read from the one ladder of E_k (see the module docstring)."""
-    have, ladder = _LADDERS.get(k, (-1, []))
-    miss = have < prec or len(ladder) <= a
-    if not 0 <= prec <= have:  # eisenstein refuses a negative prec
-        have, ladder = prec, [GradedSeries(QSeries.one(prec), 0), eisenstein(k, prec)]
-        _LADDERS[k] = (prec, ladder)
-    _LADDER_COUNTS[miss] += 1
-    while len(ladder) <= a:
-        ladder.append(ladder[-1] * ladder[1])
-    return ladder[a] if have == prec else ladder[a].truncate(prec)
-
-
-eisenstein_power.cache_info = lambda: CacheInfo(*_LADDER_COUNTS, len(_LADDERS))
+    """E_k^a, the product of its two stored halves E_k^ceil(a/2) and
+    E_k^floor(a/2): one product per power when the powers below it are
+    held, and about 2 log2(a) for a lone high power."""
+    if a == 0:
+        return GradedSeries(QSeries.one(prec), 0)
+    if a == 1:
+        return eisenstein(k, prec)
+    return eisenstein_power(k, (a + 1) // 2, prec) * eisenstein_power(k, a // 2, prec)
 
 
 def _monomials(

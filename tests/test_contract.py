@@ -58,7 +58,7 @@ def test_tracer_instruments_a_cli_call():
 
 def test_stored_builders_expose_cache_counts():
     # tracer.instrument reads the first four before it patches the engine;
-    # the power ladders expose the same counts for it to read.
+    # eisenstein_power is on the same store and exposes the same counts.
     for name in ("eisenstein", "monomial_basis", "cusp_delta", "catalog", "eisenstein_power"):
         info = getattr(forms, name).cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int), name

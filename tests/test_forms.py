@@ -323,13 +323,52 @@ after = monomial_basis.cache_info()
 print(after.hits - before.hits, after.misses - before.misses)
 """
 
-_LADDER_COUNTS = """
+_POWER_COUNTS = """
 import sys
 from modforms.forms import eisenstein_power
 for prec in sys.argv[1:]:
     eisenstein_power(4, 3, int(prec))
 info = eisenstein_power.cache_info()
 print(info.hits, info.misses, info.currsize)
+"""
+
+# The number of series products a polynomial makes after a catalog, and
+# the largest precision any of them is made at.
+_PRODUCTS_AFTER_A_CATALOG = """
+import sys
+from modforms import qseries
+from modforms.forms import catalog, eval_generator_poly
+precs = []
+kronecker = qseries._kronecker_product
+def spy(a, b):
+    precs.append(len(a) - 1)
+    return kronecker(a, b)
+qseries._kronecker_product = spy
+catalog(int(sys.argv[1]))
+del precs[:]
+eval_generator_poly(sys.argv[2], int(sys.argv[3]))
+print(len(precs), max(precs, default=0))
+"""
+
+# The exponents a, of 0..9 and 37 asked in the order given, whose E_k^a at
+# prec 24 differs from a chain of schoolbook products of E_k.
+_POWERS_AGAINST_THE_ORACLE = """
+import sys
+from modforms.forms import eisenstein, eisenstein_power
+from modforms.qseries import QSeries, mul_reference
+k, order = int(sys.argv[1]), sys.argv[2]
+e = eisenstein.__wrapped__(k, 24)
+chain = [QSeries.one(24)]
+for _ in range(37):
+    chain.append(mul_reference(chain[-1], e))
+exponents = [*range(10), 37]
+wrong = []
+for a in exponents if order == "ascending" else exponents[::-1]:
+    power = eisenstein_power(k, a, 24)
+    same = (power.numerators, power.denominator) == (chain[a].numerators, chain[a].denominator)
+    if not (same and power.prec == 24 and power.weight == k * a):
+        wrong.append(a)
+print(*wrong)
 """
 
 
@@ -376,8 +415,8 @@ class TestStore:
         assert _fresh(_CATALOG_COUNTS, *precs) == counts
 
     def test_powers_are_multiplied_once(self):
-        # One shared ladder per generator; a ladder per basis build makes
-        # 34 and then 79.
+        # Each power is stored once and built from its stored halves; a
+        # ladder of powers per basis build makes 34 and then 79.
         catalog_products, identity_products = _fresh(_PRODUCT_COUNTS)
         assert catalog_products <= 13
         assert identity_products <= 37
@@ -387,11 +426,24 @@ class TestStore:
 
     @pytest.mark.parametrize(
         "precs, counts",
-        [((120, 300, 200), (1, 2, 1)), ((300, 120, 300), (2, 1, 1))],
+        [((120, 300, 200), (5, 6, 3)), ((300, 120, 300), (4, 3, 3))],
         ids=["ascending", "descending"],
     )
-    def test_a_larger_precision_replaces_the_ladder(self, precs, counts):
-        assert _fresh(_LADDER_COUNTS, *precs) == counts
+    def test_a_larger_precision_replaces_each_power(self, precs, counts):
+        # E4^3 is built from E4^2 and E4^1, each stored once per larger
+        # precision; the 200 and the second 300 are answered from the store.
+        assert _fresh(_POWER_COUNTS, *precs) == counts
+
+    @pytest.mark.parametrize(
+        "catalog_prec, poly, prec, most",
+        [(512, "E4^500", 8, 18), (2048, "E4^9*E6^3", 16, 2)],
+        ids=["E4^500", "E4^9*E6^3"],
+    )
+    def test_powers_are_multiplied_at_the_precision_asked(self, catalog_prec, poly, prec, most):
+        # A new power costs about 2 log2(a) products at the precision asked,
+        # whatever larger precision the catalog left its halves stored at.
+        products, highest = _fresh(_PRODUCTS_AFTER_A_CATALOG, catalog_prec, poly, prec)
+        assert products <= most and highest <= prec
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_powers_below_the_ladder_equal_a_fresh_build(self, k):
@@ -402,6 +454,8 @@ class TestStore:
             assert stored.prec == 120 and stored.weight == k * a
             assert (stored.numerators, stored.denominator) == (fresh.numerators, fresh.denominator)
             fresh = fresh * eisenstein.__wrapped__(k, 120)
+        for order in ("ascending", "descending"):
+            assert _fresh(_POWERS_AGAINST_THE_ORACLE, k, order) == (), order
 
     @pytest.mark.parametrize(
         "call, low, error",
@@ -412,10 +466,11 @@ class TestStore:
             (lambda p: eisenstein(4, p), -1, "prec must be >= 0"),
             (lambda p: monomial_basis(12, p), -1, "prec must be >= 0"),
             (lambda p: eisenstein_power(4, 2, p), -1, "prec must be >= 0"),
+            (lambda a: eisenstein_power(4, a, 6), -1, "Eisenstein powers require a >= 0"),
         ],
         ids=[
             "cusp_delta", "catalog", "catalog-negative", "eisenstein", "monomial_basis",
-            "eisenstein_power",
+            "eisenstein_power", "eisenstein_power-exponent",
         ],
     )
     def test_domain_checks_run_before_the_store(self, call, low, error):
