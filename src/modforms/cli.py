@@ -231,8 +231,11 @@ def verify_cmd(ctx, suite: str, prec: int, as_json: bool, out: str | None):
         payload = jsonlib.dumps(report.to_json_dict(), indent=2)
         text = payload if as_json else "\n".join(report.summary_lines())
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {out}: {exc.strerror}") from exc
     click.echo(text)
     ctx.exit(0 if report.all_passed() else 1)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce, wraps
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .exactmath import as_rational, bernoulli, sigma, solve_linear
+from .exactmath import as_rational, bernoulli, solve_linear
 from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
 
 __all__ = [
@@ -111,12 +111,18 @@ def _check_eisenstein(k: int, prec: int) -> None:
 def eisenstein(k: int, prec: int) -> GradedSeries:
     """Weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(m) q^m.
 
-    k = 2 gives the quasimodular E2; k >= 4 the modular series.
+    k = 2 gives the quasimodular E2; k >= 4 the modular series. The
+    divisor sums come from one sieve: d^(k-1) is added to every multiple
+    of each d <= prec.
     """
     factor = -Fraction(2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)]
-    coeffs.extend(factor * sigma(k - 1, m) for m in range(1, prec + 1))
-    return GradedSeries(QSeries(coeffs, prec=prec), k)
+    sums = [0] * (prec + 1)
+    for d in range(1, prec + 1):
+        power = d ** (k - 1)
+        for m in range(d, prec + 1, d):
+            sums[m] += power
+    nums = [factor.denominator] + [factor.numerator * s for s in sums[1:]]
+    return GradedSeries(QSeries.from_numerators(nums, factor.denominator), k)
 
 
 def monomial_exponents(k: int) -> list[tuple[int, int]]:

@@ -16,16 +16,20 @@ operation applies to it. The tag follows three rules:
 - mixing: a form combined with an untagged QSeries by +, - or * gives an
   untagged QSeries, in either order.
 
-Two series multiply by Kronecker substitution (D. Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", JSC
-2009): each numerator tuple is packed into one big integer, one
-coefficient per w-bit slot, the two integers are multiplied once, and
-the product's coefficients are read back off the slots. The slot holds
-(prec+1) * max(1, max|a|) * max(1, max|b|), a bound on every product
-coefficient, plus a sign bit. A factor that is constant within the
-common precision scales the other instead. ``mul_reference``, a
-schoolbook product over Fractions that shares no code with it, is the
-oracle the tests hold it to.
+Two series multiply by two-point Kronecker substitution, KS2 (D.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", JSC 2009): the even- and odd-indexed numerators of each
+operand are packed apart into big integers, one coefficient per w-bit
+slot, and combined into the operand's values at X = +-2^(w/2). Two
+half-length products replace one of full length (squarings when the
+operands are equal), and the even and odd coefficients of the product
+are read back off the w-bit slots of their half sum and half
+difference. Each slot still holds one product coefficient, so it keeps
+the one-point bound (prec+1) * max(1, max|a|) * max(1, max|b|) on
+every product coefficient, plus a sign bit. A factor that is constant
+within the common precision scales the other instead.
+``mul_reference``, a schoolbook product over Fractions that shares no
+code with it, is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import as_rational, rational_str
+from .exactmath import as_rational
 
 __all__ = [
     "PrecisionError",
@@ -184,10 +188,13 @@ class QSeries:
     # -- serialization and display ---------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "prec": self.prec,
-            "coeffs": [rational_str(c) for c in self.coeffs],
-        }
+        """Coefficients as the "num/den" strings of ``rational_str``."""
+        den = self._den
+        coeffs = []
+        for a in self._nums:
+            g = gcd(a, den)
+            coeffs.append(f"{a // g}/{den // g}")
+        return {"prec": self.prec, "coeffs": coeffs}
 
     def __str__(self) -> str:
         return f"{_format_terms(self.coeffs)} + O(q^{self.prec + 1})"
@@ -205,23 +212,44 @@ def _pack(nums: Sequence[int], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """The digits c_0..c_{count-1} of value = sum_j c_j * 2^(8*width*j),
+    for |c_j| < 2^(8*width-1). Adding 2^(w-1) to each of the count low
+    slots makes every digit nonnegative, and masking to count slots drops
+    the higher terms; what is left are the digits c_j + 2^(w-1)."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    digits = (value + offset) & ((1 << (8 * width * count)) - 1)
+    data = digits.to_bytes(width * count, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little") - half
+        for i in range(0, width * count, width)
+    ]
+
+
 def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The first n = len(a) coefficients of the product of two integer
-    polynomials of length n, from their values at X = 2^w (see the module
-    docstring). Adding 2^(w-1) to each of the n low slots of the product
-    makes every digit nonnegative, and masking to n slots drops the
-    higher terms, which are multiples of X^n; what is left are the
-    digits c_m + 2^(w-1), where |c_m| < 2^(w-1)."""
+    """The first n = len(a) coefficients of the product c of two integer
+    polynomials of length n, from their values at X = +-2^(w/2) (see the
+    module docstring). With a(X) = a_even(X^2) + X a_odd(X^2), and X^2 =
+    2^w, those values are a_even(2^w) +- 2^(w/2) a_odd(2^w). The sum of
+    the two values of c is 2 c_even(2^w), and their difference is
+    2^(w/2+1) c_odd(2^w): each is read off w-bit slots by ``_unpack``."""
     n = len(a)
     bound = n * max(1, max(map(abs, a))) * max(1, max(map(abs, b)))
     width = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(w-1)
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    digits = (_pack(a, width) * _pack(b, width) + offset) & ((1 << (8 * width * n)) - 1)
-    data = digits.to_bytes(width * n, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)
-    ]
+    shift = 4 * width  # w/2 bits
+
+    def values(nums):
+        even, odd = _pack(nums[0::2], width), _pack(nums[1::2], width) << shift
+        return even + odd, even - odd
+
+    a_plus, a_minus = values(a)
+    b_plus, b_minus = (a_plus, a_minus) if a == b else values(b)
+    plus, minus = a_plus * b_plus, a_minus * b_minus  # squarings when a == b
+    out = [0] * n
+    out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)
+    out[1::2] = _unpack((plus - minus) >> (shift + 1), n // 2, width)
+    return out
 
 
 def mul_reference(f: QSeries, g: QSeries) -> QSeries:

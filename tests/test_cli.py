@@ -205,6 +205,20 @@ class TestVerify:
         for check in data["checks"]:
             assert set(check) == {"id", "anchor", "pass", "witness"}
 
+    # A missing directory fails when the report is written; a directory
+    # fails click's path check before the suite runs. Neither is a traceback.
+    @pytest.mark.parametrize(
+        "name, message",
+        [("missing/report.json", "No such file or directory"), (".", "is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_out_path_that_cannot_be_written(self, tmp_path, name, message):
+        result = invoke("verify", "--suite", "ghitza", "--out", str(tmp_path / name))
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0]
+
     def test_identity_precision_guard(self):
         result = invoke("verify", "--suite", "identities", "--prec", "32")
         assert result.exit_code != 0

@@ -27,7 +27,7 @@ from modforms.forms import (
     monomial_basis,
     monomial_exponents,
 )
-from modforms.exactmath import solve_linear
+from modforms.exactmath import bernoulli, sigma, solve_linear
 from modforms.qseries import GradedSeries, PrecisionError, QSeries, mul_reference
 
 PREC = 64
@@ -64,6 +64,14 @@ class TestEisenstein:
         assert eisenstein(8, 2).coeffs == (1, 480, 61920)
         assert eisenstein(10, 2).coeffs == (1, -264, -135432)
         assert eisenstein(14, 2).coeffs == (1, -24, -196632)
+
+    # The builder sieves the divisor sums; the oracle takes each one from
+    # trial division.
+    @pytest.mark.parametrize("k", range(2, 31, 2))
+    def test_sieve_matches_trial_division(self, k):
+        factor = -Fraction(2 * k) / bernoulli(k)
+        expected = QSeries([1] + [factor * sigma(k - 1, m) for m in range(1, 201)])
+        assert eisenstein.__wrapped__(k, 200) == GradedSeries(expected, k)
 
     @pytest.mark.parametrize("k", [0, 1, 3, -4])
     def test_domain_errors(self, k):

@@ -15,6 +15,7 @@ from modforms.qseries import (
     GradedSeries,
     PrecisionError,
     QSeries,
+    _kronecker_product,
     first_difference,
     mul_reference,
 )
@@ -181,13 +182,39 @@ class TestKroneckerProduct:
         assert product.numerators == expected.numerators
         assert product.denominator == expected.denominator
 
-    # a_1 of the product is 2^127 = n * max|a| * max|b|, the slot bound, and
-    # its bit length is a whole number of bytes: the sign bit must be extra.
+    # A coefficient of the product reaches n * max|a| * max|b|, the slot
+    # bound, and its bit length is a whole number of bytes: the sign bit
+    # must be extra. a_1 = +-2^127 (an odd slot) at length 2, as a square
+    # and not; a_2 = 3 * 2^126 (an even slot) at length 3.
     @example(QSeries.from_numerators([2**63, 2**63], 1), QSeries.from_numerators([2**63, 2**63], 1))
+    @example(QSeries.from_numerators([2**63, 2**63], 1), QSeries.from_numerators([-(2**63)] * 2, 1))
+    @example(
+        QSeries.from_numerators([2**63, -(2**63), 2**63], 1),
+        QSeries.from_numerators([2**63, -(2**63), 2**63], 1),
+    )
     @given(numerator_series, numerator_series)
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, f, g):
         self.assert_matches_reference(f, g)
+
+    # The product is read off two evaluations, at +2^(w/2) and -2^(w/2):
+    # even and odd parts of opposite signs make the two differ in sign.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_even_and_odd_parts_of_opposite_signs(self, n):
+        a = tuple((-1) ** i * (i + 2) for i in range(n))
+        b = tuple((-1) ** (i + 1) * (2**70 + i) for i in range(n))
+        expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
+        assert _kronecker_product(a, b) == list(expected.numerators)
+
+    # Equal operands are packed once and squared, whether they are one
+    # tuple or two equal ones.
+    @given(numerator_series)
+    @settings(max_examples=60, deadline=None)
+    def test_square(self, f):
+        twin = QSeries.from_numerators(list(f.numerators), f.denominator)
+        assert twin.numerators == f.numerators and twin.numerators is not f.numerators
+        self.assert_matches_reference(f, f)
+        self.assert_matches_reference(f, twin)
 
     @given(numerator_series, st.integers(0, 11))
     @settings(max_examples=60, deadline=None)
@@ -211,6 +238,12 @@ class TestKroneckerProduct:
     def test_catalog_product_at_prec_512(self):
         left = catalog_form("Delta12", 512) * catalog_form("E2", 512)
         right = catalog_form("E14", 512).derivative()
+        self.assert_matches_reference(left, right)
+
+    # 302 coefficients, an even count; prec 512 above has an odd one.
+    def test_catalog_product_at_prec_301(self):
+        left = catalog_form("E4", 301) * catalog_form("E6", 301)
+        right = catalog_form("Delta16", 301).derivative()
         self.assert_matches_reference(left, right)
 
 
