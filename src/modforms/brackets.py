@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from math import lcm
+
 from .exactmath import binomial
 from .forms import _MAX_EISENSTEIN_WEIGHT
-from .qseries import GradedSeries
+from .qseries import GradedSeries, QSeries
 
 __all__ = ["rankin_cohen"]
 
@@ -60,8 +62,11 @@ def rankin_cohen(
             for r in range(i + 1)
         )
 
-    # Horner's rule in D: (((beta_0 Q_0)' + beta_1 Q_1)' + ...)' + beta_m Q_m.
-    total = products[0] * beta(0)
-    for i in range(1, m + 1):
-        total = total.derivative() + products[i] * beta(i)
-    return total
+    # Horner's rule in D, (((beta_0 Q_0)' + beta_1 Q_1)' + ...)' + beta_m Q_m,
+    # on integer numerators over the lcm L of the denominators of Q_i.
+    den = lcm(*(q.denominator for q in products[: m + 1]))
+    total = [0] * (products[0].prec + 1)
+    for i in range(m + 1):
+        c = beta(i) * (den // products[i].denominator)
+        total = [j * t + c * a for j, (t, a) in enumerate(zip(total, products[i].numerators))]
+    return GradedSeries(QSeries.from_numerators(total, den), k1 + k2 + 2 * m)

@@ -226,16 +226,19 @@ def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
 @click.pass_context
 def verify_cmd(ctx, suite: str, prec: int, as_json: bool, out: str | None):
     """Run a verification suite; exit 0 only if every check passes."""
-    with _domain_errors():
+    # Open --out before the run, so a path that cannot be written fails at once;
+    # append mode leaves an earlier report whole if the run then fails.
+    try:
+        handle = open(out, "a", encoding="utf-8") if out else contextlib.nullcontext()
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {out}: {exc.strerror}") from exc
+    with handle, _domain_errors():
         report = run_suite(suite, prec)
         payload = jsonlib.dumps(report.to_json_dict(), indent=2)
         text = payload if as_json else "\n".join(report.summary_lines())
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-        except OSError as exc:
-            raise click.ClickException(f"cannot write {out}: {exc.strerror}") from exc
+        if out:
+            handle.truncate(0)
+            handle.write(payload + "\n")
     click.echo(text)
     ctx.exit(0 if report.all_passed() else 1)
 

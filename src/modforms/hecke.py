@@ -9,10 +9,12 @@ form,
 which comes from Im((nz + bd)/d^2) = n Im(z) / d^2: averaging a Y^r
 term rescales it by (d^2/n)^r, shifting the effective weight of that
 component to k - 2r and contributing the n^r prefactor. Depth 0 is the
-q-expansion form of the weight-k averaging operator. Its independent
-correctness oracles are multiplicativity T_m T_n = T_{mn} for coprime
-m, n and the prime-power recursion T_p T_{p^r} = T_{p^{r+1}} +
-p^(k-1) T_{p^(r-1)}, both exercised by the test suite at depths 0 and 1.
+q-expansion form of the weight-k averaging operator. The kernel builds
+b_0..b_{floor(prec/n)} in integers, one strided slice of the coefficients
+per divisor of n. Its independent correctness oracles are
+multiplicativity T_m T_n = T_{mn} for coprime m, n and the prime-power
+recursion T_p T_{p^r} = T_{p^{r+1}} + p^(k-1) T_{p^(r-1)}, both
+exercised by the test suite at depths 0 and 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exactmath import divisors, rational_str
 from .nearly import YPolyForm
@@ -35,20 +37,21 @@ __all__ = [
 ]
 
 
-def _kernel(nums: Sequence[int], k: int, r: int, n: int) -> tuple[Callable[[int], int], int]:
+def _kernel(nums: Sequence[int], k: int, r: int, n: int, count: int) -> tuple[list[int], int]:
     """T_n on the Y^r component of a weight-k form, in integers.
 
-    Returns (b, D): b(m) sums c_d * nums[mn/d^2] over d | gcd(m, n), where
-    n^r d^(k-2r-1) = c_d / D. A negative exponent (once 2r + 1 exceeds the
-    weight) is written as (n/d)^(2r+1-k) over D = n^(2r+1-k), so every c_d
-    is an integer and b_m of T_n is b(m) / (D * series denominator).
+    Returns (b, D): b[m] sums c_d * nums[mn/d^2] over d | gcd(m, n) for m <
+    count, where n^r d^(k-2r-1) = c_d / D; a negative exponent (2r+1 > k)
+    is written as (n/d)^(2r+1-k) over D = n^(2r+1-k). So every c_d is an
+    integer and b_m of T_n is b[m] / (D * series denominator). The terms of
+    d sit at m = d j and read nums[j n/d], one strided slice per divisor.
     """
     e = k - 2 * r - 1
-    weights = [(d, n**r * (d**e if e >= 0 else (n // d) ** -e)) for d in divisors(n)]
-
-    def b(m: int) -> int:
-        return sum(c * nums[m * n // (d * d)] for d, c in weights if m % d == 0)
-
+    b = [0] * count
+    for d in divisors(n):
+        c = n**r * (d**e if e >= 0 else (n // d) ** -e)
+        terms = nums[: (count - 1) // d * (n // d) + 1 : n // d]
+        b[::d] = [x + c * y for x, y in zip(b[::d], terms)]
     return b, n ** max(-e, 0)
 
 
@@ -62,11 +65,9 @@ def _act(components: Sequence[QSeries], k: int, n: int) -> list[QSeries]:
             f"T_{n} on a series of precision {prec} certifies only the constant term",
             stacklevel=3,
         )
-    new_prec = prec // n
     out = []
     for r, c in enumerate(components):
-        b, den = _kernel(c.numerators, k, r, n)
-        nums = [b(m) for m in range(new_prec + 1)]
+        nums, den = _kernel(c.numerators, k, r, n, prec // n + 1)
         out.append(QSeries.from_numerators(nums, c.denominator * den))
     return out
 
@@ -148,14 +149,14 @@ def eigenform_test(
     """Check whether f is a simultaneous T_n eigenvector for n <= bound.
 
     lambda_n is read off at the first nonzero coefficient of f, then
-    T_n f = lambda_n f is compared coefficient by coefficient on every
-    coefficient the shrunk precision floor(prec/n) certifies (all
-    Y-components for Y-polynomial inputs, so a form with both a_0 and a_1
-    nonzero has the consistency of the two candidate ratios checked
-    automatically). The scan stops at the first violation, so a miss
-    computes T_n f only up to its witness. The input must carry at least
-    bound*window coefficients so that even T_bound leaves a window of
-    length >= window.
+    T_n f = lambda_n f is compared on every coefficient the shrunk
+    precision floor(prec/n) certifies (all Y-components for Y-polynomial
+    inputs, so a form with both a_0 and a_1 nonzero has the consistency of
+    the two candidate ratios checked automatically). Each T_n f is
+    computed in full, one list per Y-component; a miss reports its first
+    witness, smallest m and then smallest Y-power, and stops the test. The
+    input must carry at least bound*window coefficients so that even
+    T_bound leaves a window of length >= window.
     """
     if bound < 1:
         raise ValueError("the test needs a bound >= 1")
@@ -183,29 +184,31 @@ def eigenform_test(
     # T_1 is the identity, so lambda_1 = 1 needs no scan.
     eigenvalues: list[tuple[int, Fraction]] = [(1, Fraction(1))]
     for n in range(2, bound + 1):
-        cprec = prec // n
-        if m0 > cprec:
+        count = prec // n + 1
+        if m0 >= count:
             continue
-        kernels = [_kernel(nums[r], k, r, n) for r in range(len(comps))]
-        b0, den0 = kernels[r0]
-        lam = Fraction(b0(m0), den0 * nums[r0][m0])
+        images = [_kernel(nums[r], k, r, n, count) for r in range(len(comps))]
+        b0, den0 = images[r0]
+        lam = Fraction(b0[m0], den0 * nums[r0][m0])
         p, q = lam.numerator, lam.denominator
-        # lambda a_m = b_m, with a_m = a / s and b_m = b / (s D), reads
-        # p a D = q b: the series denominator s cancels.
-        for m in range(cprec + 1):
-            for r, (b_of, den) in enumerate(kernels):
-                a, b = nums[r][m], b_of(m)
-                if p * a * den != q * b:
-                    s = comps[r].denominator
-                    violation = Violation(
-                        n=n,
-                        exponent=m,
-                        expected=Fraction(p * a, q * s),
-                        actual=Fraction(b, s * den),
-                        y_power=r if is_ypoly else None,
-                    )
-                    return EigenReport(
-                        False, bound, tuple(eigenvalues), violation, prec, prec // bound
-                    )
+        # lambda a_m = b_m, with a_m = a / s and b_m = b / (s D), reads p a D =
+        # q b (s cancels), compared as one list per component Y^r.
+        misses = [
+            next((m, r) for m, (a, x) in enumerate(zip(nums[r], b)) if p * den * a != q * x)
+            for r, (b, den) in enumerate(images)
+            if [p * den * a for a in nums[r][:count]] != [q * x for x in b]
+        ]
+        if misses:
+            m, r = min(misses)
+            b, den = images[r]
+            s = comps[r].denominator
+            violation = Violation(
+                n=n,
+                exponent=m,
+                expected=Fraction(p * nums[r][m], q * s),
+                actual=Fraction(b[m], s * den),
+                y_power=r if is_ypoly else None,
+            )
+            return EigenReport(False, bound, tuple(eigenvalues), violation, prec, prec // bound)
         eigenvalues.append((n, lam))
     return EigenReport(True, bound, tuple(eigenvalues), None, prec, prec // bound)

@@ -20,7 +20,10 @@ Two series multiply by two-point Kronecker substitution, KS2 (D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", JSC 2009): the even- and odd-indexed numerators of each
 operand are packed apart into big integers, one coefficient per w-bit
-slot, and combined into the operand's values at X = +-2^(w/2). Two
+slot, and combined into the operand's values at X = +-2^(w/2). A slot
+is written and read as its coefficient plus 2^(w-1), so packing is one
+``to_bytes`` pass and one subtraction, and unpacking one XOR and one
+signed read per slot. Two
 half-length products replace one of full length (squarings when the
 operands are equal), and the even and odd coefficients of the product
 are read back off the w-bit slots of their half sum and half
@@ -166,8 +169,8 @@ class QSeries:
                 out = [x * b[0] for x in a]
             return QSeries.from_numerators(out, self._den * other._den)
         scalar = as_rational(other)
-        nums = [a * scalar.numerator for a in self._nums]
-        return QSeries.from_numerators(nums, self._den * scalar.denominator)
+        num, den = scalar.numerator, scalar.denominator  # Fraction properties are calls
+        return QSeries.from_numerators([a * num for a in self._nums], self._den * den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -203,26 +206,32 @@ class QSeries:
         return f"QSeries(prec={self.prec}, {_format_terms(self.coeffs, max_terms=6)})"
 
 
+def _offset(count: int, width: int) -> int:
+    """2^(w-1) in each of count slots of w = 8*width bits."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")
+
+
 def _pack(nums: Sequence[int], width: int) -> int:
-    """sum nums[i] * 2^(8*width*i), for |nums[i]| < 2^(8*width). The
-    positive and the negative parts are packed apart, each into unsigned
-    slots, and subtracted."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in nums)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in nums)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum nums[i] * 2^(8*width*i), for |nums[i]| < 2^(8*width-1). Each
+    slot is written as nums[i] + 2^(w-1), which is nonnegative, in one
+    ``to_bytes`` pass, and the offset is subtracted once."""
+    half = 1 << (8 * width - 1)
+    data = b"".join([(x + half).to_bytes(width, "little") for x in nums])
+    return int.from_bytes(data, "little") - _offset(len(nums), width)
 
 
 def _unpack(value: int, count: int, width: int) -> list[int]:
     """The digits c_0..c_{count-1} of value = sum_j c_j * 2^(8*width*j),
-    for |c_j| < 2^(8*width-1). Adding 2^(w-1) to each of the count low
-    slots makes every digit nonnegative, and masking to count slots drops
-    the higher terms; what is left are the digits c_j + 2^(w-1)."""
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    digits = (value + offset) & ((1 << (8 * width * count)) - 1)
+    for |c_j| < 2^(8*width-1). Adding the offset 2^(w-1) to each of the
+    count low slots makes every digit nonnegative, and masking to count
+    slots drops the higher terms; what is left are the digits c_j +
+    2^(w-1). XOR with the offset turns each into the w-bit two's
+    complement of c_j, which is read back with ``signed=True``."""
+    offset = _offset(count, width)
+    digits = ((value + offset) & ((1 << (8 * width * count)) - 1)) ^ offset
     data = digits.to_bytes(width * count, "little")
     return [
-        int.from_bytes(data[i : i + width], "little") - half
+        int.from_bytes(data[i : i + width], "little", signed=True)
         for i in range(0, width * count, width)
     ]
 

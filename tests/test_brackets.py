@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modforms.brackets import rankin_cohen
 from modforms.exactmath import binomial
@@ -119,6 +122,44 @@ def test_matches_the_textbook_sum(i):
             assert rankin_cohen(g, h, m) == expected, (g_name, h_name, m)
             assert rankin_cohen(g, h, m, shared) == expected, (g_name, h_name, m)
             assert len(shared) == m + 1
+
+
+# The products D^i(g)*h carry different denominators; the Horner sum runs
+# over their lcm. Scaled operands give each factor its own denominator.
+@pytest.mark.parametrize(
+    "g_scale, h_scale",
+    [(Fraction(1, 3), Fraction(5, 7)), (Fraction(-2, 9), Fraction(1, 4)),
+     (Fraction(3, 8), Fraction(1, 5))],
+)
+@pytest.mark.parametrize("m", range(5))
+def test_mixed_denominators_match_the_textbook_sum(g_scale, h_scale, m):
+    g, h = eisenstein(4, PREC) * g_scale, eisenstein(6, PREC) * h_scale
+    pairs = [(g, h), (g, cusp_delta(12, PREC) * h_scale), (h, g)]
+    for left, right in pairs:
+        products = []
+        assert rankin_cohen(left, right, m, products) == _textbook_bracket(left, right, m)
+        assert m == 0 or len({q.denominator for q in products}) > 1
+
+
+# Arbitrary series with small denominators: here the products' denominators
+# need not divide the first one's, so a sum over the largest of them fails.
+# In the examples (1/2 + q/3)(1 - 2q/3) = 1/2 + O(q^2) while D(g) h = q/3,
+# and D^i(g) h has denominator 5 for i >= 1 against 2 for g h.
+_small_rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+_tagged = st.lists(_small_rational, min_size=1, max_size=9).map(QSeries)
+
+
+@example(QSeries([Fraction(1, 2), Fraction(1, 3)]), QSeries([1, Fraction(-2, 3)]), 1)
+@example(
+    QSeries([3, -2, 5, 0, -1, 2, Fraction(6, 5), 2]),
+    QSeries([3, Fraction(1, 2), -1, Fraction(-5, 2), 3, Fraction(1, 2), Fraction(-6, 5), 2]),
+    3,
+)
+@given(_tagged, _tagged, st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_mixed_denominators_of_arbitrary_series(g, h, m):
+    g, h = GradedSeries(g, 4), GradedSeries(h, 6)
+    assert rankin_cohen(g, h, m) == _textbook_bracket(g, h, m)
 
 
 def test_shared_products_extend_only_to_the_order_asked():

@@ -205,15 +205,42 @@ class TestVerify:
         for check in data["checks"]:
             assert set(check) == {"id", "anchor", "pass", "witness"}
 
-    # A missing directory fails when the report is written; a directory
-    # fails click's path check before the suite runs. Neither is a traceback.
-    @pytest.mark.parametrize(
+    # The file is opened before the run: a run that fails leaves an earlier
+    # report whole, and one that passes replaces a longer earlier file.
+    def test_out_file_replaced_only_by_a_finished_run(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("earlier report\n" * 10000)
+        result = invoke("verify", "--suite", "identities", "--prec", "32", "--out", str(target))
+        assert result.exit_code != 0
+        assert target.read_text() == "earlier report\n" * 10000
+        result = invoke("verify", "--suite", "ghitza", "--out", str(target))
+        assert result.exit_code == 0
+        assert json.loads(target.read_text())["passed"] == 5
+
+    # A missing directory fails when the file is opened, and a directory
+    # fails click's path check; both before the suite runs, and neither is
+    # a traceback.
+    UNWRITABLE_OUT = pytest.mark.parametrize(
         "name, message",
         [("missing/report.json", "No such file or directory"), (".", "is a directory")],
         ids=["missing-directory", "directory"],
     )
+
+    @UNWRITABLE_OUT
     def test_out_path_that_cannot_be_written(self, tmp_path, name, message):
         result = invoke("verify", "--suite", "ghitza", "--out", str(tmp_path / name))
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0]
+
+    @UNWRITABLE_OUT
+    def test_out_path_fails_before_the_suite_runs(self, tmp_path, monkeypatch, name, message):
+        def run_suite(*args):
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setattr("modforms.cli.run_suite", run_suite)
+        result = invoke("verify", "--suite", "all", "--out", str(tmp_path / name))
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]

@@ -24,6 +24,10 @@ TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048,
        7: -16744, 8: 84480, 9: -113643, 10: -115920}
 
 
+def _q_power(m: int) -> QSeries:
+    return QSeries([0] * m + [1], prec=PREC)
+
+
 class TestHeckeOperator:
     def test_t1_is_identity(self):
         for name in ("E4", "Delta12"):
@@ -146,13 +150,20 @@ class TestEigenformTest:
             (lambda: eisenstein(2, PREC) * eisenstein(4, PREC), (2, 1, None)),
             (lambda: cusp_delta(12, PREC) * cusp_delta(12, PREC), (2, 1, None)),
             (lambda: e2_star(PREC) * eisenstein(4, PREC), (2, 0, 1)),
+            # Witness order: smallest m first, then smallest Y-power. On Y^0,
+            # E4 + q^10 first fails T_2 at m = 5 (b_5 reads a_10); on Y^1
+            # (effective weight 2), q^5 fails there too, Delta12 at m = 1.
+            (lambda: YPolyForm([eisenstein(4, PREC) + _q_power(10), _q_power(5)], 4),
+             (2, 5, 0)),
+            (lambda: YPolyForm([eisenstein(4, PREC) + _q_power(10), cusp_delta(12, PREC)], 4),
+             (2, 1, 1)),
         ],
-        ids=["e2_e4", "delta12_squared", "e4_e2star"],
+        ids=["e2_e4", "delta12_squared", "e4_e2star", "same-m-smaller-r", "r1-at-smaller-m"],
     )
     def test_violation_revalidates_from_raw_series(self, make, witness):
-        # The scan stops at its first violation; recompute the cited
-        # coefficient relation, and every comparison before it, from the
-        # fully materialised T_n f.
+        # A miss computes T_n f in full and reports the first witness;
+        # recompute the cited coefficient relation, and every comparison
+        # before it in (m, Y-power) order, from the public T_n f.
         candidate = make()
         report = eigenform_test(candidate)
         violation = report.first_violation

@@ -1,10 +1,12 @@
 """Independent oracles: each expectation is computed here, sharing no code
 path with the engine. Delta12 is checked in plain integers against the
 cusp-form solve, the integer Hecke kernel against its formula summed in
-Fractions straight from the coefficients, the eigenvalues of every
-product and bracket hit against closed forms that use no Hecke code, and
-the coordinates of every bracket hit, which the search reads off its
-line, against a membership solve on the bracket itself."""
+Fractions straight from the coefficients, the eigenform test against a
+scan in Fractions on every catalog form, derivative, pairwise product and
+bracket of order <= 2, the eigenvalues of every product and bracket hit
+against closed forms that use no Hecke code, and the coordinates of every
+bracket hit, which the search reads off its line, against a membership
+solve on the bracket itself."""
 
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ from fractions import Fraction
 import pytest
 
 from modforms.brackets import rankin_cohen
-from modforms.forms import catalog_form, cusp_delta, is_modular_member
-from modforms.hecke import hecke, hecke_nearly
-from modforms.nearly import e2_star
+from modforms.forms import catalog, catalog_form, cusp_delta, is_modular_member
+from modforms.hecke import eigenform_test, hecke, hecke_nearly
+from modforms.nearly import YPolyForm, e2_star, maass_shimura
+from modforms.qseries import GradedSeries, QSeries
 from modforms.verify import bracket_search, product_search
 
 PREC = 128
@@ -69,34 +72,46 @@ def test_deligne_bound_at_primes():
         assert tau[p] ** 2 <= 4 * p**11
 
 
-def _hecke_formula(series, k: int, r: int, n: int) -> list[Fraction]:
+def _hecke_formula(coeffs: list[Fraction], k: int, r: int, n: int) -> list[Fraction]:
     """b_m = n^r sum_{d | (m, n)} d^(k-2r-1) a_{mn/d^2}, in Fractions."""
     return [
         n**r
         * sum(
-            Fraction(d) ** (k - 2 * r - 1) * series[m * n // (d * d)]
-            for d in range(1, n + 1)
-            if n % d == 0 and m % d == 0
+            (Fraction(d) ** (k - 2 * r - 1) * coeffs[m * n // (d * d)]
+             for d in range(1, n + 1) if n % d == 0 and m % d == 0),
+            Fraction(0),
         )
-        for m in range(series.prec // n + 1)
+        for m in range((len(coeffs) - 1) // n + 1)
     ]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+# 12, 16, 18, 25 and 36 have square divisors d^2 | n, whose terms come
+# from several strided slices of the coefficients.
+HECKE_INDICES = [*range(1, 11), 12, 16, 18, 25, 36]
+
+
+@pytest.mark.parametrize("n", HECKE_INDICES)
 def test_hecke_nearly_matches_the_formula_on_e2star_squared(n):
     # Weight 4, depth 2: the Y^2 component has the negative exponent -1.
     form = e2_star(60) * e2_star(60)
     assert (form.weight, form.depth) == (4, 2)
     image = hecke_nearly(form, n)
     for r in range(3):
-        expected = _hecke_formula(form.component(r), 4, r, n)
+        expected = _hecke_formula(list(form.component(r).coeffs), 4, r, n)
         assert list(image.component(r).coeffs) == expected, r
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", HECKE_INDICES)
 def test_hecke_matches_the_formula_on_delta12(n):
-    delta = catalog_form("Delta12", 60)
-    assert list(hecke(delta, n).coeffs) == _hecke_formula(delta, 12, 0, n)
+    delta = catalog_form("Delta12", 240)
+    assert list(hecke(delta, n).coeffs) == _hecke_formula(list(delta.coeffs), 12, 0, n)
+
+
+@pytest.mark.parametrize("n", HECKE_INDICES)
+def test_hecke_matches_the_formula_on_the_weight_0_constant(n):
+    # The exponent k - 2r - 1 is -1 already at depth 0.
+    one = GradedSeries(QSeries.one(240), 0)
+    assert list(hecke(one, n).coeffs) == _hecke_formula(list(one.coeffs), 0, 0, n)
 
 
 def _eigenvalue_formula(weight: int, eisenstein_line: bool):
@@ -141,3 +156,104 @@ def test_bracket_hit_coordinates_match_a_direct_solve():
     for hit in hits:
         form = rankin_cohen(catalog_form(hit.g, PREC), catalog_form(hit.h, PREC), hit.m)
         assert hit.coordinates == tuple(is_modular_member(form, hit.weight)), hit.key
+
+
+# -- differential oracle for the eigenform test ---------------------------------
+
+ORACLE_PREC = 130
+ORACLE_HECKE_INDICES = (1, 2, 3, 4, 6, 9, 12)
+
+
+def _reference_eigen_report(comps: list[list[Fraction]], k: int, ypoly: bool,
+                            bound: int = 10) -> dict:
+    """The JSON form of the eigenform report, from a scan in Fractions that
+    stops at the first violation: n in order, then m, then the Y-power."""
+    prec = len(comps[0]) - 1
+
+    def text(x: Fraction) -> str:
+        return f"{x.numerator}/{x.denominator}"
+
+    m0, r0 = next((m, r) for m in range(prec + 1) for r in range(len(comps)) if comps[r][m])
+    eigenvalues = [[1, "1/1"]]
+    violation = None
+    for n in range(2, bound + 1):
+        if m0 > prec // n:
+            continue
+        images = [_hecke_formula(c, k, r, n) for r, c in enumerate(comps)]
+        lam = images[r0][m0] / comps[r0][m0]
+        violation = next(
+            (
+                {"n": n, "exponent": m, "expected": text(lam * comps[r][m]),
+                 "actual": text(images[r][m]), **({"y_power": r} if ypoly else {})}
+                for m in range(prec // n + 1)
+                for r in range(len(comps))
+                if images[r][m] != lam * comps[r][m]
+            ),
+            None,
+        )
+        if violation:
+            break
+        eigenvalues.append([n, text(lam)])
+    return {
+        "is_eigen_up_to_bound": violation is None,
+        "tested_bound": bound,
+        "eigenvalues": eigenvalues,
+        "first_violation": violation,
+        "precision_used": prec,
+        "min_comparison_prec": prec // bound,
+    }
+
+
+def _oracle_forms(family: str):
+    """(label, form) pairs of one input family, all at ORACLE_PREC."""
+    names = [e.name for e in catalog(ORACLE_PREC)]
+    forms = {name: catalog_form(name, ORACLE_PREC) for name in names}
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    if family == "catalog":
+        return list(forms.items())
+    if family == "derivatives":
+        return [(f"D({a})", f.derivative()) for a, f in forms.items()]
+    if family == "products":
+        return [(f"{a}*{b}", forms[a] * forms[b]) for a, b in pairs]
+    if family == "brackets":
+        return [
+            (f"[{a},{b}]_{m}", rankin_cohen(forms[a], forms[b], m))
+            for a, b in pairs
+            for m in range(3)
+        ]
+    e2s = e2_star(ORACLE_PREC)
+    return [
+        ("E2*", e2s),
+        ("E2*^2", e2s * e2s),
+        ("E2*E4", e2s * forms["E4"]),
+        ("E2*Delta12", e2s * forms["Delta12"]),
+        ("E2*^2E6", e2s * e2s * forms["E6"]),
+        ("d(E4)", maass_shimura(forms["E4"])),
+    ]
+
+
+# Odd self-brackets and the brackets that vanish in weights with no cusp
+# form are zero, which the eigenform test refuses; only their Hecke images
+# are compared.
+@pytest.mark.parametrize(
+    "family, count, zeros",
+    [("catalog", 12, 0), ("derivatives", 12, 0), ("products", 78, 0),
+     ("brackets", 234, 14), ("e2star", 6, 0)],
+)
+def test_eigenform_test_and_hecke_match_a_fraction_scan(family, count, zeros):
+    forms = _oracle_forms(family)
+    assert len(forms) == count
+    zero_forms = 0
+    for label, form in forms:
+        ypoly = isinstance(form, YPolyForm)
+        comps = [list(c.coeffs) for c in (form.components if ypoly else (form,))]
+        for n in ORACLE_HECKE_INDICES:
+            image = hecke_nearly(form, n).components if ypoly else (hecke(form, n),)
+            expected = [_hecke_formula(c, form.weight, r, n) for r, c in enumerate(comps)]
+            assert [list(c.coeffs) for c in image] == expected, (label, n)
+        if not any(any(c) for c in comps):
+            zero_forms += 1
+            continue
+        report = eigenform_test(form).to_json_dict()
+        assert report == _reference_eigen_report(comps, form.weight, ypoly), label
+    assert zero_forms == zeros

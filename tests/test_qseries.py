@@ -16,6 +16,8 @@ from modforms.qseries import (
     PrecisionError,
     QSeries,
     _kronecker_product,
+    _pack,
+    _unpack,
     first_difference,
     mul_reference,
 )
@@ -234,6 +236,35 @@ class TestKroneckerProduct:
         product = GradedSeries(f, k) * GradedSeries(g, l)
         assert type(product) is GradedSeries and product.weight == k + l
         self.assert_matches_reference(GradedSeries(f, k), GradedSeries(g, l))
+
+    # Each slot is packed and read as its value plus 2^(w-1): check the
+    # extremes +-(2^(w-1) - 1), all zeros and alternating signs, at
+    # lengths 1 and 2 and longer, for one- and several-byte slots.
+    @pytest.mark.parametrize("width", [1, 2, 3, 9])
+    def test_pack_round_trips_extreme_slots(self, width):
+        top = (1 << (8 * width - 1)) - 1
+        cases = [[top], [-top], [0], [top, -top], [-top, top], [0, 0], [0] * 7,
+                 [(-1) ** i * top for i in range(7)], [(-1) ** i * (i + 1) for i in range(8)]]
+        for nums in cases:
+            value = _pack(nums, width)
+            assert value == sum(x << (8 * width * i) for i, x in enumerate(nums)), nums
+            assert _unpack(value, len(nums), width) == nums, nums
+
+    # Products whose coefficients fill their slots up to the bound, the
+    # zero product, and alternating signs, through the packing itself.
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([11], [11]), ([-11], [11]), ([2**60 - 1], [-(2**63 + 5)]),
+            ([7, 7], [7, 7]), ([-7, -7], [7, 7]), ([7, -7], [-7, 7]),
+            ([0] * 5, [0] * 5), ([0], [0]), ([0, 0], [3, -3]),
+            ([(-1) ** i * 2**40 for i in range(9)], [2**40] * 9),
+            ([(-1) ** i * 2**40 for i in range(8)], [(-1) ** i * 2**40 for i in range(8)]),
+        ],
+    )
+    def test_slot_edge_cases_match_reference(self, a, b):
+        expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
+        assert _kronecker_product(a, b) == list(expected.numerators)
 
     def test_catalog_product_at_prec_512(self):
         left = catalog_form("Delta12", 512) * catalog_form("E2", 512)
