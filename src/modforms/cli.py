@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import json as jsonlib
+import os
 import re
 
 import click
@@ -226,19 +227,25 @@ def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
 @click.pass_context
 def verify_cmd(ctx, suite: str, prec: int, as_json: bool, out: str | None):
     """Run a verification suite; exit 0 only if every check passes."""
-    # Open --out before the run, so a path that cannot be written fails at once;
-    # append mode leaves an earlier report whole if the run then fails.
+    # Open --out before the run, so a path that cannot be written fails at once. A
+    # failed run leaves an earlier report whole (append mode) and no new file.
+    created = bool(out) and not os.path.exists(out)
     try:
         handle = open(out, "a", encoding="utf-8") if out else contextlib.nullcontext()
     except OSError as exc:
         raise click.ClickException(f"cannot write {out}: {exc.strerror}") from exc
-    with handle, _domain_errors():
-        report = run_suite(suite, prec)
-        payload = jsonlib.dumps(report.to_json_dict(), indent=2)
-        text = payload if as_json else "\n".join(report.summary_lines())
-        if out:
-            handle.truncate(0)
-            handle.write(payload + "\n")
+    try:
+        with handle, _domain_errors():
+            report = run_suite(suite, prec)
+            payload = jsonlib.dumps(report.to_json_dict(), indent=2)
+            text = payload if as_json else "\n".join(report.summary_lines())
+            if out:
+                handle.truncate(0)
+                handle.write(payload + "\n")
+    except BaseException:
+        if created:
+            os.remove(out)
+        raise
     click.echo(text)
     ctx.exit(0 if report.all_passed() else 1)
 

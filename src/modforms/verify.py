@@ -198,12 +198,21 @@ def _equality(check_id: str, anchor: str, left: GradedSeries, right: GradedSerie
     return check_id, anchor, left == right, _difference_witness(left, right)
 
 
-def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
+def _shared(table: dict | None, left: tuple, right: tuple, prec: int, build) -> GradedSeries:
+    """build(), the product of two (catalog name, derivative order) operands
+    at full precision prec, read from or filed in the run's product table."""
+    if table is None:
+        return build()
+    key = frozenset((left, right)), prec
+    return table[key] if key in table else table.setdefault(key, build())
+
+
+def verify_identity_suite(prec: int = DEFAULT_PREC, table=None) -> VerificationReport:
     """Every coefficientwise identity plus the eigen/not-eigen classifications.
 
     E2star*f is built once per catalog form f, and its Y^0 component is
     E2*f. Each check keeps only its record, so no product outlives the
-    form it belongs to; the records are reported in a fixed order.
+    form it belongs to outside a run's table; records come in a fixed order.
     """
     if prec < 128:
         raise ValueError("the identity suite is specified for prec >= 128")
@@ -212,7 +221,7 @@ def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
     forms = {name: catalog_form(name, prec) for name in CATALOG_NAMES}
 
     for left, right, result in PRODUCT_IDENTITIES:
-        product = forms[left] * forms[right]
+        product = _shared(table, (left, 0), (right, 0), prec, lambda: forms[left] * forms[right])
         if left == right == "E4":
             forms["E4^2"] = product
         anchor = f"{left}*{right} = {result}"
@@ -225,7 +234,7 @@ def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
         form = forms[name]
         k = form.weight
         star = estar * form
-        e2_form = constant_term(star)
+        e2_form = _shared(table, ("E2", 0), (name, 0), prec, partial(constant_term, star))
         if name in _DERIVATIVE_SYSTEM:
             anchor, subtrahend, divisor = _DERIVATIVE_SYSTEM[name]
             right_form = (e2_form - forms[subtrahend]) * Fraction(1, divisor)
@@ -260,7 +269,8 @@ def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
         ))
 
     e4 = forms["E4"]
-    lhs, rhs = e4.derivative() * e4, forms["E8"].derivative() * Fraction(1, 2)
+    lhs = _shared(table, ("E4", 1), ("E4", 0), prec, lambda: e4.derivative() * e4)
+    rhs = forms["E8"].derivative() * Fraction(1, 2)
     anchor = "D(E4)*E4 = (1/2) D(E8)"
     derivatives.append(_equality("identities.derivative.DE4*E4", anchor, lhs, rhs))
     for record in derivatives + nearly + reductions:
@@ -291,9 +301,9 @@ _SIEVE_PREC = 16
 _FULL_TEST_PREC = 120
 
 
-def _eigen_scan(candidates, prec: int, skipped: list[str]):
-    """Run the eigenform test on each (key, label, build) candidate, where
-    build(p) returns the candidate at precision p.
+def _eigen_scan(candidates, prec: int, skipped: list[str], verdicts: dict | None = None):
+    """Decide each (key, label, build) candidate, where build(p) returns
+    the candidate at precision p.
 
     Each candidate is first built at _SIEVE_PREC. A zero prefix drops it:
     a product of nonzero catalog forms has order at most 2, and a bracket
@@ -304,18 +314,22 @@ def _eigen_scan(candidates, prec: int, skipped: list[str]):
     _FULL_TEST_PREC the sieve is off, so that every nonzero candidate
     records its PrecisionError.
 
-    Yields the passes of the full test at ``prec`` as (key, form, report)
-    triples, in candidate order, and appends to ``skipped`` one line per
-    candidate whose precision is too low. Yielding lets the caller drop
-    each form before the next one is built, so a scan holds one candidate
-    at a time.
+    Yields (key, form, report) for each candidate in order: None, None
+    for a dropped one, and the filed pair, with nothing built, for a key
+    that ``verdicts`` holds. A candidate whose precision is too low appends
+    a line to ``skipped`` instead. Yielding lets the caller drop each form
+    before the next one is built, so a scan holds one candidate at a time.
     """
     sieve = prec >= _FULL_TEST_PREC
     for key, label, build in candidates:
-        prefix = build(min(prec, _SIEVE_PREC))
-        if prefix.is_zero():
+        if verdicts is not None and key in verdicts:
+            yield key, *verdicts[key]
             continue
-        if sieve and not eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound:
+        prefix = build(min(prec, _SIEVE_PREC))
+        if prefix.is_zero() or (
+            sieve and not eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
+        ):
+            yield key, None, None
             continue
         form = build(prec)
         try:
@@ -323,12 +337,13 @@ def _eigen_scan(candidates, prec: int, skipped: list[str]):
         except PrecisionError as exc:
             skipped.append(f"{label}: {exc}")
             continue
-        if result.is_eigen_up_to_bound:
-            yield key, form, result
+        yield key, form, result
 
 
-def _truncated_product(left: GradedSeries, right: GradedSeries, prec: int) -> GradedSeries:
-    return left.truncate(prec) * right.truncate(prec)
+def _truncated_product(left, right, table, key: tuple, prec: int) -> GradedSeries:
+    """left*right at prec, through the run's table at full precision (the operands' own)."""
+    full = table if prec == left.prec else None
+    return _shared(full, key[:2], key[2:], prec, lambda: left.truncate(prec) * right.truncate(prec))
 
 
 def _truncated_bracket(
@@ -386,7 +401,7 @@ _EXPECTED_PRODUCT_RESULTS: dict[tuple[str, int, str, int], str] = {
 EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 
 
-def _product_candidates(prec: int):
+def _product_candidates(prec: int, table: dict | None = None):
     """The (key, label, build) candidates of the product scan."""
     items: list[tuple[str, int, GradedSeries]] = []
     for name in CATALOG_NAMES:
@@ -395,25 +410,30 @@ def _product_candidates(prec: int):
     for i, (left_name, left_order, left_form) in enumerate(items):
         for right_name, right_order, right_form in items[i:]:
             key = (left_name, left_order, right_name, right_order)
-            yield key, _product_label(*key), partial(_truncated_product, left_form, right_form)
+            build = partial(_truncated_product, left_form, right_form, table, key)
+            yield key, _product_label(*key), build
 
 
-def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], VerificationReport]:
+def product_search(
+    prec: int = DEFAULT_PREC, table: dict | None = None
+) -> tuple[list[ProductHit], VerificationReport]:
     """Test every unordered catalog product (D^r f)(D^s g), r, s <= 1,
     for eigenform-ness.
 
     Returns the passing candidates and a report comparing them against
     the classified list: each expected hit must be found and nothing else
-    may pass.
+    may pass. A run's product table gets the outcome of each g*h.
     """
     start = time.perf_counter()
     report = VerificationReport("products")
 
     skipped: list[str] = []
-    hits = [
-        ProductHit(*key, form.weight, result.eigenvalues)
-        for key, form, result in _eigen_scan(_product_candidates(prec), prec, skipped)
-    ]
+    hits = []
+    for key, form, result in _eigen_scan(_product_candidates(prec, table), prec, skipped):
+        if table is not None and key[1] == key[3] == 0:
+            table[key[0], key[2], 0] = form, result
+        if result is not None and result.is_eigen_up_to_bound:
+            hits.append(ProductHit(*key, form.weight, result.eigenvalues))
 
     found = {hit.key: hit for hit in hits}
     for key, anchor in _EXPECTED_PRODUCT_RESULTS.items():
@@ -475,30 +495,37 @@ class BracketHit:
         }
 
 
-def _bracket_candidates(prec: int):
+def _bracket_candidates(prec: int, table: dict | None = None):
     """The (key, label, build) candidates of the bracket scan: [g, h]_m,
     m <= 4, for modular catalog pairs up to the top catalog weight. The
     orders of a pair share one list of products D^i(g)*h per precision
-    (see rankin_cohen)."""
+    (see rankin_cohen), led by those the run's product table holds."""
     entries = [(name, catalog_form(name, prec)) for name in CATALOG_NAMES if name != "E2"]
     top_weight = max(form.weight for _, form in entries)
     for i, (g_name, g_form) in enumerate(entries):
         for h_name, h_form in entries[i:]:
-            products: dict[int, list] = {}
+            products: dict[int, list] = {prec: []}
+            for order in range(5):  # the table's D^order(g)*h, in a row from order 0
+                key = frozenset(((g_name, order), (h_name, 0))), prec
+                if table is None or key not in table:
+                    break
+                products[prec].append(table[key])
             for m in range(5):
                 if g_form.weight + h_form.weight + 2 * m <= top_weight:
                     build = partial(_truncated_bracket, g_form, h_form, m, products)
                     yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", build
 
 
-def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], VerificationReport]:
+def bracket_search(
+    prec: int = DEFAULT_PREC, table: dict | None = None
+) -> tuple[list[BracketHit], VerificationReport]:
     """Eigenform scan over [g, h]_m, m <= 4, for modular catalog pairs up
     to the top catalog weight.
 
     Every hit must land on the Eisenstein line of its weight or in a
     one-dimensional cusp space, and a hit c*f on such a line f takes c
     times the coordinates of f, solved once per line; the m = 0 slice
-    must reproduce exactly the modular product hits.
+    (from a run's product table) must be exactly the modular product hits.
     """
     start = time.perf_counter()
     report = VerificationReport("brackets")
@@ -507,7 +534,9 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
     hits: list[BracketHit] = []
     lines: dict[tuple[int, str], list[Fraction] | None] = {}  # coordinates of each line
     e4e6_1 = None
-    for key, bracket, result in _eigen_scan(_bracket_candidates(prec), prec, skipped):
+    for key, bracket, result in _eigen_scan(_bracket_candidates(prec, table), prec, skipped, table):
+        if result is None or not result.is_eigen_up_to_bound:
+            continue
         weight = bracket.weight
         if bracket[0] != 0:
             classification, scale = "eisenstein-line", bracket[0]
@@ -737,20 +766,24 @@ SUITE_NAMES = ("identities", "products", "brackets", "diophantine", "ghitza", "a
 
 
 def run_suite(suite: str, prec: int = DEFAULT_PREC) -> VerificationReport:
-    """Run one named suite (or all of them) and return its report."""
-    if suite == "identities":
-        return verify_identity_suite(prec)
-    if suite == "products":
-        return product_search(prec=prec)[1]
-    if suite == "brackets":
-        return bracket_search(prec=prec)[1]
-    if suite == "diophantine":
-        return verify_diophantine_suite()
-    if suite == "ghitza":
-        return ghitza_check()
-    if suite == "all":
-        merged = VerificationReport("all")
-        for name in SUITE_NAMES[:-1]:
-            merged.merge(run_suite(name, prec))
-        return merged
-    raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
+    """Run one named suite (or all of them) and return its report. "all"
+    shares one product table, for this call only: it maps the unordered
+    (catalog name, derivative order) operands and the precision to their
+    full product, and each bracket key (g, h, 0) to the product scan's
+    (form, report) for g*h."""
+    if suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
+    table = {} if suite == "all" else None
+    runs = {
+        "identities": lambda: verify_identity_suite(prec, table),
+        "products": lambda: product_search(prec, table)[1],
+        "brackets": lambda: bracket_search(prec, table)[1],
+        "diophantine": verify_diophantine_suite,
+        "ghitza": ghitza_check,
+    }
+    if suite != "all":
+        return runs[suite]()
+    merged = VerificationReport("all")
+    for run in runs.values():
+        merged.merge(run())
+    return merged

@@ -217,6 +217,14 @@ class TestVerify:
         assert result.exit_code == 0
         assert json.loads(target.read_text())["passed"] == 5
 
+    # A run that fails leaves no file behind where there was none.
+    def test_out_file_not_left_by_a_failed_run(self, tmp_path):
+        target = tmp_path / "new.json"
+        result = invoke("verify", "--suite", "identities", "--prec", "64", "--out", str(target))
+        assert result.exit_code == 1
+        assert "Error: the identity suite is specified for prec >= 128" in result.output
+        assert not target.exists()
+
     # A missing directory fails when the file is opened, and a directory
     # fails click's path check; both before the suite runs, and neither is
     # a traceback.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from modforms.verify import (
     _FULL_TEST_PREC,
     _SIEVE_PREC,
     EXPECTED_EIGEN_PRODUCTS,
+    SUITE_NAMES,
     _bracket_candidates,
     _eigen_scan,
     _product_candidates,
@@ -193,6 +195,57 @@ class TestSharedProducts:
         products = _full_products(monkeypatch, lambda: verify_identity_suite(128), 128)
         assert len(products) == 29
         assert len(set(products)) == 29
+
+    def test_all_suites(self, monkeypatch):
+        # One product table per run: the product and bracket scans read the
+        # identity suite's products, and each [g,h]_0 takes the product
+        # scan's outcome for g*h. Run apart, the suites make 140 products
+        # (35 repeats) and 90 full eigen tests.
+        tested = []
+
+        def spy(form, *args):
+            tested.append(form.prec == 256)
+            return eigenform_test(form, *args)
+
+        monkeypatch.setattr(verify, "eigenform_test", spy)
+
+        def run():
+            tested.clear()
+            run_suite("all", 256)
+
+        products = _full_products(monkeypatch, run, 256)
+        assert len(products) == 105
+        assert len(set(products)) == 105
+        assert sum(tested) == 74
+
+
+def _records(report):
+    return report.to_json_dict()["checks"]
+
+
+class TestRunTable:
+    # The table lives for one run_suite("all") call: that call reports what
+    # the suites report alone, and leaves them and the live series as they were.
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_all_reports_the_suites_alone(self, prec):
+        alone = [_records(run_suite(name, prec)) for name in SUITE_NAMES[:-1]]
+        merged = _records(run_suite("all", prec))
+        assert merged == [record for records in alone for record in records]
+        assert [_records(run_suite(name, prec)) for name in SUITE_NAMES[:-1]] == alone
+
+    def test_no_series_outlives_the_call(self):
+        def live_series():
+            gc.collect()
+            return sum(isinstance(obj, QSeries) for obj in gc.get_objects())
+
+        # At a precision no other test runs "all" at, so that a table kept
+        # from an earlier call could not hide one kept from this call.
+        prec = 136
+        for name in SUITE_NAMES[:-1]:  # fills the form stores, not a table
+            run_suite(name, prec)
+        before = live_series()
+        run_suite("all", prec)
+        assert live_series() == before
 
 
 class TestDiophantine:
