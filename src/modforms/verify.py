@@ -297,47 +297,67 @@ def verify_identity_suite(prec: int = DEFAULT_PREC, table=None) -> VerificationR
 
 # The prefix precision of the eigen scans' sieve, and the precision the
 # full eigenform test needs at its default bound 10 and window 12.
-_SIEVE_PREC = 16
+_SIEVE_PREC = 4
 _FULL_TEST_PREC = 120
 
 
-def _eigen_scan(candidates, prec: int, skipped: list[str], verdicts: dict | None = None):
+def _line(form: GradedSeries, prec: int) -> tuple[str, GradedSeries | None, Fraction]:
+    """(classification, L, c), form being on L iff form == c*L, for the line L of
+    its weight at prec: E_k if a_0 != 0, else Delta_k (None unless dim S_k = 1)."""
+    k = form.weight
+    if form[0] != 0:
+        return "eisenstein-line", eisenstein(k, prec), form[0]
+    return "cusp", cusp_delta(k, prec) if k in DELTA_WEIGHTS else None, form[1]
+
+
+def _eigen_scan(candidates, prec: int, skipped: list[str], table: dict | None = None):
     """Decide each (key, label, build) candidate, where build(p) returns
     the candidate at precision p.
 
     Each candidate is first built at _SIEVE_PREC. A zero prefix drops it:
     a product of nonzero catalog forms has order at most 2, and a bracket
     has weight at most 26, so by Sturm's bound it is zero once a_0..a_2
-    vanish. A prefix that fails T_2 on exponents 0..8 drops it too: that
-    test reads only a_0..a_16, so its violation is the first one the full
-    test would find, and a miss never reaches a report. Below
-    _FULL_TEST_PREC the sieve is off, so that every nonzero candidate
-    records its PrecisionError.
+    vanish. A prefix that fails T_2 on exponents 0..2 (reading a_0..a_4)
+    drops it too, with the first violation the full test would find; every
+    catalog candidate whose prefix passes is an eigenform. A form built in
+    full that equals c*L (see _line) takes L's report, as T_n(cL) = c T_n(L):
+    L is tested once per ``table``, or per scan without one; a form on no
+    line or on a failing line is tested itself. Below _FULL_TEST_PREC the
+    sieve and line verdicts are off: each nonzero candidate records its
+    PrecisionError.
 
-    Yields (key, form, report) for each candidate in order: None, None
-    for a dropped one, and the filed pair, with nothing built, for a key
-    that ``verdicts`` holds. A candidate whose precision is too low appends
-    a line to ``skipped`` instead. Yielding lets the caller drop each form
-    before the next one is built, so a scan holds one candidate at a time.
+    Yields (key, form, report, c) for each candidate in order, c as in
+    _line or None off a line: all None for a dropped one, and the filed
+    triple, with nothing built, for a key in ``table``. A candidate whose
+    precision is too low appends a line to ``skipped`` instead. The scan
+    holds one candidate at a time: the caller drops each before the next.
     """
     sieve = prec >= _FULL_TEST_PREC
+    store = {} if table is None else table
     for key, label, build in candidates:
-        if verdicts is not None and key in verdicts:
-            yield key, *verdicts[key]
+        if key in store:
+            yield key, *store[key]
             continue
         prefix = build(min(prec, _SIEVE_PREC))
         if prefix.is_zero() or (
             sieve and not eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
         ):
-            yield key, None, None
+            yield key, None, None, None
             continue
         form = build(prec)
+        kind, line, scale = _line(form, prec)
+        if not (sieve and line is not None and form == line * scale):
+            scale = None
+        elif (kind, form.weight) not in store:
+            store[kind, form.weight] = eigenform_test(line)
         try:
-            result = eigenform_test(form)
+            result = None if scale is None else store[kind, form.weight]
+            if result is None or not result.is_eigen_up_to_bound:
+                result = eigenform_test(form)
         except PrecisionError as exc:
             skipped.append(f"{label}: {exc}")
             continue
-        yield key, form, result
+        yield key, form, result, scale
 
 
 def _truncated_product(left, right, table, key: tuple, prec: int) -> GradedSeries:
@@ -428,10 +448,11 @@ def product_search(
     report = VerificationReport("products")
 
     skipped: list[str] = []
+    candidates = _product_candidates(prec, table)
     hits = []
-    for key, form, result in _eigen_scan(_product_candidates(prec, table), prec, skipped):
+    for key, form, result, scale in _eigen_scan(candidates, prec, skipped, table):
         if table is not None and key[1] == key[3] == 0:
-            table[key[0], key[2], 0] = form, result
+            table[key[0], key[2], 0] = form, result, scale
         if result is not None and result.is_eigen_up_to_bound:
             hits.append(ProductHit(*key, form.weight, result.eigenvalues))
 
@@ -523,29 +544,25 @@ def bracket_search(
     to the top catalog weight.
 
     Every hit must land on the Eisenstein line of its weight or in a
-    one-dimensional cusp space, and a hit c*f on such a line f takes c
-    times the coordinates of f, solved once per line; the m = 0 slice
-    (from a run's product table) must be exactly the modular product hits.
+    one-dimensional cusp space, and a hit c*f on such a line f (c from the
+    scan's comparison) takes c times the coordinates of f, solved once per
+    line; the m = 0 slice (from a run's product table) must be exactly the
+    modular product hits.
     """
     start = time.perf_counter()
     report = VerificationReport("brackets")
 
     skipped: list[str] = []
+    candidates = _bracket_candidates(prec, table)
     hits: list[BracketHit] = []
     lines: dict[tuple[int, str], list[Fraction] | None] = {}  # coordinates of each line
     e4e6_1 = None
-    for key, bracket, result in _eigen_scan(_bracket_candidates(prec, table), prec, skipped, table):
+    for key, bracket, result, scale in _eigen_scan(candidates, prec, skipped, table):
         if result is None or not result.is_eigen_up_to_bound:
             continue
         weight = bracket.weight
-        if bracket[0] != 0:
-            classification, scale = "eisenstein-line", bracket[0]
-            line = eisenstein(weight, prec)
-        else:
-            classification, scale = "cusp", bracket[1]
-            line = cusp_delta(weight, prec) if weight in DELTA_WEIGHTS else None
-        matches = line is not None and bracket == line * scale
-        if matches:
+        classification, line, _ = _line(bracket, prec)
+        if scale is not None:
             if (weight, classification) not in lines:
                 lines[weight, classification] = is_modular_member(line, weight)
             line_coords = lines[weight, classification]
@@ -553,19 +570,13 @@ def bracket_search(
         else:
             coords = is_modular_member(bracket, weight)
         e4e6_1 = bracket if key == ("E4", "E6", 1) else e4e6_1
-        hit = BracketHit(
-            *key,
-            weight,
-            result.eigenvalues,
-            classification,
-            tuple(coords) if coords else (),
-        )
+        hit = BracketHit(*key, weight, result.eigenvalues, classification, tuple(coords or ()))
         hits.append(hit)
         report.add(
             f"brackets.hit.{hit.description}",
             f"{hit.description} lies on the Eisenstein line or in a "
             f"one-dimensional cusp space of weight {weight}",
-            matches and coords is not None,
+            scale is not None and coords is not None,
             hit.to_json_dict(),
         )
 
@@ -765,12 +776,18 @@ def ghitza_check() -> VerificationReport:
 SUITE_NAMES = ("identities", "products", "brackets", "diophantine", "ghitza", "all")
 
 
+def _names_e2(key: tuple) -> bool:
+    """Whether E2 is an operand of a run-table key ((operands, prec) or (g, h, 0))."""
+    return "E2" in (dict(key[0]) if isinstance(key[0], frozenset) else key[:2])
+
+
 def run_suite(suite: str, prec: int = DEFAULT_PREC) -> VerificationReport:
     """Run one named suite (or all of them) and return its report. "all"
     shares one product table, for this call only: it maps the unordered
     (catalog name, derivative order) operands and the precision to their
-    full product, and each bracket key (g, h, 0) to the product scan's
-    (form, report) for g*h."""
+    full product, each bracket key (g, h, 0) to the product scan's outcome
+    for g*h, and each line (classification, weight) to its eigen report.
+    Entries with an E2 operand are dropped once the product scan is done."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     table = {} if suite == "all" else None
@@ -784,6 +801,9 @@ def run_suite(suite: str, prec: int = DEFAULT_PREC) -> VerificationReport:
     if suite != "all":
         return runs[suite]()
     merged = VerificationReport("all")
-    for run in runs.values():
+    for name, run in runs.items():
         merged.merge(run())
+        if name == "products":  # no later suite reads a product with E2
+            for key in [key for key in table if _names_e2(key)]:
+                del table[key]
     return merged

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 from fractions import Fraction
@@ -101,45 +102,68 @@ class TestBracketSearch:
             assert hit.coordinates
 
 
-def _series_key(form):
-    return form.weight, form.numerators, form.denominator
-
-
 class TestPrefixSieve:
     @pytest.mark.parametrize(
         "candidates", [_product_candidates, _bracket_candidates], ids=["products", "brackets"]
     )
-    def test_sieve_agrees_with_the_full_test(self, candidates, monkeypatch):
+    def test_sieve_agrees_with_the_full_test(self, candidates):
         # Every candidate at prec 128: a zero prefix means a zero form, a
         # sieve miss is a full-test miss with the same first violation,
-        # and exactly the sieve passes reach the full test, in order.
+        # and exactly the sieve passes are built at full precision, in
+        # order, each with the report of its own full test.
         prec = 128
         passes = []
-        for _, label, build in candidates(prec):
+        for key, label, build in candidates(prec):
             prefix, form = build(_SIEVE_PREC), build(prec)
             assert prefix.is_zero() == form.is_zero(), label
             if form.is_zero():
                 continue
             sieved = eigenform_test(prefix, 2, _SIEVE_PREC // 2)
             if sieved.is_eigen_up_to_bound:
-                passes.append(_series_key(form))
+                passes.append(key)
             else:
                 full = eigenform_test(form)
                 assert not full.is_eigen_up_to_bound, label
                 assert full.first_violation == sieved.first_violation, label
 
-        tested = []
+        built = []
 
-        def spy(form, *args):
-            if form.prec == prec:
-                tested.append(_series_key(form))
-            return eigenform_test(form, *args)
+        def watched():
+            for key, label, build in candidates(prec):
+                def logged(p, key=key, build=build):
+                    if p == prec:
+                        built.append(key)
+                    return build(p)
 
-        monkeypatch.setattr(verify, "eigenform_test", spy)
+                yield key, label, logged
+
         skipped = []
-        list(_eigen_scan(candidates(prec), prec, skipped))
-        assert tested == passes
+        for key, form, report, _ in _eigen_scan(watched(), prec, skipped):
+            if form is not None:
+                assert report == eigenform_test(form), key
+        assert built == passes
         assert not skipped
+
+    @pytest.mark.parametrize(
+        "candidates, count",
+        [(_product_candidates, 18), (_bracket_candidates, 64)],
+        ids=["products", "brackets"],
+    )
+    def test_five_coefficients_pass_what_seventeen_passed(self, candidates, count):
+        # T_2 on exponents 0..2 (a_0..a_4) passes the same candidates as
+        # on exponents 0..8 (a_0..a_16): five coefficients lose nothing.
+        assert _SIEVE_PREC == 4
+        passes = []
+        for key, label, build in candidates(128):
+            short, long = build(_SIEVE_PREC), build(16)
+            assert short.is_zero() == long.is_zero(), label
+            if long.is_zero():
+                continue
+            passed = eigenform_test(short, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
+            assert passed == eigenform_test(long, 2, 8).is_eigen_up_to_bound, label
+            if passed:
+                passes.append(key)
+        assert len(passes) == count
 
     @pytest.mark.parametrize(
         "search, count",
@@ -200,7 +224,9 @@ class TestSharedProducts:
         # One product table per run: the product and bracket scans read the
         # identity suite's products, and each [g,h]_0 takes the product
         # scan's outcome for g*h. Run apart, the suites make 140 products
-        # (35 repeats) and 90 full eigen tests.
+        # (35 repeats) and 90 full eigen tests. Each Eisenstein or cusp line
+        # is tested once, and the scans' hits on it take its report: 74
+        # full tests with every hit tested itself, 19 with line verdicts.
         tested = []
 
         def spy(form, *args):
@@ -216,11 +242,64 @@ class TestSharedProducts:
         products = _full_products(monkeypatch, run, 256)
         assert len(products) == 105
         assert len(set(products)) == 105
-        assert sum(tested) == 74
+        assert sum(tested) == 19
 
 
 def _records(report):
     return report.to_json_dict()["checks"]
+
+
+class TestLineVerdicts:
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_reports_are_the_forms_own(self, prec, monkeypatch):
+        # Every form the product and bracket scans yield, hits and filed
+        # m = 0 verdicts included, carries the report of its own test.
+        scan = verify._eigen_scan
+        on_line = []
+
+        def checked(*args):
+            for key, form, report, scale in scan(*args):
+                if form is not None:
+                    assert report == eigenform_test(form), key
+                    on_line.append(scale is not None)
+                yield key, form, report, scale
+
+        monkeypatch.setattr(verify, "_eigen_scan", checked)
+        assert run_suite("all", prec).all_passed()
+        # 18 product and 64 bracket forms; all but D(E4)*E4 and E2*Delta12
+        # lie on a line.
+        assert (sum(on_line), len(on_line)) == (80, 82)
+
+    def test_a_failing_line_sends_its_forms_to_their_own_test(self, monkeypatch):
+        # While Delta16's own test passes, no form on its line is tested
+        # itself. Once it fails, those forms are, and the report is the same.
+        prec = 128
+        expected = _records(run_suite("all", prec))
+        line_of, lines, own, failing = verify._line, [], [], []
+
+        def line_spy(form, p):
+            kind, line, scale = line_of(form, p)
+            if (kind, form.weight) == ("cusp", 16):
+                lines.append(line)
+            return kind, line, scale
+
+        def test_spy(form, *args):
+            report = eigenform_test(form, *args)
+            if any(form is line for line in lines):
+                return dataclasses.replace(report, is_eigen_up_to_bound=not failing)
+            if form.prec == prec and form.weight == 16 and form[0] == 0:
+                own.append(form)
+            return report
+
+        monkeypatch.setattr(verify, "_line", line_spy)
+        monkeypatch.setattr(verify, "eigenform_test", test_spy)
+        run_suite("all", prec)
+        assert lines and not own
+        failing.append(True)
+        assert _records(run_suite("all", prec)) == expected
+        # E4*Delta12 and six brackets with m >= 1; [E4,Delta12]_0 takes the
+        # product scan's outcome for E4*Delta12.
+        assert len(own) == 7
 
 
 class TestRunTable:
@@ -232,6 +311,27 @@ class TestRunTable:
         merged = _records(run_suite("all", prec))
         assert merged == [record for records in alone for record in records]
         assert [_records(run_suite(name, prec)) for name in SUITE_NAMES[:-1]] == alone
+
+    def test_bracket_scan_gets_no_e2_entry(self, monkeypatch):
+        # The identity suite files E2*f for every catalog form f and the
+        # product scan reads E2*Delta12; the bracket scan takes no E2.
+        seen = {}
+        product_search, bracket_search = verify.product_search, verify.bracket_search
+
+        def products(prec, table):
+            result = product_search(prec, table)
+            seen["products out"] = repr(list(table))
+            return result
+
+        def brackets(prec, table):
+            seen["brackets in"] = repr(list(table))
+            return bracket_search(prec, table)
+
+        monkeypatch.setattr(verify, "product_search", products)
+        monkeypatch.setattr(verify, "bracket_search", brackets)
+        run_suite("all", 128)
+        assert "'E2'" in seen["products out"]
+        assert "'E2'" not in seen["brackets in"]
 
     def test_no_series_outlives_the_call(self):
         def live_series():
