@@ -11,9 +11,7 @@ from .qseries import GradedSeries, QSeries
 __all__ = ["rankin_cohen"]
 
 
-def rankin_cohen(
-    g: GradedSeries, h: GradedSeries, m: int, products: list | None = None
-) -> GradedSeries:
+def rankin_cohen(g: GradedSeries, h: GradedSeries, m: int) -> GradedSeries:
     """The m-th Rankin-Cohen bracket of forms of weights k1 and k2,
 
         [g, h]_m = sum_{r+s=m} (-1)^r C(m+k1-1, s) C(m+k2-1, r) D^r(g) D^s(h),
@@ -32,10 +30,7 @@ def rankin_cohen(
     = (D - D_g)^s (D^r(g) h) = sum_t (-1)^t C(s, t) D^(s-t)(Q_(r+t)), and
     the terms with r + t = i sum to beta_i D^(m-i)(Q_i).
 
-    A lone bracket costs m + 1 products, like the textbook sum. Pass one
-    list as ``products`` to every order of a pair (g, h): it holds Q_0,
-    Q_1, ... and is extended in place up to Q_m, so the orders of a pair
-    together cost only the products of the largest.
+    A bracket costs m + 1 products, like the textbook sum.
     """
     if m < 0:
         raise ValueError(f"bracket order must be nonnegative, got {m}")
@@ -47,14 +42,10 @@ def rankin_cohen(
             f"bracket weight {k1 + k2 + 2 * m} exceeds the cap {_MAX_EISENSTEIN_WEIGHT}"
         )
 
-    if products is None:
-        products = []
-    g_deriv = g
-    for i in range(m + 1):
-        if i == len(products):
-            products.append(g_deriv * h)
-        if len(products) <= m:
-            g_deriv = g_deriv.derivative()
+    products = [g * h]
+    for _ in range(m):
+        g = g.derivative()
+        products.append(g * h)
 
     def beta(i: int) -> int:
         return (-1) ** i * sum(
@@ -64,7 +55,7 @@ def rankin_cohen(
 
     # Horner's rule in D, (((beta_0 Q_0)' + beta_1 Q_1)' + ...)' + beta_m Q_m,
     # on integer numerators over the lcm L of the denominators of Q_i.
-    den = lcm(*(q.denominator for q in products[: m + 1]))
+    den = lcm(*(q.denominator for q in products))
     total = [0] * (products[0].prec + 1)
     for i in range(m + 1):
         c = beta(i) * (den // products[i].denominator)

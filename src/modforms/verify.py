@@ -198,21 +198,12 @@ def _equality(check_id: str, anchor: str, left: GradedSeries, right: GradedSerie
     return check_id, anchor, left == right, _difference_witness(left, right)
 
 
-def _shared(table: dict | None, left: tuple, right: tuple, prec: int, build) -> GradedSeries:
-    """build(), the product of two (catalog name, derivative order) operands
-    at full precision prec, read from or filed in the run's product table."""
-    if table is None:
-        return build()
-    key = frozenset((left, right)), prec
-    return table[key] if key in table else table.setdefault(key, build())
-
-
-def verify_identity_suite(prec: int = DEFAULT_PREC, table=None) -> VerificationReport:
+def verify_identity_suite(prec: int = DEFAULT_PREC) -> VerificationReport:
     """Every coefficientwise identity plus the eigen/not-eigen classifications.
 
     E2star*f is built once per catalog form f, and its Y^0 component is
     E2*f. Each check keeps only its record, so no product outlives the
-    form it belongs to outside a run's table; records come in a fixed order.
+    form it belongs to; records come in a fixed order.
     """
     if prec < 128:
         raise ValueError("the identity suite is specified for prec >= 128")
@@ -221,7 +212,7 @@ def verify_identity_suite(prec: int = DEFAULT_PREC, table=None) -> VerificationR
     forms = {name: catalog_form(name, prec) for name in CATALOG_NAMES}
 
     for left, right, result in PRODUCT_IDENTITIES:
-        product = _shared(table, (left, 0), (right, 0), prec, lambda: forms[left] * forms[right])
+        product = forms[left] * forms[right]
         if left == right == "E4":
             forms["E4^2"] = product
         anchor = f"{left}*{right} = {result}"
@@ -234,7 +225,7 @@ def verify_identity_suite(prec: int = DEFAULT_PREC, table=None) -> VerificationR
         form = forms[name]
         k = form.weight
         star = estar * form
-        e2_form = _shared(table, ("E2", 0), (name, 0), prec, partial(constant_term, star))
+        e2_form = constant_term(star)
         if name in _DERIVATIVE_SYSTEM:
             anchor, subtrahend, divisor = _DERIVATIVE_SYSTEM[name]
             right_form = (e2_form - forms[subtrahend]) * Fraction(1, divisor)
@@ -269,7 +260,7 @@ def verify_identity_suite(prec: int = DEFAULT_PREC, table=None) -> VerificationR
         ))
 
     e4 = forms["E4"]
-    lhs = _shared(table, ("E4", 1), ("E4", 0), prec, lambda: e4.derivative() * e4)
+    lhs = e4.derivative() * e4
     rhs = forms["E8"].derivative() * Fraction(1, 2)
     anchor = "D(E4)*E4 = (1/2) D(E8)"
     derivatives.append(_equality("identities.derivative.DE4*E4", anchor, lhs, rhs))
@@ -310,67 +301,63 @@ def _line(form: GradedSeries, prec: int) -> tuple[str, GradedSeries | None, Frac
     return "cusp", cusp_delta(k, prec) if k in DELTA_WEIGHTS else None, form[1]
 
 
-def _eigen_scan(candidates, prec: int, skipped: list[str], table: dict | None = None):
-    """Decide each (key, label, build) candidate, where build(p) returns
-    the candidate at precision p.
+def _eigen_scan(candidates, prec: int, skipped: list[str]):
+    """Decide each (key, label, build, modular) candidate, built at precision
+    p by build(p); ``modular`` marks a modular form (see the scans).
 
-    Each candidate is first built at _SIEVE_PREC. A zero prefix drops it:
-    a product of nonzero catalog forms has order at most 2, and a bracket
-    has weight at most 26, so by Sturm's bound it is zero once a_0..a_2
-    vanish. A prefix that fails T_2 on exponents 0..2 (reading a_0..a_4)
-    drops it too, with the first violation the full test would find; every
-    catalog candidate whose prefix passes is an eigenform. A form built in
-    full that equals c*L (see _line) takes L's report, as T_n(cL) = c T_n(L):
-    L is tested once per ``table``, or per scan without one; a form on no
-    line or on a failing line is tested itself. Below _FULL_TEST_PREC the
-    sieve and line verdicts are off: each nonzero candidate records its
-    PrecisionError.
+    Each is first built at _SIEVE_PREC. A zero prefix drops it: a product of
+    nonzero catalog forms has order at most 2, and a bracket has weight at
+    most 26, so by Sturm's bound it is zero once a_0..a_2 vanish. A prefix
+    that fails T_2 on exponents 0..2 (reading a_0..a_4) drops it too, with
+    the first violation the full test would find; every catalog candidate
+    whose prefix passes is an eigenform.
 
-    Yields (key, form, report, c) for each candidate in order, c as in
-    _line or None off a line: all None for a dropped one, and the filed
-    triple, with nothing built, for a key in ``table``. A candidate whose
+    A modular candidate of weight k, k // 12 <= _SIEVE_PREC, whose prefix is
+    c*L on a_0..a_4 (see _line) is c*L by Sturm's bound. It takes L's report
+    unbuilt, as T_n(cL) = c T_n(L), and counts as tested at full precision
+    in scan_complete, since L is tested in full (once per scan). Every other
+    pass, and one on a line whose own test fails, is built in full and
+    tested itself. Below _FULL_TEST_PREC the sieve and line verdicts are
+    off: each nonzero candidate records its PrecisionError.
+
+    Yields (key, form, report, c) for each candidate in order: form is the
+    prefix for a line verdict and the full build otherwise, c as in _line or
+    None off a line, and all None for a dropped one. A candidate whose
     precision is too low appends a line to ``skipped`` instead. The scan
     holds one candidate at a time: the caller drops each before the next.
     """
     sieve = prec >= _FULL_TEST_PREC
-    store = {} if table is None else table
-    for key, label, build in candidates:
-        if key in store:
-            yield key, *store[key]
-            continue
-        prefix = build(min(prec, _SIEVE_PREC))
-        if prefix.is_zero() or (
-            sieve and not eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
+    reports = {}  # (classification, weight) -> the eigen report of that line
+    for key, label, build, modular in candidates:
+        form = build(min(prec, _SIEVE_PREC))
+        if form.is_zero() or (
+            sieve and not eigenform_test(form, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
         ):
             yield key, None, None, None
             continue
-        form = build(prec)
-        kind, line, scale = _line(form, prec)
-        if not (sieve and line is not None and form == line * scale):
+        sturm = sieve and modular and form.weight // 12 <= _SIEVE_PREC
+        kind, line, scale = _line(form, prec) if sturm else (None, None, None)
+        if line is None or form != line.truncate(_SIEVE_PREC) * scale:
             scale = None
-        elif (kind, form.weight) not in store:
-            store[kind, form.weight] = eigenform_test(line)
-        try:
-            result = None if scale is None else store[kind, form.weight]
-            if result is None or not result.is_eigen_up_to_bound:
+        elif (kind, form.weight) not in reports:
+            reports[kind, form.weight] = eigenform_test(line)
+        result = None if scale is None else reports[kind, form.weight]
+        if result is None or not result.is_eigen_up_to_bound:
+            form = build(prec)
+            try:
                 result = eigenform_test(form)
-        except PrecisionError as exc:
-            skipped.append(f"{label}: {exc}")
-            continue
+            except PrecisionError as exc:
+                skipped.append(f"{label}: {exc}")
+                continue
         yield key, form, result, scale
 
 
-def _truncated_product(left, right, table, key: tuple, prec: int) -> GradedSeries:
-    """left*right at prec, through the run's table at full precision (the operands' own)."""
-    full = table if prec == left.prec else None
-    return _shared(full, key[:2], key[2:], prec, lambda: left.truncate(prec) * right.truncate(prec))
+def _truncated_product(left: GradedSeries, right: GradedSeries, prec: int) -> GradedSeries:
+    return left.truncate(prec) * right.truncate(prec)
 
 
-def _truncated_bracket(
-    g: GradedSeries, h: GradedSeries, m: int, products: dict, prec: int
-) -> GradedSeries:
-    shared = products.setdefault(prec, [])
-    return rankin_cohen(g.truncate(prec), h.truncate(prec), m, shared)
+def _truncated_bracket(g: GradedSeries, h: GradedSeries, m: int, prec: int) -> GradedSeries:
+    return rankin_cohen(g.truncate(prec), h.truncate(prec), m)
 
 
 def _deriv_label(name: str, order: int) -> str:
@@ -421,8 +408,9 @@ _EXPECTED_PRODUCT_RESULTS: dict[tuple[str, int, str, int], str] = {
 EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 
 
-def _product_candidates(prec: int, table: dict | None = None):
-    """The (key, label, build) candidates of the product scan."""
+def _product_candidates(prec: int):
+    """The (key, label, build, modular) candidates of the product scan: a
+    product is modular when neither operand has a D or is E2."""
     items: list[tuple[str, int, GradedSeries]] = []
     for name in CATALOG_NAMES:
         form = catalog_form(name, prec)
@@ -430,29 +418,25 @@ def _product_candidates(prec: int, table: dict | None = None):
     for i, (left_name, left_order, left_form) in enumerate(items):
         for right_name, right_order, right_form in items[i:]:
             key = (left_name, left_order, right_name, right_order)
-            build = partial(_truncated_product, left_form, right_form, table, key)
-            yield key, _product_label(*key), build
+            modular = not (left_order or right_order) and "E2" not in key
+            build = partial(_truncated_product, left_form, right_form)
+            yield key, _product_label(*key), build, modular
 
 
-def product_search(
-    prec: int = DEFAULT_PREC, table: dict | None = None
-) -> tuple[list[ProductHit], VerificationReport]:
+def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], VerificationReport]:
     """Test every unordered catalog product (D^r f)(D^s g), r, s <= 1,
     for eigenform-ness.
 
     Returns the passing candidates and a report comparing them against
     the classified list: each expected hit must be found and nothing else
-    may pass. A run's product table gets the outcome of each g*h.
+    may pass (``scan_complete``: see _eigen_scan).
     """
     start = time.perf_counter()
     report = VerificationReport("products")
 
     skipped: list[str] = []
-    candidates = _product_candidates(prec, table)
     hits = []
-    for key, form, result, scale in _eigen_scan(candidates, prec, skipped, table):
-        if table is not None and key[1] == key[3] == 0:
-            table[key[0], key[2], 0] = form, result, scale
+    for key, form, result, _ in _eigen_scan(_product_candidates(prec), prec, skipped):
         if result is not None and result.is_eigen_up_to_bound:
             hits.append(ProductHit(*key, form.weight, result.eigenvalues))
 
@@ -516,48 +500,37 @@ class BracketHit:
         }
 
 
-def _bracket_candidates(prec: int, table: dict | None = None):
-    """The (key, label, build) candidates of the bracket scan: [g, h]_m,
-    m <= 4, for modular catalog pairs up to the top catalog weight. The
-    orders of a pair share one list of products D^i(g)*h per precision
-    (see rankin_cohen), led by those the run's product table holds."""
+def _bracket_candidates(prec: int):
+    """The (key, label, build, modular) candidates of the bracket scan:
+    [g, h]_m, m <= 4, for modular catalog pairs up to the top catalog
+    weight. Each is modular: a bracket of modular forms is one."""
     entries = [(name, catalog_form(name, prec)) for name in CATALOG_NAMES if name != "E2"]
     top_weight = max(form.weight for _, form in entries)
     for i, (g_name, g_form) in enumerate(entries):
         for h_name, h_form in entries[i:]:
-            products: dict[int, list] = {prec: []}
-            for order in range(5):  # the table's D^order(g)*h, in a row from order 0
-                key = frozenset(((g_name, order), (h_name, 0))), prec
-                if table is None or key not in table:
-                    break
-                products[prec].append(table[key])
             for m in range(5):
                 if g_form.weight + h_form.weight + 2 * m <= top_weight:
-                    build = partial(_truncated_bracket, g_form, h_form, m, products)
-                    yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", build
+                    build = partial(_truncated_bracket, g_form, h_form, m)
+                    yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", build, True
 
 
-def bracket_search(
-    prec: int = DEFAULT_PREC, table: dict | None = None
-) -> tuple[list[BracketHit], VerificationReport]:
+def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], VerificationReport]:
     """Eigenform scan over [g, h]_m, m <= 4, for modular catalog pairs up
     to the top catalog weight.
 
     Every hit must land on the Eisenstein line of its weight or in a
     one-dimensional cusp space, and a hit c*f on such a line f (c from the
     scan's comparison) takes c times the coordinates of f, solved once per
-    line; the m = 0 slice (from a run's product table) must be exactly the
-    modular product hits.
+    line; the m = 0 slice must be exactly the modular product hits
+    (``scan_complete``: see _eigen_scan).
     """
     start = time.perf_counter()
     report = VerificationReport("brackets")
 
     skipped: list[str] = []
-    candidates = _bracket_candidates(prec, table)
     hits: list[BracketHit] = []
     lines: dict[tuple[int, str], list[Fraction] | None] = {}  # coordinates of each line
-    e4e6_1 = None
-    for key, bracket, result, scale in _eigen_scan(candidates, prec, skipped, table):
+    for key, bracket, result, scale in _eigen_scan(_bracket_candidates(prec), prec, skipped):
         if result is None or not result.is_eigen_up_to_bound:
             continue
         weight = bracket.weight
@@ -569,7 +542,6 @@ def bracket_search(
             coords = None if line_coords is None else [c * scale for c in line_coords]
         else:
             coords = is_modular_member(bracket, weight)
-        e4e6_1 = bracket if key == ("E4", "E6", 1) else e4e6_1
         hit = BracketHit(*key, weight, result.eigenvalues, classification, tuple(coords or ()))
         hits.append(hit)
         report.add(
@@ -596,8 +568,7 @@ def bracket_search(
         },
     )
 
-    if e4e6_1 is None:  # the scan yields no hit below _FULL_TEST_PREC
-        e4e6_1 = rankin_cohen(catalog_form("E4", prec), catalog_form("E6", prec), 1)
+    e4e6_1 = rankin_cohen(catalog_form("E4", prec), catalog_form("E6", prec), 1)
     target = catalog_form("Delta12", prec) * (-3456)
     report.add(*_equality("brackets.e4_e6_1", "[E4,E6]_1 = -3456 * Delta12", e4e6_1, target))
     report.add(
@@ -776,34 +747,22 @@ def ghitza_check() -> VerificationReport:
 SUITE_NAMES = ("identities", "products", "brackets", "diophantine", "ghitza", "all")
 
 
-def _names_e2(key: tuple) -> bool:
-    """Whether E2 is an operand of a run-table key ((operands, prec) or (g, h, 0))."""
-    return "E2" in (dict(key[0]) if isinstance(key[0], frozenset) else key[:2])
-
-
 def run_suite(suite: str, prec: int = DEFAULT_PREC) -> VerificationReport:
-    """Run one named suite (or all of them) and return its report. "all"
-    shares one product table, for this call only: it maps the unordered
-    (catalog name, derivative order) operands and the precision to their
-    full product, each bracket key (g, h, 0) to the product scan's outcome
-    for g*h, and each line (classification, weight) to its eigen report.
-    Entries with an E2 operand are dropped once the product scan is done."""
+    """Run one named suite, or all of them in order, and return its report."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
-    table = {} if suite == "all" else None
+    if prec < 0:
+        raise ValueError("prec must be >= 0")
     runs = {
-        "identities": lambda: verify_identity_suite(prec, table),
-        "products": lambda: product_search(prec, table)[1],
-        "brackets": lambda: bracket_search(prec, table)[1],
+        "identities": lambda: verify_identity_suite(prec),
+        "products": lambda: product_search(prec)[1],
+        "brackets": lambda: bracket_search(prec)[1],
         "diophantine": verify_diophantine_suite,
         "ghitza": ghitza_check,
     }
     if suite != "all":
         return runs[suite]()
     merged = VerificationReport("all")
-    for name, run in runs.items():
+    for run in runs.values():
         merged.merge(run())
-        if name == "products":  # no later suite reads a product with E2
-            for key in [key for key in table if _names_e2(key)]:
-                del table[key]
     return merged

@@ -112,16 +112,11 @@ MODULAR_32 = [(e.name, e.form) for e in catalog(32) if e.name != "E2"]
 @pytest.mark.parametrize("i", range(len(MODULAR_32)), ids=[name for name, _ in MODULAR_32])
 def test_matches_the_textbook_sum(i):
     # Every unordered modular catalog pair and m <= 4 (test_sign_symmetry
-    # covers the swapped order), alone and with the orders of a pair
-    # sharing one list of products D^i(g)*h.
+    # covers the swapped order).
     g_name, g = MODULAR_32[i]
     for h_name, h in MODULAR_32[i:]:
-        shared = []
         for m in range(5):
-            expected = _textbook_bracket(g, h, m)
-            assert rankin_cohen(g, h, m) == expected, (g_name, h_name, m)
-            assert rankin_cohen(g, h, m, shared) == expected, (g_name, h_name, m)
-            assert len(shared) == m + 1
+            assert rankin_cohen(g, h, m) == _textbook_bracket(g, h, m), (g_name, h_name, m)
 
 
 # The products D^i(g)*h carry different denominators; the Horner sum runs
@@ -136,9 +131,11 @@ def test_mixed_denominators_match_the_textbook_sum(g_scale, h_scale, m):
     g, h = eisenstein(4, PREC) * g_scale, eisenstein(6, PREC) * h_scale
     pairs = [(g, h), (g, cusp_delta(12, PREC) * h_scale), (h, g)]
     for left, right in pairs:
-        products = []
-        assert rankin_cohen(left, right, m, products) == _textbook_bracket(left, right, m)
-        assert m == 0 or len({q.denominator for q in products}) > 1
+        assert rankin_cohen(left, right, m) == _textbook_bracket(left, right, m)
+        derivs = [left]
+        for _ in range(m):
+            derivs.append(derivs[-1].derivative())
+        assert m == 0 or len({(d * right).denominator for d in derivs}) > 1
 
 
 # Arbitrary series with small denominators: here the products' denominators
@@ -160,14 +157,3 @@ _tagged = st.lists(_small_rational, min_size=1, max_size=9).map(QSeries)
 def test_mixed_denominators_of_arbitrary_series(g, h, m):
     g, h = GradedSeries(g, 4), GradedSeries(h, 6)
     assert rankin_cohen(g, h, m) == _textbook_bracket(g, h, m)
-
-
-def test_shared_products_extend_only_to_the_order_asked():
-    e4, d12 = eisenstein(4, 16), cusp_delta(12, 16)
-    shared = []
-    rankin_cohen(e4, d12, 3, shared)
-    assert shared == [e4 * d12, e4.derivative() * d12,
-                      e4.derivative().derivative() * d12,
-                      e4.derivative().derivative().derivative() * d12]
-    rankin_cohen(e4, d12, 1, shared)
-    assert len(shared) == 4

@@ -258,6 +258,15 @@ class TestVerify:
         result = invoke("verify", "--suite", "identities", "--prec", "32")
         assert result.exit_code != 0
 
+    # Every suite refuses a negative precision, the two that read none too.
+    @pytest.mark.parametrize("suite", ["ghitza", "diophantine"])
+    def test_negative_precision_is_one_error_line(self, suite):
+        result = invoke("verify", "--suite", suite, "--prec", "-5")
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: prec must be >= 0"]
+        assert "[PASS]" not in result.output
+
 
 @pytest.mark.parametrize(
     "command",

@@ -32,21 +32,25 @@ result = CliRunner().invoke(modforms.cli.main, sys.argv[1:])
 print(json.dumps({
     "exit_code": result.exit_code,
     "layers": sorted(tracer.layers_seen(spans)),
+    "all_layers": sorted(tracer.LAYERS),
     "metrics": tracer.layer_metrics(spans),
 }))
 """
 
 
-def test_tracer_instruments_a_cli_call():
+def _traced(*argv) -> dict:
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    argv = ["bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "16"]
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_CALL, *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_instruments_a_cli_call():
+    out = _traced("bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "16")
     assert out["exit_code"] == 0
     assert {"qseries", "forms", "brackets", "cli"} <= set(out["layers"])
     metrics = out["metrics"]
@@ -54,6 +58,14 @@ def test_tracer_instruments_a_cli_call():
     assert metrics["brackets.rankin_cohen.calls"] == 1
     assert metrics["forms.catalog.builds"] == 1
     assert metrics["qseries.mul.calls"] > 0
+
+
+def test_tracer_sees_every_layer_of_a_verify_run():
+    # perfbench/run.py --trace 1 fails verify-all unless every layer records
+    # a span, and most bracket and Hecke spans come from the scans' prefixes.
+    out = _traced("verify", "--suite", "all", "--prec", "128")
+    assert out["exit_code"] == 0
+    assert out["layers"] == out["all_layers"]
 
 
 def test_stored_builders_expose_cache_counts():

@@ -6,13 +6,14 @@ import dataclasses
 import gc
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from modforms import verify
-from modforms.forms import catalog_form
+from modforms.forms import DELTA_WEIGHTS, catalog_form, cusp_delta, eisenstein
 from modforms.hecke import eigenform_test
-from modforms.qseries import PrecisionError, QSeries
+from modforms.qseries import GradedSeries, PrecisionError, QSeries
 from modforms.verify import (
     _FULL_TEST_PREC,
     _SIEVE_PREC,
@@ -104,44 +105,48 @@ class TestBracketSearch:
 
 class TestPrefixSieve:
     @pytest.mark.parametrize(
-        "candidates", [_product_candidates, _bracket_candidates], ids=["products", "brackets"]
+        "candidates, off_line",
+        [(_product_candidates, 2), (_bracket_candidates, 0)],
+        ids=["products", "brackets"],
     )
-    def test_sieve_agrees_with_the_full_test(self, candidates):
+    def test_sieve_agrees_with_the_full_test(self, candidates, off_line):
         # Every candidate at prec 128: a zero prefix means a zero form, a
         # sieve miss is a full-test miss with the same first violation,
-        # and exactly the sieve passes are built at full precision, in
-        # order, each with the report of its own full test.
+        # and exactly the sieve passes off a line (D(E4)*E4 and E2*Delta12,
+        # which are not modular) are built at full precision, in order,
+        # each with the report of its own full test.
         prec = 128
-        passes = []
-        for key, label, build in candidates(prec):
+        full_builds = []
+        for key, label, build, modular in candidates(prec):
             prefix, form = build(_SIEVE_PREC), build(prec)
             assert prefix.is_zero() == form.is_zero(), label
             if form.is_zero():
                 continue
             sieved = eigenform_test(prefix, 2, _SIEVE_PREC // 2)
-            if sieved.is_eigen_up_to_bound:
-                passes.append(key)
-            else:
+            if not sieved.is_eigen_up_to_bound:
                 full = eigenform_test(form)
                 assert not full.is_eigen_up_to_bound, label
                 assert full.first_violation == sieved.first_violation, label
+            elif not (modular and form == _line_multiple(form)):
+                full_builds.append(key)
+        assert len(full_builds) == off_line
 
         built = []
 
         def watched():
-            for key, label, build in candidates(prec):
+            for key, label, build, modular in candidates(prec):
                 def logged(p, key=key, build=build):
                     if p == prec:
                         built.append(key)
                     return build(p)
 
-                yield key, label, logged
+                yield key, label, logged, modular
 
         skipped = []
         for key, form, report, _ in _eigen_scan(watched(), prec, skipped):
-            if form is not None:
+            if form is not None and form.prec == prec:
                 assert report == eigenform_test(form), key
-        assert built == passes
+        assert built == full_builds
         assert not skipped
 
     @pytest.mark.parametrize(
@@ -154,7 +159,7 @@ class TestPrefixSieve:
         # on exponents 0..8 (a_0..a_16): five coefficients lose nothing.
         assert _SIEVE_PREC == 4
         passes = []
-        for key, label, build in candidates(128):
+        for key, label, build, _ in candidates(128):
             short, long = build(_SIEVE_PREC), build(16)
             assert short.is_zero() == long.is_zero(), label
             if long.is_zero():
@@ -184,6 +189,59 @@ class TestPrefixSieve:
             eigenform_test(form.truncate(_FULL_TEST_PREC - 1))
 
 
+def _line_multiple(form):
+    """c*L for the Eisenstein or one-dimensional cusp line L of form's
+    weight that form would be on (c from a_0 or a_1), or None off both."""
+    k, prec = form.weight, form.prec
+    if form[0] != 0:
+        return eisenstein(k, prec) * form[0]
+    return cusp_delta(k, prec) * form[1] if k in DELTA_WEIGHTS else None
+
+
+class TestSturmConditions:
+    # A candidate is decided from its prefix only where Sturm's bound
+    # applies: it is modular, and its weight k has k // 12 <= _SIEVE_PREC.
+    PREC = 128
+
+    def scan(self, build, modular):
+        built = []
+
+        def logged(p):
+            if p == self.PREC:
+                built.append(p)
+            return build(p)
+
+        skipped = []
+        (yielded,) = _eigen_scan([("x", "x", logged, modular)], self.PREC, skipped)
+        assert not skipped
+        return bool(built), yielded
+
+    def test_a_candidate_not_known_modular_is_built_in_full(self):
+        # E4 + q^5 has E4's prefix, so it passes the sieve, but it is not
+        # c*E4 and not an eigenform: taking E4's report would be wrong.
+        def build(p):
+            return eisenstein(4, p) + GradedSeries(QSeries([0] * 5 + [1], p), 4)
+
+        assert build(_SIEVE_PREC) == eisenstein(4, _SIEVE_PREC)
+        built, (_, form, report, scale) = self.scan(build, modular=False)
+        assert built and form == build(self.PREC) and scale is None
+        assert report == eigenform_test(form)
+        assert not report.is_eigen_up_to_bound
+        assert report.first_violation.exponent <= 5
+
+    @pytest.mark.parametrize("k, decided", [(58, True), (60, False)])
+    def test_weights_beyond_the_prefix_are_built_in_full(self, k, decided):
+        # E_k is c*E_k with c = 1; from weight 60 on, a_0..a_4 no longer
+        # certify that, so the candidate is built and tested itself.
+        assert (k // 12 <= _SIEVE_PREC) == decided
+        built, (_, form, report, scale) = self.scan(partial(eisenstein, k), modular=True)
+        assert built != decided
+        assert form.prec == (_SIEVE_PREC if decided else self.PREC)
+        assert scale == (1 if decided else None)
+        assert report == eigenform_test(eisenstein(k, self.PREC))
+        assert report.is_eigen_up_to_bound
+
+
 def _full_products(monkeypatch, run, prec):
     """The products of two non-constant series at precision prec that run()
     makes, as unordered operand pairs. run() first runs once unwatched, so
@@ -206,12 +264,11 @@ def _full_products(monkeypatch, run, prec):
 
 class TestSharedProducts:
     def test_bracket_suite(self, monkeypatch):
-        # Each pair builds D^i(g)*h once, up to its largest sieve-passing
-        # order (the textbook sum, m + 1 products per bracket, makes 174),
-        # and the closing [E4,E6]_1 check reuses the scan's hit.
+        # The scan decides every hit from its prefix, so only the closing
+        # [E4,E6]_1 check builds full products: E4*E6 and D(E4)*E6.
         products = _full_products(monkeypatch, lambda: bracket_search(256), 256)
-        assert len(products) == 93
-        assert len(set(products)) == 93
+        assert len(products) == 2
+        assert len(set(products)) == 2
 
     def test_identity_suite(self, monkeypatch):
         # E2*f is read off E2star*f, and E4*E4 is kept from the product
@@ -221,12 +278,12 @@ class TestSharedProducts:
         assert len(set(products)) == 29
 
     def test_all_suites(self, monkeypatch):
-        # One product table per run: the product and bracket scans read the
-        # identity suite's products, and each [g,h]_0 takes the product
-        # scan's outcome for g*h. Run apart, the suites make 140 products
-        # (35 repeats) and 90 full eigen tests. Each Eisenstein or cusp line
-        # is tested once, and the scans' hits on it take its report: 74
-        # full tests with every hit tested itself, 19 with line verdicts.
+        # The identity suite's 29 products, D(E4)*E4 and E2*Delta12 from the
+        # product scan, and E4*E6 and D(E4)*E6 from the bracket suite: the
+        # scans build no modular candidate in full, and the suites share
+        # nothing, so D(E4)*E4, E2*Delta12 and E4*E6 are each built twice.
+        # The identity suite runs 8 full eigen tests, the product scan 2 of
+        # its own and 8 of lines, and the bracket scan 9 of lines.
         tested = []
 
         def spy(form, *args):
@@ -240,9 +297,9 @@ class TestSharedProducts:
             run_suite("all", 256)
 
         products = _full_products(monkeypatch, run, 256)
-        assert len(products) == 105
-        assert len(set(products)) == 105
-        assert sum(tested) == 19
+        assert len(products) == 33
+        assert len(set(products)) == 30
+        assert sum(tested) == 27
 
 
 def _records(report):
@@ -252,27 +309,43 @@ def _records(report):
 class TestLineVerdicts:
     @pytest.mark.parametrize("prec", [128, 256])
     def test_reports_are_the_forms_own(self, prec, monkeypatch):
-        # Every form the product and bracket scans yield, hits and filed
-        # m = 0 verdicts included, carries the report of its own test.
+        # Every candidate the product and bracket scans decide from its
+        # prefix, built in full, is c*L for the line L of its weight, and its
+        # own test gives the report the scan yielded. Every other form the
+        # scans yield is built in full and carries its own test's report.
         scan = verify._eigen_scan
-        on_line = []
+        decided, forms = [], []
 
-        def checked(*args):
-            for key, form, report, scale in scan(*args):
+        def checked(candidates, p, skipped):
+            builds = {}
+
+            def kept():
+                for key, label, build, modular in candidates:
+                    builds[key] = build
+                    yield key, label, build, modular
+
+            for key, form, report, scale in scan(kept(), p, skipped):
                 if form is not None:
-                    assert report == eigenform_test(form), key
-                    on_line.append(scale is not None)
+                    full = builds[key](p)
+                    if form.prec < p:
+                        assert form.prec == _SIEVE_PREC and full == _line_multiple(full), key
+                        assert full[0] == scale if full[0] else full[1] == scale, key
+                        decided.append(key)
+                    assert form == full.truncate(form.prec), key
+                    assert report == eigenform_test(full), key
+                    forms.append(key)
                 yield key, form, report, scale
 
         monkeypatch.setattr(verify, "_eigen_scan", checked)
         assert run_suite("all", prec).all_passed()
         # 18 product and 64 bracket forms; all but D(E4)*E4 and E2*Delta12
-        # lie on a line.
-        assert (sum(on_line), len(on_line)) == (80, 82)
+        # are decided from their prefix.
+        assert (len(decided), len(forms)) == (80, 82)
 
     def test_a_failing_line_sends_its_forms_to_their_own_test(self, monkeypatch):
         # While Delta16's own test passes, no form on its line is tested
-        # itself. Once it fails, those forms are, and the report is the same.
+        # itself. Once it fails, those forms are built in full and tested,
+        # and the report is the same.
         prec = 128
         expected = _records(run_suite("all", prec))
         line_of, lines, own, failing = verify._line, [], [], []
@@ -297,14 +370,15 @@ class TestLineVerdicts:
         assert lines and not own
         failing.append(True)
         assert _records(run_suite("all", prec)) == expected
-        # E4*Delta12 and six brackets with m >= 1; [E4,Delta12]_0 takes the
-        # product scan's outcome for E4*Delta12.
-        assert len(own) == 7
+        # E4*Delta12, and the seven brackets on the line: [E4,Delta12]_0 and
+        # six with m >= 1.
+        assert len(own) == 8
 
 
 class TestRunTable:
-    # The table lives for one run_suite("all") call: that call reports what
-    # the suites report alone, and leaves them and the live series as they were.
+    # run_suite("all") runs the five suites in turn and shares no series
+    # between them: it reports what the suites report alone, and leaves
+    # them and the live series as they were.
     @pytest.mark.parametrize("prec", [128, 256])
     def test_all_reports_the_suites_alone(self, prec):
         alone = [_records(run_suite(name, prec)) for name in SUITE_NAMES[:-1]]
@@ -312,36 +386,15 @@ class TestRunTable:
         assert merged == [record for records in alone for record in records]
         assert [_records(run_suite(name, prec)) for name in SUITE_NAMES[:-1]] == alone
 
-    def test_bracket_scan_gets_no_e2_entry(self, monkeypatch):
-        # The identity suite files E2*f for every catalog form f and the
-        # product scan reads E2*Delta12; the bracket scan takes no E2.
-        seen = {}
-        product_search, bracket_search = verify.product_search, verify.bracket_search
-
-        def products(prec, table):
-            result = product_search(prec, table)
-            seen["products out"] = repr(list(table))
-            return result
-
-        def brackets(prec, table):
-            seen["brackets in"] = repr(list(table))
-            return bracket_search(prec, table)
-
-        monkeypatch.setattr(verify, "product_search", products)
-        monkeypatch.setattr(verify, "bracket_search", brackets)
-        run_suite("all", 128)
-        assert "'E2'" in seen["products out"]
-        assert "'E2'" not in seen["brackets in"]
-
     def test_no_series_outlives_the_call(self):
         def live_series():
             gc.collect()
             return sum(isinstance(obj, QSeries) for obj in gc.get_objects())
 
-        # At a precision no other test runs "all" at, so that a table kept
-        # from an earlier call could not hide one kept from this call.
+        # At a precision no other test runs "all" at, so that series kept
+        # from an earlier call could not hide ones kept from this call.
         prec = 136
-        for name in SUITE_NAMES[:-1]:  # fills the form stores, not a table
+        for name in SUITE_NAMES[:-1]:  # fills the form stores
             run_suite(name, prec)
         before = live_series()
         run_suite("all", prec)
