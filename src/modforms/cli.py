@@ -10,6 +10,7 @@ import contextlib
 import json as jsonlib
 import os
 import re
+import warnings
 
 import click
 
@@ -51,10 +52,15 @@ def _prec_option(**kwargs):
 
 @contextlib.contextmanager
 def _domain_errors():
-    try:
-        yield
-    except (ValueError, PrecisionError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    """Each domain error is one Error: line, each warning one Warning: line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        except (ValueError, PrecisionError) as exc:
+            raise click.ClickException(str(exc)) from exc
+    for warning in caught:
+        click.echo(f"Warning: {warning.message}", err=True)
 
 
 def _resolve_form(text: str, prec: int) -> GradedSeries:

@@ -2,17 +2,22 @@
 normalized cusp forms, exact membership tests against M_k, and evaluation
 of polynomials in the quasimodular generators E2, E4, E6.
 
-The builders ``eisenstein``, ``eisenstein_power``, ``monomial_basis``,
-``cusp_delta`` and ``catalog`` each keep one store: one value per form
-(per weight, per power, or the one catalog), built at the largest
-precision asked for so far. A request at a smaller precision is answered
-by truncating the stored value, which equals a fresh build because a
-series is kept in lowest terms; a larger one rebuilds and replaces it.
-Memory is therefore bounded by the number of forms a process asks for,
-each held once at its largest precision, and not by the number of
-precisions it asks at. Each builder has ``cache_info()`` with its hits
-(requests answered from the store), misses (builds) and currsize (forms
-held), and ``__wrapped__``, the unstored builder.
+The builders ``eisenstein``, ``eisenstein_power``, ``mixed_monomial``,
+``monomial_basis``, ``cusp_delta`` and ``catalog`` each keep one store:
+one value per form (per weight, per power, per monomial, or the one
+catalog), built at the largest precision asked for so far. A request at
+a smaller precision is answered by truncating the stored value, which
+equals a fresh build because a series is kept in lowest terms; a larger
+one rebuilds and replaces it. Memory is therefore bounded by the number
+of forms a process asks for, each held once at its largest precision,
+and not by the number of precisions it asks at. Each builder has
+``cache_info()`` with its hits (requests answered from the store),
+misses (builds) and currsize (forms held), and ``__wrapped__``, the
+unstored builder; ``cache_stats()`` maps every builder's name to its
+``cache_info()``. Bases and polynomials read each monomial from one
+entry, ``eisenstein_power``'s for a power of one generator and
+``mixed_monomial``'s, keyed by its (k, a) pairs, for the product of two
+or three: a polynomial is one linear combination of stored monomials.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "CATALOG_NAMES",
     "catalog",
     "catalog_form",
+    "cache_stats",
 ]
 
 
@@ -61,6 +67,14 @@ def _truncated(value, prec: int):
     if isinstance(value, FormCatalogEntry):
         return FormCatalogEntry(value.name, value.form.truncate(prec))
     return tuple(_truncated(item, prec) for item in value)
+
+
+_STORES: dict[str, Callable] = {}  # every stored builder, by name
+
+
+def cache_stats() -> dict[str, CacheInfo]:
+    """The ``cache_info()`` of every stored builder, by builder name."""
+    return {name: stored.cache_info() for name, stored in _STORES.items()}
 
 
 def _stored(check: Optional[Callable[..., None]] = None):
@@ -91,6 +105,7 @@ def _stored(check: Optional[Callable[..., None]] = None):
             return value
 
         stored.cache_info = lambda: CacheInfo(counts[0], counts[1], len(held))
+        _STORES[build.__name__] = stored
         return stored
 
     return decorate
@@ -158,15 +173,25 @@ def eisenstein_power(k: int, a: int, prec: int) -> GradedSeries:
     return eisenstein_power(k, (a + 1) // 2, prec) * eisenstein_power(k, a // 2, prec)
 
 
+@_stored()
+def mixed_monomial(pairs: tuple[tuple[int, int], ...], prec: int) -> GradedSeries:
+    """The product of E_k^a over two or more (k, a) pairs, k ascending."""
+    return reduce(operator.mul, (eisenstein_power(k, a, prec) for k, a in pairs))
+
+
 def _monomials(
     rows: Sequence[Sequence[int]], weights: Sequence[int], prec: int
 ) -> list[GradedSeries]:
-    """Per row of exponents, the product of E_k^a over its (k, a) pairs."""
+    """Per row of exponents, the product of E_k^a over its (k, a) pairs,
+    read from the store of one power or of one mixed monomial."""
     one = GradedSeries(QSeries.one(prec), 0)
     out = []
     for row in rows:
-        factors = [eisenstein_power(k, a, prec) for k, a in zip(weights, row) if a]
-        out.append(reduce(operator.mul, factors) if factors else one)
+        pairs = tuple((k, a) for k, a in zip(weights, row) if a)
+        if len(pairs) > 1:
+            out.append(mixed_monomial(pairs, prec))
+        else:
+            out.append(eisenstein_power(*pairs[0], prec) if pairs else one)
     return out
 
 

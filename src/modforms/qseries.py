@@ -193,6 +193,8 @@ class QSeries:
     def to_json_dict(self) -> dict:
         """Coefficients as the "num/den" strings of ``rational_str``."""
         den = self._den
+        if den == 1:
+            return {"prec": self.prec, "coeffs": [f"{a}/1" for a in self._nums]}
         coeffs = []
         for a in self._nums:
             g = gcd(a, den)

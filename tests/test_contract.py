@@ -68,12 +68,26 @@ def test_tracer_sees_every_layer_of_a_verify_run():
     assert out["layers"] == out["all_layers"]
 
 
+_STORED_BUILDERS = (
+    "eisenstein", "monomial_basis", "cusp_delta", "catalog", "eisenstein_power", "mixed_monomial",
+)
+
+
 def test_stored_builders_expose_cache_counts():
     # tracer.instrument reads the first four before it patches the engine;
-    # eisenstein_power is on the same store and exposes the same counts.
-    for name in ("eisenstein", "monomial_basis", "cusp_delta", "catalog", "eisenstein_power"):
+    # eisenstein_power and mixed_monomial are on the same store and expose
+    # the same counts.
+    for name in _STORED_BUILDERS:
         info = getattr(forms, name).cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int), name
+
+
+def test_cache_stats_lists_every_stored_builder():
+    builders = {name for name, value in vars(forms).items() if hasattr(value, "cache_info")}
+    stats = forms.cache_stats()
+    assert set(stats) == builders == set(_STORED_BUILDERS)
+    for name, info in stats.items():
+        assert info == getattr(forms, name).cache_info(), name
 
 
 def test_every_export_resolves():

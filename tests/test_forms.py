@@ -24,6 +24,7 @@ from modforms.forms import (
     eisenstein_power,
     eval_generator_poly,
     is_modular_member,
+    mixed_monomial,
     monomial_basis,
     monomial_exponents,
 )
@@ -379,6 +380,62 @@ for a in exponents if order == "ascending" else exponents[::-1]:
 print(*wrong)
 """
 
+# The series products made by evaluating a polynomial again, at the
+# precision of its first evaluation and then below it.
+_PRODUCTS_OF_A_SECOND_EVALUATION = """
+import sys
+from modforms import qseries
+from modforms.forms import eval_generator_poly
+calls = [0]
+kronecker = qseries._kronecker_product
+def spy(a, b):
+    calls[0] += 1
+    return kronecker(a, b)
+qseries._kronecker_product = spy
+poly, prec = sys.argv[1], int(sys.argv[2])
+eval_generator_poly(poly, prec)
+first = calls[0]
+eval_generator_poly(poly, prec)
+eval_generator_poly(poly, prec // 2)
+print(int(first > 0), calls[0] - first)
+"""
+
+_SHARED_MIXED_MONOMIAL = """
+from modforms.forms import eval_generator_poly, mixed_monomial, monomial_basis
+monomial_basis(10, 200)
+eval_generator_poly("3*E4*E6", 200)
+info = mixed_monomial.cache_info()
+print(info.hits, info.misses, info.currsize)
+"""
+
+# The mixed monomials, asked for at prec 24 (after each was first built at
+# the precision given, when it is not 24), that differ from a chain of
+# schoolbook products of E2, E4 and E6.
+_MIXED_MONOMIALS_AGAINST_THE_ORACLE = """
+import sys
+from modforms.forms import eisenstein, mixed_monomial
+from modforms.qseries import QSeries, mul_reference
+first = int(sys.argv[1])
+monomials = [
+    ((4, 1), (6, 1)), ((4, 2), (6, 1)), ((4, 3), (6, 2)), ((2, 1), (4, 1)),
+    ((2, 2), (6, 1)), ((2, 1), (4, 2), (6, 1)), ((2, 3), (4, 1), (6, 3)),
+]
+for pairs in monomials:
+    mixed_monomial(pairs, first)
+wrong = []
+for index, pairs in enumerate(monomials):
+    chain = QSeries.one(24)
+    for k, a in pairs:
+        for _ in range(a):
+            chain = mul_reference(chain, eisenstein.__wrapped__(k, 24))
+    stored = mixed_monomial(pairs, 24)
+    weight = sum(k * a for k, a in pairs)
+    same = (stored.numerators, stored.denominator) == (chain.numerators, chain.denominator)
+    if not (same and stored.prec == 24 and stored.weight == weight):
+        wrong.append(index)
+print(*wrong)
+"""
+
 
 def _fresh(script: str, *args) -> tuple[int, ...]:
     """The integers a script prints, run in a new interpreter."""
@@ -453,6 +510,30 @@ class TestStore:
         products, highest = _fresh(_PRODUCTS_AFTER_A_CATALOG, catalog_prec, poly, prec)
         assert products <= most and highest <= prec
 
+    @pytest.mark.parametrize("pairs", [((4, 1), (6, 1)), ((2, 3), (4, 2), (6, 1))])
+    def test_a_mixed_monomial_truncates_to_a_fresh_build(self, pairs):
+        mixed_monomial(pairs, 300)
+        stored, fresh = mixed_monomial(pairs, 120), mixed_monomial.__wrapped__(pairs, 120)
+        assert stored.prec == 120 and stored.weight == fresh.weight
+        assert (stored.numerators, stored.denominator) == (fresh.numerators, fresh.denominator)
+
+    @pytest.mark.parametrize("first", [24, 200], ids=["at-24", "after-200"])
+    def test_mixed_monomials_equal_the_oracle(self, first):
+        assert _fresh(_MIXED_MONOMIALS_AGAINST_THE_ORACLE, first) == ()
+
+    def test_bases_and_polynomials_share_one_mixed_monomial(self):
+        # E4*E6 of the weight-10 basis and of 3*E4*E6 is one store entry:
+        # built once, then read.
+        [basis_e4e6] = monomial_basis(10, 200)
+        assert eval_generator_poly("3*E4*E6", 200) == basis_e4e6 * 3
+        assert _fresh(_SHARED_MIXED_MONOMIAL) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "poly", ["3*E4*E6", "E2*E4^2 - 3*E4*E6", "E4^3*E6 - 5*E6^3/7", "E2^3*E4*E6 + E2*E4^2*E6"]
+    )
+    def test_a_second_evaluation_makes_no_products(self, poly):
+        assert _fresh(_PRODUCTS_OF_A_SECOND_EVALUATION, poly, 240) == (1, 0)
+
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_powers_below_the_ladder_equal_a_fresh_build(self, k):
         eisenstein_power(k, 5, 300)
@@ -474,11 +555,12 @@ class TestStore:
             (lambda p: eisenstein(4, p), -1, "prec must be >= 0"),
             (lambda p: monomial_basis(12, p), -1, "prec must be >= 0"),
             (lambda p: eisenstein_power(4, 2, p), -1, "prec must be >= 0"),
+            (lambda p: mixed_monomial(((4, 1), (6, 1)), p), -1, "prec must be >= 0"),
             (lambda a: eisenstein_power(4, a, 6), -1, "Eisenstein powers require a >= 0"),
         ],
         ids=[
             "cusp_delta", "catalog", "catalog-negative", "eisenstein", "monomial_basis",
-            "eisenstein_power", "eisenstein_power-exponent",
+            "eisenstein_power", "mixed_monomial", "eisenstein_power-exponent",
         ],
     )
     def test_domain_checks_run_before_the_store(self, call, low, error):
