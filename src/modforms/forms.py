@@ -3,9 +3,11 @@ normalized cusp forms, exact membership tests against M_k, and evaluation
 of polynomials in the quasimodular generators E2, E4, E6.
 
 The builders ``eisenstein``, ``eisenstein_power``, ``mixed_monomial``,
-``monomial_basis``, ``cusp_delta`` and ``catalog`` each keep one store:
-one value per form (per weight, per power, per monomial, or the one
-catalog), built at the largest precision asked for so far. A request at
+``monomial_basis`` and ``cusp_delta`` each keep one store: one value per
+form (per weight, per power or per monomial), built at the largest
+precision asked for so far. ``catalog`` is a stored view whose entries
+are the ``eisenstein`` and ``cusp_delta`` objects themselves;
+``catalog_form`` reads a name from its own builder only. A request at
 a smaller precision is answered by truncating the stored value, which
 equals a fresh build because a series is kept in lowest terms; a larger
 one rebuilds and replaces it. Memory is therefore bounded by the number
@@ -137,7 +139,10 @@ def eisenstein(k: int, prec: int) -> GradedSeries:
         for m in range(d, prec + 1, d):
             sums[m] += power
     nums = [factor.denominator] + [factor.numerator * s for s in sums[1:]]
-    return GradedSeries(QSeries.from_numerators(nums, factor.denominator), k)
+    form = GradedSeries(QSeries.from_numerators(nums, factor.denominator), k)
+    if form[0] != 1:
+        raise RuntimeError(f"E{k} must have constant term 1")
+    return form
 
 
 def monomial_exponents(k: int) -> list[tuple[int, int]]:
@@ -230,7 +235,10 @@ def cusp_delta(k: int, prec: int) -> GradedSeries:
     coords = solve_linear(rows, [0, 1])
     if coords is None:
         raise RuntimeError(f"normalization system for weight {k} is inconsistent")
-    return GradedSeries(_combination(basis, coords, prec), k)
+    form = GradedSeries(_combination(basis, coords, prec), k)
+    if form[0] != 0 or form[1] != 1:
+        raise RuntimeError(f"Delta{k} must start q + O(q^2)")
+    return form
 
 
 def _combination(columns: Sequence[QSeries], coords, prec: int) -> QSeries:
@@ -612,25 +620,14 @@ CATALOG_NAMES = (
 
 @_stored(_check_cusp_prec)
 def catalog(prec: int) -> tuple[FormCatalogEntry, ...]:
-    """All catalog forms at the given precision, in fixed display order."""
-    entries = [
-        FormCatalogEntry(f"E{k}", eisenstein(k, prec)) for k in (2, 4, 6, 8, 10, 14)
-    ]
-    entries.extend(
-        FormCatalogEntry(f"Delta{k}", cusp_delta(k, prec)) for k in DELTA_WEIGHTS
-    )
-    for name, form in entries:
-        if form.weight % 2 != 0:
-            raise RuntimeError(f"catalog form {name} has odd weight")
-        if name.startswith("E") and form[0] != 1:
-            raise RuntimeError(f"{name} must have constant term 1")
-        if name.startswith("Delta") and (form[0] != 0 or form[1] != 1):
-            raise RuntimeError(f"{name} must start q + O(q^2)")
-    return tuple(entries)
+    """All catalog forms, in display order, as their builders' objects."""
+    return tuple(FormCatalogEntry(name, catalog_form(name, prec)) for name in CATALOG_NAMES)
 
 
 def catalog_form(name: str, prec: int) -> GradedSeries:
-    for entry in catalog(prec):
-        if entry.name == name:
-            return entry.form
-    raise ValueError(f"unknown catalog form {name!r}")
+    """The catalog form of that name, read from its own builder only."""
+    if name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog form {name!r}")
+    if name.startswith("Delta"):
+        return cusp_delta(int(name.removeprefix("Delta")), prec)
+    return eisenstein(int(name.removeprefix("E")), prec)

@@ -70,6 +70,28 @@ class TestHecke:
             "Error: cusp form construction needs prec >= 1"
         ]
 
+    # An Eisenstein name at prec 0 builds no cusp form: hecke answers and
+    # eigen gives its own precision error.
+    @pytest.mark.parametrize(
+        "argv, code, stdout, stderr",
+        [
+            (
+                ("hecke", "--input", "E4", "--n", "2"), 0, ["[weight 4] 9 + O(q^1)"],
+                ["Warning: T_2 on a series of precision 0 certifies only the constant term"],
+            ),
+            (
+                ("eigen", "--input", "E4"), 1, [],
+                ["Error: eigenform test with bound 10 and window 12 needs precision >= 120, have 0"],
+            ),
+        ],
+        ids=["hecke", "eigen"],
+    )
+    def test_eisenstein_input_at_precision_zero(self, argv, code, stdout, stderr):
+        result = invoke(*argv, "--prec", "0")
+        assert result.exit_code == code
+        assert result.stdout.splitlines() == stdout
+        assert result.stderr.splitlines() == stderr
+
     def test_deep_nesting_is_one_error_line(self):
         text = "(" * 3000 + "E4" + ")" * 3000
         result = invoke("hecke", "--input", text, "--n", "2", "--prec", "8")

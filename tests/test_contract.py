@@ -50,13 +50,15 @@ def _traced(*argv) -> dict:
 
 
 def test_tracer_instruments_a_cli_call():
+    # A bracket of two catalog names reads their builders only, so it calls
+    # no traced forms function; the verify run below sees that layer.
     out = _traced("bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "16")
     assert out["exit_code"] == 0
-    assert {"qseries", "forms", "brackets", "cli"} <= set(out["layers"])
+    assert {"qseries", "brackets", "cli"} <= set(out["layers"])
     metrics = out["metrics"]
     assert metrics["cli.command.calls"] == 1
     assert metrics["brackets.rankin_cohen.calls"] == 1
-    assert metrics["forms.catalog.builds"] == 1
+    assert metrics["forms.catalog.builds"] == 0
     assert metrics["qseries.mul.calls"] > 0
 
 
@@ -88,6 +90,40 @@ def test_cache_stats_lists_every_stored_builder():
     assert set(stats) == builders == set(_STORED_BUILDERS)
     for name, info in stats.items():
         assert info == getattr(forms, name).cache_info(), name
+
+
+# Store misses after one catalog name at a high precision, then the
+# catalog's misses after every suite and two CLI queries on catalog names.
+_ENGINE_BUILDS = """
+import json
+from click.testing import CliRunner
+from modforms import forms
+from modforms.cli import main
+from modforms.verify import run_suite
+forms.catalog_form("E4", 2048)
+lookup = {name: info.misses for name, info in forms.cache_stats().items()}
+run_suite("all", 128)
+queries = [
+    ["bracket", "--g", "E4", "--h", "Delta12", "--m", "1", "--prec", "64"],
+    ["hecke", "--input", "Delta16", "--n", "2", "--prec", "64"],
+]
+codes = [CliRunner().invoke(main, argv).exit_code for argv in queries]
+print(json.dumps({"lookup": lookup, "catalog": forms.catalog.cache_info().misses, "codes": codes}))
+"""
+
+
+def test_the_engine_never_builds_the_catalog():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENGINE_BUILDS], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    lookup = out["lookup"]
+    assert lookup["eisenstein"] == 1
+    assert lookup["cusp_delta"] == lookup["monomial_basis"] == lookup["catalog"] == 0
+    assert out["codes"] == [0, 0]
+    assert out["catalog"] == 0
 
 
 def test_every_export_resolves():

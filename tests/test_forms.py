@@ -141,6 +141,14 @@ class TestCuspDelta:
         with pytest.raises(ValueError):
             cusp_delta(14, 8)
 
+    def test_a_wrong_normalization_is_refused(self, monkeypatch):
+        # Coordinates twice the true ones give a_1 = 2, which every build checks.
+        monkeypatch.setattr(
+            "modforms.forms.solve_linear", lambda rows, rhs: [2 * c for c in solve_linear(rows, rhs)]
+        )
+        with pytest.raises(RuntimeError, match="Delta12"):
+            cusp_delta.__wrapped__(12, 8)
+
 
 class TestMembership:
     def test_e8_is_e4_squared(self):
@@ -290,11 +298,40 @@ class TestCatalog:
 
     def test_catalog_form_lookup(self):
         assert catalog_form("E4", 8) == eisenstein(4, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown catalog form"):
             catalog_form("E12", 8)
+        # Each name is its builder's object, and so is each catalog entry.
+        assert tuple(_BUILDERS) == CATALOG_NAMES
+        assert _fresh(_ONE_BUILDER_LOOKUP, 8, 120) == ()
+        catalog(240)
+        for name, (builder, k) in _BUILDERS.items():
+            stored, fresh = catalog_form(name, 120), builder.__wrapped__(k, 120)
+            assert (stored.numerators, stored.denominator) == (fresh.numerators, fresh.denominator)
+            assert (stored.prec, stored.weight) == (120, k), name
 
+
+_BUILDERS = {f"E{k}": (eisenstein, k) for k in (2, 4, 6, 8, 10, 14)}
+_BUILDERS.update({f"Delta{k}": (cusp_delta, k) for k in DELTA_WEIGHTS})
 
 # Each script runs in its own process, so the stores start empty.
+# The indices of the catalog names, at each precision given in ascending
+# order, whose form is not the very object its builder returns, or whose
+# catalog entry is not that object.
+_ONE_BUILDER_LOOKUP = """
+import sys
+from modforms.forms import DELTA_WEIGHTS, CATALOG_NAMES, catalog, catalog_form, cusp_delta, eisenstein
+builders = [(eisenstein, k) for k in (2, 4, 6, 8, 10, 14)] + [(cusp_delta, k) for k in DELTA_WEIGHTS]
+wrong = set()
+for prec in map(int, sys.argv[1:]):
+    for index, (name, (builder, k)) in enumerate(zip(CATALOG_NAMES, builders)):
+        if catalog_form(name, prec) is not builder(k, prec):
+            wrong.add(index)
+    for index, entry in enumerate(catalog(prec)):
+        if entry.name != CATALOG_NAMES[index] or entry.form is not catalog_form(entry.name, prec):
+            wrong.add(index)
+print(*sorted(wrong))
+"""
+
 _CATALOG_COUNTS = """
 import sys
 from modforms.forms import catalog
