@@ -76,7 +76,14 @@ def _resolve_form(text: str, prec: int) -> GradedSeries:
 
 
 def _series_text(form: GradedSeries, as_json: bool) -> str:
-    return jsonlib.dumps(form.to_json_dict(), indent=2) if as_json else str(form)
+    """str(form), or the bytes of json.dumps(form.to_json_dict(), indent=2) in one
+    pass: each coefficient string is "num/den" digits and needs no escaping."""
+    if not as_json:
+        return str(form)
+    data = form.to_json_dict()
+    coeffs = ",\n      ".join(f'"{c}"' for c in data["series"]["coeffs"])
+    return (f'{{\n  "weight": {data["weight"]},\n  "series": {{\n    "prec": {data["series"]["prec"]},'
+            f'\n    "coeffs": [\n      {coeffs}\n    ]\n  }}\n}}')
 
 
 @click.group()

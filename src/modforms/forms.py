@@ -15,11 +15,12 @@ of forms a process asks for, each held once at its largest precision,
 and not by the number of precisions it asks at. Each builder has
 ``cache_info()`` with its hits (requests answered from the store),
 misses (builds) and currsize (forms held), and ``__wrapped__``, the
-unstored builder; ``cache_stats()`` maps every builder's name to its
-``cache_info()``. Bases and polynomials read each monomial from one
-entry, ``eisenstein_power``'s for a power of one generator and
+unstored builder; ``cache_stats()`` maps every builder's name, and the
+parse memo's (``_parse``, the 64 texts read last), to its ``cache_info()``.
+Bases and polynomials read each monomial from one entry,
+``eisenstein_power``'s for a power of one generator and
 ``mixed_monomial``'s, keyed by its (k, a) pairs, for the product of two
-or three: a polynomial is one linear combination of stored monomials.
+or three: a polynomial is one integer linear combination of them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import reduce, wraps
+from functools import lru_cache, reduce, wraps
+from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .exactmath import as_rational, bernoulli, solve_linear
@@ -242,10 +244,17 @@ def cusp_delta(k: int, prec: int) -> GradedSeries:
 
 
 def _combination(columns: Sequence[QSeries], coords, prec: int) -> QSeries:
-    total = QSeries.zero(prec)
-    for c, column in zip(coords, columns):
-        total = total + column * c
-    return total
+    """sum c_i column_i to the least of prec and every column's precision, as
+    one integer pass per column over L = lcm(c_i.den * column_i.den)."""
+    pairs = [(as_rational(c), column) for c, column in zip(coords, columns)]
+    prec = min([prec, *(column.prec for _, column in pairs)])
+    den = lcm(*(c.denominator * column.denominator for c, column in pairs))
+    total = [0] * (prec + 1)
+    for c, column in pairs:
+        if c:
+            factor = c.numerator * (den // (c.denominator * column.denominator))
+            total = [t + factor * a for t, a in zip(total, column.numerators)]
+    return QSeries.from_numerators(total, den)
 
 
 def span_coordinates(
@@ -447,7 +456,7 @@ class GeneratorPoly:
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorPoly":
-        return _PolyParser(text).parse()
+        return _parse(text)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -582,6 +591,15 @@ class _PolyParser:
         if token in _GENERATOR_NAMES:
             return GeneratorPoly.generator(token)
         raise ValueError(f"unexpected token {token!r} in generator polynomial")
+
+
+@lru_cache(maxsize=64)
+def _parse(text: str) -> GeneratorPoly:
+    """The memo of parse; its polynomials are shared, so nothing mutates them."""
+    return _PolyParser(text).parse()
+
+
+_STORES["_parse"] = _parse
 
 
 def eval_generator_poly(poly: Union[str, GeneratorPoly], prec: int) -> GradedSeries:

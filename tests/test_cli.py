@@ -8,11 +8,54 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from modforms.cli import _MAX_PREC, main
+from modforms.brackets import rankin_cohen
+from modforms.cli import _MAX_PREC, _series_text, main
+from modforms.forms import catalog_form, cusp_delta, eisenstein, eval_generator_poly
+from modforms.hecke import hecke
+from modforms.qseries import GradedSeries, QSeries
 
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
+
+
+class TestSeriesJson:
+    """The --json text of a series is written directly, byte for byte what
+    json.dumps(form.to_json_dict(), indent=2) gives."""
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda: eisenstein(4, 12),
+            lambda: eisenstein(12, 12),
+            lambda: eval_generator_poly("(E2^2 - E4)/12", 12),
+            lambda: eisenstein(6, 12),
+            lambda: eisenstein(4, 0),
+            lambda: GradedSeries(QSeries.zero(5), 12),
+            lambda: hecke(eisenstein(12, 12), 7),
+        ],
+        ids=["E4", "E12", "D(E2)", "E6", "prec-0", "zero", "hecke-n-above-half"],
+    )
+    def test_equals_the_json_encoder(self, form):
+        form = form()
+        assert _series_text(form, True) == json.dumps(form.to_json_dict(), indent=2)
+
+    @pytest.mark.parametrize(
+        "argv, form",
+        [
+            (("eis", "--weight", "12"), lambda p: eisenstein(12, p)),
+            (("delta", "--weight", "16"), lambda p: cusp_delta(16, p)),
+            (("hecke", "--input", "E4^3 - E6^2", "--n", "3"),
+             lambda p: hecke(eval_generator_poly("E4^3 - E6^2", p), 3)),
+            (("bracket", "--g", "E4", "--h", "Delta12", "--m", "2"),
+             lambda p: rankin_cohen(catalog_form("E4", p), catalog_form("Delta12", p), 2)),
+        ],
+        ids=["eis", "delta", "hecke", "bracket"],
+    )
+    def test_command_output_loads_to_the_json_dict(self, argv, form):
+        result = invoke(*argv, "--prec", "30", "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == form(30).to_json_dict()
 
 
 class TestEis:

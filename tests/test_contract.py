@@ -72,13 +72,14 @@ def test_tracer_sees_every_layer_of_a_verify_run():
 
 _STORED_BUILDERS = (
     "eisenstein", "monomial_basis", "cusp_delta", "catalog", "eisenstein_power", "mixed_monomial",
+    "_parse",
 )
 
 
 def test_stored_builders_expose_cache_counts():
     # tracer.instrument reads the first four before it patches the engine;
     # eisenstein_power and mixed_monomial are on the same store and expose
-    # the same counts.
+    # the same counts, and the parse memo is an lru_cache.
     for name in _STORED_BUILDERS:
         info = getattr(forms, name).cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int), name
@@ -124,6 +125,40 @@ def test_the_engine_never_builds_the_catalog():
     assert lookup["cusp_delta"] == lookup["monomial_basis"] == lookup["catalog"] == 0
     assert out["codes"] == [0, 0]
     assert out["catalog"] == 0
+
+
+# Two passes, in one process, over the query-mix universe's hecke and eigen
+# queries on a polynomial at prec 120 and over its decompose queries.
+_PARSE_MISSES = """
+import json
+from click.testing import CliRunner
+import queries
+from modforms import forms
+from modforms.cli import main
+texts = {text for text, _, _ in queries.POLY_POOL}
+argvs = [
+    argv for argv in queries.universe()
+    if argv[2] in texts and (argv[0] == "decompose" or argv[argv.index("--prec") + 1] == "120")
+]
+codes = {CliRunner().invoke(main, argv).exit_code for argv in argvs + argvs}
+info = forms.cache_stats()["_parse"]
+print(json.dumps({"queries": len(argvs), "codes": sorted(codes), "hits": info.hits, "misses": info.misses}))
+"""
+
+
+def test_each_polynomial_text_is_parsed_once():
+    # A polynomial input costs a catalog name's lookup only while its text
+    # is parsed once per process, not once per query.
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_MISSES], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["queries"] > 16 * 11 and out["codes"] == [0]
+    assert out["misses"] == 16
+    assert out["hits"] == 2 * out["queries"] - 16
 
 
 def test_every_export_resolves():

@@ -16,6 +16,8 @@ from modforms.forms import (
     CATALOG_NAMES,
     DELTA_WEIGHTS,
     GeneratorPoly,
+    _combination,
+    _parse,
     catalog,
     catalog_form,
     cusp_delta,
@@ -182,6 +184,9 @@ class TestMembership:
             is_modular_member(eisenstein(4, PREC), 5)
 
 
+_PARSE_ERRORS = ("E3", "(E4", "E4)", "E4 +", "E4 / E2", "E4 ^ E2", "4q")
+
+
 class TestGeneratorPoly:
     def test_parse_ramanujan_identity(self):
         poly = GeneratorPoly.parse("(E2^2 - E4)/12")
@@ -233,7 +238,7 @@ class TestGeneratorPoly:
         assert result.coeffs == expected.coeffs
 
     def test_parse_errors(self):
-        for bad in ("E3", "(E4", "E4)", "E4 +", "E4 / E2", "E4 ^ E2", "4q"):
+        for bad in _PARSE_ERRORS:
             with pytest.raises(ValueError):
                 GeneratorPoly.parse(bad)
 
@@ -276,6 +281,35 @@ class TestGeneratorPoly:
             with pytest.raises(ValueError, match="constant power exceeds the cap"):
                 GeneratorPoly.parse(text)
 
+    def test_a_text_is_parsed_once(self):
+        text = "E2^2*E6 + E4*E6/2 - E2*E4^2"
+        poly = GeneratorPoly.parse(text)
+        terms = poly.monomials()
+        poly.evaluate(40)
+        again = GeneratorPoly.parse(text)
+        assert again is poly and again.monomials() == terms
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *_PARSE_ERRORS, "E4 / 0", "(" * 101 + "E4" + ")" * 101, "E4^2001",
+            "(E2+E4+E6)^37", "2^65536", "(1/2)^65536", "3^41400", "(2^8000)^8000",
+        ],
+    )
+    def test_a_text_that_raises_is_not_memoized(self, text):
+        for _ in range(2):
+            before = _parse.cache_info()
+            with pytest.raises(ValueError):
+                GeneratorPoly.parse(text)
+            after = _parse.cache_info()
+            assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+
+    def test_the_parse_memo_is_bounded(self):
+        bound = _parse.cache_info().maxsize
+        for i in range(bound + 10):
+            GeneratorPoly.parse(f"{i}*E4 - E2^2")
+        assert bound >= 64 and _parse.cache_info().currsize == bound
+
     @given(
         st.dictionaries(
             st.tuples(*[st.integers(0, 3)] * 3),
@@ -286,6 +320,64 @@ class TestGeneratorPoly:
     def test_str_parse_round_trip(self, terms):
         poly = GeneratorPoly(terms)
         assert GeneratorPoly.parse(str(poly)).monomials() == poly.monomials()
+
+
+# Columns with denominators 1, 691 (E12) and 12 (D(E2) = (E2^2 - E4)/12),
+# negative coefficients (E6, D(E2)) and zero ones (Delta12's a_0), at prec 40.
+_COLUMNS = {
+    "E4": lambda: eisenstein(4, 40),
+    "E6": lambda: eisenstein(6, 40),
+    "E12": lambda: eisenstein(12, 40),
+    "D(E2)": lambda: eval_generator_poly("(E2^2 - E4)/12", 40),
+    "Delta12": lambda: cusp_delta(12, 40),
+}
+
+
+def _fraction_fold(columns, coords, prec):
+    """sum c * column[m] over Fractions, one coefficient at a time."""
+    prec = min([prec] + [column.prec for column in columns])
+    return [
+        sum((Fraction(c) * column[m] for c, column in zip(coords, columns)), Fraction(0))
+        for m in range(prec + 1)
+    ]
+
+
+class TestCombination:
+    """The integer linear combination against a Fraction fold."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_COLUMNS)),
+                st.integers(0, 40),
+                st.one_of(
+                    st.just(0),
+                    st.integers(-(10**9), 10**9),
+                    st.fractions(min_value=-100, max_value=100, max_denominator=10**4),
+                ),
+            ),
+            max_size=6,
+        ),
+        st.integers(0, 40),
+    )
+    def test_equals_the_fraction_fold(self, terms, prec):
+        columns = [_COLUMNS[name]().truncate(p) for name, p, _ in terms]
+        coords = [c for _, _, c in terms]
+        expected = _fraction_fold(columns, coords, prec)
+        result = _combination(columns, coords, prec)
+        assert result.prec == len(expected) - 1
+        assert result.coeffs == tuple(expected)
+        fresh = QSeries(expected)
+        assert (result.numerators, result.denominator) == (fresh.numerators, fresh.denominator)
+
+    def test_a_zero_coordinate_still_bounds_the_precision(self):
+        e12, d = _COLUMNS["E12"]().truncate(30), _COLUMNS["D(E2)"]().truncate(9)
+        result = _combination([e12, d], [Fraction(691, 2), 0], 20)
+        assert result.prec == 9
+        assert result.coeffs == tuple(Fraction(691, 2) * e12[m] for m in range(10))
+
+    def test_no_columns_give_zero(self):
+        assert _combination([], [], 7) == QSeries.zero(7)
 
 
 class TestCatalog:
