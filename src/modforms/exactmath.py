@@ -1,5 +1,6 @@
 """Exact arithmetic foundation: rationals, Bernoulli numbers, divisor
-power sums, binomial coefficients, and dense linear solving over Q.
+power sums, binomial coefficients, and dense linear solving over Q by
+Gauss-Jordan elimination in integers.
 
 Everything in this module is pure and exact; floats are rejected on
 input and never produced.
@@ -92,6 +93,16 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+def _integer_row(values: Sequence[Fraction | int]) -> list[int]:
+    """values times the lcm of their denominators, as ints; floats and
+    bools raise TypeError."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            as_rational(x)
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 def solve_linear(
     matrix: Sequence[Sequence[Fraction | int]],
     rhs: Sequence[Fraction | int],
@@ -102,46 +113,51 @@ def solve_linear(
     None when the system is inconsistent. Pivots are the first nonzero
     entry in each column: exact arithmetic needs no size heuristics and
     this keeps the output deterministic.
+
+    Elimination runs in integers: each equation is scaled by the lcm of
+    its denominators, a row is cleared as p * row - f * pivot_row (over
+    gcd(p, f)) and then divided by its content. Each row stays a nonzero
+    multiple of the row that Gauss-Jordan over Q would hold, so the pivots
+    and the solution are the same; x at the pivot of row i is b_i / p_i.
     """
     n_rows = len(matrix)
     if n_rows < 1:
         raise ValueError("matrix must have at least one row")
     n_cols = len(matrix[0])
-    rows = []
     for row in matrix:
         if len(row) != n_cols:
             raise ValueError("matrix rows have inconsistent lengths")
-        rows.append([as_rational(x) for x in row])
     if len(rhs) != n_rows:
         raise ValueError(
             f"rhs has length {len(rhs)}, expected {n_rows} (one per matrix row)"
         )
-    b = [as_rational(x) for x in rhs]
+    rows = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
 
     pivot_cols: list[int] = []
     rank = 0
     for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, n_rows) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        b[rank], b[pivot] = b[pivot], b[rank]
-        inv = _ONE / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        b[rank] *= inv
+        top = rows[rank]
+        p = top[col]
         for r in range(n_rows):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-                b[r] -= factor * b[rank]
+            f = rows[r][col]
+            if r != rank and f:
+                g = math.gcd(p, f)
+                s, t = p // g, f // g
+                row = [s * x - t * y for x, y in zip(rows[r], top)]
+                content = math.gcd(*row)
+                rows[r] = [x // content for x in row] if content > 1 else row
         pivot_cols.append(col)
         rank += 1
         if rank == n_rows:
             break
 
-    if any(b[r] != 0 for r in range(rank, n_rows)):
+    if any(rows[r][-1] for r in range(rank, n_rows)):
         return None
     solution = [_ZERO] * n_cols
     for i, col in enumerate(pivot_cols):
-        solution[col] = b[i]
+        solution[col] = Fraction(rows[i][-1], rows[i][col])
     return solution

@@ -270,8 +270,14 @@ def span_coordinates(
     The re-check compares coefficients only, so target may be a form of
     any weight.
     """
-    rows = [[column[m] for column in columns] for m in range(window + 1)]
-    coords = solve_linear(rows, [target[m] for m in range(window + 1)])
+    # Integer rows over L = lcm of every denominator: column j scaled by L/den_j.
+    den = lcm(target.denominator, *(column.denominator for column in columns))
+    *scaled, rhs = [
+        [a * (den // series.denominator) for a in series.numerators[: window + 1]]
+        for series in (*columns, target)
+    ]
+    rows = [[column[m] for column in scaled] for m in range(window + 1)]
+    coords = solve_linear(rows, rhs)
     if coords is None:
         return None
     if first_difference(_combination(columns, coords, target.prec), target) is not None:

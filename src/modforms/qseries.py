@@ -16,11 +16,15 @@ operation applies to it. The tag follows three rules:
 - mixing: a form combined with an untagged QSeries by +, - or * gives an
   untagged QSeries, in either order.
 
-Two series multiply by two-point Kronecker substitution, KS2 (D.
-Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", JSC 2009): the even- and odd-indexed numerators of each
-operand are packed apart into big integers, one coefficient per w-bit
-slot, and combined into the operand's values at X = +-2^(w/2). A slot
+Two series of at most 16 coefficients multiply by the direct sum
+c_k = sum_{i<=k} a_i b_{k-i}: on short operands the packing of two-point
+Kronecker substitution costs more than the whole quadratic sum. On signed
+numerators of 16 to 1024 bits, KS2 overtook the direct sum between 24
+and 40 coefficients, so 16 leaves a margin. Longer series multiply by
+KS2 (D. Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", JSC 2009): the even- and odd-indexed numerators
+of each operand are packed apart into big integers, one coefficient per
+w-bit slot, and combined into the operand's values at X = +-2^(w/2). A slot
 is written and read as its coefficient plus 2^(w-1), so packing is one
 ``to_bytes`` pass and one subtraction, and unpacking one XOR and one
 signed read per slot. Two
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import as_rational
@@ -155,16 +160,16 @@ class QSeries:
         return QSeries.from_numerators([-a for a in self._nums], self._den)
 
     def __mul__(self, other):
-        """The product to the common precision, with a series (by Kronecker
-        substitution, or a scaling when one factor is constant there) or
-        with a rational scalar."""
+        """The product to the common precision, with a series (by ``_product``,
+        or a scaling when one factor is constant there) or with a rational
+        scalar."""
         if isinstance(other, QSeries):
             prec = min(self.prec, other.prec)
             a, b = self._nums[: prec + 1], other._nums[: prec + 1]
             if not any(a[1:]):
                 a, b = b, a
             if any(b[1:]):
-                out = _kronecker_product(a, b)
+                out = _product(a, b)
             else:  # a constant factor: scale instead of multiplying
                 out = [x * b[0] for x in a]
             return QSeries.from_numerators(out, self._den * other._den)
@@ -263,10 +268,25 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+# The longest operands multiplied by the direct sum (see the module docstring).
+_DIRECT_MAX = 16
+
+
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The first n = len(a) coefficients of the product of two integer
+    polynomials of length n: the direct sum c_k = sum_{i<=k} a_i b_{k-i}
+    up to _DIRECT_MAX coefficients, ``_kronecker_product`` above."""
+    n = len(a)
+    if n > _DIRECT_MAX:
+        return _kronecker_product(a, b)
+    rb = b[::-1]  # rb[n-1-k:] is b_k, ..., b_0
+    return [sum(map(mul, a[: k + 1], rb[n - 1 - k :])) for k in range(n)]
+
+
 def mul_reference(f: QSeries, g: QSeries) -> QSeries:
     """Schoolbook Cauchy product over Fractions.
 
-    Oracle for the Kronecker-substitution product in QSeries.__mul__,
+    Oracle for both product paths of QSeries.__mul__,
     sharing none of its code; the two must agree bit for bit.
     """
     prec = min(f.prec, g.prec)

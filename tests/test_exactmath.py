@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modforms.exactmath import (
     bernoulli,
@@ -105,7 +106,82 @@ class TestBinomial:
         assert binomial(0, 1) == 0
 
 
+def solve_reference(matrix, rhs):
+    """Gauss-Jordan elimination over Fractions, the first nonzero pivot per
+    column and free variables zero: the oracle for the integer elimination
+    of solve_linear, sharing none of its code."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    b = [Fraction(x) for x in rhs]
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivot_cols, rank = [], 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        b[rank], b[pivot] = b[pivot], b[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        b[rank] *= inv
+        for r in range(n_rows):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+                b[r] -= factor * b[rank]
+        pivot_cols.append(col)
+        rank += 1
+    if any(b[r] != 0 for r in range(rank, n_rows)):
+        return None
+    solution = [Fraction(0)] * n_cols
+    for i, col in enumerate(pivot_cols):
+        solution[col] = b[i]
+    return solution
+
+
+# Zero half the time, else a signed rational with denominator up to 10^6.
+entries = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def linear_systems(draw):
+    """A system of 1-8 rows and columns: random, or of a chosen rank (each
+    row a combination of a few base rows), with some rows and columns
+    zeroed, and a right-hand side inside the column span or drawn at
+    random (then mostly inconsistent when the rank is short)."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        matrix = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    else:
+        rank = draw(st.integers(1, min(n_rows, n_cols)))
+        base = [[draw(entries) for _ in range(n_cols)] for _ in range(rank)]
+        mix = [[draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(n_rows)]
+        matrix = [
+            [sum(m * row[j] for m, row in zip(weights, base)) for j in range(n_cols)]
+            for weights in mix
+        ]
+    for r in draw(st.sets(st.integers(0, n_rows - 1), max_size=2)):
+        matrix[r] = [0] * n_cols
+    for c in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for row in matrix:
+            row[c] = 0
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(n_cols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+    else:
+        rhs = [draw(entries) for _ in range(n_rows)]
+    return matrix, rhs
+
+
 class TestSolveLinear:
+    @given(linear_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_oracle(self, system):
+        matrix, rhs = system
+        assert solve_linear(matrix, rhs) == solve_reference(matrix, rhs)
+
     def test_identity_system(self):
         assert solve_linear([[1, 0], [0, 1]], [3, 4]) == [3, 4]
 
@@ -151,6 +227,11 @@ class TestSolveLinear:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             solve_linear([[0.5]], [1])
+
+    @pytest.mark.parametrize("matrix, rhs", [([[1]], [0.5]), ([[True]], [1]), ([[1]], [False])])
+    def test_rejects_floats_and_bools_on_either_side(self, matrix, rhs):
+        with pytest.raises(TypeError):
+            solve_linear(matrix, rhs)
 
 
 def test_rational_string_roundtrip():

@@ -29,6 +29,7 @@ from modforms.forms import (
     mixed_monomial,
     monomial_basis,
     monomial_exponents,
+    span_coordinates,
 )
 from modforms.exactmath import bernoulli, sigma, solve_linear
 from modforms.qseries import GradedSeries, PrecisionError, QSeries, mul_reference
@@ -184,6 +185,39 @@ class TestMembership:
             is_modular_member(eisenstein(4, PREC), 5)
 
 
+class TestSpanCoordinates:
+    """Columns over denominators 240, 3 and 691, solved in integers."""
+
+    @staticmethod
+    def columns():
+        return [
+            eisenstein(4, 40) * Fraction(1, 240),
+            eval_generator_poly("(E2^2 - E4)/12", 40) * Fraction(1, 36),
+            cusp_delta(12, 40) * Fraction(5, 691),
+        ]
+
+    def test_recovers_rational_coordinates(self):
+        columns = self.columns()
+        assert [column.denominator for column in columns] == [240, 3, 691]
+        coords = [Fraction(3, 5), Fraction(-7, 11), Fraction(13, 3)]
+        target = _combination(columns, coords, 40)
+        assert span_coordinates(columns, target, 13) == coords
+        assert span_coordinates(columns, columns[1], 13) == [0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            lambda: eisenstein(12, 40),
+            lambda: eisenstein(6, 40),
+            # in the span on the window, outside it beyond
+            lambda: eisenstein(4, 40) + QSeries([0] * 30 + [Fraction(1, 7)], prec=40),
+        ],
+        ids=["E12", "E6", "beyond-the-window"],
+    )
+    def test_a_target_outside_the_span_gives_none(self, target):
+        assert span_coordinates(self.columns(), target(), 13) is None
+
+
 _PARSE_ERRORS = ("E3", "(E4", "E4)", "E4 +", "E4 / E2", "E4 ^ E2", "4q")
 
 
@@ -322,8 +356,8 @@ class TestGeneratorPoly:
         assert GeneratorPoly.parse(str(poly)).monomials() == poly.monomials()
 
 
-# Columns with denominators 1, 691 (E12) and 12 (D(E2) = (E2^2 - E4)/12),
-# negative coefficients (E6, D(E2)) and zero ones (Delta12's a_0), at prec 40.
+# Columns with denominators 1 and 691 (E12), negative coefficients (E6,
+# D(E2) = (E2^2 - E4)/12) and zero ones (Delta12's a_0), at prec 40.
 _COLUMNS = {
     "E4": lambda: eisenstein(4, 40),
     "E6": lambda: eisenstein(6, 40),
@@ -439,11 +473,11 @@ from modforms import qseries
 from modforms.forms import catalog
 from modforms.verify import verify_identity_suite
 calls = [0]
-kronecker = qseries._kronecker_product
+product = qseries._product
 def spy(a, b):
     calls[0] += 1
-    return kronecker(a, b)
-qseries._kronecker_product = spy
+    return product(a, b)
+qseries._product = spy
 catalog(768)
 made = calls[0]
 verify_identity_suite(768)
@@ -477,11 +511,11 @@ import sys
 from modforms import qseries
 from modforms.forms import catalog, eval_generator_poly
 precs = []
-kronecker = qseries._kronecker_product
+product = qseries._product
 def spy(a, b):
     precs.append(len(a) - 1)
-    return kronecker(a, b)
-qseries._kronecker_product = spy
+    return product(a, b)
+qseries._product = spy
 catalog(int(sys.argv[1]))
 del precs[:]
 eval_generator_poly(sys.argv[2], int(sys.argv[3]))
@@ -516,11 +550,11 @@ import sys
 from modforms import qseries
 from modforms.forms import eval_generator_poly
 calls = [0]
-kronecker = qseries._kronecker_product
+product = qseries._product
 def spy(a, b):
     calls[0] += 1
-    return kronecker(a, b)
-qseries._kronecker_product = spy
+    return product(a, b)
+qseries._product = spy
 poly, prec = sys.argv[1], int(sys.argv[2])
 eval_generator_poly(poly, prec)
 first = calls[0]
@@ -612,8 +646,8 @@ class TestStore:
         # Each power is stored once and built from its stored halves; a
         # ladder of powers per basis build makes 34 and then 79.
         catalog_products, identity_products = _fresh(_PRODUCT_COUNTS)
-        assert catalog_products <= 13
-        assert identity_products <= 37
+        assert 1 <= catalog_products <= 13
+        assert 1 <= identity_products <= 37
 
     def test_catalog_leaves_the_cusp_bases_stored(self):
         assert _fresh(_CUSP_BASES) == (len(DELTA_WEIGHTS), 0)
@@ -637,7 +671,7 @@ class TestStore:
         # A new power costs about 2 log2(a) products at the precision asked,
         # whatever larger precision the catalog left its halves stored at.
         products, highest = _fresh(_PRODUCTS_AFTER_A_CATALOG, catalog_prec, poly, prec)
-        assert products <= most and highest <= prec
+        assert 1 <= products <= most and highest <= prec
 
     @pytest.mark.parametrize("pairs", [((4, 1), (6, 1)), ((2, 3), (4, 2), (6, 1))])
     def test_a_mixed_monomial_truncates_to_a_fresh_build(self, pairs):

@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from modforms import qseries
 from modforms.forms import catalog_form
 from modforms.qseries import (
+    _DIRECT_MAX,
     GradedSeries,
     PrecisionError,
     QSeries,
@@ -173,10 +175,21 @@ numerator_series = st.builds(
 )
 
 
+def series_of_length(n):
+    """Series of n signed, often multi-word numerators over a denominator
+    other than 1."""
+    return st.builds(
+        QSeries.from_numerators,
+        st.lists(numerators, min_size=n, max_size=n),
+        st.integers(2, 10**6),
+    )
+
+
 class TestKroneckerProduct:
-    """QSeries.__mul__ packs each operand into one big integer and reads
-    the product off fixed-width slots; mul_reference shares no code with
-    it and must agree bit for bit."""
+    """QSeries.__mul__ takes the direct sum up to _DIRECT_MAX coefficients,
+    and above it packs each operand into one big integer and reads the
+    product off fixed-width slots; mul_reference shares no code with
+    either and must agree bit for bit."""
 
     @staticmethod
     def assert_matches_reference(f, g):
@@ -198,6 +211,31 @@ class TestKroneckerProduct:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, f, g):
         self.assert_matches_reference(f, g)
+
+    # Lengths on both sides of the crossover from the direct sum to KS2.
+    CROSSOVER_LENGTHS = [1, 2, 15, 16, 17, 18, 40]
+
+    @pytest.mark.parametrize("n", CROSSOVER_LENGTHS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_across_the_crossover(self, n, data):
+        f, g = data.draw(series_of_length(n)), data.draw(series_of_length(n))
+        self.assert_matches_reference(f, g)
+        self.assert_matches_reference(f, f)
+
+    def test_the_length_alone_picks_the_path(self, monkeypatch):
+        assert {_DIRECT_MAX, _DIRECT_MAX + 1} <= set(self.CROSSOVER_LENGTHS)
+        packed = []
+
+        def stub(a, b):
+            packed.append(len(a))
+            return [0] * len(a)
+
+        monkeypatch.setattr(qseries, "_kronecker_product", stub)
+        for n in self.CROSSOVER_LENGTHS:
+            f = QSeries.from_numerators(range(1, n + 1), 1)
+            f * QSeries.from_numerators(range(-n, 0), 1)
+        assert packed == [n for n in self.CROSSOVER_LENGTHS if n > _DIRECT_MAX]
 
     # The product is read off two evaluations, at +2^(w/2) and -2^(w/2):
     # even and odd parts of opposite signs make the two differ in sign.
