@@ -13,7 +13,7 @@ from .exactmath import (
     sigma,
     solve_linear,
 )
-from .qseries import GradedSeries, PrecisionError, QSeries, first_difference, mul_reference
+from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
 from .forms import (
     CATALOG_NAMES,
     DELTA_WEIGHTS,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 __all__ = [
@@ -44,15 +43,10 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
-    # B_0..B_n from the recurrence sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1),
-    # which fixes B_1 = -1/2 and hence B_2 = 1/6, B_4 = -1/30.
-    values = [_ONE]
-    for m in range(1, n + 1):
-        acc = sum(math.comb(m + 1, j) * values[j] for j in range(m))
-        values.append(Fraction(-acc, m + 1))
-    return tuple(values)
+# B_0, B_1, ... as far as any call has needed, grown by the recurrence
+# sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1), which fixes B_1 = -1/2 and hence
+# B_2 = 1/6, B_4 = -1/30. One table per process: a new weight extends it.
+_BERNOULLI = [_ONE]
 
 
 def bernoulli(k: int) -> Fraction:
@@ -63,7 +57,11 @@ def bernoulli(k: int) -> Fraction:
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"bernoulli is defined here for even k >= 2, got {k}")
-    return _bernoulli_upto(k)[k]
+    values = _BERNOULLI
+    for m in range(len(values), k + 1):
+        acc = sum(math.comb(m + 1, j) * values[j] for j in range(m) if values[j])
+        values.append(Fraction(-acc, m + 1))
+    return values[k]
 
 
 def divisors(n: int) -> list[int]:

@@ -2,21 +2,31 @@
 normalized cusp forms, exact membership tests against M_k, and evaluation
 of polynomials in the quasimodular generators E2, E4, E6.
 
+The cusp forms come from small numbers and from no identity the suites
+check: Delta12 from Jacobi's eta^3 series by three squarings, and each
+other Delta_k from the one product E4*E_{k-4}. Membership in M_k is
+certified in ``membership_basis``, E_k and then cusp forms: it costs no
+product where dim S_k <= 1 and dim S_k products (two at weights 24 and
+28) elsewhere. The monomial coordinates it reports are then solved on a
+prefix of dim M_k + 10 coefficients, which fixes a form of M_k (Sturm's
+bound).
+
 The builders ``eisenstein``, ``eisenstein_power``, ``mixed_monomial``,
-``monomial_basis`` and ``cusp_delta`` each keep one store: one value per
-form (per weight, per power or per monomial), built at the largest
-precision asked for so far. ``catalog`` is a stored view whose entries
-are the ``eisenstein`` and ``cusp_delta`` objects themselves;
-``catalog_form`` reads a name from its own builder only. A request at
-a smaller precision is answered by truncating the stored value, which
-equals a fresh build because a series is kept in lowest terms; a larger
-one rebuilds and replaces it. Memory is therefore bounded by the number
-of forms a process asks for, each held once at its largest precision,
-and not by the number of precisions it asks at. Each builder has
-``cache_info()`` with its hits (requests answered from the store),
-misses (builds) and currsize (forms held), and ``__wrapped__``, the
-unstored builder; ``cache_stats()`` maps every builder's name, and the
-parse memo's (``_parse``, the 64 texts read last), to its ``cache_info()``.
+``monomial_basis``, ``membership_basis`` and ``cusp_delta`` each keep
+one store: one value per form (per weight, per power or per monomial),
+built at the largest precision asked for so far. ``catalog`` is a stored
+view whose entries are the ``eisenstein`` and ``cusp_delta`` objects
+themselves; ``catalog_form`` reads a name from its own builder only. A
+request at a smaller precision is answered by truncating the stored
+value, which equals a fresh build because a series is kept in lowest
+terms; a larger one rebuilds and replaces it. Memory is therefore
+bounded by the number of forms a process asks for, each held once at its
+largest precision, and not by the number of precisions it asks at. Each
+builder has ``cache_info()`` with its hits (requests answered from the
+store), misses (builds) and currsize (forms held), and ``__wrapped__``,
+the unstored builder; ``cache_stats()`` maps every builder's name, and
+the parse memo's (``_parse``, the 64 texts read last), to its
+``cache_info()``.
 Bases and polynomials read each monomial from one entry,
 ``eisenstein_power``'s for a power of one generator and
 ``mixed_monomial``'s, keyed by its (k, a) pairs, for the product of two
@@ -43,6 +53,7 @@ __all__ = [
     "monomial_basis",
     "DELTA_WEIGHTS",
     "cusp_delta",
+    "membership_basis",
     "span_coordinates",
     "is_modular_member",
     "GeneratorPoly",
@@ -229,18 +240,51 @@ def _check_cusp(k: int, prec: int) -> None:
 def cusp_delta(k: int, prec: int) -> GradedSeries:
     """The unique normalized cusp form of weight k in {12,16,18,20,22,26}.
 
-    Constructed by solving a_0 = 0, a_1 = 1 over the stored monomial
-    basis, not from the product identities it is later used to verify.
+    Delta12 is q times the eighth power of sum_n (-1)^n (2n+1) q^(n(n+1)/2),
+    by Jacobi's identity eta^3 = sum_n (-1)^n (2n+1) q^((2n+1)^2/8): three
+    squarings of a series of small integers. Every other Delta_k is
+    (E4*E_{k-4} - E_k)/a_1, the difference of two forms of constant term 1
+    in the one-dimensional S_k, from one product. Neither is a product that
+    PRODUCT_IDENTITIES checks (E_{k-4} is E12, E14, E16, E18 or E22, and
+    E4*E14 is no row), and no solve is involved, so the identities the
+    forms are used to verify are not assumed in building them.
     """
-    basis = monomial_basis(k, prec)
-    rows = [[b[0] for b in basis], [b[1] for b in basis]]
-    coords = solve_linear(rows, [0, 1])
-    if coords is None:
-        raise RuntimeError(f"normalization system for weight {k} is inconsistent")
-    form = GradedSeries(_combination(basis, coords, prec), k)
+    if k == 12:
+        nums = [0] * prec  # exponents 0..prec-1 of the eta^3 quotient
+        n = 0
+        while n * (n + 1) // 2 < prec:
+            nums[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+            n += 1
+        series = QSeries.from_numerators(nums, 1)
+        for _ in range(3):
+            series = series * series
+        form = GradedSeries(QSeries.from_numerators((0, *series.numerators), 1), k)
+    else:
+        form = eisenstein(4, prec) * eisenstein(k - 4, prec) - eisenstein(k, prec)
+        form = form * (1 / form[1])
     if form[0] != 0 or form[1] != 1:
         raise RuntimeError(f"Delta{k} must start q + O(q^2)")
     return form
+
+
+@_stored()
+def membership_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
+    """The basis of M_k that membership is certified in, each element
+    q^j + O(q^(j+1)): E_k, then cusp_delta(k) when dim S_k = 1 and
+    otherwise Delta12 times membership_basis(k - 12). The constant 1 at
+    k = 0, and empty where monomial_basis is."""
+    dim = dim_modular(k)
+    if k == 0 or dim == 0:
+        return monomial_basis(k, prec)
+    # Above the cap, which bounds the weights a query may ask for, the
+    # basis holds the one E_k it needs itself.
+    head = eisenstein(k, prec) if k <= _MAX_EISENSTEIN_WEIGHT else eisenstein.__wrapped__(k, prec)
+    if dim == 1:
+        return (head,)
+    if k in DELTA_WEIGHTS:
+        return head, cusp_delta(k, prec)
+    delta = cusp_delta(12, prec)
+    return head, *(delta * form for form in membership_basis(k - 12, prec))
 
 
 def _combination(columns: Sequence[QSeries], coords, prec: int) -> QSeries:
@@ -270,16 +314,15 @@ def span_coordinates(
     The re-check compares coefficients only, so target may be a form of
     any weight.
     """
-    # Integer rows over L = lcm of every denominator: column j scaled by L/den_j.
-    den = lcm(target.denominator, *(column.denominator for column in columns))
-    *scaled, rhs = [
-        [a * (den // series.denominator) for a in series.numerators[: window + 1]]
-        for series in (*columns, target)
-    ]
+    # In numerators, target = sum x_j column_j reads t = sum y_j n_j with
+    # y_j = x_j * den_target / den_j: an integer system, whatever the
+    # denominators.
+    *scaled, rhs = [series.numerators[: window + 1] for series in (*columns, target)]
     rows = [[column[m] for column in scaled] for m in range(window + 1)]
-    coords = solve_linear(rows, rhs)
-    if coords is None:
+    solution = solve_linear(rows, rhs)
+    if solution is None:
         return None
+    coords = [y * Fraction(c.denominator, target.denominator) for y, c in zip(solution, columns)]
     if first_difference(_combination(columns, coords, target.prec), target) is not None:
         return None
     return coords
@@ -292,26 +335,31 @@ _WINDOW_MARGIN = 10
 def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
     """Exact coordinates of f in the monomial basis of M_k, or None.
 
-    The coordinates are solved on the first dim M_k + _WINDOW_MARGIN + 1
-    coefficients, which determine a form in M_k, and then re-checked
-    against every certified coefficient of f (see span_coordinates).
+    f is first certified in membership_basis(k): its coordinates there are
+    solved on the first dim M_k + _WINDOW_MARGIN + 1 coefficients and
+    re-checked against every certified coefficient of f (see
+    span_coordinates). A form of M_k is fixed by a_0..a_(k//12) (Sturm's
+    bound), so the monomial coordinates solved on that window alone, over
+    monomial_basis(k, window), are exact.
     """
     if k < 0 or k % 2 != 0:
         raise ValueError(f"membership is tested against even weights, got {k}")
-    basis = monomial_basis(k, f.prec)
-    if not basis:
+    dim = dim_modular(k)
+    if not dim:
         if f.is_zero():
             return []
         raise ValueError(
             f"M_{k} is zero-dimensional; a nonzero series cannot belong to it"
         )
-    window = len(basis) + _WINDOW_MARGIN
+    window = dim + _WINDOW_MARGIN
     if f.prec < window:
         raise PrecisionError(
             f"membership test in M_{k} needs precision >= {window}, "
             f"have {f.prec}"
         )
-    return span_coordinates(basis, f, window)
+    if span_coordinates(membership_basis(k, f.prec), f, window) is None:
+        return None
+    return span_coordinates(monomial_basis(k, window), f.truncate(window), window)
 
 
 # ---------------------------------------------------------------------------

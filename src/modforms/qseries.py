@@ -34,9 +34,9 @@ are read back off the w-bit slots of their half sum and half
 difference. Each slot still holds one product coefficient, so it keeps
 the one-point bound (prec+1) * max(1, max|a|) * max(1, max|b|) on
 every product coefficient, plus a sign bit. A factor that is constant
-within the common precision scales the other instead.
-``mul_reference``, a schoolbook product over Fractions that shares no
-code with it, is the oracle the tests hold it to.
+within the common precision scales the other instead. The tests hold
+both paths to a schoolbook product over Fractions that shares no code
+with them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "PrecisionError",
     "QSeries",
     "GradedSeries",
-    "mul_reference",
     "first_difference",
 ]
 
@@ -281,19 +280,6 @@ def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return _kronecker_product(a, b)
     rb = b[::-1]  # rb[n-1-k:] is b_k, ..., b_0
     return [sum(map(mul, a[: k + 1], rb[n - 1 - k :])) for k in range(n)]
-
-
-def mul_reference(f: QSeries, g: QSeries) -> QSeries:
-    """Schoolbook Cauchy product over Fractions.
-
-    Oracle for both product paths of QSeries.__mul__,
-    sharing none of its code; the two must agree bit for bit.
-    """
-    prec = min(f.prec, g.prec)
-    out = []
-    for m in range(prec + 1):
-        out.append(sum((f[i] * g[m - i] for i in range(m + 1)), Fraction(0)))
-    return QSeries(out, prec=prec)
 
 
 def first_difference(f: QSeries, g: QSeries) -> Optional[int]:

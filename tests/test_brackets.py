@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from modforms.brackets import rankin_cohen
 from modforms.exactmath import binomial
 from modforms.forms import catalog, cusp_delta, eisenstein, is_modular_member
-from modforms.qseries import GradedSeries, QSeries, mul_reference
+from modforms.qseries import GradedSeries, QSeries
+from reference import mul_reference
 
 PREC = 64
 

@@ -72,14 +72,14 @@ def test_tracer_sees_every_layer_of_a_verify_run():
 
 _STORED_BUILDERS = (
     "eisenstein", "monomial_basis", "cusp_delta", "catalog", "eisenstein_power", "mixed_monomial",
-    "_parse",
+    "membership_basis", "_parse",
 )
 
 
 def test_stored_builders_expose_cache_counts():
     # tracer.instrument reads the first four before it patches the engine;
-    # eisenstein_power and mixed_monomial are on the same store and expose
-    # the same counts, and the parse memo is an lru_cache.
+    # eisenstein_power, mixed_monomial and membership_basis are on the same
+    # store and expose the same counts, and the parse memo is an lru_cache.
     for name in _STORED_BUILDERS:
         info = getattr(forms, name).cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int), name
@@ -125,6 +125,70 @@ def test_the_engine_never_builds_the_catalog():
     assert lookup["cusp_delta"] == lookup["monomial_basis"] == lookup["catalog"] == 0
     assert out["codes"] == [0, 0]
     assert out["catalog"] == 0
+
+
+def test_no_cusp_form_is_built_from_a_checked_identity(monkeypatch):
+    # The identities the suite checks must not be assumed in building the
+    # forms they are checked on: no Delta_k multiplies the two sides of a
+    # PRODUCT_IDENTITIES row, and none is solved for.
+    from modforms import qseries
+    from modforms.verify import PRODUCT_IDENTITIES
+
+    def numerators(name):
+        return tuple(forms.catalog_form(name, 64).numerators)
+
+    rows = {frozenset([numerators(left), numerators(right)]) for left, right, _ in PRODUCT_IDENTITIES}
+    operands = []
+    kronecker = qseries._kronecker_product
+
+    def spy(a, b):
+        operands.append(frozenset([tuple(a), tuple(b)]))
+        return kronecker(a, b)
+
+    def refused(*args):
+        raise AssertionError("a cusp form went through solve_linear")
+
+    monkeypatch.setattr(qseries, "_kronecker_product", spy)
+    monkeypatch.setattr(forms, "solve_linear", refused)
+    for k in forms.DELTA_WEIGHTS:
+        stored = forms.cusp_delta(k, 64)
+        operands.clear()
+        assert forms.cusp_delta.__wrapped__(k, 64) == stored
+        assert len(operands) == (3 if k == 12 else 1), k
+        assert not rows & set(operands), k
+
+
+# Full-precision series products that the identity suite makes after a
+# catalog at the same precision: all of them, and the distinct ones.
+_IDENTITY_PRODUCTS = """
+from modforms import qseries
+from modforms.forms import catalog
+from modforms.verify import run_suite
+operands = []
+product = qseries._product
+def spy(a, b):
+    if len(a) == 257:
+        operands.append(frozenset([tuple(a), tuple(b)]))
+    return product(a, b)
+qseries._product = spy
+catalog(256)
+del operands[:]
+run_suite("identities", 256)
+print(len(operands), len(set(operands)))
+"""
+
+
+def test_the_identity_suite_repeats_no_product():
+    # The membership bases are built from E_k and the cusp forms, so none
+    # of them rebuilds a product that a checked identity makes.
+    proc = subprocess.run(
+        [sys.executable, "-c", _IDENTITY_PRODUCTS],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    made, distinct = map(int, proc.stdout.split())
+    assert made == distinct > 0
 
 
 # Two passes, in one process, over the query-mix universe's hecke and eigen

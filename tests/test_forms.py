@@ -26,13 +26,15 @@ from modforms.forms import (
     eisenstein_power,
     eval_generator_poly,
     is_modular_member,
+    membership_basis,
     mixed_monomial,
     monomial_basis,
     monomial_exponents,
     span_coordinates,
 )
 from modforms.exactmath import bernoulli, sigma, solve_linear
-from modforms.qseries import GradedSeries, PrecisionError, QSeries, mul_reference
+from modforms.qseries import GradedSeries, PrecisionError, QSeries
+from reference import mul_reference
 
 PREC = 64
 
@@ -145,12 +147,16 @@ class TestCuspDelta:
             cusp_delta(14, 8)
 
     def test_a_wrong_normalization_is_refused(self, monkeypatch):
-        # Coordinates twice the true ones give a_1 = 2, which every build checks.
-        monkeypatch.setattr(
-            "modforms.forms.solve_linear", lambda rows, rhs: [2 * c for c in solve_linear(rows, rhs)]
-        )
-        with pytest.raises(RuntimeError, match="Delta12"):
-            cusp_delta.__wrapped__(12, 8)
+        # E_k twice over leaves E4*E_{k-4} - 2*E_k with a_0 = -1, which every
+        # build checks.
+        for k in DELTA_WEIGHTS[1:]:
+            def doubled(weight, prec, k=k):
+                form = eisenstein.__wrapped__(weight, prec)
+                return form * 2 if weight == k else form
+
+            monkeypatch.setattr("modforms.forms.eisenstein", doubled)
+            with pytest.raises(RuntimeError, match=f"Delta{k}"):
+                cusp_delta.__wrapped__(k, 8)
 
 
 class TestMembership:
@@ -183,6 +189,35 @@ class TestMembership:
     def test_odd_weight_rejected(self):
         with pytest.raises(ValueError):
             is_modular_member(eisenstein(4, PREC), 5)
+
+    def test_a_quasimodular_form_is_not_modular(self):
+        assert is_modular_member(eval_generator_poly("E2*E4", PREC), 6) is None
+
+    @pytest.mark.parametrize("k", [12, 24, 28])
+    def test_a_target_that_differs_beyond_the_window_is_refused(self, k):
+        # f agrees with a form of M_k on the solve window and differs at
+        # PREC, so only the re-check of every coefficient can refuse it.
+        form = eval_generator_poly(f"E4^{k // 4 - 3}*E6^2", PREC)
+        window = dim_modular(k) + 10
+        assert is_modular_member(form.truncate(window), k) == is_modular_member(form, k)
+        changed = form.series + QSeries([0] * PREC + [1], prec=PREC)
+        assert is_modular_member(changed, k) is None
+
+    def test_answers_above_the_eisenstein_cap(self):
+        # Weight 264 is above eisenstein's cap of 256; M_264 has dimension 23.
+        form = eval_generator_poly("E4^63*E6^2 - 2*E6^44", 40)
+        coords = is_modular_member(form, 264)
+        assert coords == [0, 1] + [0] * 20 + [-2] and len(coords) == dim_modular(264)
+        changed = form.series + QSeries([0] * 40 + [1], prec=40)
+        assert is_modular_member(changed, 264) is None
+
+    def test_the_basis_is_triangular(self):
+        # Each element of membership_basis(k) is q^j + O(q^(j+1)).
+        for k in (0, *range(4, 61, 2)):
+            basis = membership_basis(k, 12)
+            assert len(basis) == dim_modular(k), k
+            for j, form in enumerate(basis):
+                assert form.weight == k and form.coeffs[: j + 1] == (0,) * j + (1,), (k, j)
 
 
 class TestSpanCoordinates:
@@ -467,32 +502,42 @@ info = catalog.cache_info()
 print(info.hits, info.misses, info.currsize)
 """
 
-# Series products made by catalog(768), then by the identity suite after it.
+# Series products made by catalog(768), then the full-precision products
+# made by the identity suite after it, and how many of those are distinct.
 _PRODUCT_COUNTS = """
 from modforms import qseries
 from modforms.forms import catalog
 from modforms.verify import verify_identity_suite
+operands = []
+product = qseries._product
+def spy(a, b):
+    operands.append(frozenset([tuple(a), tuple(b)]))
+    return product(a, b)
+qseries._product = spy
+catalog(768)
+made = len(operands)
+verify_identity_suite(768)
+full = [pair for pair in operands[made:] if len(next(iter(pair))) == 769]
+print(made, len(full), len(set(full)))
+"""
+
+# The series products, and the Eisenstein and cusp-form builds, that the
+# membership bases of the cusp weights make after a catalog.
+_CUSP_BASES = """
+from modforms import qseries
+from modforms.forms import DELTA_WEIGHTS, catalog, cusp_delta, eisenstein, membership_basis
 calls = [0]
 product = qseries._product
 def spy(a, b):
     calls[0] += 1
     return product(a, b)
 qseries._product = spy
-catalog(768)
-made = calls[0]
-verify_identity_suite(768)
-print(made, calls[0] - made)
-"""
-
-# Store hits and misses of the cusp-weight bases asked for after a catalog.
-_CUSP_BASES = """
-from modforms.forms import DELTA_WEIGHTS, catalog, monomial_basis
 catalog(200)
-before = monomial_basis.cache_info()
+before = calls[0], eisenstein.cache_info().misses, cusp_delta.cache_info().misses
 for k in DELTA_WEIGHTS:
-    monomial_basis(k, 200)
-after = monomial_basis.cache_info()
-print(after.hits - before.hits, after.misses - before.misses)
+    membership_basis(k, 200)
+after = calls[0], eisenstein.cache_info().misses, cusp_delta.cache_info().misses
+print(*(b - a for a, b in zip(before, after)))
 """
 
 _POWER_COUNTS = """
@@ -527,7 +572,8 @@ print(len(precs), max(precs, default=0))
 _POWERS_AGAINST_THE_ORACLE = """
 import sys
 from modforms.forms import eisenstein, eisenstein_power
-from modforms.qseries import QSeries, mul_reference
+from modforms.qseries import QSeries
+from reference import mul_reference
 k, order = int(sys.argv[1]), sys.argv[2]
 e = eisenstein.__wrapped__(k, 24)
 chain = [QSeries.one(24)]
@@ -577,7 +623,8 @@ print(info.hits, info.misses, info.currsize)
 _MIXED_MONOMIALS_AGAINST_THE_ORACLE = """
 import sys
 from modforms.forms import eisenstein, mixed_monomial
-from modforms.qseries import QSeries, mul_reference
+from modforms.qseries import QSeries
+from reference import mul_reference
 first = int(sys.argv[1])
 monomials = [
     ((4, 1), (6, 1)), ((4, 2), (6, 1)), ((4, 3), (6, 2)), ((2, 1), (4, 1)),
@@ -601,11 +648,12 @@ print(*wrong)
 
 
 def _fresh(script: str, *args) -> tuple[int, ...]:
-    """The integers a script prints, run in a new interpreter."""
-    src = Path(__file__).resolve().parent.parent / "src"
+    """The integers a script prints, run in a new interpreter that imports
+    the engine and the tests' reference helpers."""
+    tests = Path(__file__).resolve().parent
     proc = subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)])),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -643,14 +691,18 @@ class TestStore:
         assert _fresh(_CATALOG_COUNTS, *precs) == counts
 
     def test_powers_are_multiplied_once(self):
-        # Each power is stored once and built from its stored halves; a
-        # ladder of powers per basis build makes 34 and then 79.
-        catalog_products, identity_products = _fresh(_PRODUCT_COUNTS)
-        assert 1 <= catalog_products <= 13
-        assert 1 <= identity_products <= 37
+        # The catalog makes three squarings for Delta12 and one product for
+        # each other Delta_k. The identity suite then makes its 29 checked
+        # products and the four of the membership bases of weights 24 and
+        # 28, each once; its window solves multiply short prefixes only.
+        catalog_products, full_products, distinct = _fresh(_PRODUCT_COUNTS)
+        assert 1 <= catalog_products <= 8
+        assert 1 <= full_products == distinct <= 33
 
     def test_catalog_leaves_the_cusp_bases_stored(self):
-        assert _fresh(_CUSP_BASES) == (len(DELTA_WEIGHTS), 0)
+        # The basis of each cusp weight is its E_k and Delta_k, both of which
+        # the catalog built.
+        assert _fresh(_CUSP_BASES) == (0, 0, 0)
 
     @pytest.mark.parametrize(
         "precs, counts",
@@ -664,12 +716,14 @@ class TestStore:
 
     @pytest.mark.parametrize(
         "catalog_prec, poly, prec, most",
-        [(512, "E4^500", 8, 18), (2048, "E4^9*E6^3", 16, 2)],
+        [(512, "E4^500", 8, 18), (2048, "E4^9*E6^3", 16, 8)],
         ids=["E4^500", "E4^9*E6^3"],
     )
     def test_powers_are_multiplied_at_the_precision_asked(self, catalog_prec, poly, prec, most):
         # A new power costs about 2 log2(a) products at the precision asked,
-        # whatever larger precision the catalog left its halves stored at.
+        # whatever larger precision its halves are stored at. The catalog
+        # stores no power, so E4^9*E6^3 makes E4^2..E4^5, E4^9, E6^2, E6^3
+        # and their product.
         products, highest = _fresh(_PRODUCTS_AFTER_A_CATALOG, catalog_prec, poly, prec)
         assert 1 <= products <= most and highest <= prec
 

@@ -1,6 +1,9 @@
 """Independent oracles: each expectation is computed here, sharing no code
 path with the engine. Delta12 is checked in plain integers against the
-cusp-form solve, the integer Hecke kernel against its formula summed in
+product formula of eta^24 and against (E4^3 - E6^2)/1728,
+every cusp form against a solve over the monomial basis, the membership
+coordinates of the identity suite's reductions against a solve over the
+monomial basis at full precision, the integer Hecke kernel against its formula summed in
 Fractions straight from the coefficients, the eigenform test against a
 scan in Fractions on every catalog form, derivative, pairwise product and
 bracket of order <= 2, the eigenvalues of every product and bracket hit
@@ -16,9 +19,21 @@ from fractions import Fraction
 import pytest
 
 from modforms.brackets import rankin_cohen
-from modforms.forms import catalog, catalog_form, cusp_delta, is_modular_member
+from modforms.exactmath import solve_linear
+from modforms.forms import (
+    CATALOG_NAMES,
+    DELTA_WEIGHTS,
+    catalog,
+    catalog_form,
+    cusp_delta,
+    dim_modular,
+    eisenstein,
+    is_modular_member,
+    monomial_basis,
+    span_coordinates,
+)
 from modforms.hecke import eigenform_test, hecke, hecke_nearly
-from modforms.nearly import YPolyForm, e2_star, maass_shimura
+from modforms.nearly import YPolyForm, constant_term, e2_star, maass_shimura
 from modforms.qseries import GradedSeries, QSeries
 from modforms.verify import bracket_search, product_search
 
@@ -56,6 +71,49 @@ def _is_prime(n: int) -> bool:
 
 def test_delta12_is_the_eta_product():
     assert _tau() == _eta_product(PREC)
+
+
+def _schoolbook(a: list[int], b: list[int]) -> list[int]:
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+@pytest.mark.parametrize("prec", [1, 2, 16, 300])
+def test_delta12_is_the_discriminant(prec):
+    # E4^3 - E6^2 = 1728 Delta12, in plain integers.
+    e4, e6 = (list(eisenstein.__wrapped__(k, prec).numerators) for k in (4, 6))
+    discriminant = [x - y for x, y in zip(_schoolbook(_schoolbook(e4, e4), e4), _schoolbook(e6, e6))]
+    delta = cusp_delta.__wrapped__(12, prec)
+    assert delta.denominator == 1 and discriminant == [1728 * a for a in delta.numerators]
+
+
+def _monomial_delta(k: int, prec: int) -> GradedSeries:
+    """Delta_k solved from a_0 = 0 and a_1 = 1 over the monomial basis of M_k."""
+    basis = monomial_basis(k, prec)
+    coords = solve_linear([[b[0] for b in basis], [b[1] for b in basis]], [0, 1])
+    total = QSeries.zero(prec)
+    for c, b in zip(coords, basis):
+        total = total + b.series * c
+    return GradedSeries(total, k)
+
+
+@pytest.mark.parametrize("prec", [1, 2, 16, 200])
+def test_cusp_forms_match_the_monomial_solve(prec):
+    for k in DELTA_WEIGHTS:
+        assert cusp_delta.__wrapped__(k, prec) == _monomial_delta(k, prec), k
+
+
+def test_reduction_coordinates_match_the_monomial_solve():
+    # The coordinates the identity suite reports for each reduction of a
+    # raised catalog form, against a span solve over the monomial basis
+    # that reads every coefficient.
+    estar = e2_star(PREC)
+    for name in CATALOG_NAMES[1:]:
+        form = catalog_form(name, PREC)
+        k = form.weight
+        reduced = constant_term(maass_shimura(form) - (estar * form) * Fraction(k, 12))
+        expected = span_coordinates(monomial_basis(k + 2, PREC), reduced, dim_modular(k + 2) + 10)
+        assert expected is not None, name
+        assert is_modular_member(reduced, k + 2) == expected, name
 
 
 def test_ramanujan_congruence():

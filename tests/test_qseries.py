@@ -21,8 +21,8 @@ from modforms.qseries import (
     _pack,
     _unpack,
     first_difference,
-    mul_reference,
 )
+from reference import mul_reference
 
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=6
