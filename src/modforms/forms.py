@@ -317,8 +317,8 @@ def span_coordinates(
     # In numerators, target = sum x_j column_j reads t = sum y_j n_j with
     # y_j = x_j * den_target / den_j: an integer system, whatever the
     # denominators.
-    *scaled, rhs = [series.numerators[: window + 1] for series in (*columns, target)]
-    rows = [[column[m] for column in scaled] for m in range(window + 1)]
+    *heads, rhs = [series.numerators[: window + 1] for series in (*columns, target)]
+    rows = [[head[m] for head in heads] for m in range(window + 1)]
     solution = solve_linear(rows, rhs)
     if solution is None:
         return None
@@ -335,12 +335,13 @@ _WINDOW_MARGIN = 10
 def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
     """Exact coordinates of f in the monomial basis of M_k, or None.
 
-    f is first certified in membership_basis(k): its coordinates there are
-    solved on the first dim M_k + _WINDOW_MARGIN + 1 coefficients and
-    re-checked against every certified coefficient of f (see
-    span_coordinates). A form of M_k is fixed by a_0..a_(k//12) (Sturm's
-    bound), so the monomial coordinates solved on that window alone, over
-    monomial_basis(k, window), are exact.
+    f is first certified in membership_basis(k): that basis is triangular
+    (element j is q^j + O(q^(j+1))), so its coordinates are fixed by
+    a_0..a_(dim M_k - 1), solved on that square window and re-checked
+    against every certified coefficient of f (see span_coordinates). A form
+    of M_k is fixed by a_0..a_(k//12) (Sturm's bound), so the monomial
+    coordinates, solved over monomial_basis(k, window) on the first
+    window = dim M_k + _WINDOW_MARGIN coefficients alone, are exact.
     """
     if k < 0 or k % 2 != 0:
         raise ValueError(f"membership is tested against even weights, got {k}")
@@ -357,7 +358,7 @@ def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
             f"membership test in M_{k} needs precision >= {window}, "
             f"have {f.prec}"
         )
-    if span_coordinates(membership_basis(k, f.prec), f, window) is None:
+    if span_coordinates(membership_basis(k, f.prec), f, dim - 1) is None:
         return None
     return span_coordinates(monomial_basis(k, window), f.truncate(window), window)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .exactmath import divisors, rational_str
@@ -143,6 +144,33 @@ class EigenReport:
         }
 
 
+def _first_miss(
+    nums: Sequence[Sequence[int]], k: int, n: int, count: int, first: tuple[int, int]
+) -> tuple[int, int, list[tuple[list[int], int]], Optional[tuple[int, int]]]:
+    """Compare T_n f with lambda_n f on exponents 0..count-1, in integers.
+
+    nums[r] holds the numerators of the Y^r component of a weight-k form f,
+    and first = (m0, r0) is its first nonzero coefficient, m0 < count, where
+    lambda_n = p/q (lowest terms) is read off. Returns (p, q, images,
+    miss): images[r] is _kernel's (b, D) for component r, and miss is the
+    smallest (m, r) with lambda_n a_m != b_m, or None. With a_m = a/s and
+    b_m = b/(s D), that reads p a D != q b (s cancels), compared as one list
+    per component.
+    """
+    m0, r0 = first
+    images = [_kernel(a, k, r, n, count) for r, a in enumerate(nums)]
+    b0, den0 = images[r0]
+    p, q = b0[m0], den0 * nums[r0][m0]
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    misses = [
+        next((m, r) for m, (a, x) in enumerate(zip(row, b)) if p * den * a != q * x)
+        for r, (row, (b, den)) in enumerate(zip(nums, images))
+        if [p * den * a for a in row[:count]] != [q * x for x in b]
+    ]
+    return p, q, images, min(misses, default=None)
+
+
 def eigenform_test(
     f: Union[GradedSeries, YPolyForm], bound: int = 10, window: int = 12
 ) -> EigenReport:
@@ -187,19 +215,9 @@ def eigenform_test(
         count = prec // n + 1
         if m0 >= count:
             continue
-        images = [_kernel(nums[r], k, r, n, count) for r in range(len(comps))]
-        b0, den0 = images[r0]
-        lam = Fraction(b0[m0], den0 * nums[r0][m0])
-        p, q = lam.numerator, lam.denominator
-        # lambda a_m = b_m, with a_m = a / s and b_m = b / (s D), reads p a D =
-        # q b (s cancels), compared as one list per component Y^r.
-        misses = [
-            next((m, r) for m, (a, x) in enumerate(zip(nums[r], b)) if p * den * a != q * x)
-            for r, (b, den) in enumerate(images)
-            if [p * den * a for a in nums[r][:count]] != [q * x for x in b]
-        ]
-        if misses:
-            m, r = min(misses)
+        p, q, images, miss = _first_miss(nums, k, n, count, first)
+        if miss is not None:
+            m, r = miss
             b, den = images[r]
             s = comps[r].denominator
             violation = Violation(
@@ -210,5 +228,5 @@ def eigenform_test(
                 y_power=r if is_ypoly else None,
             )
             return EigenReport(False, bound, tuple(eigenvalues), violation, prec, prec // bound)
-        eigenvalues.append((n, lam))
+        eigenvalues.append((n, Fraction(p, q)))
     return EigenReport(True, bound, tuple(eigenvalues), None, prec, prec // bound)

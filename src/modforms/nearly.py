@@ -130,13 +130,13 @@ class YPolyForm:
         if isinstance(other, GradedSeries):
             other = YPolyForm.from_graded(other)
         if isinstance(other, YPolyForm):
-            prec = min(self.prec, other.prec)
             comps = []
             for t in range(self.depth + other.depth + 1):
-                acc = QSeries.zero(prec)
-                for r in range(max(0, t - other.depth), min(self.depth, t) + 1):
-                    acc = acc + self._components[r] * other._components[t - r]
-                comps.append(acc)
+                first, *rest = [
+                    self._components[r] * other._components[t - r]
+                    for r in range(max(0, t - other.depth), min(self.depth, t) + 1)
+                ]
+                comps.append(sum(rest, first))
             return YPolyForm(comps, self._weight + other._weight)
         scalar = as_rational(other)
         return YPolyForm([c * scalar for c in self._components], self._weight)

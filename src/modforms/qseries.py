@@ -43,7 +43,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from itertools import compress, count, repeat
+from operator import add, mul, ne, sub
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import as_rational
@@ -143,7 +144,11 @@ class QSeries:
     # -- ring operations ------------------------------------------------
 
     def _linear(self, other: "QSeries", sign: int) -> "QSeries":
-        # self + sign * other over the lcm of the two denominators.
+        # self + sign * other over the lcm of the two denominators; over
+        # one denominator, the numerators add or subtract as they are.
+        if self._den == other._den:
+            nums = list(map(add if sign > 0 else sub, self._nums, other._nums))
+            return QSeries.from_numerators(nums, self._den)
         den = lcm(self._den, other._den)
         s, t = den // self._den, sign * (den // other._den)
         nums = [a * s + b * t for a, b in zip(self._nums, other._nums)]
@@ -284,12 +289,14 @@ def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def first_difference(f: QSeries, g: QSeries) -> Optional[int]:
     """Smallest exponent where f and g disagree on their common precision."""
-    # a/f_den == b/g_den, cross-multiplied; zip stops at the shorter series.
-    fd, gd = f._den, g._den
-    for m, (a, b) in enumerate(zip(f._nums, g._nums)):
-        if a * gd != b * fd:
-            return m
-    return None
+    a, b = f._nums, g._nums
+    if f._den != g._den:
+        # a/f_den == b/g_den, cross-multiplied lazily.
+        a, b = map(mul, a, repeat(g._den)), map(mul, b, repeat(f._den))
+    elif a == b:
+        return None
+    # map stops at the shorter series.
+    return next(compress(count(), map(ne, a, b)), None)
 
 
 def _format_terms(coeffs, max_terms: int | None = None) -> str:

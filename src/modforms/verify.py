@@ -26,7 +26,7 @@ from .forms import (
     eisenstein,
     is_modular_member,
 )
-from .hecke import EigenReport, eigenform_test
+from .hecke import EigenReport, _first_miss, eigenform_test
 from .nearly import constant_term, e2_star, maass_shimura
 from .qseries import GradedSeries, PrecisionError, first_difference
 
@@ -308,9 +308,9 @@ def _eigen_scan(candidates, prec: int, skipped: list[str]):
     Each is first built at _SIEVE_PREC. A zero prefix drops it: a product of
     nonzero catalog forms has order at most 2, and a bracket has weight at
     most 26, so by Sturm's bound it is zero once a_0..a_2 vanish. A prefix
-    that fails T_2 on exponents 0..2 (reading a_0..a_4) drops it too, with
-    the first violation the full test would find; every catalog candidate
-    whose prefix passes is an eigenform.
+    that fails T_2 on exponents 0..2 (reading a_0..a_4; see _sieve_passes)
+    drops it too, with the first violation the full test would find; every
+    catalog candidate whose prefix passes is an eigenform.
 
     A modular candidate of weight k, k // 12 <= _SIEVE_PREC, whose prefix is
     c*L on a_0..a_4 (see _line) is c*L by Sturm's bound. It takes L's report
@@ -330,9 +330,7 @@ def _eigen_scan(candidates, prec: int, skipped: list[str]):
     reports = {}  # (classification, weight) -> the eigen report of that line
     for key, label, build, modular in candidates:
         form = build(min(prec, _SIEVE_PREC))
-        if form.is_zero() or (
-            sieve and not eigenform_test(form, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
-        ):
+        if form.is_zero() or (sieve and not _sieve_passes(form)):
             yield key, None, None, None
             continue
         sturm = sieve and modular and form.weight // 12 <= _SIEVE_PREC
@@ -352,12 +350,36 @@ def _eigen_scan(candidates, prec: int, skipped: list[str]):
         yield key, form, result, scale
 
 
-def _truncated_product(left: GradedSeries, right: GradedSeries, prec: int) -> GradedSeries:
-    return left.truncate(prec) * right.truncate(prec)
+def _sieve_passes(prefix: GradedSeries) -> bool:
+    """eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound for a
+    nonzero prefix of _SIEVE_PREC + 1 coefficients, read off its numerators
+    by the test's own T_2 comparison on exponents 0.._SIEVE_PREC // 2."""
+    nums = prefix.numerators
+    m0 = next(m for m, a in enumerate(nums) if a)
+    count = _SIEVE_PREC // 2 + 1
+    return m0 >= count or _first_miss((nums,), prefix.weight, 2, count, (m0, 0))[3] is None
 
 
-def _truncated_bracket(g: GradedSeries, h: GradedSeries, m: int, prec: int) -> GradedSeries:
-    return rankin_cohen(g.truncate(prec), h.truncate(prec), m)
+# A scan operand: a form at the scan's precision and its prefix at the
+# sieve's, truncated once per scan rather than once per candidate.
+_Operand = tuple[GradedSeries, GradedSeries]
+
+
+def _operand(form: GradedSeries) -> _Operand:
+    return form, form.truncate(min(form.prec, _SIEVE_PREC))
+
+
+def _truncated(operand: _Operand, prec: int) -> GradedSeries:
+    form, prefix = operand
+    return prefix if prec == prefix.prec else form.truncate(prec)
+
+
+def _truncated_product(left: _Operand, right: _Operand, prec: int) -> GradedSeries:
+    return _truncated(left, prec) * _truncated(right, prec)
+
+
+def _truncated_bracket(g: _Operand, h: _Operand, m: int, prec: int) -> GradedSeries:
+    return rankin_cohen(_truncated(g, prec), _truncated(h, prec), m)
 
 
 def _deriv_label(name: str, order: int) -> str:
@@ -411,15 +433,15 @@ EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 def _product_candidates(prec: int):
     """The (key, label, build, modular) candidates of the product scan: a
     product is modular when neither operand has a D or is E2."""
-    items: list[tuple[str, int, GradedSeries]] = []
+    items: list[tuple[str, int, _Operand]] = []
     for name in CATALOG_NAMES:
         form = catalog_form(name, prec)
-        items += [(name, 0, form), (name, 1, form.derivative())]
-    for i, (left_name, left_order, left_form) in enumerate(items):
-        for right_name, right_order, right_form in items[i:]:
+        items += [(name, 0, _operand(form)), (name, 1, _operand(form.derivative()))]
+    for i, (left_name, left_order, left) in enumerate(items):
+        for right_name, right_order, right in items[i:]:
             key = (left_name, left_order, right_name, right_order)
             modular = not (left_order or right_order) and "E2" not in key
-            build = partial(_truncated_product, left_form, right_form)
+            build = partial(_truncated_product, left, right)
             yield key, _product_label(*key), build, modular
 
 
@@ -504,13 +526,15 @@ def _bracket_candidates(prec: int):
     """The (key, label, build, modular) candidates of the bracket scan:
     [g, h]_m, m <= 4, for modular catalog pairs up to the top catalog
     weight. Each is modular: a bracket of modular forms is one."""
-    entries = [(name, catalog_form(name, prec)) for name in CATALOG_NAMES if name != "E2"]
-    top_weight = max(form.weight for _, form in entries)
-    for i, (g_name, g_form) in enumerate(entries):
-        for h_name, h_form in entries[i:]:
+    entries = [
+        (name, _operand(catalog_form(name, prec))) for name in CATALOG_NAMES if name != "E2"
+    ]
+    top_weight = max(g[0].weight for _, g in entries)
+    for i, (g_name, g) in enumerate(entries):
+        for h_name, h in entries[i:]:
             for m in range(5):
-                if g_form.weight + h_form.weight + 2 * m <= top_weight:
-                    build = partial(_truncated_bracket, g_form, h_form, m)
+                if g[0].weight + h[0].weight + 2 * m <= top_weight:
+                    build = partial(_truncated_bracket, g, h, m)
                     yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", build, True
 
 

@@ -211,6 +211,31 @@ class TestMembership:
         changed = form.series + QSeries([0] * 40 + [1], prec=40)
         assert is_modular_member(changed, 264) is None
 
+    @pytest.mark.parametrize("k", range(4, 61, 2))
+    def test_the_square_window_answers_as_the_wide_one(self, k):
+        # membership_basis(k) is triangular, so a_0..a_(dim-1) fix its
+        # coordinates. Members, a target off the span, and targets that
+        # differ from a member only beyond the square window, beyond the
+        # dim + 10 window or at the last coefficient get the answer of a
+        # solve on dim + 10 coefficients.
+        prec = 40
+        dim = dim_modular(k)
+        wide = dim + 10
+
+        def wide_member(f):
+            if span_coordinates(membership_basis(k, prec), f, wide) is None:
+                return None
+            return span_coordinates(monomial_basis(k, wide), f.truncate(wide), wide)
+
+        basis = monomial_basis(k, prec)
+        member = _combination(basis, [Fraction(j + 1, j + 2) for j in range(dim)], prec)
+        off_span = member + eisenstein(2, prec).series
+        changed = [member + QSeries([0] * j + [1], prec=prec) for j in (dim, wide, wide + 1, prec)]
+        for target in (member, off_span, *changed):
+            expected = wide_member(target)
+            assert (expected is not None) == (target is member), k
+            assert is_modular_member(target, k) == expected, k
+
     def test_the_basis_is_triangular(self):
         # Each element of membership_basis(k) is q^j + O(q^(j+1)).
         for k in (0, *range(4, 61, 2)):

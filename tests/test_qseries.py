@@ -175,6 +175,53 @@ numerator_series = st.builds(
 )
 
 
+@st.composite
+def series_pairs(draw):
+    """(nums, den) of two series: over one denominator or two, of equal or
+    unequal lengths, the second often the first changed at one index."""
+    den = draw(st.integers(1, 10**6))
+    other_den = draw(st.sampled_from([den, draw(st.integers(1, 10**6))]))
+    nums = draw(st.lists(numerators, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        other = draw(st.lists(numerators, min_size=1, max_size=12))
+    else:
+        other = (nums + draw(st.lists(numerators, max_size=3)))[: draw(st.integers(1, 15))]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(other) - 1))
+            other[i] += draw(numerators.filter(bool))
+    return (nums, den), (other, other_den)
+
+
+class TestLinearOracle:
+    """+, - and first_difference against Fractions built from the raw
+    numerators, on the equal- and the unequal-denominator path."""
+
+    @given(series_pairs())
+    @settings(max_examples=200, deadline=None)
+    @example((([3, 0, -6], 9), ([3, 0, -6, 1], 9)))
+    @example((([2, 4], 6), ([1, 2], 3)))
+    def test_matches_fractions(self, pair):
+        (a, d), (b, e) = pair
+        f, g = QSeries.from_numerators(a, d), QSeries.from_numerators(b, e)
+        x, y = [Fraction(n, d) for n in a], [Fraction(n, e) for n in b]
+        n = min(len(x), len(y))
+        assert first_difference(f, g) == next((m for m in range(n) if x[m] != y[m]), None)
+        assert (f + g).coeffs == tuple(u + v for u, v in zip(x, y))
+        assert (f - g).coeffs == tuple(u - v for u, v in zip(x, y))
+        assert f + g == QSeries([u + v for u, v in zip(x, y)])
+        assert f - g == QSeries([u - v for u, v in zip(x, y)])
+
+    def test_both_paths(self):
+        f = QSeries.from_numerators([1, 0, -2, 5], 3)
+        g = QSeries.from_numerators([1, 0, -2, 4], 3)
+        h = QSeries.from_numerators([3, 0, -6, 1], 9)
+        assert (f.denominator, g.denominator, h.denominator) == (3, 3, 9)
+        assert first_difference(f, g) == 3 and first_difference(f, g.truncate(2)) is None
+        assert first_difference(f, h) == 3 and first_difference(h, f.truncate(2)) is None
+        assert f - g == QSeries.from_numerators([0, 0, 0, 1], 3)
+        assert f + h == QSeries([Fraction(2, 3), 0, Fraction(-4, 3), Fraction(16, 9)])
+
+
 def series_of_length(n):
     """Series of n signed, often multi-word numerators over a denominator
     other than 1."""

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib
 import json
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modforms import verify
 from modforms.forms import DELTA_WEIGHTS, catalog_form, cusp_delta, eisenstein
@@ -23,6 +25,7 @@ from modforms.verify import (
     _eigen_scan,
     _product_candidates,
     _product_label,
+    _sieve_passes,
     bracket_search,
     diophantine_check,
     ghitza_check,
@@ -187,6 +190,80 @@ class TestPrefixSieve:
         assert eigenform_test(form).is_eigen_up_to_bound
         with pytest.raises(PrecisionError):
             eigenform_test(form.truncate(_FULL_TEST_PREC - 1))
+
+
+@st.composite
+def _prefixes(draw):
+    """Nonzero prefixes a_0..a_4 of even weight 2..60: up to four leading
+    zeros, signed numerators over a denominator up to 10^6, and, when
+    asked, a_2 and a_4 set so that T_2 holds on exponents 0..2."""
+    k = draw(st.integers(1, 30)) * 2
+    zeros = draw(st.integers(0, 4))
+    nums = [0] * zeros + draw(st.lists(_signed, min_size=5 - zeros, max_size=5 - zeros))
+    nums[zeros] = nums[zeros] or 1
+    if draw(st.booleans()):
+        # b_0 = (1 + 2^(k-1)) a_0, b_1 = a_2, b_2 = a_4 + 2^(k-1) a_1.
+        a0, a1 = nums[0], nums[1]
+        if a0:
+            lam = 1 + 2 ** (k - 1)
+            nums[2] = lam * a1
+            nums[4] = lam * nums[2] - 2 ** (k - 1) * a1
+        elif a1:
+            nums[2] = a1 * draw(_signed)
+            nums[4] = nums[2] ** 2 // a1 - 2 ** (k - 1) * a1
+    return GradedSeries(QSeries.from_numerators(nums, draw(st.integers(1, 10**6))), k)
+
+
+_signed = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
+
+
+class TestSieveVerdicts:
+    """The sieve reads T_2 on exponents 0..2 off a prefix's numerators;
+    eigenform_test(prefix, 2, 2) is its oracle."""
+
+    @pytest.mark.parametrize("prec", [120, 128, 256])
+    @pytest.mark.parametrize("candidates", [_product_candidates, _bracket_candidates])
+    def test_every_scan_candidate(self, candidates, prec):
+        verdicts = []
+        for key, label, build, _ in candidates(prec):
+            prefix = build(_SIEVE_PREC)
+            # The prefix from the operands' stored prefixes is the prefix
+            # of the candidate built from the full operands.
+            assert prefix == build(16).truncate(_SIEVE_PREC), label
+            if prefix.is_zero():
+                continue
+            passed = _sieve_passes(prefix)
+            assert passed == eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
+            verdicts.append(passed)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @given(_prefixes())
+    @settings(max_examples=300, deadline=None)
+    @example(GradedSeries(QSeries.from_numerators([0, 0, 0, 0, -7], 3), 60))
+    @example(GradedSeries(QSeries.from_numerators([0, 0, 5, 1, 0], 999983), 2))
+    @example(eisenstein(58, _SIEVE_PREC))
+    @example(cusp_delta(26, _SIEVE_PREC) * Fraction(-11, 10**6))
+    def test_prefixes(self, prefix):
+        expected = eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
+        assert _sieve_passes(prefix) == expected
+
+    def test_the_sieve_and_the_full_test_share_one_comparison(self, monkeypatch):
+        # Both reach their T_2 verdicts through hecke._first_miss: the
+        # sieve on 3 exponents, the full test on floor(prec/2) + 1.
+        hecke = importlib.import_module("modforms.hecke")
+        counts = []
+        original = hecke._first_miss
+
+        def spy(nums, k, n, count, first):
+            if n == 2:
+                counts.append(count)
+            return original(nums, k, n, count, first)
+
+        monkeypatch.setattr(hecke, "_first_miss", spy)
+        monkeypatch.setattr(verify, "_first_miss", spy)
+        _, report = product_search(128)
+        assert report.all_passed()
+        assert set(counts) == {_SIEVE_PREC // 2 + 1, 128 // 2 + 1}
 
 
 def _line_multiple(form):
