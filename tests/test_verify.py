@@ -192,6 +192,9 @@ class TestPrefixSieve:
             eigenform_test(form.truncate(_FULL_TEST_PREC - 1))
 
 
+_signed = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
+
+
 @st.composite
 def _prefixes(draw):
     """Nonzero prefixes a_0..a_4 of even weight 2..60: up to four leading
@@ -212,9 +215,6 @@ def _prefixes(draw):
             nums[2] = a1 * draw(_signed)
             nums[4] = nums[2] ** 2 // a1 - 2 ** (k - 1) * a1
     return GradedSeries(QSeries.from_numerators(nums, draw(st.integers(1, 10**6))), k)
-
-
-_signed = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
 
 
 class TestSieveVerdicts:
