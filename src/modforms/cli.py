@@ -250,7 +250,7 @@ def verify_cmd(ctx, suite: str, prec: int, as_json: bool, out: str | None):
     try:
         with handle, _domain_errors():
             report = run_suite(suite, prec)
-            payload = jsonlib.dumps(report.to_json_dict(), indent=2)
+            payload = jsonlib.dumps(report.to_json_dict(), indent=2) if as_json or out else None
             text = payload if as_json else "\n".join(report.summary_lines())
             if out:
                 handle.truncate(0)

@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_rational(value) -> Fraction:
@@ -43,25 +42,45 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# B_0, B_1, ... as far as any call has needed, grown by the recurrence
-# sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1), which fixes B_1 = -1/2 and hence
-# B_2 = 1/6, B_4 = -1/30. One table per process: a new weight extends it.
-_BERNOULLI = [_ONE]
+# B_2, B_4, ..., B_2n for the largest n any call has needed: _BERNOULLI[i]
+# is B_(2i+2). One table per process; a weight beyond it rebuilds it to at
+# least twice its length, so ascending weights rebuild it O(log k) times.
+_BERNOULLI: list[Fraction] = []
+_BERNOULLI_MIN = 16  # B_2..B_32: every suite weight in one build
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """T_1..T_n, tan x = sum T_j x^(2j-1)/(2j-1)!, by the integer recurrence
+    of Brent and Harvey ("Fast computation of Bernoulli, Tangent and Secant
+    numbers", 2011, algorithm TangentNumbers): O(n^2) small-by-big
+    products and no division."""
+    t = [0] * (n + 1)
+    t[1] = 1
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t[1:]
 
 
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k for even k >= 2.
 
     The sign convention is the one under which -2k/B_k gives the familiar
-    Eisenstein coefficients, e.g. -8/B_4 = 240.
+    Eisenstein coefficients, e.g. -8/B_4 = 240. B_2n is read off the n-th
+    tangent number, B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"bernoulli is defined here for even k >= 2, got {k}")
-    values = _BERNOULLI
-    for m in range(len(values), k + 1):
-        acc = sum(math.comb(m + 1, j) * values[j] for j in range(m) if values[j])
-        values.append(Fraction(-acc, m + 1))
-    return values[k]
+    n = k // 2
+    if n > len(_BERNOULLI):
+        size = max(n, 2 * len(_BERNOULLI), _BERNOULLI_MIN)
+        _BERNOULLI[:] = [
+            Fraction((-1) ** (j - 1) * 2 * j * t, 4**j * (4**j - 1))
+            for j, t in enumerate(_tangent_numbers(size), 1)
+        ]
+    return _BERNOULLI[n - 1]
 
 
 def divisors(n: int) -> list[int]:

@@ -4,12 +4,13 @@ of polynomials in the quasimodular generators E2, E4, E6.
 
 The cusp forms come from small numbers and from no identity the suites
 check: Delta12 from Jacobi's eta^3 series by three squarings, and each
-other Delta_k from the one product E4*E_{k-4}. Membership in M_k is
-certified in ``membership_basis``, E_k and then cusp forms: it costs no
-product where dim S_k <= 1 and dim S_k products (two at weights 24 and
-28) elsewhere. The monomial coordinates it reports are then solved on a
-prefix of dim M_k + 10 coefficients, which fixes a form of M_k (Sturm's
-bound).
+other Delta_k from one product of Eisenstein series, the squares E8^2 and
+E10^2 at weights 16 and 20 and E4*E_{k-4} at 18, 22 and 26. Membership
+in M_k is certified in ``membership_basis``, E_k and then cusp forms: it
+costs no product where dim S_k <= 1 and dim S_k products (two at weights
+24 and 28) elsewhere. The monomial coordinates it reports are then
+solved on a prefix of dim M_k + 10 coefficients, which fixes a form of
+M_k (Sturm's bound).
 
 The builders ``eisenstein``, ``eisenstein_power``, ``mixed_monomial``,
 ``monomial_basis``, ``membership_basis`` and ``cusp_delta`` each keep
@@ -39,7 +40,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .exactmath import as_rational, bernoulli, solve_linear
@@ -137,22 +138,49 @@ def _check_eisenstein(k: int, prec: int) -> None:
         )
 
 
+# Per n < len: (p, q), the smallest prime p dividing n and the power q = p^e
+# exactly dividing it; (1, 1) at n = 1. Neither depends on a weight or a
+# precision, so one table per process serves every build, grown like
+# exactmath's Bernoulli table to at least twice its length.
+_FACTORS: list[tuple[int, int]] = [(0, 0), (1, 1)]
+
+
+def _prime_power_parts(limit: int) -> list[tuple[int, int]]:
+    """The factor table, grown to cover every n <= limit."""
+    if limit >= len(_FACTORS):
+        size = max(limit + 1, 2 * len(_FACTORS))
+        smallest = list(range(size))
+        # Descending, so the smallest prime factor of each n writes last.
+        for d in range(isqrt(size - 1), 1, -1):
+            smallest[d * d :: d] = [d] * len(range(d * d, size, d))
+        table = [(0, 0), (1, 1)]
+        for n in range(2, size):
+            p = smallest[n]
+            m = n // p
+            table.append((p, table[m][1] * p if smallest[m] == p else p))
+        _FACTORS[:] = table
+    return _FACTORS
+
+
 @_stored(_check_eisenstein)
 def eisenstein(k: int, prec: int) -> GradedSeries:
     """Weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(m) q^m.
 
     k = 2 gives the quasimodular E2; k >= 4 the modular series. The
-    divisor sums come from one sieve: d^(k-1) is added to every multiple
-    of each d <= prec.
+    divisor sums are multiplicative: with p^e the power of the smallest
+    prime exactly dividing m, sigma(p^e) = sigma(p^(e-1)) + (p^e)^(k-1) and
+    otherwise sigma(m) = sigma(p^e) sigma(m/p^e), so each m costs one power
+    or one product.
     """
     factor = -Fraction(2 * k) / bernoulli(k)
-    sums = [0] * (prec + 1)
-    for d in range(1, prec + 1):
-        power = d ** (k - 1)
-        for m in range(d, prec + 1, d):
-            sums[m] += power
-    nums = [factor.denominator] + [factor.numerator * s for s in sums[1:]]
-    form = GradedSeries(QSeries.from_numerators(nums, factor.denominator), k)
+    factors = _prime_power_parts(prec)
+    sums = [0, 1] + [0] * (prec - 1)
+    for m in range(2, prec + 1):
+        p, q = factors[m]
+        sums[m] = sums[m // p] + m ** (k - 1) if q == m else sums[q] * sums[m // q]
+    num, den = factor.numerator, factor.denominator  # Fraction properties are calls
+    nums = [den] + [num * s for s in sums[1 : prec + 1]]
+    form = GradedSeries(QSeries.from_numerators(nums, den), k)
     if form[0] != 1:
         raise RuntimeError(f"E{k} must have constant term 1")
     return form
@@ -236,6 +264,10 @@ def _check_cusp(k: int, prec: int) -> None:
     _check_cusp_prec(prec)
 
 
+# (a, b) for each Delta_k built from E_a*E_b (see cusp_delta).
+_CUSP_FACTORS = {16: (8, 8), 18: (4, 14), 20: (10, 10), 22: (4, 18), 26: (4, 22)}
+
+
 @_stored(_check_cusp)
 def cusp_delta(k: int, prec: int) -> GradedSeries:
     """The unique normalized cusp form of weight k in {12,16,18,20,22,26}.
@@ -243,11 +275,15 @@ def cusp_delta(k: int, prec: int) -> GradedSeries:
     Delta12 is q times the eighth power of sum_n (-1)^n (2n+1) q^(n(n+1)/2),
     by Jacobi's identity eta^3 = sum_n (-1)^n (2n+1) q^((2n+1)^2/8): three
     squarings of a series of small integers. Every other Delta_k is
-    (E4*E_{k-4} - E_k)/a_1, the difference of two forms of constant term 1
-    in the one-dimensional S_k, from one product. Neither is a product that
-    PRODUCT_IDENTITIES checks (E_{k-4} is E12, E14, E16, E18 or E22, and
-    E4*E14 is no row), and no solve is involved, so the identities the
-    forms are used to verify are not assumed in building them.
+    (E_a*E_b - E_k)/a_1, the difference of two forms of constant term 1 in
+    the one-dimensional S_k, from one product:
+
+    - Delta16 from E8*E8 and Delta20 from E10*E10, squarings;
+    - Delta18 from E4*E14, Delta22 from E4*E18 and Delta26 from E4*E22.
+
+    None of these is a product that PRODUCT_IDENTITIES checks, and no
+    solve is involved, so the identities the forms are used to verify are
+    not assumed in building them.
     """
     if k == 12:
         nums = [0] * prec  # exponents 0..prec-1 of the eta^3 quotient
@@ -260,7 +296,8 @@ def cusp_delta(k: int, prec: int) -> GradedSeries:
             series = series * series
         form = GradedSeries(QSeries.from_numerators((0, *series.numerators), 1), k)
     else:
-        form = eisenstein(4, prec) * eisenstein(k - 4, prec) - eisenstein(k, prec)
+        a, b = _CUSP_FACTORS[k]
+        form = eisenstein(a, prec) * eisenstein(b, prec) - eisenstein(k, prec)
         form = form * (1 / form[1])
     if form[0] != 0 or form[1] != 1:
         raise RuntimeError(f"Delta{k} must start q + O(q^2)")

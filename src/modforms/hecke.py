@@ -20,10 +20,9 @@ exercised by the test suite at depths 0 and 1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactmath import divisors, rational_str
 from .nearly import YPolyForm
@@ -87,8 +86,7 @@ def hecke_nearly(form: YPolyForm, n: int) -> YPolyForm:
     return YPolyForm(_act(form.components, form.weight, n), form.weight)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First coefficient at which T_n f fails to be lambda_n * f."""
 
     n: int
@@ -109,8 +107,7 @@ class Violation:
         return data
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     """Outcome of the finite eigenform test.
 
     A passing verdict certifies T_n f = lambda_n f on every comparable

@@ -211,10 +211,10 @@ class QSeries:
         return {"prec": self.prec, "coeffs": coeffs}
 
     def __str__(self) -> str:
-        return f"{_format_terms(self.coeffs)} + O(q^{self.prec + 1})"
+        return f"{_format_terms(self)} + O(q^{self.prec + 1})"
 
     def __repr__(self) -> str:
-        return f"QSeries(prec={self.prec}, {_format_terms(self.coeffs, max_terms=6)})"
+        return f"QSeries(prec={self.prec}, {_format_terms(self, max_terms=6)})"
 
 
 def _offset(count: int, width: int) -> int:
@@ -299,22 +299,28 @@ def first_difference(f: QSeries, g: QSeries) -> Optional[int]:
     return next(compress(count(), map(ne, a, b)), None)
 
 
-def _format_terms(coeffs, max_terms: int | None = None) -> str:
+def _format_terms(series: QSeries, max_terms: int | None = None) -> str:
+    """The nonzero terms of series as text, "a_m*q^m" signed and joined,
+    the first max_terms of them followed by "+ ..." when more remain. Each
+    coefficient is its numerator over the denominator, reduced by their
+    gcd."""
+    den = series._den
     parts: list[str] = []
-    for m, c in enumerate(coeffs):
-        if c == 0:
+    for m, a in enumerate(series._nums):
+        if not a:
             continue
         if len(parts) == max_terms:
             parts.append("+ ...")
             break
-        mag = abs(c)
-        coeff_txt = str(mag) if mag.denominator == 1 else f"({mag})"
+        mag = abs(a)
+        g = gcd(mag, den)
+        coeff_txt = str(mag // g) if g == den else f"({mag // g}/{den // g})"
         power = "q" if m == 1 else f"q^{m}"
-        body = coeff_txt if m == 0 else power if mag == 1 else f"{coeff_txt}*{power}"
+        body = coeff_txt if m == 0 else power if mag == den else f"{coeff_txt}*{power}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if a > 0 else f"-{body}")
         else:
-            parts.append(f"{'-' if c < 0 else '+'} {body}")
+            parts.append(f"{'-' if a < 0 else '+'} {body}")
     return " ".join(parts) if parts else "0"
 
 
@@ -392,5 +398,5 @@ class GradedSeries(QSeries):
     def __repr__(self) -> str:
         return (
             f"GradedSeries(weight={self._weight}, prec={self.prec}, "
-            f"{_format_terms(self.coeffs, max_terms=6)})"
+            f"{_format_terms(self, max_terms=6)})"
         )

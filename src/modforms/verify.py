@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .brackets import rankin_cohen
 from .exactmath import bernoulli, rational_str, sigma
@@ -71,21 +71,28 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     anchor: str
     passed: bool
     witness: object = None
 
 
-@dataclass
 class VerificationReport:
     """One suite's outcome: named checks, totals and runtime."""
 
-    suite: str
-    checks: list[CheckRecord] = field(default_factory=list)
-    runtime_seconds: float = 0.0
+    def __init__(
+        self, suite: str, checks: list[CheckRecord] | None = None, runtime_seconds: float = 0.0
+    ):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.runtime_seconds = runtime_seconds
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(suite={self.suite!r}, checks={self.checks!r}, "
+            f"runtime_seconds={self.runtime_seconds!r})"
+        )
 
     def add(self, check_id: str, anchor: str, passed: bool, witness=None) -> None:
         self.checks.append(CheckRecord(check_id, anchor, bool(passed), witness))
@@ -390,8 +397,7 @@ def _product_label(left: str, left_deriv: int, right: str, right_deriv: int) -> 
     return f"{_deriv_label(left, left_deriv)}*{_deriv_label(right, right_deriv)}"
 
 
-@dataclass(frozen=True)
-class ProductHit:
+class ProductHit(NamedTuple):
     left: str
     left_deriv: int
     right: str
@@ -494,8 +500,7 @@ def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], Verifica
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketHit:
+class BracketHit(NamedTuple):
     g: str
     h: str
     m: int

@@ -3,6 +3,7 @@ code with the engine path it checks."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from modforms.qseries import QSeries
@@ -17,3 +18,35 @@ def mul_reference(f: QSeries, g: QSeries) -> QSeries:
     for m in range(prec + 1):
         out.append(sum((f[i] * g[m - i] for i in range(m + 1)), Fraction(0)))
     return QSeries(out, prec=prec)
+
+
+def bernoulli_reference(k: int) -> Fraction:
+    """B_k from the recurrence sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1) over
+    Fractions, B_1 = -1/2: the oracle for the tangent-number path of
+    ``exactmath.bernoulli``."""
+    values = [Fraction(1)]
+    for m in range(1, k + 1):
+        acc = sum(math.comb(m + 1, j) * values[j] for j in range(m) if values[j])
+        values.append(Fraction(-acc, m + 1))
+    return values[k]
+
+
+def format_terms_reference(coeffs, max_terms: int | None = None) -> str:
+    """The display text of a coefficient sequence, one Fraction at a time:
+    the oracle for ``qseries._format_terms``."""
+    parts: list[str] = []
+    for m, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if len(parts) == max_terms:
+            parts.append("+ ...")
+            break
+        mag = abs(c)
+        coeff_txt = str(mag) if mag.denominator == 1 else f"({mag})"
+        power = "q" if m == 1 else f"q^{m}"
+        body = coeff_txt if m == 0 else power if mag == 1 else f"{coeff_txt}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+    return " ".join(parts) if parts else "0"

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +17,7 @@ from modforms.cli import _MAX_PREC, _series_text, main
 from modforms.forms import catalog_form, cusp_delta, eisenstein, eval_generator_poly
 from modforms.hecke import hecke
 from modforms.qseries import GradedSeries, QSeries
+from modforms.verify import VerificationReport
 
 
 def invoke(*args):
@@ -319,6 +324,26 @@ class TestVerify:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]
 
+    # Text mode builds no JSON report; --out writes the one --json prints.
+    def test_text_mode_builds_no_json_report(self, monkeypatch):
+        def refuse(report):
+            raise AssertionError("the JSON report was built in text mode")
+
+        monkeypatch.setattr(VerificationReport, "to_json_dict", refuse)
+        result = invoke("verify", "--suite", "ghitza")
+        assert result.exit_code == 0
+        assert "suite ghitza: 5 passed, 0 failed (" in result.output.splitlines()[-1]
+
+    def test_out_file_holds_the_json_report(self, tmp_path):
+        target = tmp_path / "report.json"
+        text = invoke("verify", "--suite", "ghitza", "--out", str(target)).output
+        printed = invoke("verify", "--suite", "ghitza", "--json").output
+        assert text.startswith("[PASS]")
+        written, shown = json.loads(target.read_text()), json.loads(printed)
+        for data in (written, shown):
+            del data["runtime_seconds"]
+        assert written == shown
+
     def test_identity_precision_guard(self):
         result = invoke("verify", "--suite", "identities", "--prec", "32")
         assert result.exit_code != 0
@@ -421,6 +446,18 @@ def test_mixed_weight_error_is_short():
     [line] = result.output.splitlines()
     assert line.startswith("Error: polynomial is not weight-homogeneous: E2^36 (weight 72)")
     assert len(line) < 300
+
+
+def test_import_loads_no_dataclasses():
+    # The report records are NamedTuples and a plain class: the CLI's import
+    # execs no generated dataclass code.
+    script = "import sys; import modforms.cli; print('dataclasses' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_caps_admit_their_bounds():

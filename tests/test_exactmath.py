@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modforms import exactmath
 from modforms.exactmath import (
     bernoulli,
     binomial,
@@ -16,6 +17,7 @@ from modforms.exactmath import (
     sigma,
     solve_linear,
 )
+from reference import bernoulli_reference
 
 # Independent table of Bernoulli numbers (even index), frozen from the
 # classical values; the implementation must reproduce them exactly.
@@ -62,6 +64,26 @@ class TestBernoulli:
                 if k % (p - 1) == 0:
                     expected *= p
             assert bernoulli(k).denominator == expected, k
+
+    # The tangent-number path against the Fraction recurrence, which shares
+    # no code with it, up to and beyond the Eisenstein weight cap.
+    @pytest.mark.parametrize("k", [*range(2, 129, 2), 256, 264])
+    def test_matches_the_fraction_recurrence(self, k):
+        assert bernoulli(k) == bernoulli_reference(k)
+
+    def test_ascending_weights_grow_the_table_by_doubling(self, monkeypatch):
+        builds = []
+        tangent = exactmath._tangent_numbers
+
+        def spy(n):
+            builds.append(n)
+            return tangent(n)
+
+        monkeypatch.setattr(exactmath, "_BERNOULLI", [])
+        monkeypatch.setattr(exactmath, "_tangent_numbers", spy)
+        values = {k: bernoulli(k) for k in range(2, 265, 2)}
+        assert builds == [16, 32, 64, 128, 256]
+        assert all(bernoulli(k) == v for k, v in values.items()) and len(builds) == 5
 
 
 class TestSigma:

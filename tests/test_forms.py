@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from modforms import forms
 from modforms.forms import (
     CATALOG_NAMES,
     DELTA_WEIGHTS,
@@ -79,6 +80,38 @@ class TestEisenstein:
         expected = QSeries([1] + [factor * sigma(k - 1, m) for m in range(1, 201)])
         assert eisenstein.__wrapped__(k, 200) == GradedSeries(expected, k)
 
+    # Far enough for the prime powers 512, 729 and 1024, and for n with
+    # two higher prime powers, such as 1000 = 2^3 * 5^3.
+    @pytest.mark.parametrize("k", [4, 12, 26])
+    def test_prime_powers_match_trial_division(self, k):
+        prec = 1100
+        factor = -Fraction(2 * k) / bernoulli(k)
+        expected = QSeries([1] + [factor * sigma(k - 1, m) for m in range(1, prec + 1)])
+        assert eisenstein.__wrapped__(k, prec) == GradedSeries(expected, k)
+
+    @pytest.mark.parametrize("k", [250, 252, 254, 256])
+    def test_weights_near_the_cap_match_trial_division(self, k):
+        factor = -Fraction(2 * k) / bernoulli(k)
+        expected = QSeries([1] + [factor * sigma(k - 1, m) for m in range(1, 41)])
+        assert eisenstein.__wrapped__(k, 40) == GradedSeries(expected, k)
+
+    def test_the_factor_table_grows_to_the_table_built_at_once(self, monkeypatch):
+        # Each entry is (smallest prime p of n, the power of p exactly
+        # dividing n), read here by trial division.
+        def parts(n):
+            p = next(d for d in range(2, n + 1) if n % d == 0)
+            q = p
+            while n % (q * p) == 0:
+                q *= p
+            return p, q
+
+        monkeypatch.setattr(forms, "_FACTORS", [(0, 0), (1, 1)])
+        for prec in (1, 2, 3, 9, 10, 300, 1100):
+            eisenstein.__wrapped__(4, prec)
+            table = forms._FACTORS
+            assert len(table) > prec
+            assert table[2:] == [parts(n) for n in range(2, len(table))]
+
     @pytest.mark.parametrize("k", [0, 1, 3, -4])
     def test_domain_errors(self, k):
         with pytest.raises(ValueError):
@@ -141,6 +174,14 @@ class TestCuspDelta:
             for c, b in zip(coords, basis):
                 total = total + b.series * c
             assert total == cusp_delta(k, 16).series
+
+    # Delta16 and Delta20 come from the squarings E8^2 and E10^2; E4*E12 and
+    # E4*E16 span the same lines, on both product paths.
+    @pytest.mark.parametrize("prec", [12, 300])
+    @pytest.mark.parametrize("k", [16, 20])
+    def test_squarings_give_the_e4_product(self, k, prec):
+        form = eisenstein(4, prec) * eisenstein(k - 4, prec) - eisenstein(k, prec)
+        assert cusp_delta.__wrapped__(k, prec) == form * (1 / form[1])
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -725,9 +766,10 @@ class TestStore:
         assert 1 <= full_products == distinct <= 33
 
     def test_catalog_leaves_the_cusp_bases_stored(self):
-        # The basis of each cusp weight is its E_k and Delta_k, both of which
-        # the catalog built.
-        assert _fresh(_CUSP_BASES) == (0, 0, 0)
+        # The basis of each cusp weight is its E_k and Delta_k. The catalog
+        # built every Delta_k and every E_k but E12, which no cusp form is
+        # read from: one Eisenstein build, and no product.
+        assert _fresh(_CUSP_BASES) == (0, 1, 0)
 
     @pytest.mark.parametrize(
         "precs, counts",

@@ -17,12 +17,13 @@ from modforms.qseries import (
     GradedSeries,
     PrecisionError,
     QSeries,
+    _format_terms,
     _kronecker_product,
     _pack,
     _unpack,
     first_difference,
 )
-from reference import mul_reference
+from reference import format_terms_reference, mul_reference
 
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=6
@@ -379,6 +380,39 @@ class TestSerialization:
         g = QSeries([1, 2, 4])
         assert first_difference(f, g) == 2
         assert first_difference(f, f) is None
+
+
+# Coefficients that exercise every branch of the display: zeros, units,
+# signs, integers and proper fractions over a shared denominator.
+display_coefficients = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=60),
+)
+
+
+class TestDisplayOracle:
+    """str and repr read numerators over the denominator; the oracle formats
+    one Fraction per coefficient."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(display_coefficients, min_size=1, max_size=12),
+        st.one_of(st.none(), st.integers(0, 8)),
+        st.integers(0, 3),
+    )
+    @example([0, 0, 0], None, 0)
+    @example([Fraction(1, 6), Fraction(-1, 6), Fraction(5, 6), 1, -1], 2, 0)
+    def test_matches_the_fraction_formatter(self, coeffs, max_terms, scale):
+        f = QSeries(coeffs) * Fraction(1, 6**scale)
+        expected = format_terms_reference(f.coeffs, max_terms)
+        assert _format_terms(f, max_terms) == expected
+        assert str(f) == f"{format_terms_reference(f.coeffs)} + O(q^{f.prec + 1})"
+        six = format_terms_reference(f.coeffs, 6)
+        assert repr(f) == f"QSeries(prec={f.prec}, {six})"
+        form = GradedSeries(f, 4)
+        assert repr(form) == f"GradedSeries(weight=4, prec={f.prec}, {six})"
+        assert str(form) == f"[weight 4] {str(f)}"
 
 
 class TestGradedSeries:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import importlib
 import json
@@ -14,13 +13,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from modforms import verify
 from modforms.forms import DELTA_WEIGHTS, catalog_form, cusp_delta, eisenstein
-from modforms.hecke import eigenform_test
+from modforms.hecke import EigenReport, Violation, eigenform_test
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
 from modforms.verify import (
     _FULL_TEST_PREC,
     _SIEVE_PREC,
     EXPECTED_EIGEN_PRODUCTS,
     SUITE_NAMES,
+    BracketHit,
+    CheckRecord,
+    ProductHit,
+    VerificationReport,
     _bracket_candidates,
     _eigen_scan,
     _product_candidates,
@@ -436,7 +439,7 @@ class TestLineVerdicts:
         def test_spy(form, *args):
             report = eigenform_test(form, *args)
             if any(form is line for line in lines):
-                return dataclasses.replace(report, is_eigen_up_to_bound=not failing)
+                return report._replace(is_eigen_up_to_bound=not failing)
             if form.prec == prec and form.weight == 16 and form[0] == 0:
                 own.append(form)
             return report
@@ -553,3 +556,42 @@ class TestJsonable:
         assert len(EXPECTED_EIGEN_PRODUCTS) == 18
         derivative_keys = [k for k in EXPECTED_EIGEN_PRODUCTS if k[1] or k[3]]
         assert derivative_keys == [("E4", 0, "E4", 1)]
+
+
+class TestRecords:
+    """The report records are NamedTuples with the fields, order, defaults
+    and repr the dataclasses they replaced had; the report is a plain class
+    with the same repr."""
+
+    def test_fields_and_defaults(self):
+        assert Violation._fields == ("n", "exponent", "expected", "actual", "y_power")
+        assert Violation._field_defaults == {"y_power": None}
+        assert EigenReport._fields == (
+            "is_eigen_up_to_bound", "tested_bound", "eigenvalues", "first_violation",
+            "precision_used", "min_comparison_prec",
+        )
+        assert CheckRecord._fields == ("check_id", "anchor", "passed", "witness")
+        assert CheckRecord._field_defaults == {"witness": None}
+        assert ProductHit._fields == (
+            "left", "left_deriv", "right", "right_deriv", "weight", "eigenvalues",
+        )
+        assert BracketHit._fields == (
+            "g", "h", "m", "weight", "eigenvalues", "classification", "coordinates",
+        )
+
+    def test_repr(self):
+        v = Violation(2, 3, Fraction(1, 2), Fraction(-1))
+        assert repr(v) == (
+            "Violation(n=2, exponent=3, expected=Fraction(1, 2), "
+            "actual=Fraction(-1, 1), y_power=None)"
+        )
+        with pytest.raises(AttributeError):
+            v.n = 5
+
+    def test_report_repr(self):
+        report = VerificationReport("ghitza")
+        report.add("x", "a = a", True)
+        assert repr(report) == (
+            "VerificationReport(suite='ghitza', checks=[CheckRecord(check_id='x', "
+            "anchor='a = a', passed=True, witness=None)], runtime_seconds=0.0)"
+        )
