@@ -7,8 +7,10 @@ check: Delta12 from Jacobi's eta^3 series by three squarings, and each
 other Delta_k from one product of Eisenstein series, the squares E8^2 and
 E10^2 at weights 16 and 20 and E4*E_{k-4} at 18, 22 and 26. Membership
 in M_k is certified in ``membership_basis``, E_k and then cusp forms: it
-costs no product where dim S_k <= 1 and dim S_k products (two at weights
-24 and 28) elsewhere. The monomial coordinates it reports are then
+costs no product where dim S_k <= 1 and dim S_k products elsewhere (two
+at weights 24 and 28: Delta20*E4 and Delta12^2, Delta22*E6 and
+Delta12*Delta16). That basis is triangular, so its coordinates come by
+forward substitution. The monomial coordinates it reports are then
 solved on a prefix of dim M_k + 10 coefficients, which fixes a form of
 M_k (Sturm's bound).
 
@@ -304,24 +306,37 @@ def cusp_delta(k: int, prec: int) -> GradedSeries:
     return form
 
 
+def _any_eisenstein(k: int, prec: int) -> GradedSeries:
+    """E_k, from the store up to the cap, which bounds the weights a query
+    may ask for; above it a basis builds the one E_k it needs itself."""
+    return eisenstein(k, prec) if k <= _MAX_EISENSTEIN_WEIGHT else eisenstein.__wrapped__(k, prec)
+
+
 @_stored()
 def membership_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
     """The basis of M_k that membership is certified in, each element
     q^j + O(q^(j+1)): E_k, then cusp_delta(k) when dim S_k = 1 and
-    otherwise Delta12 times membership_basis(k - 12). The constant 1 at
-    k = 0, and empty where monomial_basis is."""
+    otherwise Delta_c*E_(k-c) and Delta12 times the cusp elements of
+    membership_basis(k - 12). Delta_c is the heaviest catalog cusp form
+    with c <= k - 4, so that E_(k-c) is modular (k - c is never 2) and
+    its numerators are as short as the catalog allows: at weight 24 and
+    prec 768, Delta20*E4 needs 144-bit KS2 slots where Delta12*E12 needs
+    192. The constant 1 at k = 0, and empty where monomial_basis is."""
     dim = dim_modular(k)
     if k == 0 or dim == 0:
         return monomial_basis(k, prec)
-    # Above the cap, which bounds the weights a query may ask for, the
-    # basis holds the one E_k it needs itself.
-    head = eisenstein(k, prec) if k <= _MAX_EISENSTEIN_WEIGHT else eisenstein.__wrapped__(k, prec)
+    head = _any_eisenstein(k, prec)
     if dim == 1:
         return (head,)
     if k in DELTA_WEIGHTS:
         return head, cusp_delta(k, prec)
+    c = max(w for w in DELTA_WEIGHTS if w <= k - 4)
     delta = cusp_delta(12, prec)
-    return head, *(delta * form for form in membership_basis(k - 12, prec))
+    return (
+        head,
+        cusp_delta(c, prec) * _any_eisenstein(k - c, prec),
+        *(delta * form for form in membership_basis(k - 12, prec)[1:]),
+    )
 
 
 def _combination(columns: Sequence[QSeries], coords, prec: int) -> QSeries:
@@ -360,9 +375,25 @@ def span_coordinates(
     if solution is None:
         return None
     coords = [y * Fraction(c.denominator, target.denominator) for y, c in zip(solution, columns)]
+    return _rechecked(columns, coords, target)
+
+
+def _rechecked(columns: Sequence[QSeries], coords, target: QSeries) -> Optional[list]:
+    """coords when sum coords_i column_i equals target on every certified
+    coefficient of target, else None."""
     if first_difference(_combination(columns, coords, target.prec), target) is not None:
         return None
     return coords
+
+
+def _triangular_coordinates(basis: Sequence[QSeries], target: QSeries) -> Optional[list[Fraction]]:
+    """Exact coordinates of target in a basis whose element j is
+    q^j + O(q^(j+1)), or None: forward substitution on a_0..a_(len-1),
+    which fix them, then the re-check of span_coordinates."""
+    coords: list[Fraction] = []
+    for m in range(len(basis)):
+        coords.append(target[m] - sum(x * form[m] for x, form in zip(coords, basis)))
+    return _rechecked(basis, coords, target)
 
 
 # Coefficients solved beyond the column count in a span solve.
@@ -374,7 +405,7 @@ def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
 
     f is first certified in membership_basis(k): that basis is triangular
     (element j is q^j + O(q^(j+1))), so its coordinates are fixed by
-    a_0..a_(dim M_k - 1), solved on that square window and re-checked
+    a_0..a_(dim M_k - 1), found by forward substitution and re-checked
     against every certified coefficient of f (see span_coordinates). A form
     of M_k is fixed by a_0..a_(k//12) (Sturm's bound), so the monomial
     coordinates, solved over monomial_basis(k, window) on the first
@@ -395,7 +426,7 @@ def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
             f"membership test in M_{k} needs precision >= {window}, "
             f"have {f.prec}"
         )
-    if span_coordinates(membership_basis(k, f.prec), f, dim - 1) is None:
+    if _triangular_coordinates(membership_basis(k, f.prec), f) is None:
         return None
     return span_coordinates(monomial_basis(k, window), f.truncate(window), window)
 

@@ -26,8 +26,9 @@ Kronecker substitution", JSC 2009): the even- and odd-indexed numerators
 of each operand are packed apart into big integers, one coefficient per
 w-bit slot, and combined into the operand's values at X = +-2^(w/2). A slot
 is written and read as its coefficient plus 2^(w-1), so packing is one
-``to_bytes`` pass and one subtraction, and unpacking one XOR and one
-signed read per slot. Two
+``to_bytes`` pass and one subtraction, and unpacking one addition, one
+``struct.iter_unpack`` pass over unsigned slots and one subtraction per
+slot. Two
 half-length products replace one of full length (squarings when the
 operands are equal), and the even and odd coefficients of the product
 are read back off the w-bit slots of their half sum and half
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
+from struct import iter_unpack
 from operator import add, mul, ne, sub
 from typing import Iterable, Optional, Sequence
 
@@ -236,15 +238,12 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
     for |c_j| < 2^(8*width-1). Adding the offset 2^(w-1) to each of the
     count low slots makes every digit nonnegative, and masking to count
     slots drops the higher terms; what is left are the digits c_j +
-    2^(w-1). XOR with the offset turns each into the w-bit two's
-    complement of c_j, which is read back with ``signed=True``."""
-    offset = _offset(count, width)
-    digits = ((value + offset) & ((1 << (8 * width * count)) - 1)) ^ offset
-    data = digits.to_bytes(width * count, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little", signed=True)
-        for i in range(0, width * count, width)
-    ]
+    2^(w-1), each read as an unsigned w-bit slot in one pass before the
+    offset is subtracted again."""
+    half = 1 << (8 * width - 1)
+    digits = (value + _offset(count, width)) & ((1 << (8 * width * count)) - 1)
+    slots = chain.from_iterable(iter_unpack(f"{width}s", digits.to_bytes(width * count, "little")))
+    return [x - half for x in map(int.from_bytes, slots, repeat("little"))]
 
 
 def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -255,7 +254,7 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     the two values of c is 2 c_even(2^w), and their difference is
     2^(w/2+1) c_odd(2^w): each is read off w-bit slots by ``_unpack``."""
     n = len(a)
-    bound = n * max(1, max(map(abs, a))) * max(1, max(map(abs, b)))
+    bound = n * max(1, max(a), -min(a)) * max(1, max(b), -min(b))
     width = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(w-1)
     shift = 4 * width  # w/2 bits
 

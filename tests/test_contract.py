@@ -158,6 +158,34 @@ def test_no_cusp_form_is_built_from_a_checked_identity(monkeypatch):
         assert not rows & set(operands), k
 
 
+def test_no_membership_basis_product_is_a_checked_identity(monkeypatch):
+    # Nor do the membership bases multiply the two sides of a
+    # PRODUCT_IDENTITIES row: Delta_c*E_(k-c) and Delta12 times the cusp
+    # elements of M_(k-12) make one product per cusp element of M_k where
+    # dim S_k >= 2, and none where the basis is E_k and cusp_delta(k).
+    from modforms import qseries
+    from modforms.verify import PRODUCT_IDENTITIES
+
+    def numerators(name):
+        return tuple(forms.catalog_form(name, 64).numerators)
+
+    rows = {frozenset([numerators(left), numerators(right)]) for left, right, _ in PRODUCT_IDENTITIES}
+    operands = []
+    kronecker = qseries._kronecker_product
+
+    def spy(a, b):
+        operands.append(frozenset([tuple(a), tuple(b)]))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(qseries, "_kronecker_product", spy)
+    for k in range(24, 61, 2):
+        stored = forms.membership_basis(k, 64)
+        operands.clear()
+        assert forms.membership_basis.__wrapped__(k, 64) == stored
+        assert len(operands) == (0 if k in forms.DELTA_WEIGHTS else forms.dim_modular(k) - 1), k
+        assert not rows & set(operands), k
+
+
 # Full-precision series products that the identity suite makes after a
 # catalog at the same precision: all of them, and the distinct ones.
 _IDENTITY_PRODUCTS = """

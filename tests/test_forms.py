@@ -36,6 +36,7 @@ from modforms.forms import (
 from modforms.exactmath import bernoulli, sigma, solve_linear
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
 from reference import mul_reference
+from test_oracles import monomial_solve
 
 PREC = 64
 
@@ -188,8 +189,8 @@ class TestCuspDelta:
             cusp_delta(14, 8)
 
     def test_a_wrong_normalization_is_refused(self, monkeypatch):
-        # E_k twice over leaves E4*E_{k-4} - 2*E_k with a_0 = -1, which every
-        # build checks.
+        # E_k twice over leaves E_a*E_b - 2*E_k with a_0 = -1 (E8*E8 at 16,
+        # E10*E10 at 20, E4*E_{k-4} otherwise), which every build checks.
         for k in DELTA_WEIGHTS[1:]:
             def doubled(weight, prec, k=k):
                 form = eisenstein.__wrapped__(weight, prec)
@@ -284,6 +285,59 @@ class TestMembership:
             assert len(basis) == dim_modular(k), k
             for j, form in enumerate(basis):
                 assert form.weight == k and form.coeffs[: j + 1] == (0,) * j + (1,), (k, j)
+
+    # Where dim S_k >= 2 the basis holds Delta_c*E_(k-c), c the heaviest
+    # catalog weight up to k - 4, and Delta12 times the cusp elements of
+    # M_(k-12). Each element, and the coordinates of a member, against the
+    # form of M_k a monomial solve gives from a_0..a_(dim-1).
+    @pytest.mark.parametrize("k", [24, 28, 30, 32, 36, 40, 52, 60])
+    def test_the_basis_matches_the_monomial_solve(self, k):
+        prec = 120
+        basis = membership_basis(k, prec)
+        dim = dim_modular(k)
+        assert len(basis) == dim > 2
+        for j, form in enumerate(basis):
+            assert form.weight == k and form.coeffs[: j + 1] == (0,) * j + (1,), (k, j)
+            assert monomial_solve(k, form.coeffs[:dim], prec)[1] == form.series, (k, j)
+        member = _combination(basis, [Fraction(-1) ** j * (j + 2) / (j + 3) for j in range(dim)], prec)
+        coords, solved = monomial_solve(k, member.coeffs[:dim], prec)
+        assert solved == member and is_modular_member(member, k) == coords
+
+    # The basis is triangular, so forward substitution on a_0..a_(dim-1)
+    # gives the coordinates that an elimination on that window gives, for a
+    # member, a target off the span and a target changed at q^dim.
+    @pytest.mark.parametrize("k", [*range(4, 61, 2), 264])
+    def test_forward_substitution_matches_the_elimination(self, k):
+        prec = 40
+        basis = membership_basis(k, prec)
+        dim = len(basis)
+        member = _combination(basis, [Fraction(j + 1, j + 2) for j in range(dim)], prec)
+        off_span = member + eisenstein(2, prec).series
+        changed = member + QSeries([0] * dim + [1], prec=prec)
+        for target in (member, off_span, changed):
+            expected = span_coordinates(basis, target, dim - 1)
+            assert (expected is not None) == (target is member), k
+            assert forms._triangular_coordinates(basis, target) == expected, k
+
+    def test_one_elimination_per_membership_test(self, monkeypatch):
+        # Only the monomial coordinates, on the dim + 10 window, are solved
+        # by elimination; a target refused by the basis is not solved at all.
+        rows = []
+
+        def spy(matrix, rhs):
+            rows.append(len(matrix))
+            return solve_linear(matrix, rhs)
+
+        monkeypatch.setattr(forms, "solve_linear", spy)
+        targets = [(eval_generator_poly(f"E4^{k // 4 - 3}*E6^2", PREC), k) for k in (12, 24, 28)]
+        targets.append((eval_generator_poly("E4^63*E6^2 - 2*E6^44", 40), 264))
+        for form, k in targets:
+            rows.clear()
+            assert is_modular_member(form, k) is not None
+            assert rows == [dim_modular(k) + 11], k
+            rows.clear()
+            assert is_modular_member(form + QSeries([0] * form.prec + [1]), k) is None
+            assert rows == [], k
 
 
 class TestSpanCoordinates:

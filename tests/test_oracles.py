@@ -1,7 +1,9 @@
 """Independent oracles: each expectation is computed here, sharing no code
 path with the engine. Delta12 is checked in plain integers against the
 product formula of eta^24 and against (E4^3 - E6^2)/1728,
-every cusp form against a solve over the monomial basis, the membership
+every cusp form, and from test_forms.py every element of the membership
+bases where dim S_k >= 2, against a solve over the monomial basis, the
+membership
 coordinates of the identity suite's reductions against a solve over the
 monomial basis at full precision, the integer Hecke kernel against its formula summed in
 Fractions straight from the coefficients, the eigenform test against a
@@ -86,14 +88,21 @@ def test_delta12_is_the_discriminant(prec):
     assert delta.denominator == 1 and discriminant == [1728 * a for a in delta.numerators]
 
 
-def _monomial_delta(k: int, prec: int) -> GradedSeries:
-    """Delta_k solved from a_0 = 0 and a_1 = 1 over the monomial basis of M_k."""
+def monomial_solve(k: int, head, prec: int) -> tuple[list[Fraction], QSeries]:
+    """The coordinates over the monomial basis of M_k of the form whose
+    first len(head) coefficients are head, solved on those coefficients
+    alone, and that form to prec, summed in Fractions."""
     basis = monomial_basis(k, prec)
-    coords = solve_linear([[b[0] for b in basis], [b[1] for b in basis]], [0, 1])
+    coords = solve_linear([[b[m] for b in basis] for m in range(len(head))], list(head))
     total = QSeries.zero(prec)
     for c, b in zip(coords, basis):
         total = total + b.series * c
-    return GradedSeries(total, k)
+    return coords, total
+
+
+def _monomial_delta(k: int, prec: int) -> GradedSeries:
+    """Delta_k solved from a_0 = 0 and a_1 = 1 over the monomial basis of M_k."""
+    return GradedSeries(monomial_solve(k, [0, 1], prec)[1], k)
 
 
 @pytest.mark.parametrize("prec", [1, 2, 16, 200])

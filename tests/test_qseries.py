@@ -3,6 +3,8 @@ the differential operator, and serialization."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -233,6 +235,23 @@ def series_of_length(n):
     )
 
 
+# Signs of two operands by index: equal (a square), opposite and
+# alternating, and with zeros.
+SIGN_PATTERNS = {
+    "plus": (lambda i: 1, lambda i: 1),
+    "alternating": (lambda i: (-1) ** i, lambda i: (-1) ** (i + 1)),
+    "zeros": (lambda i: (i % 3 > 0) * (-1) ** (i // 2), lambda i: -1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sign_product(n, pattern):
+    """The sign numerators of length n of both operands, and their product
+    by mul_reference."""
+    f, g = (QSeries.from_numerators([sign(i) for i in range(n)], 1) for sign in SIGN_PATTERNS[pattern])
+    return f.numerators, g.numerators, mul_reference(f, g).numerators
+
+
 class TestKroneckerProduct:
     """QSeries.__mul__ takes the direct sum up to _DIRECT_MAX coefficients,
     and above it packs each operand into one big integer and reads the
@@ -351,6 +370,23 @@ class TestKroneckerProduct:
     def test_slot_edge_cases_match_reference(self, a, b):
         expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
         assert _kronecker_product(a, b) == list(expected.numerators)
+
+    # Every coefficient +-M or 0, so that a product coefficient reaches the
+    # slot bound n * M^2 itself when its terms share one sign. M puts
+    # bound.bit_length() + 8, which the slot width in bytes is rounded down
+    # from, on a multiple of 8, one below it and one above it. By
+    # bilinearity the product is M^2 times that of the signs.
+    @pytest.mark.parametrize("residue", [0, 7, 1])
+    @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
+    @pytest.mark.parametrize("n", [17, 18, 769])
+    def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
+        signs_a, signs_b, expected = sign_product(n, pattern)
+        big = next(m for t in itertools.count(120) for m in [math.isqrt((1 << t) // n) + 1]
+                   if ((n * m * m).bit_length() + 8) % 8 == residue)
+        product = _kronecker_product([big * s for s in signs_a], [big * s for s in signs_b])
+        assert product == [big * big * c for c in expected]
+        if pattern != "zeros":
+            assert abs(product[n - 1]) == n * big * big
 
     def test_catalog_product_at_prec_512(self):
         left = catalog_form("Delta12", 512) * catalog_form("E2", 512)
