@@ -14,26 +14,24 @@ forward substitution. The monomial coordinates it reports are then
 solved on a prefix of dim M_k + 10 coefficients, which fixes a form of
 M_k (Sturm's bound).
 
-The builders ``eisenstein``, ``eisenstein_power``, ``mixed_monomial``,
-``monomial_basis``, ``membership_basis`` and ``cusp_delta`` each keep
-one store: one value per form (per weight, per power or per monomial),
-built at the largest precision asked for so far. ``catalog`` is a stored
-view whose entries are the ``eisenstein`` and ``cusp_delta`` objects
-themselves; ``catalog_form`` reads a name from its own builder only. A
-request at a smaller precision is answered by truncating the stored
-value, which equals a fresh build because a series is kept in lowest
-terms; a larger one rebuilds and replaces it. Memory is therefore
-bounded by the number of forms a process asks for, each held once at its
-largest precision, and not by the number of precisions it asks at. Each
-builder has ``cache_info()`` with its hits (requests answered from the
-store), misses (builds) and currsize (forms held), and ``__wrapped__``,
-the unstored builder; ``cache_stats()`` maps every builder's name, and
-the parse memo's (``_parse``, the 64 texts read last), to its
-``cache_info()``.
-Bases and polynomials read each monomial from one entry,
-``eisenstein_power``'s for a power of one generator and
-``mixed_monomial``'s, keyed by its (k, a) pairs, for the product of two
-or three: a polynomial is one integer linear combination of them.
+The builders ``eisenstein``, ``monomial``, ``monomial_basis``,
+``membership_basis`` and ``cusp_delta`` each keep one store: one value
+per form (per weight or per monomial), built at the largest precision
+asked for so far. ``catalog`` is a stored view whose entries are the
+``eisenstein`` and ``cusp_delta`` objects themselves; ``catalog_form``
+reads a name from its own builder only. A request at a smaller precision
+is answered by truncating the stored value, which equals a fresh build
+because a series is kept in lowest terms; a larger one rebuilds and
+replaces it. Memory is therefore bounded by the number of forms a
+process asks for, each held once at its largest precision, and not by
+the number of precisions it asks at. Each builder has ``cache_info()``
+with its hits (requests answered from the store), misses (builds) and
+currsize (forms held), and ``__wrapped__``, the unstored builder;
+``cache_stats()`` maps every builder's name, and the parse memo's
+(``_parse``, the 64 texts read last), to its ``cache_info()``.
+Bases and polynomials read each monomial in E2, E4, E6 from one
+``monomial`` entry, keyed by its (k, a) pairs: a polynomial is one
+integer linear combination of them.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
 
 __all__ = [
     "eisenstein",
-    "eisenstein_power",
+    "monomial",
     "dim_modular",
     "monomial_exponents",
     "monomial_basis",
@@ -203,44 +201,36 @@ def dim_modular(k: int) -> int:
     return len(monomial_exponents(k))
 
 
-def _check_power(k: int, a: int, prec: int) -> None:
-    _check_eisenstein(k, prec)
-    if a < 0:
-        raise ValueError(f"Eisenstein powers require a >= 0, got {a}")
+def _check_monomial(pairs: tuple[tuple[int, int], ...], prec: int) -> None:
+    for k, a in pairs:
+        _check_eisenstein(k, prec)
+        if a < 1:
+            raise ValueError(f"monomial exponents require a >= 1, got {a}")
 
 
-@_stored(_check_power)
-def eisenstein_power(k: int, a: int, prec: int) -> GradedSeries:
-    """E_k^a, the product of its two stored halves E_k^ceil(a/2) and
-    E_k^floor(a/2): one product per power when the powers below it are
-    held, and about 2 log2(a) for a lone high power."""
-    if a == 0:
+@_stored(_check_monomial)
+def monomial(pairs: tuple[tuple[int, int], ...], prec: int) -> GradedSeries:
+    """The product of E_k^a over its (k, a) pairs, k ascending: the
+    constant 1 for no pair, and E_k for (k, 1). E_k^a, a >= 2, is the
+    product of its stored halves E_k^ceil(a/2) and E_k^floor(a/2), one
+    product per power when the powers below it are held and about
+    2 log2(a) for a lone high power; several pairs multiply their stored
+    single-generator entries from left to right."""
+    if not pairs:
         return GradedSeries(QSeries.one(prec), 0)
+    if len(pairs) > 1:
+        return reduce(operator.mul, (monomial((pair,), prec) for pair in pairs))
+    [(k, a)] = pairs
     if a == 1:
         return eisenstein(k, prec)
-    return eisenstein_power(k, (a + 1) // 2, prec) * eisenstein_power(k, a // 2, prec)
-
-
-@_stored()
-def mixed_monomial(pairs: tuple[tuple[int, int], ...], prec: int) -> GradedSeries:
-    """The product of E_k^a over two or more (k, a) pairs, k ascending."""
-    return reduce(operator.mul, (eisenstein_power(k, a, prec) for k, a in pairs))
+    return monomial(((k, (a + 1) // 2),), prec) * monomial(((k, a // 2),), prec)
 
 
 def _monomials(
     rows: Sequence[Sequence[int]], weights: Sequence[int], prec: int
 ) -> list[GradedSeries]:
-    """Per row of exponents, the product of E_k^a over its (k, a) pairs,
-    read from the store of one power or of one mixed monomial."""
-    one = GradedSeries(QSeries.one(prec), 0)
-    out = []
-    for row in rows:
-        pairs = tuple((k, a) for k, a in zip(weights, row) if a)
-        if len(pairs) > 1:
-            out.append(mixed_monomial(pairs, prec))
-        else:
-            out.append(eisenstein_power(*pairs[0], prec) if pairs else one)
-    return out
+    """Per row of exponents, the stored product of E_k^a over its (k, a) pairs."""
+    return [monomial(tuple((k, a) for k, a in zip(weights, row) if a), prec) for row in rows]
 
 
 @_stored()
@@ -364,8 +354,15 @@ def span_coordinates(
     rather than accepted. When the columns are independent on the window
     the coordinates are unique, and None means target is outside the span.
     The re-check compares coefficients only, so target may be a form of
-    any weight.
+    any weight. A window beyond the least precision of the inputs is a
+    PrecisionError.
     """
+    shortest = min(series.prec for series in (*columns, target))
+    if window > shortest:
+        raise PrecisionError(
+            f"a span solve on coefficients 0..{window} needs inputs of precision "
+            f">= {window}, the shortest has {shortest}"
+        )
     # In numerators, target = sum x_j column_j reads t = sum y_j n_j with
     # y_j = x_j * den_target / den_j: an integer system, whatever the
     # denominators.

@@ -197,15 +197,11 @@ def maass_shimura(form: Union[YPolyForm, GradedSeries]) -> YPolyForm:
     if isinstance(form, GradedSeries):
         form = YPolyForm.from_graded(form)
     k = form.weight
-    prec = form.prec
-    comps = []
-    for t in range(form.depth + 2):
-        acc = QSeries.zero(prec)
-        if t <= form.depth:
-            acc = acc + form.component(t).derivative()
-        if t >= 1:
-            acc = acc + form.component(t - 1) * Fraction(t - 1 - k, 4)
-        comps.append(acc)
+    # Component t is D(c_t) + ((t - 1 - k)/4) c_(t-1), with c_(depth+1) = 0.
+    comps = [form.component(0).derivative()]
+    for t in range(1, form.depth + 2):
+        raised = form.component(t - 1) * Fraction(t - 1 - k, 4)
+        comps.append(form.component(t).derivative() + raised)
     return YPolyForm(comps, k + 2)
 
 

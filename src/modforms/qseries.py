@@ -349,23 +349,13 @@ class GradedSeries(QSeries):
     def truncate(self, prec: int) -> "GradedSeries":
         return GradedSeries(super().truncate(prec), self._weight)
 
-    def _same_weight(self, other: "GradedSeries", verb: str) -> None:
+    def _linear(self, other: QSeries, sign: int) -> QSeries:
+        if not isinstance(other, GradedSeries):
+            return super()._linear(other, sign)
         if self._weight != other._weight:
-            raise ValueError(
-                f"cannot {verb} forms of weights {self._weight} and {other._weight}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, GradedSeries):
-            return super().__add__(other)
-        self._same_weight(other, "add")
-        return GradedSeries(super().__add__(other), self._weight)
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedSeries):
-            return super().__sub__(other)
-        self._same_weight(other, "subtract")
-        return GradedSeries(super().__sub__(other), self._weight)
+            verb = "add" if sign > 0 else "subtract"
+            raise ValueError(f"cannot {verb} forms of weights {self._weight} and {other._weight}")
+        return GradedSeries(super()._linear(other, sign), self._weight)
 
     def __neg__(self) -> "GradedSeries":
         return GradedSeries(super().__neg__(), self._weight)

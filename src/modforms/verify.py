@@ -615,7 +615,77 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
 # Diophantine scans
 # ---------------------------------------------------------------------------
 
-EQUATION_IDS = ("eq3", "eq4", "eq7", "quadratic")
+
+def _eq3() -> list:
+    return [
+        (k, s)
+        for k in range(4, 41, 2)
+        for s in range(1, 41)
+        if 3**s * (1 + 3 ** (k - 1)) + 2**s + 28 == 2 ** (k + s - 4) * (2**s - 8)
+    ]
+
+
+def _eq4() -> list:
+    out = []
+    for k in range(4, 41, 2):
+        s2, s3, s5 = sigma(k - 1, 2), sigma(k - 1, 3), sigma(k - 1, 5)
+        for s in range(1, 41):
+            value = (
+                5**s * s5
+                + 3 ** (s + 1) * s3
+                + 2 ** (2 * s + 1) * s2 * s2
+                + 7 * 2 ** (s + 2) * s2
+                - 3 * 2 ** (k + 2 * s - 1)
+                + 78
+            )
+            if value == 0:
+                out.append((k, s))
+    return out
+
+
+def _eq7() -> list:
+    return [(r,) for r in range(1, 65) if Fraction(2) ** (2 * r - 3) + 4 * 3**r + 21 * 2**r == 212]
+
+
+def _quadratic() -> list:
+    records = []
+    for k in (4, 6, 8, 10, 14):
+        target = Fraction(2 * k) / bernoulli(k)
+        for r in range(1, 41):
+            b = 4 * 3**r + 3 * 2**r * (2 ** (k - 1) - 1) + 1 + 3 ** (k - 1)
+            disc = b * b + 2 ** (2 * r + 3) * (2**k - 1)
+            root = math.isqrt(disc)
+            if root * root != disc:
+                continue
+            roots = [Fraction(-b + root, 2), Fraction(-b - root, 2)]
+            records.append({
+                "k": k, "r": r, "perfect_square": True, "roots": roots,
+                "target": target, "admissible": target in roots,
+            })
+    return records
+
+
+# Each obstruction equation by id: the anchor its check reports, and its scan.
+_EQUATIONS = {
+    "eq3": (
+        "3^s(1+3^(k-1)) + 2^s + 28 = 2^(k+s-4)(2^s-8) has no solutions "
+        "(even 4 <= k <= 40, 1 <= s <= 40)",
+        _eq3,
+    ),
+    "eq4": (
+        "5^s*sigma_{k-1}(5) + 3^(s+1)*sigma_{k-1}(3) + 2^(2s+1)*sigma_{k-1}(2)^2 "
+        "+ 7*2^(s+2)*sigma_{k-1}(2) - 3*2^(k+2s-1) + 78 = 0 has no solutions "
+        "(even 4 <= k <= 40, 1 <= s <= 40)",
+        _eq4,
+    ),
+    "eq7": ("2^(2r-3) + 4*3^r + 21*2^r - 212 = 0 has no solutions (1 <= r <= 64)", _eq7),
+    "quadratic": (
+        "no r makes b^2 + 2^(2r+3)(2^k-1) a perfect square with a root equal "
+        "to 2k/B_k (k in {4,6,8,10,14}, 1 <= r <= 40)",
+        _quadratic,
+    ),
+}
+EQUATION_IDS = tuple(_EQUATIONS)
 
 
 def diophantine_check(equation: str) -> list:
@@ -633,101 +703,23 @@ def diophantine_check(equation: str) -> list:
     Returns the solutions found; the classification theorems predict all
     four scans come back empty of (admissible) solutions.
     """
-    if equation == "eq3":
-        return [
-            (k, s)
-            for k in range(4, 41, 2)
-            for s in range(1, 41)
-            if 3**s * (1 + 3 ** (k - 1)) + 2**s + 28
-            == 2 ** (k + s - 4) * (2**s - 8)
-        ]
-    if equation == "eq4":
-        out = []
-        for k in range(4, 41, 2):
-            s2, s3, s5 = sigma(k - 1, 2), sigma(k - 1, 3), sigma(k - 1, 5)
-            for s in range(1, 41):
-                value = (
-                    5**s * s5
-                    + 3 ** (s + 1) * s3
-                    + 2 ** (2 * s + 1) * s2 * s2
-                    + 7 * 2 ** (s + 2) * s2
-                    - 3 * 2 ** (k + 2 * s - 1)
-                    + 78
-                )
-                if value == 0:
-                    out.append((k, s))
-        return out
-    if equation == "eq7":
-        out = []
-        for r in range(1, 65):
-            value = (
-                Fraction(2) ** (2 * r - 3) + 4 * 3**r + 21 * 2**r - 212
-            )
-            if value == 0:
-                out.append((r,))
-        return out
-    if equation == "quadratic":
-        records = []
-        for k in (4, 6, 8, 10, 14):
-            target = Fraction(2 * k) / bernoulli(k)
-            for r in range(1, 41):
-                b = 4 * 3**r + 3 * 2**r * (2 ** (k - 1) - 1) + 1 + 3 ** (k - 1)
-                disc = b * b + 2 ** (2 * r + 3) * (2**k - 1)
-                root = math.isqrt(disc)
-                if root * root != disc:
-                    continue
-                plus = Fraction(-b + root, 2)
-                minus = Fraction(-b - root, 2)
-                records.append(
-                    {
-                        "k": k,
-                        "r": r,
-                        "perfect_square": True,
-                        "roots": [plus, minus],
-                        "target": target,
-                        "admissible": target in (plus, minus),
-                    }
-                )
-        return records
-    raise ValueError(f"unknown equation id {equation!r}; expected one of {EQUATION_IDS}")
+    if equation not in _EQUATIONS:
+        raise ValueError(f"unknown equation id {equation!r}; expected one of {EQUATION_IDS}")
+    return _EQUATIONS[equation][1]()
 
 
 def verify_diophantine_suite() -> VerificationReport:
+    """One check per equation of _EQUATIONS, in its order: it passes when
+    the scan finds nothing (for quadratic, no admissible record), and its
+    witness is what was found."""
     start = time.perf_counter()
     report = VerificationReport("diophantine")
-    eq3 = diophantine_check("eq3")
-    report.add(
-        "diophantine.eq3",
-        "3^s(1+3^(k-1)) + 2^s + 28 = 2^(k+s-4)(2^s-8) has no solutions "
-        "(even 4 <= k <= 40, 1 <= s <= 40)",
-        not eq3,
-        eq3,
-    )
-    eq4 = diophantine_check("eq4")
-    report.add(
-        "diophantine.eq4",
-        "5^s*sigma_{k-1}(5) + 3^(s+1)*sigma_{k-1}(3) + 2^(2s+1)*sigma_{k-1}(2)^2 "
-        "+ 7*2^(s+2)*sigma_{k-1}(2) - 3*2^(k+2s-1) + 78 = 0 has no solutions "
-        "(even 4 <= k <= 40, 1 <= s <= 40)",
-        not eq4,
-        eq4,
-    )
-    eq7 = diophantine_check("eq7")
-    report.add(
-        "diophantine.eq7",
-        "2^(2r-3) + 4*3^r + 21*2^r - 212 = 0 has no solutions (1 <= r <= 64)",
-        not eq7,
-        eq7,
-    )
-    quadratic = diophantine_check("quadratic")
-    admissible = [rec for rec in quadratic if rec["admissible"]]
-    report.add(
-        "diophantine.quadratic",
-        "no r makes b^2 + 2^(2r+3)(2^k-1) a perfect square with a root equal "
-        "to 2k/B_k (k in {4,6,8,10,14}, 1 <= r <= 40)",
-        not admissible,
-        {"perfect_squares": quadratic, "admissible": admissible},
-    )
+    for equation, (anchor, scan) in _EQUATIONS.items():
+        found = witness = scan()
+        if equation == "quadratic":
+            found = [rec for rec in witness if rec["admissible"]]
+            witness = {"perfect_squares": witness, "admissible": found}
+        report.add(f"diophantine.{equation}", anchor, not found, witness)
     report.runtime_seconds = time.perf_counter() - start
     return report
 

@@ -71,15 +71,15 @@ def test_tracer_sees_every_layer_of_a_verify_run():
 
 
 _STORED_BUILDERS = (
-    "eisenstein", "monomial_basis", "cusp_delta", "catalog", "eisenstein_power", "mixed_monomial",
-    "membership_basis", "_parse",
+    "eisenstein", "monomial_basis", "cusp_delta", "catalog", "monomial", "membership_basis",
+    "_parse",
 )
 
 
 def test_stored_builders_expose_cache_counts():
     # tracer.instrument reads the first four before it patches the engine;
-    # eisenstein_power, mixed_monomial and membership_basis are on the same
-    # store and expose the same counts, and the parse memo is an lru_cache.
+    # monomial and membership_basis are on the same store and expose the
+    # same counts, and the parse memo is an lru_cache.
     for name in _STORED_BUILDERS:
         info = getattr(forms, name).cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int), name

@@ -24,11 +24,10 @@ from modforms.forms import (
     cusp_delta,
     dim_modular,
     eisenstein,
-    eisenstein_power,
     eval_generator_poly,
     is_modular_member,
     membership_basis,
-    mixed_monomial,
+    monomial,
     monomial_basis,
     monomial_exponents,
     span_coordinates,
@@ -372,6 +371,25 @@ class TestSpanCoordinates:
     def test_a_target_outside_the_span_gives_none(self, target):
         assert span_coordinates(self.columns(), target(), 13) is None
 
+    # E12 = (441 E4^3 + 250 E6^2)/691, solved wherever the window is within
+    # the least precision of the columns and the target.
+    @pytest.mark.parametrize(
+        "column_prec, target_prec, window",
+        [(8, 20, 15), (20, 5, 8), (8, 20, 8), (20, 5, 5)],
+        ids=["short-columns", "short-target", "columns-at-the-window", "target-at-the-window"],
+    )
+    def test_the_window_is_checked_against_the_least_precision(
+        self, column_prec, target_prec, window
+    ):
+        columns, target = monomial_basis(12, column_prec), eisenstein(12, target_prec)
+        shortest = min(column_prec, target_prec)
+        if window > shortest:
+            message = rf"coefficients 0\.\.{window} needs .* >= {window}, the shortest has {shortest}"
+            with pytest.raises(PrecisionError, match=message):
+                span_coordinates(columns, target, window)
+        else:
+            assert span_coordinates(columns, target, window) == [Fraction(441, 691), Fraction(250, 691)]
+
 
 _PARSE_ERRORS = ("E3", "(E4", "E4)", "E4 +", "E4 / E2", "E4 ^ E2", "4q")
 
@@ -425,6 +443,7 @@ class TestGeneratorPoly:
         result = GeneratorPoly.parse("E2^3*E4^2*E6").evaluate(24)
         assert result.weight == 20
         assert result.coeffs == expected.coeffs
+        assert result == monomial(((2, 3), (4, 2), (6, 1)), 24)
 
     def test_parse_errors(self):
         for bad in _PARSE_ERRORS:
@@ -662,10 +681,10 @@ print(*(b - a for a, b in zip(before, after)))
 
 _POWER_COUNTS = """
 import sys
-from modforms.forms import eisenstein_power
+from modforms.forms import monomial
 for prec in sys.argv[1:]:
-    eisenstein_power(4, 3, int(prec))
-info = eisenstein_power.cache_info()
+    monomial(((4, 3),), int(prec))
+info = monomial.cache_info()
 print(info.hits, info.misses, info.currsize)
 """
 
@@ -691,7 +710,7 @@ print(len(precs), max(precs, default=0))
 # prec 24 differs from a chain of schoolbook products of E_k.
 _POWERS_AGAINST_THE_ORACLE = """
 import sys
-from modforms.forms import eisenstein, eisenstein_power
+from modforms.forms import eisenstein, monomial
 from modforms.qseries import QSeries
 from reference import mul_reference
 k, order = int(sys.argv[1]), sys.argv[2]
@@ -702,7 +721,7 @@ for _ in range(37):
 exponents = [*range(10), 37]
 wrong = []
 for a in exponents if order == "ascending" else exponents[::-1]:
-    power = eisenstein_power(k, a, 24)
+    power = monomial(((k, a),) if a else (), 24)
     same = (power.numerators, power.denominator) == (chain[a].numerators, chain[a].denominator)
     if not (same and power.prec == 24 and power.weight == k * a):
         wrong.append(a)
@@ -730,10 +749,10 @@ print(int(first > 0), calls[0] - first)
 """
 
 _SHARED_MIXED_MONOMIAL = """
-from modforms.forms import eval_generator_poly, mixed_monomial, monomial_basis
+from modforms.forms import eval_generator_poly, monomial, monomial_basis
 monomial_basis(10, 200)
 eval_generator_poly("3*E4*E6", 200)
-info = mixed_monomial.cache_info()
+info = monomial.cache_info()
 print(info.hits, info.misses, info.currsize)
 """
 
@@ -742,7 +761,7 @@ print(info.hits, info.misses, info.currsize)
 # schoolbook products of E2, E4 and E6.
 _MIXED_MONOMIALS_AGAINST_THE_ORACLE = """
 import sys
-from modforms.forms import eisenstein, mixed_monomial
+from modforms.forms import eisenstein, monomial
 from modforms.qseries import QSeries
 from reference import mul_reference
 first = int(sys.argv[1])
@@ -751,14 +770,14 @@ monomials = [
     ((2, 2), (6, 1)), ((2, 1), (4, 2), (6, 1)), ((2, 3), (4, 1), (6, 3)),
 ]
 for pairs in monomials:
-    mixed_monomial(pairs, first)
+    monomial(pairs, first)
 wrong = []
 for index, pairs in enumerate(monomials):
     chain = QSeries.one(24)
     for k, a in pairs:
         for _ in range(a):
             chain = mul_reference(chain, eisenstein.__wrapped__(k, 24))
-    stored = mixed_monomial(pairs, 24)
+    stored = monomial(pairs, 24)
     weight = sum(k * a for k, a in pairs)
     same = (stored.numerators, stored.denominator) == (chain.numerators, chain.denominator)
     if not (same and stored.prec == 24 and stored.weight == weight):
@@ -815,9 +834,7 @@ class TestStore:
         # each other Delta_k. The identity suite then makes its 29 checked
         # products and the four of the membership bases of weights 24 and
         # 28, each once; its window solves multiply short prefixes only.
-        catalog_products, full_products, distinct = _fresh(_PRODUCT_COUNTS)
-        assert 1 <= catalog_products <= 8
-        assert 1 <= full_products == distinct <= 33
+        assert _fresh(_PRODUCT_COUNTS) == (8, 33, 33)
 
     def test_catalog_leaves_the_cusp_bases_stored(self):
         # The basis of each cusp weight is its E_k and Delta_k. The catalog
@@ -836,22 +853,23 @@ class TestStore:
         assert _fresh(_POWER_COUNTS, *precs) == counts
 
     @pytest.mark.parametrize(
-        "catalog_prec, poly, prec, most",
-        [(512, "E4^500", 8, 18), (2048, "E4^9*E6^3", 16, 8)],
+        "catalog_prec, poly, prec, count",
+        [(512, "E4^500", 8, 14), (2048, "E4^9*E6^3", 16, 8)],
         ids=["E4^500", "E4^9*E6^3"],
     )
-    def test_powers_are_multiplied_at_the_precision_asked(self, catalog_prec, poly, prec, most):
+    def test_powers_are_multiplied_at_the_precision_asked(self, catalog_prec, poly, prec, count):
         # A new power costs about 2 log2(a) products at the precision asked,
-        # whatever larger precision its halves are stored at. The catalog
-        # stores no power, so E4^9*E6^3 makes E4^2..E4^5, E4^9, E6^2, E6^3
-        # and their product.
+        # whatever larger precision its halves are stored at: E4^500 makes
+        # one for each power on its halving chain, 500, 250, 125, 63, 62,
+        # 32, 31, 16, 15, 8, 7, 4, 3 and 2. The catalog stores no power, so
+        # E4^9*E6^3 makes E4^2..E4^5, E4^9, E6^2, E6^3 and their product.
         products, highest = _fresh(_PRODUCTS_AFTER_A_CATALOG, catalog_prec, poly, prec)
-        assert 1 <= products <= most and highest <= prec
+        assert products == count and highest <= prec
 
     @pytest.mark.parametrize("pairs", [((4, 1), (6, 1)), ((2, 3), (4, 2), (6, 1))])
     def test_a_mixed_monomial_truncates_to_a_fresh_build(self, pairs):
-        mixed_monomial(pairs, 300)
-        stored, fresh = mixed_monomial(pairs, 120), mixed_monomial.__wrapped__(pairs, 120)
+        monomial(pairs, 300)
+        stored, fresh = monomial(pairs, 120), monomial.__wrapped__(pairs, 120)
         assert stored.prec == 120 and stored.weight == fresh.weight
         assert (stored.numerators, stored.denominator) == (fresh.numerators, fresh.denominator)
 
@@ -861,10 +879,17 @@ class TestStore:
 
     def test_bases_and_polynomials_share_one_mixed_monomial(self):
         # E4*E6 of the weight-10 basis and of 3*E4*E6 is one store entry:
-        # built once, then read.
+        # built once, then read. Building it stored its factors E4 and E6
+        # as two more entries of the same store, one miss each.
         [basis_e4e6] = monomial_basis(10, 200)
         assert eval_generator_poly("3*E4*E6", 200) == basis_e4e6 * 3
-        assert _fresh(_SHARED_MIXED_MONOMIAL) == (1, 1, 1)
+        assert _fresh(_SHARED_MIXED_MONOMIAL) == (1, 3, 3)
+
+    def test_a_monomial_refuses_a_bad_weight_before_the_store(self):
+        monomial(((4, 1), (6, 1)), 300)
+        for pairs in (((4, 1), (5, 1)), ((4, 1), (258, 1)), ((0, 1),)):
+            with pytest.raises(ValueError, match="Eisenstein series requires even"):
+                monomial(pairs, 6)
 
     @pytest.mark.parametrize(
         "poly", ["3*E4*E6", "E2*E4^2 - 3*E4*E6", "E4^3*E6 - 5*E6^3/7", "E2^3*E4*E6 + E2*E4^2*E6"]
@@ -874,10 +899,10 @@ class TestStore:
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_powers_below_the_ladder_equal_a_fresh_build(self, k):
-        eisenstein_power(k, 5, 300)
+        monomial(((k, 5),), 300)
         fresh = eisenstein.__wrapped__(k, 120)
         for a in range(1, 6):
-            stored = eisenstein_power(k, a, 120)
+            stored = monomial(((k, a),), 120)
             assert stored.prec == 120 and stored.weight == k * a
             assert (stored.numerators, stored.denominator) == (fresh.numerators, fresh.denominator)
             fresh = fresh * eisenstein.__wrapped__(k, 120)
@@ -892,13 +917,14 @@ class TestStore:
             (catalog, -1, "prec must be >= 0"),
             (lambda p: eisenstein(4, p), -1, "prec must be >= 0"),
             (lambda p: monomial_basis(12, p), -1, "prec must be >= 0"),
-            (lambda p: eisenstein_power(4, 2, p), -1, "prec must be >= 0"),
-            (lambda p: mixed_monomial(((4, 1), (6, 1)), p), -1, "prec must be >= 0"),
-            (lambda a: eisenstein_power(4, a, 6), -1, "Eisenstein powers require a >= 0"),
+            (lambda p: monomial(((4, 2),), p), -1, "prec must be >= 0"),
+            (lambda p: monomial(((4, 1), (6, 1)), p), -1, "prec must be >= 0"),
+            (lambda a: monomial(((4, a),), 6), 0, "monomial exponents require a >= 1"),
+            (lambda a: monomial(((4, 1), (6, a)), 6), 0, "monomial exponents require a >= 1"),
         ],
         ids=[
             "cusp_delta", "catalog", "catalog-negative", "eisenstein", "monomial_basis",
-            "eisenstein_power", "mixed_monomial", "eisenstein_power-exponent",
+            "monomial-power", "monomial-mixed", "monomial-exponent", "monomial-mixed-exponent",
         ],
     )
     def test_domain_checks_run_before_the_store(self, call, low, error):

@@ -121,6 +121,27 @@ class TestMaassShimura:
         zero = YPolyForm([QSeries.zero(8)], weight=4)
         assert maass_shimura(zero).is_zero()
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_components_follow_the_raising_formula(self, depth):
+        # Component t of the raised form is D(c_t) + ((t - 1 - k)/4) c_(t-1),
+        # with c_(-1) = c_(depth+1) = 0, computed here on Fractions.
+        k, prec = 12, 20
+        comps = [
+            eisenstein(12, prec).series,
+            cusp_delta(12, prec).series * 3,
+            QSeries.constant(Fraction(-5, 7), prec),
+        ][: depth + 1]
+        padded = [QSeries.zero(prec), *comps, QSeries.zero(prec)]
+        expected = []
+        for t in range(depth + 2):
+            scale = Fraction(t - 1 - k, 4)
+            top, below = padded[t + 1].coeffs, padded[t].coeffs
+            expected.append(QSeries([m * a + scale * b for m, (a, b) in enumerate(zip(top, below))]))
+        raised = maass_shimura(YPolyForm(comps, k))
+        assert raised.weight == k + 2 and raised.components == tuple(expected)
+        if depth == 0:
+            assert maass_shimura(eisenstein(12, prec)) == raised
+
     def test_constant_term_of_raised_e4(self):
         raised = maass_shimura(eisenstein(4, 16))
         assert constant_term(raised) == eisenstein(4, 16).derivative()

@@ -523,6 +523,12 @@ class TestTaggingRule:
         with pytest.raises(ValueError, match="weights 4 and 6"):
             op(E4, E6)
 
+    @pytest.mark.parametrize("op, verb", [(operator.add, "add"), (operator.sub, "subtract")])
+    def test_mixed_weights_name_the_operation(self, op, verb):
+        for left, right, weights in ((E4, E6, "4 and 6"), (E6, E4, "6 and 4")):
+            with pytest.raises(ValueError, match=f"^cannot {verb} forms of weights {weights}$"):
+                op(left, right)
+
     def test_form_never_equals_untagged_series(self):
         assert E4 != E4.series and E4.series != E4
         assert not (E4 == E4.series) and not (E4.series == E4)

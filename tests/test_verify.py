@@ -510,6 +510,34 @@ class TestDiophantine:
         assert report.all_passed()
         assert len(report.checks) == 4
 
+    @pytest.mark.parametrize("planted", ["eq3", "eq4", "eq7"])
+    def test_a_found_solution_fails_its_check_with_that_witness(self, monkeypatch, planted):
+        # A solution planted in one scan, and an admissible record in the
+        # quadratic one, each fail their check with exactly what was found.
+        anchor, _ = verify._EQUATIONS[planted]
+        monkeypatch.setitem(verify._EQUATIONS, planted, (anchor, lambda: [(4, 1)]))
+        admissible = {
+            "k": 4, "r": 1, "perfect_square": True, "roots": [Fraction(-240), Fraction(7)],
+            "target": Fraction(-240), "admissible": True,
+        }
+        other = dict(admissible, k=6, target=Fraction(504), admissible=False)
+        records = [other, admissible]
+        anchor, _ = verify._EQUATIONS["quadratic"]
+        monkeypatch.setitem(verify._EQUATIONS, "quadratic", (anchor, lambda: records))
+        assert diophantine_check(planted) == [(4, 1)]
+        report = verify_diophantine_suite()
+        assert [c.check_id for c in report.checks] == [f"diophantine.{e}" for e in verify.EQUATION_IDS]
+        checks = {c.check_id.removeprefix("diophantine."): c for c in report.checks}
+        assert (checks[planted].passed, checks[planted].witness) == (False, [(4, 1)])
+        quadratic = checks["quadratic"]
+        assert not quadratic.passed
+        assert quadratic.witness == {"perfect_squares": records, "admissible": [admissible]}
+        assert [e for e, c in checks.items() if c.passed] == [
+            e for e in ("eq3", "eq4", "eq7") if e != planted
+        ]
+        json_checks = {c["id"]: c for c in report.to_json_dict()["checks"]}
+        assert json_checks[f"diophantine.{planted}"]["witness"] == [[4, 1]]
+
 
 class TestGhitza:
     def test_all_pairs_separated_by_n_at_most_4(self):
