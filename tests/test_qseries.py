@@ -518,13 +518,10 @@ class TestTaggingRule:
         assert type(tagged) is GradedSeries and tagged.weight == weight
         assert type(plain) is QSeries and tagged.coeffs == plain.coeffs
 
-    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
-    def test_mixed_weights_rejected(self, op):
-        with pytest.raises(ValueError, match="weights 4 and 6"):
-            op(E4, E6)
-
-    @pytest.mark.parametrize("op, verb", [(operator.add, "add"), (operator.sub, "subtract")])
-    def test_mixed_weights_name_the_operation(self, op, verb):
+    @pytest.mark.parametrize(
+        "op, verb", [(operator.add, "add"), (operator.sub, "subtract")], ids=["add", "sub"]
+    )
+    def test_mixed_weights_rejected(self, op, verb):
         for left, right, weights in ((E4, E6, "4 and 6"), (E6, E4, "6 and 4")):
             with pytest.raises(ValueError, match=f"^cannot {verb} forms of weights {weights}$"):
                 op(left, right)
