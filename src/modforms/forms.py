@@ -386,10 +386,26 @@ def _rechecked(columns: Sequence[QSeries], coords, target: QSeries) -> Optional[
 def _triangular_coordinates(basis: Sequence[QSeries], target: QSeries) -> Optional[list[Fraction]]:
     """Exact coordinates of target in a basis whose element j is
     q^j + O(q^(j+1)), or None: forward substitution on a_0..a_(len-1),
-    which fix them, then the re-check of span_coordinates."""
-    coords: list[Fraction] = []
-    for m in range(len(basis)):
-        coords.append(target[m] - sum(x * form[m] for x, form in zip(coords, basis)))
+    which fix them, then the re-check of span_coordinates.
+
+    The substitution runs in integers. With element j = n_j / d_j and
+    coordinate m = x_m / P_m over the running denominator
+    P_m = t_den * d_0 * ... * d_(m-1), clearing P_m from
+    c_m = t_m / t_den - sum_(j<m) c_j n_j[m] / d_j leaves
+    x_m = t_m d_0...d_(m-1) - sum_(j<m) x_j n_j[m] d_(j+1)...d_(m-1).
+    """
+    nums: list[int] = []
+    product = 1
+    for m, element in enumerate(basis):
+        total = 0
+        for x, form in zip(nums, basis):
+            total = total * form.denominator + x * form.numerators[m]
+        nums.append(target.numerators[m] * product - total)
+        product *= element.denominator
+    coords, den = [], target.denominator
+    for x, form in zip(nums, basis):
+        coords.append(Fraction(x, den))
+        den *= form.denominator
     return _rechecked(basis, coords, target)
 
 

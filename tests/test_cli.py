@@ -1,4 +1,4 @@
-"""CLI tests driven through click's runner."""
+"""CLI tests, run in-process through tests/cli_run.py."""
 
 from __future__ import annotations
 
@@ -10,18 +10,14 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from modforms.brackets import rankin_cohen
+from cli_run import run_cli
 from modforms.cli import _MAX_PREC, _series_text, main
 from modforms.forms import catalog_form, cusp_delta, eisenstein, eval_generator_poly
 from modforms.hecke import hecke
 from modforms.qseries import GradedSeries, QSeries
 from modforms.verify import VerificationReport
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 class TestSeriesJson:
@@ -58,61 +54,61 @@ class TestSeriesJson:
         ids=["eis", "delta", "hecke", "bracket"],
     )
     def test_command_output_loads_to_the_json_dict(self, argv, form):
-        result = invoke(*argv, "--prec", "30", "--json")
+        result = run_cli(*argv, "--prec", "30", "--json")
         assert result.exit_code == 0
         assert json.loads(result.output) == form(30).to_json_dict()
 
 
 class TestEis:
     def test_text_output(self):
-        result = invoke("eis", "--weight", "4", "--prec", "4")
+        result = run_cli("eis", "--weight", "4", "--prec", "4")
         assert result.exit_code == 0
         assert "240*q" in result.output
 
     def test_json_output(self):
-        result = invoke("eis", "--weight", "2", "--prec", "3", "--json")
+        result = run_cli("eis", "--weight", "2", "--prec", "3", "--json")
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["weight"] == 2
         assert data["series"]["coeffs"] == ["1/1", "-24/1", "-72/1", "-96/1"]
 
     def test_odd_weight_fails(self):
-        result = invoke("eis", "--weight", "3", "--prec", "4")
+        result = run_cli("eis", "--weight", "3", "--prec", "4")
         assert result.exit_code != 0
         assert "even" in result.output
 
 
 class TestDelta:
     def test_delta12(self):
-        result = invoke("delta", "--weight", "12", "--prec", "5", "--json")
+        result = run_cli("delta", "--weight", "12", "--prec", "5", "--json")
         data = json.loads(result.output)
         assert data["series"]["coeffs"][:4] == ["0/1", "1/1", "-24/1", "252/1"]
 
     def test_unsupported_weight(self):
-        result = invoke("delta", "--weight", "14", "--prec", "5")
+        result = run_cli("delta", "--weight", "14", "--prec", "5")
         assert result.exit_code != 0
 
 
 class TestHecke:
     def test_catalog_input(self):
-        result = invoke("hecke", "--input", "Delta12", "--n", "2", "--prec", "64", "--json")
+        result = run_cli("hecke", "--input", "Delta12", "--n", "2", "--prec", "64", "--json")
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["series"]["prec"] == 32
         assert data["series"]["coeffs"][1] == "-24/1"
 
     def test_expression_input(self):
-        result = invoke("hecke", "--input", "E4^2", "--n", "2", "--prec", "32", "--json")
+        result = run_cli("hecke", "--input", "E4^2", "--n", "2", "--prec", "32", "--json")
         assert result.exit_code == 0
         assert json.loads(result.output)["weight"] == 8
 
     def test_unknown_name(self):
-        result = invoke("hecke", "--input", "Delta13", "--n", "2")
+        result = run_cli("hecke", "--input", "Delta13", "--n", "2")
         assert result.exit_code != 0
         assert "unknown form name" in result.output
 
     def test_catalog_input_bad_precision(self):
-        result = invoke("hecke", "--input", "Delta12", "--n", "2", "--prec", "0")
+        result = run_cli("hecke", "--input", "Delta12", "--n", "2", "--prec", "0")
         assert result.exit_code != 0
         assert result.output.splitlines() == [
             "Error: cusp form construction needs prec >= 1"
@@ -135,44 +131,44 @@ class TestHecke:
         ids=["hecke", "eigen"],
     )
     def test_eisenstein_input_at_precision_zero(self, argv, code, stdout, stderr):
-        result = invoke(*argv, "--prec", "0")
+        result = run_cli(*argv, "--prec", "0")
         assert result.exit_code == code
         assert result.stdout.splitlines() == stdout
         assert result.stderr.splitlines() == stderr
 
     def test_deep_nesting_is_one_error_line(self):
         text = "(" * 3000 + "E4" + ")" * 3000
-        result = invoke("hecke", "--input", text, "--n", "2", "--prec", "8")
+        result = run_cli("hecke", "--input", text, "--n", "2", "--prec", "8")
         assert result.exit_code != 0
         assert result.output.splitlines() == [
             "Error: generator polynomial nests parentheses deeper than 100"
         ]
 
     def test_generator_power_above_the_weight_cap(self):
-        result = invoke("hecke", "--input", "E4^2001", "--n", "2", "--prec", "8")
+        result = run_cli("hecke", "--input", "E4^2001", "--n", "2", "--prec", "8")
         assert result.exit_code == 1
         assert result.output.splitlines() == [
             "Error: polynomial weight 8004 exceeds the cap 8000"
         ]
 
     def test_large_generator_power(self):
-        result = invoke("hecke", "--input", "E4^2000", "--n", "2", "--prec", "8", "--json")
-        assert result.exception is None and result.exit_code == 0
+        result = run_cli("hecke", "--input", "E4^2000", "--n", "2", "--prec", "8", "--json")
+        assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["weight"] == 8000
         assert data["series"]["prec"] == 4
 
     def test_constant_power_folds_at_once(self):
         start = time.perf_counter()
-        result = invoke("hecke", "--input", "1^100000000", "--n", "2", "--prec", "4")
+        result = run_cli("hecke", "--input", "1^100000000", "--n", "2", "--prec", "4")
         assert time.perf_counter() - start < 1
         assert result.exit_code == 0
-        assert result.output == invoke("hecke", "--input", "1", "--n", "2", "--prec", "4").output
+        assert result.output == run_cli("hecke", "--input", "1", "--n", "2", "--prec", "4").output
         assert result.output.startswith("[weight 0]")
 
     def test_constant_power_above_the_bit_cap(self):
         start = time.perf_counter()
-        result = invoke("hecke", "--input", "(2^8000)^8000*E4", "--n", "2", "--prec", "4")
+        result = run_cli("hecke", "--input", "(2^8000)^8000*E4", "--n", "2", "--prec", "4")
         assert time.perf_counter() - start < 1
         assert result.exit_code == 1
         assert result.output.splitlines() == [
@@ -182,35 +178,35 @@ class TestHecke:
 
 class TestEigen:
     def test_eigenform(self):
-        result = invoke("eigen", "--input", "Delta12", "--json")
+        result = run_cli("eigen", "--input", "Delta12", "--json")
         data = json.loads(result.output)
         assert data["is_eigen_up_to_bound"] is True
         assert data["eigenvalues"][1] == [2, "-24/1"]
 
     def test_non_eigenform_reports_violation(self):
-        result = invoke("eigen", "--input", "E2*E4")
+        result = run_cli("eigen", "--input", "E2*E4")
         assert result.exit_code == 0
         assert "not an eigenform" in result.output
 
     def test_inhomogeneous_input_rejected(self):
-        result = invoke("eigen", "--input", "E2+E4")
+        result = run_cli("eigen", "--input", "E2+E4")
         assert result.exit_code != 0
         assert "weight" in result.output
 
     def test_catalog_input_negative_precision(self):
-        result = invoke("eigen", "--input", "E4", "--prec", "-5")
+        result = run_cli("eigen", "--input", "E4", "--prec", "-5")
         assert result.exit_code != 0
         assert result.output.splitlines() == ["Error: prec must be >= 0"]
 
     def test_window_zero_rejected(self):
-        result = invoke("eigen", "--input", "Delta12", "--window", "0")
+        result = run_cli("eigen", "--input", "Delta12", "--window", "0")
         assert result.exit_code != 0
         assert result.output.splitlines() == ["Error: the test needs a window >= 1"]
 
 
 class TestBracket:
     def test_e4_e6_order_one(self):
-        result = invoke("bracket", "--g", "E4", "--h", "E6", "--m", "1",
+        result = run_cli("bracket", "--g", "E4", "--h", "E6", "--m", "1",
                         "--prec", "8", "--json")
         data = json.loads(result.output)
         assert data["weight"] == 12
@@ -218,7 +214,7 @@ class TestBracket:
 
     def test_e2_rejected(self):
         for args in (("--g", "E2", "--h", "E4"), ("--g", "E4", "--h", "E2")):
-            result = invoke("bracket", *args, "--m", "1", "--prec", "8")
+            result = run_cli("bracket", *args, "--m", "1", "--prec", "8")
             assert result.exit_code != 0
             assert len(result.output.splitlines()) == 1
             assert result.output.startswith("Error:")
@@ -227,7 +223,7 @@ class TestBracket:
 
 class TestDecompose:
     def test_e2_e4(self):
-        result = invoke("decompose", "--expr", "E2*E4", "--weight", "6",
+        result = run_cli("decompose", "--expr", "E2*E4", "--weight", "6",
                         "--depth", "1", "--json")
         assert result.exit_code == 0
         data = json.loads(result.output)
@@ -236,24 +232,24 @@ class TestDecompose:
         assert data["components"][1]["coordinates"] == ["3/1"]
 
     def test_not_decomposable(self):
-        result = invoke("decompose", "--expr", "(E2^2-E4)/12", "--weight", "4",
+        result = run_cli("decompose", "--expr", "(E2^2-E4)/12", "--weight", "4",
                         "--depth", "1")
         assert result.exit_code == 1
         assert "not decomposable" in result.output
 
     def test_weight_mismatch(self):
-        result = invoke("decompose", "--expr", "E2*E4", "--weight", "8", "--depth", "1")
+        result = run_cli("decompose", "--expr", "E2*E4", "--weight", "8", "--depth", "1")
         assert result.exit_code != 0
         assert "weight 6" in result.output
 
     def test_depth_bound_guard(self):
-        result = invoke("decompose", "--expr", "E2*E4", "--weight", "6", "--depth", "3")
+        result = run_cli("decompose", "--expr", "E2*E4", "--weight", "6", "--depth", "3")
         assert result.exit_code != 0
 
 
 class TestVerify:
     def test_ghitza_suite_passes(self):
-        result = invoke("verify", "--suite", "ghitza", "--json")
+        result = run_cli("verify", "--suite", "ghitza", "--json")
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["suite"] == "ghitza"
@@ -261,14 +257,14 @@ class TestVerify:
         assert data["passed"] == 5
 
     def test_text_summary(self):
-        result = invoke("verify", "--suite", "diophantine")
+        result = run_cli("verify", "--suite", "diophantine")
         assert result.exit_code == 0
         assert "[PASS]" in result.output
         assert "0 failed" in result.output
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"
-        result = invoke("verify", "--suite", "ghitza", "--out", str(target))
+        result = run_cli("verify", "--suite", "ghitza", "--out", str(target))
         assert result.exit_code == 0
         data = json.loads(target.read_text())
         assert data["passed"] == 5
@@ -280,24 +276,24 @@ class TestVerify:
     def test_out_file_replaced_only_by_a_finished_run(self, tmp_path):
         target = tmp_path / "report.json"
         target.write_text("earlier report\n" * 10000)
-        result = invoke("verify", "--suite", "identities", "--prec", "32", "--out", str(target))
+        result = run_cli("verify", "--suite", "identities", "--prec", "32", "--out", str(target))
         assert result.exit_code != 0
         assert target.read_text() == "earlier report\n" * 10000
-        result = invoke("verify", "--suite", "ghitza", "--out", str(target))
+        result = run_cli("verify", "--suite", "ghitza", "--out", str(target))
         assert result.exit_code == 0
         assert json.loads(target.read_text())["passed"] == 5
 
     # A run that fails leaves no file behind where there was none.
     def test_out_file_not_left_by_a_failed_run(self, tmp_path):
         target = tmp_path / "new.json"
-        result = invoke("verify", "--suite", "identities", "--prec", "64", "--out", str(target))
+        result = run_cli("verify", "--suite", "identities", "--prec", "64", "--out", str(target))
         assert result.exit_code == 1
         assert "Error: the identity suite is specified for prec >= 128" in result.output
         assert not target.exists()
 
     # A missing directory fails when the file is opened, and a directory
-    # fails click's path check; both before the suite runs, and neither is
-    # a traceback.
+    # fails the --out value check; both before the suite runs, and neither
+    # is a traceback (run_cli lets any exception but SystemExit through).
     UNWRITABLE_OUT = pytest.mark.parametrize(
         "name, message",
         [("missing/report.json", "No such file or directory"), (".", "is a directory")],
@@ -306,9 +302,8 @@ class TestVerify:
 
     @UNWRITABLE_OUT
     def test_out_path_that_cannot_be_written(self, tmp_path, name, message):
-        result = invoke("verify", "--suite", "ghitza", "--out", str(tmp_path / name))
+        result = run_cli("verify", "--suite", "ghitza", "--out", str(tmp_path / name))
         assert result.exit_code != 0
-        assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]
 
@@ -318,9 +313,8 @@ class TestVerify:
             raise AssertionError("the suite ran before --out was checked")
 
         monkeypatch.setattr("modforms.cli.run_suite", run_suite)
-        result = invoke("verify", "--suite", "all", "--out", str(tmp_path / name))
+        result = run_cli("verify", "--suite", "all", "--out", str(tmp_path / name))
         assert result.exit_code != 0
-        assert isinstance(result.exception, SystemExit)
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]
 
@@ -330,14 +324,14 @@ class TestVerify:
             raise AssertionError("the JSON report was built in text mode")
 
         monkeypatch.setattr(VerificationReport, "to_json_dict", refuse)
-        result = invoke("verify", "--suite", "ghitza")
+        result = run_cli("verify", "--suite", "ghitza")
         assert result.exit_code == 0
         assert "suite ghitza: 5 passed, 0 failed (" in result.output.splitlines()[-1]
 
     def test_out_file_holds_the_json_report(self, tmp_path):
         target = tmp_path / "report.json"
-        text = invoke("verify", "--suite", "ghitza", "--out", str(target)).output
-        printed = invoke("verify", "--suite", "ghitza", "--json").output
+        text = run_cli("verify", "--suite", "ghitza", "--out", str(target)).output
+        printed = run_cli("verify", "--suite", "ghitza", "--json").output
         assert text.startswith("[PASS]")
         written, shown = json.loads(target.read_text()), json.loads(printed)
         for data in (written, shown):
@@ -345,13 +339,13 @@ class TestVerify:
         assert written == shown
 
     def test_identity_precision_guard(self):
-        result = invoke("verify", "--suite", "identities", "--prec", "32")
+        result = run_cli("verify", "--suite", "identities", "--prec", "32")
         assert result.exit_code != 0
 
     # Every suite refuses a negative precision, the two that read none too.
     @pytest.mark.parametrize("suite", ["ghitza", "diophantine"])
     def test_negative_precision_is_one_error_line(self, suite):
-        result = invoke("verify", "--suite", suite, "--prec", "-5")
+        result = run_cli("verify", "--suite", suite, "--prec", "-5")
         assert result.exit_code == 1
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert errors == ["Error: prec must be >= 0"]
@@ -371,7 +365,7 @@ class TestVerify:
     ids=lambda command: command[0],
 )
 def test_precision_above_the_maximum_is_one_error_line(command):
-    result = invoke(*command, "--prec", str(_MAX_PREC + 1))
+    result = run_cli(*command, "--prec", str(_MAX_PREC + 1))
     assert result.exit_code == 1
     assert result.output.splitlines() == [
         f"Error: --prec {_MAX_PREC + 1} exceeds the maximum {_MAX_PREC}"
@@ -389,7 +383,7 @@ def test_precision_above_the_maximum_is_one_error_line(command):
     ids=["hecke", "hecke-json", "eigen", "decompose"],
 )
 def test_coefficients_too_long_to_print_are_one_error_line(command):
-    result = invoke(*command)
+    result = run_cli(*command)
     assert result.exit_code == 1
     (line,) = result.output.splitlines()
     assert line.startswith("Error: Exceeds the limit (4300 digits) for integer string conversion")
@@ -434,39 +428,120 @@ def test_coefficients_too_long_to_print_are_one_error_line(command):
 )
 def test_oversized_input_is_one_error_line_at_once(command, error):
     start = time.perf_counter()
-    result = invoke(*command)
+    result = run_cli(*command)
     assert time.perf_counter() - start < 1
     assert result.exit_code == 1
     assert result.output.splitlines() == [f"Error: {error}"]
 
 
 def test_mixed_weight_error_is_short():
-    result = invoke("hecke", "--input", "(E2+E4+E6)^36", "--n", "2", "--prec", "8")
+    result = run_cli("hecke", "--input", "(E2+E4+E6)^36", "--n", "2", "--prec", "8")
     assert result.exit_code == 1
     [line] = result.output.splitlines()
     assert line.startswith("Error: polynomial is not weight-homogeneous: E2^36 (weight 72)")
     assert len(line) < 300
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter with the engine's source on its path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_import_loads_no_dataclasses():
     # The report records are NamedTuples and a plain class: the CLI's import
     # execs no generated dataclass code.
-    script = "import sys; import modforms.cli; print('dataclasses' in sys.modules)"
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
-    )
+    proc = _python("-c", "import sys; import modforms.cli; print('dataclasses' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_import_loads_no_click():
+    # The parser is the standard library's argparse: the engine has no
+    # runtime dependency.
+    proc = _python("-c", "import sys; import modforms.cli; print('click' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+class TestUsage:
+    """A command line the parser refuses is one Error: line on stderr and
+    exit 2; an input the engine refuses stays exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "the following arguments are required: COMMAND"),
+            (("eigenform",), "argument COMMAND: invalid choice: 'eigenform'"),
+            (("eis", "--weight", "4"), "the following arguments are required: --prec"),
+            (("eis", "--weight", "4", "--prec", "6", "--depth", "1"),
+             "unrecognized arguments: --depth 1"),
+            (("eis", "--wei", "4", "--prec", "6"), "the following arguments are required: --weight"),
+            (("eis", "--weight", "four", "--prec", "6"), "argument --weight: invalid int value: 'four'"),
+            (("eis", "--weight", "4", "--prec", "six"), "argument --prec: invalid int value: 'six'"),
+            (("eis", "--weight", "4", "--prec", "6", "7"), "unrecognized arguments: 7"),
+            (("eis", "--weight"), "argument --weight: expected one argument"),
+            (("verify", "--suite", "everything"), "argument --suite: invalid choice: 'everything'"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "missing-option", "unknown-option", "abbreviation",
+            "bad-integer", "bad-prec", "extra-argument", "missing-value", "bad-choice",
+        ],
+    )
+    def test_usage_error_is_one_error_line(self, argv, message):
+        result = run_cli(*argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"Error: {message}")
+
+    @pytest.mark.parametrize("argv", [(), ("eis",), ("verify",)], ids=["modforms", "eis", "verify"])
+    def test_help_exits_zero(self, argv):
+        result = run_cli(*argv, "--help")
+        assert result.exit_code == 0
+        assert result.stdout.startswith("usage: modforms") and result.stderr == ""
+
+    def test_an_option_takes_the_next_token_whatever_it_is(self):
+        # A polynomial may begin with a minus sign, so "-E4" after --input is
+        # its value, not an option; the token after --weight is its value too.
+        negated = run_cli("hecke", "--input", "-E4", "--n", "2", "--prec", "3")
+        assert negated.exit_code == 0
+        assert negated.stdout == run_cli("hecke", "--input=-E4", "--n", "2", "--prec", "3").stdout
+        assert negated.stdout.startswith("[weight 4] -9 - 2160*q")
+        result = run_cli("eis", "--weight", "--prec", "6")
+        assert result.exit_code == 2
+        assert result.stderr == "Error: argument --weight: invalid int value: '--prec'\n"
+
+    def test_a_rebound_callback_is_called(self, monkeypatch):
+        # Dispatch reads each command's callback at call time, with keyword
+        # arguments; perfbench/tracer.py wraps them in spans that way.
+        calls = []
+        command = main.commands["eis"]
+        monkeypatch.setattr(command, "callback", lambda **kwargs: calls.append(kwargs) or 3)
+        assert run_cli("eis", "--weight", "4", "--prec", "6").exit_code == 3
+        assert calls == [{"weight": 4, "prec": 6, "as_json": False}]
+
+    def test_module_run_prints_the_in_process_bytes(self):
+        argv = ("eis", "--weight", "4", "--prec", "6", "--json")
+        proc = _python("-m", "modforms.cli", *argv)
+        result = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, result.stdout, "")
+
+    def test_entry_point_with_no_arguments(self):
+        # What the modforms console script runs: main() reads sys.argv[1:].
+        proc = _python("-c", "import sys; from modforms.cli import main; sys.exit(main())")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "Error: the following arguments are required: COMMAND\n"
 
 
 def test_caps_admit_their_bounds():
     # The shallow-precision warning is one Warning: line on stderr.
-    result = invoke("hecke", "--input", "E4", "--n", str(_MAX_PREC), "--prec", "8")
+    result = run_cli("hecke", "--input", "E4", "--n", str(_MAX_PREC), "--prec", "8")
     assert result.exit_code == 0
     assert result.stderr.splitlines() == [
         f"Warning: T_{_MAX_PREC} on a series of precision 8 certifies only the constant term"
     ]
     assert result.stdout.startswith("[weight 4] ") and result.stdout.count("\n") == 1
-    assert invoke("eis", "--weight", "256", "--prec", "1").exit_code == 0
-    assert invoke("bracket", "--g", "E4", "--h", "E6", "--m", "123", "--prec", "16").exit_code == 0
+    assert run_cli("eis", "--weight", "256", "--prec", "1").exit_code == 0
+    assert run_cli("bracket", "--g", "E4", "--h", "E6", "--m", "123", "--prec", "16").exit_code == 0

@@ -24,11 +24,11 @@ _TRACED_CALL = """
 import json, sys
 import modforms.cli
 import tracer
-from click.testing import CliRunner
+from cli_run import run_cli
 
 spans = tracer.Tracer()
 tracer.instrument(spans)
-result = CliRunner().invoke(modforms.cli.main, sys.argv[1:])
+result = run_cli(*sys.argv[1:])
 print(json.dumps({
     "exit_code": result.exit_code,
     "layers": sorted(tracer.layers_seen(spans)),
@@ -39,7 +39,7 @@ print(json.dumps({
 
 
 def _traced(*argv) -> dict:
-    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_CALL, *argv],
@@ -97,9 +97,8 @@ def test_cache_stats_lists_every_stored_builder():
 # catalog's misses after every suite and two CLI queries on catalog names.
 _ENGINE_BUILDS = """
 import json
-from click.testing import CliRunner
+from cli_run import run_cli
 from modforms import forms
-from modforms.cli import main
 from modforms.verify import run_suite
 forms.catalog_form("E4", 2048)
 lookup = {name: info.misses for name, info in forms.cache_stats().items()}
@@ -108,13 +107,13 @@ queries = [
     ["bracket", "--g", "E4", "--h", "Delta12", "--m", "1", "--prec", "64"],
     ["hecke", "--input", "Delta16", "--n", "2", "--prec", "64"],
 ]
-codes = [CliRunner().invoke(main, argv).exit_code for argv in queries]
+codes = [run_cli(*argv).exit_code for argv in queries]
 print(json.dumps({"lookup": lookup, "catalog": forms.catalog.cache_info().misses, "codes": codes}))
 """
 
 
 def test_the_engine_never_builds_the_catalog():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     proc = subprocess.run(
         [sys.executable, "-c", _ENGINE_BUILDS], env=env, capture_output=True, text=True, timeout=60,
     )
@@ -223,16 +222,15 @@ def test_the_identity_suite_repeats_no_product():
 # queries on a polynomial at prec 120 and over its decompose queries.
 _PARSE_MISSES = """
 import json
-from click.testing import CliRunner
+from cli_run import run_cli
 import queries
 from modforms import forms
-from modforms.cli import main
 texts = {text for text, _, _ in queries.POLY_POOL}
 argvs = [
     argv for argv in queries.universe()
     if argv[2] in texts and (argv[0] == "decompose" or argv[argv.index("--prec") + 1] == "120")
 ]
-codes = {CliRunner().invoke(main, argv).exit_code for argv in argvs + argvs}
+codes = {run_cli(*argv).exit_code for argv in argvs + argvs}
 info = forms.cache_stats()["_parse"]
 print(json.dumps({"queries": len(argvs), "codes": sorted(codes), "hits": info.hits, "misses": info.misses}))
 """
@@ -241,7 +239,7 @@ print(json.dumps({"queries": len(argvs), "codes": sorted(codes), "hits": info.hi
 def test_each_polynomial_text_is_parsed_once():
     # A polynomial input costs a catalog name's lookup only while its text
     # is parsed once per process, not once per query.
-    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, "-c", _PARSE_MISSES], env=env, capture_output=True, text=True, timeout=120,

@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
+from cli_run import run_cli
 from modforms.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,9 +42,7 @@ queries = _load("queries")
 )
 def test_verify_matches_golden_digests(workload, prec):
     suite = golden.SUITES[workload][0]
-    result = CliRunner().invoke(
-        main, ["verify", "--suite", suite, "--prec", str(prec), "--json"]
-    )
+    result = run_cli("verify", "--suite", suite, "--prec", str(prec), "--json")
     assert result.exit_code == 0
     got = golden.report_digests(json.loads(result.output))
     expected = golden.load("suites.json")[workload]
