@@ -458,11 +458,16 @@ def test_import_loads_no_dataclasses():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
-def test_import_loads_no_click():
+def test_import_loads_only_the_standard_library():
     # The parser is the standard library's argparse: the engine has no
-    # runtime dependency.
-    proc = _python("-c", "import sys; import modforms.cli; print('click' in sys.modules)")
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    # runtime dependency, so importing the CLI loads no third-party module.
+    script = (
+        "import sys; before = set(sys.modules); import modforms.cli; "
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'modforms'}))"
+    )
+    proc = _python("-c", script)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 class TestUsage:
