@@ -34,10 +34,26 @@ operands are equal), and the even and odd coefficients of the product
 are read back off the w-bit slots of their half sum and half
 difference. Each slot still holds one product coefficient, so it keeps
 the one-point bound (prec+1) * max(1, max|a|) * max(1, max|b|) on
-every product coefficient, plus a sign bit. A factor that is constant
-within the common precision scales the other instead. The tests hold
-both paths to a schoolbook product over Fractions that shares no code
-with them.
+every product coefficient, plus a sign bit.
+
+From 160 coefficients the same slots are read off four points, x =
+2^(w/4) times 1, -1, i and -i. Split by index mod 4, a(x) = sum_j x^j
+A_j(Y) with Y = x^4 = 2^w and each A_j packed as above, so a(+-x) =
+(A_0 + x^2 A_2) +- (x A_1 + x^3 A_3), a(ix) = (A_0 - x^2 A_2) + i (x A_1
+- x^3 A_3), and a(-ix) is the conjugate of a(ix). The product c needs
+c(x), c(-x) and, by Gauss's three products, c(ix): five quarter-length
+products for KS2's two of half length (a square takes two squarings and
+two products). Class j of c mod 4, C_j(Y) = sum_t c_(4t+j) Y^t, is read
+off 4 x^j C_j(Y) = sum over zeta of zeta^-j c(zeta x) by shifts and sums.
+This holds for the whole product, of degree 2n-2, whose every
+coefficient sums at most n terms: each slot holds one coefficient inside
+KS2's bound, and those above the truncation fill only higher slots.
+Harvey's KS4 uses reciprocal points, whose read-back is a carry across
+slots, one Python loop step per slot, which costs more than it saves at
+these sizes. On catalog operands this path took 1.02 of KS2's time at
+121 coefficients, 0.95 at 161, 0.92 at 241 and 0.84 at 769. A factor
+that is constant within the common precision scales the other instead.
+The tests hold every path to a schoolbook product sharing no code with it.
 """
 
 from __future__ import annotations
@@ -246,6 +262,12 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
     return [x - half for x in map(int.from_bytes, slots, repeat("little"))]
 
 
+def _slot_width(a: Sequence[int], b: Sequence[int]) -> int:
+    """Bytes per slot, w/8: the bound n * max|a| * max|b| is below 2^(w-1)."""
+    bound = len(a) * max(1, max(a), -min(a)) * max(1, max(b), -min(b))
+    return (bound.bit_length() + 8) // 8
+
+
 def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The first n = len(a) coefficients of the product c of two integer
     polynomials of length n, from their values at X = +-2^(w/2) (see the
@@ -253,9 +275,7 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     2^w, those values are a_even(2^w) +- 2^(w/2) a_odd(2^w). The sum of
     the two values of c is 2 c_even(2^w), and their difference is
     2^(w/2+1) c_odd(2^w): each is read off w-bit slots by ``_unpack``."""
-    n = len(a)
-    bound = n * max(1, max(a), -min(a)) * max(1, max(b), -min(b))
-    width = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(w-1)
+    n, width = len(a), _slot_width(a, b)
     shift = 4 * width  # w/2 bits
 
     def values(nums):
@@ -271,15 +291,51 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-# The longest operands multiplied by the direct sum (see the module docstring).
+def _four_point_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """``_kronecker_product``'s result from the values at x = 2^(w/4)
+    times 1, -1, i and -i, with KS2's slot width w (see the module
+    docstring): the class j of the product c mod 4 is read off
+    4 x^j C_j(2^w) = sum over zeta of zeta^-j c(zeta x)."""
+    n, width = len(a), _slot_width(a, b)
+    shift = 2 * width  # w/4 bits
+
+    def values(nums):
+        f0, f1, f2, f3 = (_pack(nums[j::4], width) << (j * shift) for j in range(4))
+        even, odd = f0 + f2, f1 + f3
+        return even + odd, even - odd, f0 - f2, f1 - f3
+
+    a_plus, a_minus, a_re, a_im = values(a)
+    if a == b:  # two squarings and two products
+        plus, minus = a_plus * a_plus, a_minus * a_minus
+        re, im = (a_re + a_im) * (a_re - a_im), (a_re * a_im) << 1
+    else:  # c(ix) = a(ix) b(ix) by Gauss's three products
+        b_plus, b_minus, b_re, b_im = values(b)
+        plus, minus = a_plus * b_plus, a_minus * b_minus
+        t_re, t_im = a_re * b_re, a_im * b_im
+        re, im = t_re - t_im, (a_re + a_im) * (b_re + b_im) - t_re - t_im
+    even, odd = (plus + minus) >> 1, (plus - minus) >> 1
+    out = [0] * n
+    out[0::4] = _unpack((even + re) >> 1, (n + 3) // 4, width)
+    out[1::4] = _unpack((odd + im) >> (shift + 1), (n + 2) // 4, width)
+    out[2::4] = _unpack((even - re) >> (2 * shift + 1), (n + 1) // 4, width)
+    out[3::4] = _unpack((odd - im) >> (3 * shift + 1), n // 4, width)
+    return out
+
+
+# The longest operands multiplied by the direct sum, and the shortest by
+# the four-point substitution (see the module docstring).
 _DIRECT_MAX = 16
+_FOUR_POINT_MIN = 160
 
 
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The first n = len(a) coefficients of the product of two integer
     polynomials of length n: the direct sum c_k = sum_{i<=k} a_i b_{k-i}
-    up to _DIRECT_MAX coefficients, ``_kronecker_product`` above."""
+    up to _DIRECT_MAX coefficients, ``_kronecker_product`` above, and
+    ``_four_point_product`` from _FOUR_POINT_MIN coefficients."""
     n = len(a)
+    if n >= _FOUR_POINT_MIN:
+        return _four_point_product(a, b)
     if n > _DIRECT_MAX:
         return _kronecker_product(a, b)
     rb = b[::-1]  # rb[n-1-k:] is b_k, ..., b_0

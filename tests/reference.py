@@ -20,6 +20,17 @@ def mul_reference(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(out, prec=prec)
 
 
+def convolve_reference(a, b) -> list[int]:
+    """The first len(a) coefficients of the product of two integer
+    polynomials of equal length, by the schoolbook double loop: the oracle
+    for the long product paths, where mul_reference's Fractions are slow."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
 def bernoulli_reference(k: int) -> Fraction:
     """B_k from the recurrence sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1) over
     Fractions, B_1 = -1/2: the oracle for the tangent-number path of

@@ -218,6 +218,49 @@ def test_the_identity_suite_repeats_no_product():
     assert made == distinct > 0
 
 
+# The lengths of every series product that the identity suite makes at
+# prec 768 after a catalog there, through _product and through each
+# Kronecker substitution.
+_PRODUCT_PATHS = """
+import json
+from modforms import qseries
+from modforms.forms import catalog
+from modforms.verify import run_suite
+lengths = {name: [] for name in ("_product", "_kronecker_product", "_four_point_product")}
+def spy(name, inner):
+    def product(a, b):
+        lengths[name].append(len(a))
+        return inner(a, b)
+    return product
+for name in lengths:
+    setattr(qseries, name, spy(name, getattr(qseries, name)))
+catalog(768)
+for made in lengths.values():
+    made.clear()
+run_suite("identities", 768)
+print(json.dumps(lengths))
+"""
+
+
+def test_the_full_precision_products_take_the_four_point_path():
+    # The identity suite's 33 products at 769 coefficients, and every other
+    # product from _FOUR_POINT_MIN coefficients, take the four-point path;
+    # the shorter ones above the direct sum take KS2.
+    from modforms.qseries import _DIRECT_MAX, _FOUR_POINT_MIN
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRODUCT_PATHS],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lengths = json.loads(proc.stdout)
+    products = lengths["_product"]
+    assert products.count(769) == 33
+    assert lengths["_four_point_product"] == [n for n in products if n >= _FOUR_POINT_MIN]
+    assert lengths["_kronecker_product"] == [n for n in products if _DIRECT_MAX < n < _FOUR_POINT_MIN]
+
+
 # Two passes, in one process, over the query-mix universe's hecke and eigen
 # queries on a polynomial at prec 120 and over its decompose queries.
 _PARSE_MISSES = """

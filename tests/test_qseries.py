@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,16 +17,18 @@ from modforms import qseries
 from modforms.forms import catalog_form
 from modforms.qseries import (
     _DIRECT_MAX,
+    _FOUR_POINT_MIN,
     GradedSeries,
     PrecisionError,
     QSeries,
     _format_terms,
+    _four_point_product,
     _kronecker_product,
     _pack,
     _unpack,
     first_difference,
 )
-from reference import format_terms_reference, mul_reference
+from reference import convolve_reference, format_terms_reference, mul_reference
 
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=6
@@ -227,12 +230,16 @@ class TestLinearOracle:
 
 def series_of_length(n):
     """Series of n signed, often multi-word numerators over a denominator
-    other than 1."""
-    return st.builds(
-        QSeries.from_numerators,
-        st.lists(numerators, min_size=n, max_size=n),
-        st.integers(2, 10**6),
-    )
+    other than 1. Above 40 coefficients, a random.Random of a drawn seed
+    picks them from a drawn pool of up to 16: hypothesis draws list
+    elements one at a time, which took seconds per test at the four-point
+    lengths."""
+    if n <= 40:
+        nums = st.lists(numerators, min_size=n, max_size=n)
+    else:
+        pools = st.lists(numerators, min_size=1, max_size=16)
+        nums = st.builds(lambda pool, seed: random.Random(seed).choices(pool, k=n), pools, st.integers(0, 2**32))
+    return st.builds(QSeries.from_numerators, nums, st.integers(2, 10**6))
 
 
 # Signs of two operands by index: equal (a square), opposite and
@@ -247,22 +254,31 @@ SIGN_PATTERNS = {
 @functools.lru_cache(maxsize=None)
 def sign_product(n, pattern):
     """The sign numerators of length n of both operands, and their product
-    by mul_reference."""
-    f, g = (QSeries.from_numerators([sign(i) for i in range(n)], 1) for sign in SIGN_PATTERNS[pattern])
-    return f.numerators, g.numerators, mul_reference(f, g).numerators
+    by convolve_reference."""
+    a, b = (tuple(sign(i) for i in range(n)) for sign in SIGN_PATTERNS[pattern])
+    return a, b, tuple(convolve_reference(a, b))
 
 
 class TestKroneckerProduct:
     """QSeries.__mul__ takes the direct sum up to _DIRECT_MAX coefficients,
-    and above it packs each operand into one big integer and reads the
-    product off fixed-width slots; mul_reference shares no code with
-    either and must agree bit for bit."""
+    KS2 from there and the four-point substitution from _FOUR_POINT_MIN;
+    both substitutions pack each operand into big integers and read the
+    product off fixed-width slots. mul_reference and convolve_reference
+    share no code with any path and must agree bit for bit."""
 
     @staticmethod
     def assert_matches_reference(f, g):
         product, expected = f * g, mul_reference(f, g)
         assert product.numerators == expected.numerators
         assert product.denominator == expected.denominator
+
+    @staticmethod
+    def assert_matches_convolution(f, g):
+        # Two series of one length, against the integer schoolbook product
+        # of their numerators over the product of their denominators.
+        expected = convolve_reference(f.numerators, g.numerators)
+        den = f.denominator * g.denominator
+        assert (f * g).coeffs == tuple(Fraction(c, den) for c in expected)
 
     # A coefficient of the product reaches n * max|a| * max|b|, the slot
     # bound, and its bit length is a whole number of bytes: the sign bit
@@ -279,30 +295,48 @@ class TestKroneckerProduct:
     def test_matches_reference(self, f, g):
         self.assert_matches_reference(f, g)
 
-    # Lengths on both sides of the crossover from the direct sum to KS2.
-    CROSSOVER_LENGTHS = [1, 2, 15, 16, 17, 18, 40]
+    # Lengths on both sides of the crossover from the direct sum to KS2,
+    # and from KS2 to the four-point path in each class mod 4.
+    FOUR_POINT_LENGTHS = [_FOUR_POINT_MIN + d for d in range(4)]
+    CROSSOVER_LENGTHS = [1, 2, 15, 16, 17, 18, 40, _FOUR_POINT_MIN - 1, *FOUR_POINT_LENGTHS]
 
     @pytest.mark.parametrize("n", CROSSOVER_LENGTHS)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_across_the_crossover(self, n, data):
         f, g = data.draw(series_of_length(n)), data.draw(series_of_length(n))
-        self.assert_matches_reference(f, g)
-        self.assert_matches_reference(f, f)
+        twin = QSeries.from_numerators(list(f.numerators), f.denominator)
+        assert twin.numerators == f.numerators and twin.numerators is not f.numerators
+        self.assert_matches_convolution(f, g)
+        self.assert_matches_convolution(f, f)
+        self.assert_matches_convolution(f, twin)
 
     def test_the_length_alone_picks_the_path(self, monkeypatch):
-        assert {_DIRECT_MAX, _DIRECT_MAX + 1} <= set(self.CROSSOVER_LENGTHS)
+        assert {_DIRECT_MAX, _DIRECT_MAX + 1, _FOUR_POINT_MIN - 1, _FOUR_POINT_MIN} <= set(self.CROSSOVER_LENGTHS)
         packed = []
 
-        def stub(a, b):
-            packed.append(len(a))
-            return [0] * len(a)
+        def stub(path):
+            def product(a, b):
+                packed.append((path, len(a)))
+                return [0] * len(a)
+            return product
 
-        monkeypatch.setattr(qseries, "_kronecker_product", stub)
+        monkeypatch.setattr(qseries, "_kronecker_product", stub("KS2"))
+        monkeypatch.setattr(qseries, "_four_point_product", stub("four-point"))
         for n in self.CROSSOVER_LENGTHS:
             f = QSeries.from_numerators(range(1, n + 1), 1)
             f * QSeries.from_numerators(range(-n, 0), 1)
-        assert packed == [n for n in self.CROSSOVER_LENGTHS if n > _DIRECT_MAX]
+        assert packed == [("four-point" if n >= _FOUR_POINT_MIN else "KS2", n)
+                          for n in self.CROSSOVER_LENGTHS if n > _DIRECT_MAX]
+
+    # The four-point path against KS2 at every short length, where some
+    # classes mod 4 are empty, and at long ones, squares included.
+    @given(st.sampled_from([*range(1, 40), 64, 65, 66, 67, 100, 257]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_four_point_equals_ks2(self, n, data):
+        a, b = (data.draw(series_of_length(n)).numerators for _ in range(2))
+        assert _four_point_product(a, b) == _kronecker_product(a, b)
+        assert _four_point_product(a, a) == _kronecker_product(a, a)
 
     # The product is read off two evaluations, at +2^(w/2) and -2^(w/2):
     # even and odd parts of opposite signs make the two differ in sign.
@@ -312,6 +346,22 @@ class TestKroneckerProduct:
         b = tuple((-1) ** (i + 1) * (2**70 + i) for i in range(n))
         expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
         assert _kronecker_product(a, b) == list(expected.numerators)
+
+    # The four-point path also reads the real and imaginary parts of c(ix)
+    # at x = 2^(w/4), for the slot width w: with positive a and b of
+    # widely different sizes, c's two top terms set their signs, which
+    # are opposite, either way round (b or -b).
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_gaussian_parts_of_opposite_signs(self, n, sign):
+        a = [i + 2 for i in range(n)]
+        b = [sign * (2**70 + i) for i in range(n)]
+        x = 1 << (2 * ((n * max(a) * abs(b[-1])).bit_length() // 8 + 1))
+        full = convolve_reference(a + [0] * (n - 1), b + [0] * (n - 1))
+        re = sum(c * x**k * (1, 0, -1, 0)[k % 4] for k, c in enumerate(full))
+        im = sum(c * x**k * (0, 1, 0, -1)[k % 4] for k, c in enumerate(full))
+        assert re * im < 0
+        assert _four_point_product(a, b) == full[:n]
 
     # Equal operands are packed once and squared, whether they are one
     # tuple or two equal ones.
@@ -380,10 +430,22 @@ class TestKroneckerProduct:
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, 18, 769])
     def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
+        self.check_slot_bound(_kronecker_product, n, pattern, residue)
+
+    # The four-point path keeps KS2's slots: the same check in each class
+    # mod 4 above the crossover, and at prec 768.
+    @pytest.mark.parametrize("residue", [0, 7, 1])
+    @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
+    @pytest.mark.parametrize("n", [*FOUR_POINT_LENGTHS, 769])
+    def test_four_point_coefficients_at_the_slot_bound(self, n, pattern, residue):
+        self.check_slot_bound(_four_point_product, n, pattern, residue)
+
+    @staticmethod
+    def check_slot_bound(product_of, n, pattern, residue):
         signs_a, signs_b, expected = sign_product(n, pattern)
         big = next(m for t in itertools.count(120) for m in [math.isqrt((1 << t) // n) + 1]
                    if ((n * m * m).bit_length() + 8) % 8 == residue)
-        product = _kronecker_product([big * s for s in signs_a], [big * s for s in signs_b])
+        product = product_of([big * s for s in signs_a], [big * s for s in signs_b])
         assert product == [big * big * c for c in expected]
         if pattern != "zeros":
             assert abs(product[n - 1]) == n * big * big
