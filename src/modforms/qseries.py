@@ -16,44 +16,42 @@ operation applies to it. The tag follows three rules:
 - mixing: a form combined with an untagged QSeries by +, - or * gives an
   untagged QSeries, in either order.
 
-Two series of at most 16 coefficients multiply by the direct sum
-c_k = sum_{i<=k} a_i b_{k-i}: on short operands the packing of two-point
-Kronecker substitution costs more than the whole quadratic sum. On signed
-numerators of 16 to 1024 bits, KS2 overtook the direct sum between 24
-and 40 coefficients, so 16 leaves a margin. Longer series multiply by
-KS2 (D. Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", JSC 2009): the even- and odd-indexed numerators
-of each operand are packed apart into big integers, one coefficient per
-w-bit slot, and combined into the operand's values at X = +-2^(w/2). A slot
-is written and read as its coefficient plus 2^(w-1), so packing is one
-``to_bytes`` pass and one subtraction, and unpacking one addition, one
-``struct.iter_unpack`` pass over unsigned slots and one subtraction per
-slot. Two
-half-length products replace one of full length (squarings when the
-operands are equal), and the even and odd coefficients of the product
-are read back off the w-bit slots of their half sum and half
-difference. Each slot still holds one product coefficient, so it keeps
-the one-point bound (prec+1) * max(1, max|a|) * max(1, max|b|) on
-every product coefficient, plus a sign bit.
+Every series product goes through one kernel, ``_product_sum``: the
+weighted sum c = sum_r c_r a_r b_r of products of integer polynomials of
+one length n, a plain product being the one term (1, a, b). Up to 16
+coefficients it is the direct sum c_k = sum_r c_r sum_{i<=k} a_i b_{k-i}:
+there the packing of two-point Kronecker substitution costs more than the
+quadratic sum (KS2 overtook it between 24 and 40 coefficients on signed
+numerators of 16 to 1024 bits). Longer sums take KS2 (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC
+2009): the even- and odd-indexed numerators of each operand are packed
+apart into big integers, one coefficient per w-bit slot, and combined
+into the operand's values at X = +-2^(w/2). A slot is written and read as
+its coefficient plus 2^(w-1), so packing is one ``to_bytes`` pass and one
+subtraction, and unpacking one addition, one ``struct.iter_unpack`` pass
+and one subtraction per slot. A term costs two half-length products
+(squarings when its operands are equal), scaled by c_r unless c_r = 1;
+the terms are summed at each point, and the even and odd coefficients of
+c are read back once off the slots of the half sum and half difference.
+Every coefficient of c, to degree 2n-2, is at most n sum_r |c_r| max|a_r|
+max|b_r| in size: one slot width w for all terms holds that bound and a
+sign bit, so the widest term sets the width of every multiply.
 
 From 160 coefficients the same slots are read off four points, x =
 2^(w/4) times 1, -1, i and -i. Split by index mod 4, a(x) = sum_j x^j
 A_j(Y) with Y = x^4 = 2^w and each A_j packed as above, so a(+-x) =
 (A_0 + x^2 A_2) +- (x A_1 + x^3 A_3), a(ix) = (A_0 - x^2 A_2) + i (x A_1
-- x^3 A_3), and a(-ix) is the conjugate of a(ix). The product c needs
-c(x), c(-x) and, by Gauss's three products, c(ix): five quarter-length
-products for KS2's two of half length (a square takes two squarings and
-two products). Class j of c mod 4, C_j(Y) = sum_t c_(4t+j) Y^t, is read
-off 4 x^j C_j(Y) = sum over zeta of zeta^-j c(zeta x) by shifts and sums.
-This holds for the whole product, of degree 2n-2, whose every
-coefficient sums at most n terms: each slot holds one coefficient inside
-KS2's bound, and those above the truncation fill only higher slots.
-Harvey's KS4 uses reciprocal points, whose read-back is a carry across
-slots, one Python loop step per slot, which costs more than it saves at
-these sizes. On catalog operands this path took 1.02 of KS2's time at
-121 coefficients, 0.95 at 161, 0.92 at 241 and 0.84 at 769. A factor
-that is constant within the common precision scales the other instead.
-The tests hold every path to a schoolbook product sharing no code with it.
+- x^3 A_3), and a(-ix) is the conjugate of a(ix). A term needs its values
+at x, -x and, by Gauss's three products, ix: five quarter-length products
+for KS2's two of half length (a square takes two squarings and two
+products). Class j of c mod 4, C_j(Y) = sum_t c_(4t+j) Y^t, is read off
+4 x^j C_j(Y) = sum over zeta of zeta^-j c(zeta x) by shifts and sums, in
+KS2's slots. Harvey's KS4 uses reciprocal points, whose read-back is a
+carry across slots, one Python loop step per slot, which costs more than
+it saves at these sizes. On catalog operands this path took 1.02 of KS2's
+time at 121 coefficients, 0.95 at 161, 0.92 at 241 and 0.84 at 769. A
+factor that is constant within the common precision scales the other
+instead. The tests hold every path to a schoolbook product sharing no code with it.
 """
 
 from __future__ import annotations
@@ -262,57 +260,69 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
     return [x - half for x in map(int.from_bytes, slots, repeat("little"))]
 
 
-def _slot_width(a: Sequence[int], b: Sequence[int]) -> int:
-    """Bytes per slot, w/8: the bound n * max|a| * max|b| is below 2^(w-1)."""
-    bound = len(a) * max(1, max(a), -min(a)) * max(1, max(b), -min(b))
+def _slot_width(terms) -> int:
+    """Bytes per slot, w/8: n sum max(1, |c|) max|a| max|b| is below 2^(w-1)."""
+    bound = len(terms[0][1]) * sum(
+        max(1, abs(c)) * max(1, max(a), -min(a)) * max(1, max(b), -min(b)) for c, a, b in terms
+    )
     return (bound.bit_length() + 8) // 8
 
 
-def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The first n = len(a) coefficients of the product c of two integer
+def _point_sums(terms, values, products) -> list[int]:
+    """sum c * products(values(a), values(b)) over the terms (c, a, b), point by
+    point. Equal operands are packed once, so products can square them."""
+    sums = None
+    for c, a, b in terms:
+        at_a = values(a)
+        point = products(at_a, at_a if a == b else values(b))
+        if c != 1:
+            point = [c * x for x in point]
+        sums = point if sums is None else list(map(add, sums, point))
+    return sums
+
+
+def _kronecker_product(terms, width: int) -> list[int]:
+    """The first n coefficients of sum c a b over the terms (c, a, b), integer
     polynomials of length n, from their values at X = +-2^(w/2) (see the
     module docstring). With a(X) = a_even(X^2) + X a_odd(X^2), and X^2 =
     2^w, those values are a_even(2^w) +- 2^(w/2) a_odd(2^w). The sum of
     the two values of c is 2 c_even(2^w), and their difference is
     2^(w/2+1) c_odd(2^w): each is read off w-bit slots by ``_unpack``."""
-    n, width = len(a), _slot_width(a, b)
-    shift = 4 * width  # w/2 bits
+    n, shift = len(terms[0][1]), 4 * width  # w/2 bits
 
     def values(nums):
         even, odd = _pack(nums[0::2], width), _pack(nums[1::2], width) << shift
         return even + odd, even - odd
 
-    a_plus, a_minus = values(a)
-    b_plus, b_minus = (a_plus, a_minus) if a == b else values(b)
-    plus, minus = a_plus * b_plus, a_minus * b_minus  # squarings when a == b
+    plus, minus = _point_sums(terms, values, lambda a, b: (a[0] * b[0], a[1] * b[1]))  # x * x squares
     out = [0] * n
     out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)
     out[1::2] = _unpack((plus - minus) >> (shift + 1), n // 2, width)
     return out
 
 
-def _four_point_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _four_point_product(terms, width: int) -> list[int]:
     """``_kronecker_product``'s result from the values at x = 2^(w/4)
     times 1, -1, i and -i, with KS2's slot width w (see the module
     docstring): the class j of the product c mod 4 is read off
     4 x^j C_j(2^w) = sum over zeta of zeta^-j c(zeta x)."""
-    n, width = len(a), _slot_width(a, b)
-    shift = 2 * width  # w/4 bits
+    n, shift = len(terms[0][1]), 2 * width  # w/4 bits
 
     def values(nums):
         f0, f1, f2, f3 = (_pack(nums[j::4], width) << (j * shift) for j in range(4))
         even, odd = f0 + f2, f1 + f3
         return even + odd, even - odd, f0 - f2, f1 - f3
 
-    a_plus, a_minus, a_re, a_im = values(a)
-    if a == b:  # two squarings and two products
-        plus, minus = a_plus * a_plus, a_minus * a_minus
-        re, im = (a_re + a_im) * (a_re - a_im), (a_re * a_im) << 1
-    else:  # c(ix) = a(ix) b(ix) by Gauss's three products
-        b_plus, b_minus, b_re, b_im = values(b)
-        plus, minus = a_plus * b_plus, a_minus * b_minus
+    def products(a, b):
+        a_plus, a_minus, a_re, a_im = a
+        if a is b:  # two squarings and two products
+            return a_plus * a_plus, a_minus * a_minus, (a_re + a_im) * (a_re - a_im), (a_re * a_im) << 1
+        # c(ix) = a(ix) b(ix) by Gauss's three products
+        b_plus, b_minus, b_re, b_im = b
         t_re, t_im = a_re * b_re, a_im * b_im
-        re, im = t_re - t_im, (a_re + a_im) * (b_re + b_im) - t_re - t_im
+        return a_plus * b_plus, a_minus * b_minus, t_re - t_im, (a_re + a_im) * (b_re + b_im) - t_re - t_im
+
+    plus, minus, re, im = _point_sums(terms, values, products)
     even, odd = (plus + minus) >> 1, (plus - minus) >> 1
     out = [0] * n
     out[0::4] = _unpack((even + re) >> 1, (n + 3) // 4, width)
@@ -328,18 +338,21 @@ _DIRECT_MAX = 16
 _FOUR_POINT_MIN = 160
 
 
+def _product_sum(terms) -> list[int]:
+    """The first n coefficients of sum c a b over the terms (c, a, b), for
+    integer weights c and integer polynomials a, b of length n, by the path
+    for n (see the module docstring) and one slot width for all terms."""
+    n = len(terms[0][1])
+    if n <= _DIRECT_MAX:  # the direct sum, whose point values are the coefficients
+        convolve = lambda a, b: [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)]
+        return _point_sums(terms, lambda nums: nums, convolve)
+    path = _four_point_product if n >= _FOUR_POINT_MIN else _kronecker_product
+    return path(terms, _slot_width(terms))
+
+
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The first n = len(a) coefficients of the product of two integer
-    polynomials of length n: the direct sum c_k = sum_{i<=k} a_i b_{k-i}
-    up to _DIRECT_MAX coefficients, ``_kronecker_product`` above, and
-    ``_four_point_product`` from _FOUR_POINT_MIN coefficients."""
-    n = len(a)
-    if n >= _FOUR_POINT_MIN:
-        return _four_point_product(a, b)
-    if n > _DIRECT_MAX:
-        return _kronecker_product(a, b)
-    rb = b[::-1]  # rb[n-1-k:] is b_k, ..., b_0
-    return [sum(map(mul, a[: k + 1], rb[n - 1 - k :])) for k in range(n)]
+    """The first len(a) coefficients of a b: the one term (1, a, b)."""
+    return _product_sum(((1, a, b),))
 
 
 def first_difference(f: QSeries, g: QSeries) -> Optional[int]:

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from modforms import brackets
 from modforms.brackets import rankin_cohen
 from modforms.exactmath import binomial
-from modforms.forms import catalog, cusp_delta, eisenstein, is_modular_member
+from modforms.forms import catalog, catalog_form, cusp_delta, eisenstein, is_modular_member
 from modforms.qseries import GradedSeries, QSeries
 from reference import mul_reference
 
@@ -158,3 +159,59 @@ _tagged = st.lists(_small_rational, min_size=1, max_size=9).map(QSeries)
 def test_mixed_denominators_of_arbitrary_series(g, h, m):
     g, h = GradedSeries(g, 4), GradedSeries(h, 6)
     assert rankin_cohen(g, h, m) == _textbook_bracket(g, h, m)
+
+
+# The four-point path, from 160 coefficients, which the tests at prec 32
+# and 64 never reach.
+@pytest.mark.parametrize("prec", [160, 240])
+class TestFourPointBrackets:
+    def test_equal_operands(self, prec):
+        # Odd m gives zero, and even m merges the terms r and m - r.
+        d12 = catalog_form("Delta12", prec)
+        twin = GradedSeries(QSeries.from_numerators(list(d12.numerators), d12.denominator), 12)
+        for m in (2, 3):
+            assert rankin_cohen(d12, twin, m) == _textbook_bracket(d12, d12, m), m
+
+    def test_unequal_precision(self, prec):
+        # E6 at two precisions is one operand to the common precision.
+        e4, e6 = catalog_form("E4", prec + 8), catalog_form("E6", prec)
+        for g, h in ((e4, e6), (e6, catalog_form("E6", prec + 5))):
+            bracket = rankin_cohen(g, h, 2)
+            assert bracket.prec == prec and bracket == _textbook_bracket(g, h, 2)
+
+    def test_equal_coefficients_of_other_weights_are_not_merged(self, prec):
+        e4 = catalog_form("E4", prec)
+        as_six = GradedSeries(e4.series, 6)
+        for m in (1, 2):
+            bracket = rankin_cohen(e4, as_six, m)
+            assert not bracket.is_zero() and bracket == _textbook_bracket(e4, as_six, m), m
+
+
+def _kernel_terms(monkeypatch, g, h, m):
+    """The terms (c, a, b) rankin_cohen hands the product kernel, or None
+    when it makes no product."""
+    seen = [None]
+
+    def spy(terms):
+        seen[0] = terms
+        return kernel(terms)
+
+    kernel = brackets._product_sum
+    monkeypatch.setattr(brackets, "_product_sum", spy)
+    bracket = rankin_cohen(g, h, m)
+    assert bracket == _textbook_bracket(g, h, m)
+    return seen[0]
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_equal_operands_merge_their_terms(monkeypatch, m):
+    # m/2 + 1 products for even m, the middle one a square of one list,
+    # and none for odd m; equal coefficients of two weights are not merged.
+    e4 = eisenstein(4, 32)
+    twin = GradedSeries(QSeries.from_numerators(list(e4.numerators), e4.denominator), 4)
+    terms = _kernel_terms(monkeypatch, e4, twin, m)
+    if m % 2:
+        assert terms is None
+    else:
+        assert len(terms) == m // 2 + 1 and terms[-1][1] is terms[-1][2]
+    assert len(_kernel_terms(monkeypatch, e4, GradedSeries(e4.series, 6), m)) == m + 1

@@ -51,15 +51,21 @@ def _traced(*argv) -> dict:
 
 def test_tracer_instruments_a_cli_call():
     # A bracket of two catalog names reads their builders only, so it calls
-    # no traced forms function; the verify run below sees that layer.
+    # no traced forms function; the verify run below sees that layer. It
+    # sums its products in one kernel call, not through QSeries.__mul__,
+    # so a polynomial input shows the qseries layer.
     out = _traced("bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "16")
     assert out["exit_code"] == 0
-    assert {"qseries", "brackets", "cli"} <= set(out["layers"])
+    assert {"brackets", "cli"} <= set(out["layers"])
     metrics = out["metrics"]
     assert metrics["cli.command.calls"] == 1
     assert metrics["brackets.rankin_cohen.calls"] == 1
     assert metrics["forms.catalog.builds"] == 0
-    assert metrics["qseries.mul.calls"] > 0
+    out = _traced("hecke", "--input", "E4*E6", "--n", "2", "--prec", "16")
+    assert out["exit_code"] == 0
+    assert {"qseries", "cli"} <= set(out["layers"])
+    assert out["metrics"]["cli.command.calls"] == 1
+    assert out["metrics"]["qseries.mul.calls"] > 0
 
 
 def test_tracer_sees_every_layer_of_a_verify_run():
@@ -140,9 +146,9 @@ def test_no_cusp_form_is_built_from_a_checked_identity(monkeypatch):
     operands = []
     kronecker = qseries._kronecker_product
 
-    def spy(a, b):
-        operands.append(frozenset([tuple(a), tuple(b)]))
-        return kronecker(a, b)
+    def spy(terms, width):
+        operands.extend(frozenset([tuple(a), tuple(b)]) for _, a, b in terms)
+        return kronecker(terms, width)
 
     def refused(*args):
         raise AssertionError("a cusp form went through solve_linear")
@@ -172,9 +178,9 @@ def test_no_membership_basis_product_is_a_checked_identity(monkeypatch):
     operands = []
     kronecker = qseries._kronecker_product
 
-    def spy(a, b):
-        operands.append(frozenset([tuple(a), tuple(b)]))
-        return kronecker(a, b)
+    def spy(terms, width):
+        operands.extend(frozenset([tuple(a), tuple(b)]) for _, a, b in terms)
+        return kronecker(terms, width)
 
     monkeypatch.setattr(qseries, "_kronecker_product", spy)
     for k in range(24, 61, 2):
@@ -219,18 +225,18 @@ def test_the_identity_suite_repeats_no_product():
 
 
 # The lengths of every series product that the identity suite makes at
-# prec 768 after a catalog there, through _product and through each
+# prec 768 after a catalog there, through the kernel and through each
 # Kronecker substitution.
 _PRODUCT_PATHS = """
 import json
 from modforms import qseries
 from modforms.forms import catalog
 from modforms.verify import run_suite
-lengths = {name: [] for name in ("_product", "_kronecker_product", "_four_point_product")}
+lengths = {name: [] for name in ("_product_sum", "_kronecker_product", "_four_point_product")}
 def spy(name, inner):
-    def product(a, b):
-        lengths[name].append(len(a))
-        return inner(a, b)
+    def product(terms, *width):
+        lengths[name].append(len(terms[0][1]))
+        return inner(terms, *width)
     return product
 for name in lengths:
     setattr(qseries, name, spy(name, getattr(qseries, name)))
@@ -255,7 +261,7 @@ def test_the_full_precision_products_take_the_four_point_path():
     )
     assert proc.returncode == 0, proc.stderr
     lengths = json.loads(proc.stdout)
-    products = lengths["_product"]
+    products = lengths["_product_sum"]
     assert products.count(769) == 33
     assert lengths["_four_point_product"] == [n for n in products if n >= _FOUR_POINT_MIN]
     assert lengths["_kronecker_product"] == [n for n in products if _DIRECT_MAX < n < _FOUR_POINT_MIN]

@@ -25,10 +25,24 @@ from modforms.qseries import (
     _four_point_product,
     _kronecker_product,
     _pack,
+    _product_sum,
+    _slot_width,
     _unpack,
     first_difference,
 )
 from reference import convolve_reference, format_terms_reference, mul_reference
+
+
+def one_term(path):
+    """A substitution path as the product of two operands: the one term
+    (1, a, b) at the slot width the dispatcher gives it."""
+    def product(a, b):
+        terms = [(1, a, b)]
+        return path(terms, _slot_width(terms))
+    return product
+
+
+ks2, four_point = one_term(_kronecker_product), one_term(_four_point_product)
 
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=6
@@ -316,9 +330,10 @@ class TestKroneckerProduct:
         packed = []
 
         def stub(path):
-            def product(a, b):
-                packed.append((path, len(a)))
-                return [0] * len(a)
+            def product(terms, width):
+                n = len(terms[0][1])
+                packed.append((path, n))
+                return [0] * n
             return product
 
         monkeypatch.setattr(qseries, "_kronecker_product", stub("KS2"))
@@ -335,8 +350,8 @@ class TestKroneckerProduct:
     @settings(max_examples=80, deadline=None)
     def test_four_point_equals_ks2(self, n, data):
         a, b = (data.draw(series_of_length(n)).numerators for _ in range(2))
-        assert _four_point_product(a, b) == _kronecker_product(a, b)
-        assert _four_point_product(a, a) == _kronecker_product(a, a)
+        assert four_point(a, b) == ks2(a, b)
+        assert four_point(a, a) == ks2(a, a)
 
     # The product is read off two evaluations, at +2^(w/2) and -2^(w/2):
     # even and odd parts of opposite signs make the two differ in sign.
@@ -345,7 +360,7 @@ class TestKroneckerProduct:
         a = tuple((-1) ** i * (i + 2) for i in range(n))
         b = tuple((-1) ** (i + 1) * (2**70 + i) for i in range(n))
         expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
-        assert _kronecker_product(a, b) == list(expected.numerators)
+        assert ks2(a, b) == list(expected.numerators)
 
     # The four-point path also reads the real and imaginary parts of c(ix)
     # at x = 2^(w/4), for the slot width w: with positive a and b of
@@ -361,7 +376,7 @@ class TestKroneckerProduct:
         re = sum(c * x**k * (1, 0, -1, 0)[k % 4] for k, c in enumerate(full))
         im = sum(c * x**k * (0, 1, 0, -1)[k % 4] for k, c in enumerate(full))
         assert re * im < 0
-        assert _four_point_product(a, b) == full[:n]
+        assert four_point(a, b) == full[:n]
 
     # Equal operands are packed once and squared, whether they are one
     # tuple or two equal ones.
@@ -419,7 +434,7 @@ class TestKroneckerProduct:
     )
     def test_slot_edge_cases_match_reference(self, a, b):
         expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
-        assert _kronecker_product(a, b) == list(expected.numerators)
+        assert ks2(a, b) == list(expected.numerators)
 
     # Every coefficient +-M or 0, so that a product coefficient reaches the
     # slot bound n * M^2 itself when its terms share one sign. M puts
@@ -430,7 +445,7 @@ class TestKroneckerProduct:
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, 18, 769])
     def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
-        self.check_slot_bound(_kronecker_product, n, pattern, residue)
+        self.check_slot_bound(ks2, n, pattern, residue)
 
     # The four-point path keeps KS2's slots: the same check in each class
     # mod 4 above the crossover, and at prec 768.
@@ -438,7 +453,7 @@ class TestKroneckerProduct:
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [*FOUR_POINT_LENGTHS, 769])
     def test_four_point_coefficients_at_the_slot_bound(self, n, pattern, residue):
-        self.check_slot_bound(_four_point_product, n, pattern, residue)
+        self.check_slot_bound(four_point, n, pattern, residue)
 
     @staticmethod
     def check_slot_bound(product_of, n, pattern, residue):
@@ -460,6 +475,76 @@ class TestKroneckerProduct:
         left = catalog_form("E4", 301) * catalog_form("E6", 301)
         right = catalog_form("Delta16", 301).derivative()
         self.assert_matches_reference(left, right)
+
+
+def sum_reference(terms):
+    """sum c * convolve_reference(a, b) over the terms (c, a, b)."""
+    out = [0] * len(terms[0][1])
+    for c, a, b in terms:
+        out = [t + c * x for t, x in zip(out, convolve_reference(a, b))]
+    return out
+
+
+class TestProductSum:
+    """_product_sum(terms) is the one multiply kernel: sum c * a * b over
+    the terms (c, a, b), summed at the evaluation points of each path and
+    read back once, on one slot width for all terms. convolve_reference
+    is its oracle, term by term."""
+
+    # Both sides of each crossover, and long odd and even lengths.
+    LENGTHS = [1, 16, 17, 159, 160, 241]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_convolution_sum(self, n, data):
+        # Signed and zero weights; b is a itself, an equal copy of it, or
+        # another operand.
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            c = data.draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**40), 10**40)))
+            a = data.draw(series_of_length(n)).numerators
+            b = data.draw(st.sampled_from(["same", "copy", "other"]))
+            b = a if b == "same" else list(a) if b == "copy" else data.draw(series_of_length(n)).numerators
+            terms.append((c, a, b))
+        assert _product_sum(terms) == sum_reference(terms)
+
+    # c a b - c b a, and a b + a (-b), cancel; so do the halves of a
+    # square, and a term of weight 0.
+    @pytest.mark.parametrize("n", LENGTHS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_sums_that_cancel_to_zero(self, n, data):
+        a, b = (data.draw(series_of_length(n)).numerators for _ in range(2))
+        c = data.draw(st.integers(-(10**20), 10**20))
+        minus_b = [-x for x in b]
+        for terms in ([(c, a, b), (-c, b, a)], [(c, a, b), (c, a, minus_b)],
+                      [(c, a, a), (-2 * c, a, a), (c, a, list(a))], [(0, a, b)]):
+            assert _product_sum(terms) == [0] * n
+
+    # The sum of three terms of one sign pattern, with weights 1, 2 and 5,
+    # puts coefficient n - 1 on the bound n * (1 + 2 + 5) * M^2 itself
+    # when every sign is +; M sets the slot width's rounding as in
+    # TestKroneckerProduct.check_slot_bound.
+    @pytest.mark.parametrize("residue", [0, 7, 1])
+    @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
+    @pytest.mark.parametrize("n", [17, 160, 769])
+    def test_sum_coefficients_at_the_slot_bound(self, n, pattern, residue):
+        signs_a, signs_b, expected = sign_product(n, pattern)
+        weights = (1, 2, 5)
+        big = next(m for t in itertools.count(120) for m in [math.isqrt((1 << t) // (8 * n)) + 1]
+                   if ((8 * n * m * m).bit_length() + 8) % 8 == residue)
+        a, b = [big * s for s in signs_a], [big * s for s in signs_b]
+        product = _product_sum([(c, a, b) for c in weights])
+        assert product == [8 * big * big * c for c in expected]
+        if pattern == "plus":
+            assert product[n - 1] == 8 * n * big * big
+
+    def test_one_term_is_the_product(self):
+        f = QSeries.from_numerators(range(-20, 180), 7)
+        g = QSeries.from_numerators([(-1) ** i * i**3 for i in range(200)], 5)
+        expected = _product_sum([(1, f.numerators, g.numerators)])
+        assert list((f * g).numerators) == expected == convolve_reference(f.numerators, g.numerators)
 
 
 class TestSerialization:

@@ -11,7 +11,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modforms import verify
+from modforms import brackets as brackets_module, qseries, verify
 from modforms.forms import DELTA_WEIGHTS, catalog_form, cusp_delta, eisenstein
 from modforms.hecke import EigenReport, Violation, eigenform_test
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
@@ -324,20 +324,22 @@ class TestSturmConditions:
 
 def _full_products(monkeypatch, run, prec):
     """The products of two non-constant series at precision prec that run()
-    makes, as unordered operand pairs. run() first runs once unwatched, so
-    that the catalog, basis and Eisenstein caches are filled."""
+    makes, as unordered pairs of operand numerators: one per term of each
+    call of the product kernel, so a bracket's products count one by one.
+    run() first runs once unwatched, so that the catalog, basis and
+    Eisenstein caches are filled."""
     run()
-    original = QSeries.__mul__
+    kernel = qseries._product_sum
     products = []
 
-    def spy(self, other):
-        if isinstance(other, QSeries) and min(self.prec, other.prec) == prec:
-            operands = [(f.numerators[: prec + 1], f.denominator) for f in (self, other)]
-            if all(any(nums[1:]) for nums, _ in operands):
-                products.append(frozenset(operands))
-        return original(self, other)
+    def spy(terms):
+        for _, a, b in terms:
+            if len(a) == prec + 1 and any(a[1:]) and any(b[1:]):
+                products.append(frozenset([tuple(a), tuple(b)]))
+        return kernel(terms)
 
-    monkeypatch.setattr(QSeries, "__mul__", spy)
+    for module in (qseries, brackets_module):
+        monkeypatch.setattr(module, "_product_sum", spy)
     run()
     return products
 
@@ -345,7 +347,8 @@ def _full_products(monkeypatch, run, prec):
 class TestSharedProducts:
     def test_bracket_suite(self, monkeypatch):
         # The scan decides every hit from its prefix, so only the closing
-        # [E4,E6]_1 check builds full products: E4*E6 and D(E4)*E6.
+        # [E4,E6]_1 check builds full products, in one kernel call:
+        # E4*D(E6) and D(E4)*E6.
         products = _full_products(monkeypatch, lambda: bracket_search(256), 256)
         assert len(products) == 2
         assert len(set(products)) == 2
@@ -359,9 +362,9 @@ class TestSharedProducts:
 
     def test_all_suites(self, monkeypatch):
         # The identity suite's 29 products, D(E4)*E4 and E2*Delta12 from the
-        # product scan, and E4*E6 and D(E4)*E6 from the bracket suite: the
-        # scans build no modular candidate in full, and the suites share
-        # nothing, so D(E4)*E4, E2*Delta12 and E4*E6 are each built twice.
+        # product scan, and E4*D(E6) and D(E4)*E6 from the bracket suite:
+        # the scans build no modular candidate in full, and the suites share
+        # nothing, so D(E4)*E4 and E2*Delta12 are each built twice.
         # The identity suite runs 8 full eigen tests, the product scan 2 of
         # its own and 8 of lines, and the bracket scan 9 of lines.
         tested = []
@@ -378,7 +381,7 @@ class TestSharedProducts:
 
         products = _full_products(monkeypatch, run, 256)
         assert len(products) == 33
-        assert len(set(products)) == 30
+        assert len(set(products)) == 31
         assert sum(tested) == 27
 
 
