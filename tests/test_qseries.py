@@ -540,12 +540,6 @@ class TestProductSum:
         if pattern == "plus":
             assert product[n - 1] == 8 * n * big * big
 
-    def test_one_term_is_the_product(self):
-        f = QSeries.from_numerators(range(-20, 180), 7)
-        g = QSeries.from_numerators([(-1) ** i * i**3 for i in range(200)], 5)
-        expected = _product_sum([(1, f.numerators, g.numerators)])
-        assert list((f * g).numerators) == expected == convolve_reference(f.numerators, g.numerators)
-
 
 class TestSerialization:
     def test_json_roundtrip(self):
