@@ -310,7 +310,7 @@ def membership_basis(k: int, prec: int) -> tuple[GradedSeries, ...]:
     membership_basis(k - 12). Delta_c is the heaviest catalog cusp form
     with c <= k - 4, so that E_(k-c) is modular (k - c is never 2) and
     its numerators are as short as the catalog allows: at weight 24 and
-    prec 768, Delta20*E4 needs 144-bit KS2 slots where Delta12*E12 needs
+    prec 768, Delta20*E4 needs 144-bit slots where Delta12*E12 needs
     192. The constant 1 at k = 0, and empty where monomial_basis is."""
     dim = dim_modular(k)
     if k == 0 or dim == 0:

@@ -18,40 +18,36 @@ operation applies to it. The tag follows three rules:
 
 Every series product goes through one kernel, ``_product_sum``: the
 weighted sum c = sum_r c_r a_r b_r of products of integer polynomials of
-one length n, a plain product being the one term (1, a, b). Up to 16
-coefficients it is the direct sum c_k = sum_r c_r sum_{i<=k} a_i b_{k-i}:
-there the packing of two-point Kronecker substitution costs more than the
-quadratic sum (KS2 overtook it between 24 and 40 coefficients on signed
-numerators of 16 to 1024 bits). Longer sums take KS2 (D. Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", JSC
-2009): the even- and odd-indexed numerators of each operand are packed
-apart into big integers, one coefficient per w-bit slot, and combined
-into the operand's values at X = +-2^(w/2). A slot is written and read as
-its coefficient plus 2^(w-1), so packing is one ``to_bytes`` pass and one
-subtraction, and unpacking one addition, one ``struct.iter_unpack`` pass
-and one subtraction per slot. A term costs two half-length products
-(squarings when its operands are equal), scaled by c_r unless c_r = 1;
-the terms are summed at each point, and the even and odd coefficients of
-c are read back once off the slots of the half sum and half difference.
-Every coefficient of c, to degree 2n-2, is at most n sum_r |c_r| max|a_r|
-max|b_r| in size: one slot width w for all terms holds that bound and a
-sign bit, so the widest term sets the width of every multiply.
+one length n, a plain product being the one term (1, a, b). Up to 28
+coefficients it is the direct sum c_k = sum_r c_r sum_{i<=k} a_i b_{k-i}.
+Longer sums take four-point Kronecker substitution (after D. Harvey, JSC
+2009), which overtook the direct sum at about 31 coefficients on catalog
+operands, 33 on random 16-bit numerators, 26 on 64-bit ones and 27 on a
+three-term E4, E6 bracket sum. Each operand is split by index mod 4 and
+each part A_j packed into one big integer, one coefficient per w-bit
+slot, so that a(x) = sum_j x^j A_j(Y) with Y = 2^w and x = 2^(w/4). A
+slot is written and read as its coefficient plus 2^(w-1): packing is one
+``to_bytes`` pass and one subtraction, and unpacking one addition, one
+``struct.iter_unpack`` pass and one subtraction per slot. Every
+coefficient of the whole product c, to degree 2n-2, sums at most n
+products a_i b_j per term, so it is at most n sum_r |c_r| max|a_r|
+max|b_r| in size; one width w for all terms holds that bound and a sign
+bit. Adding 2^(w-1) to each slot read then puts every digit in [0, 2^w),
+so no carry crosses a slot, and the coefficients above the truncation
+fill only higher slots, which a mask drops.
 
-From 160 coefficients the same slots are read off four points, x =
-2^(w/4) times 1, -1, i and -i. Split by index mod 4, a(x) = sum_j x^j
-A_j(Y) with Y = x^4 = 2^w and each A_j packed as above, so a(+-x) =
-(A_0 + x^2 A_2) +- (x A_1 + x^3 A_3), a(ix) = (A_0 - x^2 A_2) + i (x A_1
-- x^3 A_3), and a(-ix) is the conjugate of a(ix). A term needs its values
-at x, -x and, by Gauss's three products, ix: five quarter-length products
-for KS2's two of half length (a square takes two squarings and two
-products). Class j of c mod 4, C_j(Y) = sum_t c_(4t+j) Y^t, is read off
-4 x^j C_j(Y) = sum over zeta of zeta^-j c(zeta x) by shifts and sums, in
-KS2's slots. Harvey's KS4 uses reciprocal points, whose read-back is a
-carry across slots, one Python loop step per slot, which costs more than
-it saves at these sizes. On catalog operands this path took 1.02 of KS2's
-time at 121 coefficients, 0.95 at 161, 0.92 at 241 and 0.84 at 769. A
-factor that is constant within the common precision scales the other
-instead. The tests hold every path to a schoolbook product sharing no code with it.
+Shifts and sums give a(+-x) = (A_0 + x^2 A_2) +- (x A_1 + x^3 A_3) and
+a(ix) = (A_0 - x^2 A_2) + i (x A_1 - x^3 A_3); a(-ix) is the conjugate.
+A term needs c(x), c(-x) and c(ix) = (p + iq)(r + is), whose parts
+Gauss's three products give as pr - qs and (p + q)(r + s) - pr - qs:
+five quarter-length products (a square takes two squarings and two
+products), scaled by c_r unless c_r = 1. The terms are summed at each
+point and read back once: class j of c mod 4, C_j(Y) = sum_t c_(4t+j)
+Y^t, is 4 x^j C_j(Y) = sum over zeta in {1, -1, i, -i} of zeta^-j c(zeta
+x), by exact shifts, read off its low slots. Harvey's reciprocal points
+would need a carry across slots, a Python loop step per slot. A factor
+that is constant within the common precision scales the other instead.
+The tests hold every path to a schoolbook product sharing no code with it.
 """
 
 from __future__ import annotations
@@ -281,29 +277,10 @@ def _point_sums(terms, values, products) -> list[int]:
     return sums
 
 
-def _kronecker_product(terms, width: int) -> list[int]:
-    """The first n coefficients of sum c a b over the terms (c, a, b), integer
-    polynomials of length n, from their values at X = +-2^(w/2) (see the
-    module docstring). With a(X) = a_even(X^2) + X a_odd(X^2), and X^2 =
-    2^w, those values are a_even(2^w) +- 2^(w/2) a_odd(2^w). The sum of
-    the two values of c is 2 c_even(2^w), and their difference is
-    2^(w/2+1) c_odd(2^w): each is read off w-bit slots by ``_unpack``."""
-    n, shift = len(terms[0][1]), 4 * width  # w/2 bits
-
-    def values(nums):
-        even, odd = _pack(nums[0::2], width), _pack(nums[1::2], width) << shift
-        return even + odd, even - odd
-
-    plus, minus = _point_sums(terms, values, lambda a, b: (a[0] * b[0], a[1] * b[1]))  # x * x squares
-    out = [0] * n
-    out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)
-    out[1::2] = _unpack((plus - minus) >> (shift + 1), n // 2, width)
-    return out
-
-
 def _four_point_product(terms, width: int) -> list[int]:
-    """``_kronecker_product``'s result from the values at x = 2^(w/4)
-    times 1, -1, i and -i, with KS2's slot width w (see the module
+    """The first n coefficients of sum c a b over the terms (c, a, b),
+    integer polynomials of length n, from their values at x = 2^(w/4)
+    times 1, -1, i and -i, for the slot width w (see the module
     docstring): the class j of the product c mod 4 is read off
     4 x^j C_j(2^w) = sum over zeta of zeta^-j c(zeta x)."""
     n, shift = len(terms[0][1]), 2 * width  # w/4 bits
@@ -332,22 +309,21 @@ def _four_point_product(terms, width: int) -> list[int]:
     return out
 
 
-# The longest operands multiplied by the direct sum, and the shortest by
-# the four-point substitution (see the module docstring).
-_DIRECT_MAX = 16
-_FOUR_POINT_MIN = 160
+# The longest operands multiplied by the direct sum (see the module
+# docstring).
+_DIRECT_MAX = 28
 
 
 def _product_sum(terms) -> list[int]:
     """The first n coefficients of sum c a b over the terms (c, a, b), for
-    integer weights c and integer polynomials a, b of length n, by the path
-    for n (see the module docstring) and one slot width for all terms."""
+    integer weights c and integer polynomials a, b of length n: the direct
+    sum up to _DIRECT_MAX coefficients, else the four-point substitution
+    on one slot width for all terms (see the module docstring)."""
     n = len(terms[0][1])
     if n <= _DIRECT_MAX:  # the direct sum, whose point values are the coefficients
         convolve = lambda a, b: [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)]
         return _point_sums(terms, lambda nums: nums, convolve)
-    path = _four_point_product if n >= _FOUR_POINT_MIN else _kronecker_product
-    return path(terms, _slot_width(terms))
+    return _four_point_product(terms, _slot_width(terms))
 
 
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -121,8 +121,10 @@ def test_matches_the_textbook_sum(i):
             assert rankin_cohen(g, h, m) == _textbook_bracket(g, h, m), (g_name, h_name, m)
 
 
-# The products D^i(g)*h carry different denominators; the Horner sum runs
-# over their lcm. Scaled operands give each factor its own denominator.
+# Scaled operands give each factor its own denominator, and the products
+# D^i(g)*h reduce to different ones. rankin_cohen sums over the product of
+# g's and h's denominators and reduces once; it must equal the textbook
+# sum of the reduced products.
 @pytest.mark.parametrize(
     "g_scale, h_scale",
     [(Fraction(1, 3), Fraction(5, 7)), (Fraction(-2, 9), Fraction(1, 4)),

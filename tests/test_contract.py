@@ -144,16 +144,16 @@ def test_no_cusp_form_is_built_from_a_checked_identity(monkeypatch):
 
     rows = {frozenset([numerators(left), numerators(right)]) for left, right, _ in PRODUCT_IDENTITIES}
     operands = []
-    kronecker = qseries._kronecker_product
+    kernel = qseries._product_sum
 
-    def spy(terms, width):
+    def spy(terms):
         operands.extend(frozenset([tuple(a), tuple(b)]) for _, a, b in terms)
-        return kronecker(terms, width)
+        return kernel(terms)
 
     def refused(*args):
         raise AssertionError("a cusp form went through solve_linear")
 
-    monkeypatch.setattr(qseries, "_kronecker_product", spy)
+    monkeypatch.setattr(qseries, "_product_sum", spy)
     monkeypatch.setattr(forms, "solve_linear", refused)
     for k in forms.DELTA_WEIGHTS:
         stored = forms.cusp_delta(k, 64)
@@ -176,13 +176,13 @@ def test_no_membership_basis_product_is_a_checked_identity(monkeypatch):
 
     rows = {frozenset([numerators(left), numerators(right)]) for left, right, _ in PRODUCT_IDENTITIES}
     operands = []
-    kronecker = qseries._kronecker_product
+    kernel = qseries._product_sum
 
-    def spy(terms, width):
+    def spy(terms):
         operands.extend(frozenset([tuple(a), tuple(b)]) for _, a, b in terms)
-        return kronecker(terms, width)
+        return kernel(terms)
 
-    monkeypatch.setattr(qseries, "_kronecker_product", spy)
+    monkeypatch.setattr(qseries, "_product_sum", spy)
     for k in range(24, 61, 2):
         stored = forms.membership_basis(k, 64)
         operands.clear()
@@ -225,14 +225,14 @@ def test_the_identity_suite_repeats_no_product():
 
 
 # The lengths of every series product that the identity suite makes at
-# prec 768 after a catalog there, through the kernel and through each
-# Kronecker substitution.
+# prec 768 after a catalog there, through the kernel and through the
+# four-point substitution.
 _PRODUCT_PATHS = """
 import json
 from modforms import qseries
 from modforms.forms import catalog
 from modforms.verify import run_suite
-lengths = {name: [] for name in ("_product_sum", "_kronecker_product", "_four_point_product")}
+lengths = {name: [] for name in ("_product_sum", "_four_point_product")}
 def spy(name, inner):
     def product(terms, *width):
         lengths[name].append(len(terms[0][1]))
@@ -250,9 +250,9 @@ print(json.dumps(lengths))
 
 def test_the_full_precision_products_take_the_four_point_path():
     # The identity suite's 33 products at 769 coefficients, and every other
-    # product from _FOUR_POINT_MIN coefficients, take the four-point path;
-    # the shorter ones above the direct sum take KS2.
-    from modforms.qseries import _DIRECT_MAX, _FOUR_POINT_MIN
+    # product above the direct sum's _DIRECT_MAX coefficients, take the
+    # four-point path.
+    from modforms.qseries import _DIRECT_MAX
 
     proc = subprocess.run(
         [sys.executable, "-c", _PRODUCT_PATHS],
@@ -263,8 +263,7 @@ def test_the_full_precision_products_take_the_four_point_path():
     lengths = json.loads(proc.stdout)
     products = lengths["_product_sum"]
     assert products.count(769) == 33
-    assert lengths["_four_point_product"] == [n for n in products if n >= _FOUR_POINT_MIN]
-    assert lengths["_kronecker_product"] == [n for n in products if _DIRECT_MAX < n < _FOUR_POINT_MIN]
+    assert lengths["_four_point_product"] == [n for n in products if n > _DIRECT_MAX]
 
 
 # Two passes, in one process, over the query-mix universe's hecke and eigen

@@ -17,13 +17,11 @@ from modforms import qseries
 from modforms.forms import catalog_form
 from modforms.qseries import (
     _DIRECT_MAX,
-    _FOUR_POINT_MIN,
     GradedSeries,
     PrecisionError,
     QSeries,
     _format_terms,
     _four_point_product,
-    _kronecker_product,
     _pack,
     _product_sum,
     _slot_width,
@@ -33,16 +31,12 @@ from modforms.qseries import (
 from reference import convolve_reference, format_terms_reference, mul_reference
 
 
-def one_term(path):
-    """A substitution path as the product of two operands: the one term
-    (1, a, b) at the slot width the dispatcher gives it."""
-    def product(a, b):
-        terms = [(1, a, b)]
-        return path(terms, _slot_width(terms))
-    return product
-
-
-ks2, four_point = one_term(_kronecker_product), one_term(_four_point_product)
+def four_point(a, b):
+    """The four-point substitution as the product of two operands: the one
+    term (1, a, b) at the slot width the dispatcher gives it, whatever the
+    length."""
+    terms = [(1, a, b)]
+    return _four_point_product(terms, _slot_width(terms))
 
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=6
@@ -274,11 +268,11 @@ def sign_product(n, pattern):
 
 
 class TestKroneckerProduct:
-    """QSeries.__mul__ takes the direct sum up to _DIRECT_MAX coefficients,
-    KS2 from there and the four-point substitution from _FOUR_POINT_MIN;
-    both substitutions pack each operand into big integers and read the
-    product off fixed-width slots. mul_reference and convolve_reference
-    share no code with any path and must agree bit for bit."""
+    """QSeries.__mul__ takes the direct sum up to _DIRECT_MAX coefficients
+    and the four-point substitution from there, which packs each operand
+    into big integers and reads the product off fixed-width slots.
+    mul_reference and convolve_reference share no code with either path
+    and must agree bit for bit."""
 
     @staticmethod
     def assert_matches_reference(f, g):
@@ -309,10 +303,11 @@ class TestKroneckerProduct:
     def test_matches_reference(self, f, g):
         self.assert_matches_reference(f, g)
 
-    # Lengths on both sides of the crossover from the direct sum to KS2,
-    # and from KS2 to the four-point path in each class mod 4.
-    FOUR_POINT_LENGTHS = [_FOUR_POINT_MIN + d for d in range(4)]
-    CROSSOVER_LENGTHS = [1, 2, 15, 16, 17, 18, 40, _FOUR_POINT_MIN - 1, *FOUR_POINT_LENGTHS]
+    # Lengths on both sides of the crossover from the direct sum to the
+    # four-point path, short four-point lengths in each class mod 4, and
+    # long ones in each class mod 4.
+    FOUR_POINT_LENGTHS = [160, 161, 162, 163]
+    CROSSOVER_LENGTHS = [1, 2, 15, 16, 17, 18, _DIRECT_MAX, _DIRECT_MAX + 1, 40, 159, *FOUR_POINT_LENGTHS]
 
     @pytest.mark.parametrize("n", CROSSOVER_LENGTHS)
     @given(data=st.data())
@@ -326,41 +321,41 @@ class TestKroneckerProduct:
         self.assert_matches_convolution(f, twin)
 
     def test_the_length_alone_picks_the_path(self, monkeypatch):
-        assert {_DIRECT_MAX, _DIRECT_MAX + 1, _FOUR_POINT_MIN - 1, _FOUR_POINT_MIN} <= set(self.CROSSOVER_LENGTHS)
+        assert {_DIRECT_MAX, _DIRECT_MAX + 1} <= set(self.CROSSOVER_LENGTHS)
         packed = []
 
-        def stub(path):
-            def product(terms, width):
-                n = len(terms[0][1])
-                packed.append((path, n))
-                return [0] * n
-            return product
+        def product(terms, width):
+            n = len(terms[0][1])
+            packed.append(n)
+            return [0] * n
 
-        monkeypatch.setattr(qseries, "_kronecker_product", stub("KS2"))
-        monkeypatch.setattr(qseries, "_four_point_product", stub("four-point"))
+        monkeypatch.setattr(qseries, "_four_point_product", product)
         for n in self.CROSSOVER_LENGTHS:
-            f = QSeries.from_numerators(range(1, n + 1), 1)
-            f * QSeries.from_numerators(range(-n, 0), 1)
-        assert packed == [("four-point" if n >= _FOUR_POINT_MIN else "KS2", n)
-                          for n in self.CROSSOVER_LENGTHS if n > _DIRECT_MAX]
+            f, g = QSeries.from_numerators(range(1, n + 1), 1), QSeries.from_numerators(range(-n, 0), 1)
+            if n <= _DIRECT_MAX:  # the direct sum, untouched by the stub
+                self.assert_matches_convolution(f, g)
+            else:
+                f * g
+        assert packed == [n for n in self.CROSSOVER_LENGTHS if n > _DIRECT_MAX]
 
-    # The four-point path against KS2 at every short length, where some
-    # classes mod 4 are empty, and at long ones, squares included.
+    # The four-point path against the schoolbook product at every short
+    # length, where some classes mod 4 are empty, and at long ones,
+    # squares included.
     @given(st.sampled_from([*range(1, 40), 64, 65, 66, 67, 100, 257]), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_four_point_equals_ks2(self, n, data):
+    def test_four_point_equals_the_convolution(self, n, data):
         a, b = (data.draw(series_of_length(n)).numerators for _ in range(2))
-        assert four_point(a, b) == ks2(a, b)
-        assert four_point(a, a) == ks2(a, a)
+        assert four_point(a, b) == convolve_reference(a, b)[:n]
+        assert four_point(a, a) == convolve_reference(a, a)[:n]
 
-    # The product is read off two evaluations, at +2^(w/2) and -2^(w/2):
-    # even and odd parts of opposite signs make the two differ in sign.
+    # The even and odd classes are read off the values at x = 2^(w/4) and
+    # -x: even and odd parts of opposite signs make the two differ in sign.
     @pytest.mark.parametrize("n", range(1, 7))
     def test_even_and_odd_parts_of_opposite_signs(self, n):
         a = tuple((-1) ** i * (i + 2) for i in range(n))
         b = tuple((-1) ** (i + 1) * (2**70 + i) for i in range(n))
         expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
-        assert ks2(a, b) == list(expected.numerators)
+        assert four_point(a, b) == list(expected.numerators)
 
     # The four-point path also reads the real and imaginary parts of c(ix)
     # at x = 2^(w/4), for the slot width w: with positive a and b of
@@ -434,21 +429,22 @@ class TestKroneckerProduct:
     )
     def test_slot_edge_cases_match_reference(self, a, b):
         expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
-        assert ks2(a, b) == list(expected.numerators)
+        assert four_point(a, b) == list(expected.numerators)
 
     # Every coefficient +-M or 0, so that a product coefficient reaches the
     # slot bound n * M^2 itself when its terms share one sign. M puts
     # bound.bit_length() + 8, which the slot width in bytes is rounded down
     # from, on a multiple of 8, one below it and one above it. By
-    # bilinearity the product is M^2 times that of the signs.
+    # bilinearity the product is M^2 times that of the signs. The
+    # four-point path at short lengths (classes 1 and 2 mod 4) and at
+    # prec 768.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, 18, 769])
     def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
-        self.check_slot_bound(ks2, n, pattern, residue)
+        self.check_slot_bound(four_point, n, pattern, residue)
 
-    # The four-point path keeps KS2's slots: the same check in each class
-    # mod 4 above the crossover, and at prec 768.
+    # The same check at long lengths in each class mod 4, and at prec 768.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [*FOUR_POINT_LENGTHS, 769])
@@ -491,8 +487,9 @@ class TestProductSum:
     read back once, on one slot width for all terms. convolve_reference
     is its oracle, term by term."""
 
-    # Both sides of each crossover, and long odd and even lengths.
-    LENGTHS = [1, 16, 17, 159, 160, 241]
+    # Both sides of the crossover at _DIRECT_MAX, short direct and
+    # four-point lengths, and long ones in classes 0, 1 and 3 mod 4.
+    LENGTHS = [1, 16, 17, _DIRECT_MAX, _DIRECT_MAX + 1, 159, 160, 241]
 
     @pytest.mark.parametrize("n", LENGTHS)
     @given(data=st.data())
@@ -528,7 +525,7 @@ class TestProductSum:
     # TestKroneckerProduct.check_slot_bound.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
-    @pytest.mark.parametrize("n", [17, 160, 769])
+    @pytest.mark.parametrize("n", [17, _DIRECT_MAX + 1, 160, 769])
     def test_sum_coefficients_at_the_slot_bound(self, n, pattern, residue):
         signs_a, signs_b, expected = sign_product(n, pattern)
         weights = (1, 2, 5)
