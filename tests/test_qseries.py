@@ -303,9 +303,9 @@ class TestKroneckerProduct:
     def test_matches_reference(self, f, g):
         self.assert_matches_reference(f, g)
 
-    # Lengths on both sides of the crossover from the direct sum to the
-    # four-point path, short four-point lengths in each class mod 4, and
-    # long ones in each class mod 4.
+    # Short lengths on the direct sum, both sides of the crossover from the
+    # direct sum to the four-point path, and four-point lengths up to
+    # 160-163, one in each class mod 4.
     FOUR_POINT_LENGTHS = [160, 161, 162, 163]
     CROSSOVER_LENGTHS = [1, 2, 15, 16, 17, 18, _DIRECT_MAX, _DIRECT_MAX + 1, 40, 159, *FOUR_POINT_LENGTHS]
 
@@ -487,8 +487,8 @@ class TestProductSum:
     read back once, on one slot width for all terms. convolve_reference
     is its oracle, term by term."""
 
-    # Both sides of the crossover at _DIRECT_MAX, short direct and
-    # four-point lengths, and long ones in classes 0, 1 and 3 mod 4.
+    # Short direct-sum lengths, both sides of the crossover at _DIRECT_MAX,
+    # and long lengths in classes 3, 0 and 1 mod 4.
     LENGTHS = [1, 16, 17, _DIRECT_MAX, _DIRECT_MAX + 1, 159, 160, 241]
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -522,7 +522,8 @@ class TestProductSum:
     # The sum of three terms of one sign pattern, with weights 1, 2 and 5,
     # puts coefficient n - 1 on the bound n * (1 + 2 + 5) * M^2 itself
     # when every sign is +; M sets the slot width's rounding as in
-    # TestKroneckerProduct.check_slot_bound.
+    # TestKroneckerProduct.check_slot_bound. At 17 coefficients the sum is
+    # the direct one.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, _DIRECT_MAX + 1, 160, 769])
