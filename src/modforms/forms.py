@@ -9,10 +9,10 @@ E10^2 at weights 16 and 20 and E4*E_{k-4} at 18, 22 and 26. Membership
 in M_k is certified in ``membership_basis``, E_k and then cusp forms: it
 costs no product where dim S_k <= 1 and dim S_k products elsewhere (two
 at weights 24 and 28: Delta20*E4 and Delta12^2, Delta22*E6 and
-Delta12*Delta16). That basis is triangular, so its coordinates come by
-forward substitution. The monomial coordinates it reports are then
-solved on a prefix of dim M_k + 10 coefficients, which fixes a form of
-M_k (Sturm's bound).
+Delta12*Delta16). That basis is triangular, so ``span_coordinates``
+solves it on a_0..a_(dim M_k - 1) and re-checks every certified
+coefficient; it then solves the monomial coordinates on a prefix of
+dim M_k + 10 coefficients, which fixes a form of M_k (Sturm's bound).
 
 The builders ``eisenstein``, ``monomial``, ``monomial_basis``,
 ``membership_basis`` and ``cusp_delta`` each keep one store: one value
@@ -372,41 +372,9 @@ def span_coordinates(
     if solution is None:
         return None
     coords = [y * Fraction(c.denominator, target.denominator) for y, c in zip(solution, columns)]
-    return _rechecked(columns, coords, target)
-
-
-def _rechecked(columns: Sequence[QSeries], coords, target: QSeries) -> Optional[list]:
-    """coords when sum coords_i column_i equals target on every certified
-    coefficient of target, else None."""
     if first_difference(_combination(columns, coords, target.prec), target) is not None:
         return None
     return coords
-
-
-def _triangular_coordinates(basis: Sequence[QSeries], target: QSeries) -> Optional[list[Fraction]]:
-    """Exact coordinates of target in a basis whose element j is
-    q^j + O(q^(j+1)), or None: forward substitution on a_0..a_(len-1),
-    which fix them, then the re-check of span_coordinates.
-
-    The substitution runs in integers. With element j = n_j / d_j and
-    coordinate m = x_m / P_m over the running denominator
-    P_m = t_den * d_0 * ... * d_(m-1), clearing P_m from
-    c_m = t_m / t_den - sum_(j<m) c_j n_j[m] / d_j leaves
-    x_m = t_m d_0...d_(m-1) - sum_(j<m) x_j n_j[m] d_(j+1)...d_(m-1).
-    """
-    nums: list[int] = []
-    product = 1
-    for m, element in enumerate(basis):
-        total = 0
-        for x, form in zip(nums, basis):
-            total = total * form.denominator + x * form.numerators[m]
-        nums.append(target.numerators[m] * product - total)
-        product *= element.denominator
-    coords, den = [], target.denominator
-    for x, form in zip(nums, basis):
-        coords.append(Fraction(x, den))
-        den *= form.denominator
-    return _rechecked(basis, coords, target)
 
 
 # Coefficients solved beyond the column count in a span solve.
@@ -416,11 +384,11 @@ _WINDOW_MARGIN = 10
 def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
     """Exact coordinates of f in the monomial basis of M_k, or None.
 
-    f is first certified in membership_basis(k): that basis is triangular
-    (element j is q^j + O(q^(j+1))), so its coordinates are fixed by
-    a_0..a_(dim M_k - 1), found by forward substitution and re-checked
-    against every certified coefficient of f (see span_coordinates). A form
-    of M_k is fixed by a_0..a_(k//12) (Sturm's bound), so the monomial
+    f is first certified by span_coordinates in membership_basis(k): that
+    basis is triangular (element j is q^j + O(q^(j+1))), so the square
+    window a_0..a_(dim M_k - 1) fixes its coordinates, and the solve
+    re-checks them against every certified coefficient of f. A form of
+    M_k is fixed by a_0..a_(k//12) (Sturm's bound), so the monomial
     coordinates, solved over monomial_basis(k, window) on the first
     window = dim M_k + _WINDOW_MARGIN coefficients alone, are exact.
     """
@@ -439,7 +407,7 @@ def is_modular_member(f: QSeries, k: int) -> Optional[list[Fraction]]:
             f"membership test in M_{k} needs precision >= {window}, "
             f"have {f.prec}"
         )
-    if _triangular_coordinates(membership_basis(k, f.prec), f) is None:
+    if span_coordinates(membership_basis(k, f.prec), f, dim - 1) is None:
         return None
     return span_coordinates(monomial_basis(k, window), f.truncate(window), window)
 
@@ -622,6 +590,7 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<sym>E[246])|(?P<op>\*\*|[()^*/+\
 # Each parenthesis level costs five Python frames, so this keeps the
 # descent far below the interpreter's recursion limit.
 _MAX_NESTING = 100
+_MAX_DIGITS = 4300  # the longest integer literal int() reads by default
 
 
 class _PolyParser:
@@ -650,10 +619,11 @@ class _PolyParser:
                 remainder = text[pos:].strip()
                 if not remainder:
                     break
-                raise ValueError(
-                    f"unexpected input at {remainder[:12]!r} in generator polynomial"
-                )
-            tokens.append(match.group(match.lastgroup))
+                raise ValueError(f"unexpected input at {remainder[:12]!r} in generator polynomial")
+            token = match.group(match.lastgroup)
+            if len(token) > _MAX_DIGITS:
+                raise ValueError(f"integer literal of {len(token)} digits exceeds the cap of {_MAX_DIGITS}")
+            tokens.append(token)
             pos = match.end()
         return tokens
 

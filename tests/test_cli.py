@@ -175,6 +175,18 @@ class TestHecke:
             "Error: constant power exceeds the cap of 65536 bits"
         ]
 
+    # A literal longer than int() reads by default is the parser's own
+    # error, as a constant and as an exponent; one at the cap is read.
+    @pytest.mark.parametrize("template", ["{}", "E4^{}"], ids=["constant", "exponent"])
+    def test_integer_literal_above_the_digit_cap(self, template):
+        result = run_cli("hecke", "--input", template.format("9" * 5000), "--n", "1", "--prec", "2")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: integer literal of 5000 digits exceeds the cap of 4300"
+        ]
+        result = run_cli("hecke", "--input", "9" * 4300, "--n", "1", "--prec", "2")
+        assert result.exit_code == 0 and result.output.startswith("[weight 0] 999")
+
 
 class TestEigen:
     def test_eigenform(self):

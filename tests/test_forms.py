@@ -252,7 +252,7 @@ class TestMembership:
         changed = form.series + QSeries([0] * 40 + [1], prec=40)
         assert is_modular_member(changed, 264) is None
 
-    @pytest.mark.parametrize("k", range(4, 61, 2))
+    @pytest.mark.parametrize("k", [*range(4, 61, 2), 264])
     def test_the_square_window_answers_as_the_wide_one(self, k):
         # membership_basis(k) is triangular, so a_0..a_(dim-1) fix its
         # coordinates. Members, a target off the span, and targets that
@@ -302,25 +302,11 @@ class TestMembership:
         coords, solved = monomial_solve(k, member.coeffs[:dim], prec)
         assert solved == member and is_modular_member(member, k) == coords
 
-    # The basis is triangular, so forward substitution on a_0..a_(dim-1)
-    # gives the coordinates that an elimination on that window gives, for a
-    # member, a target off the span and a target changed at q^dim.
-    @pytest.mark.parametrize("k", [*range(4, 61, 2), 264])
-    def test_forward_substitution_matches_the_elimination(self, k):
-        prec = 40
-        basis = membership_basis(k, prec)
-        dim = len(basis)
-        member = _combination(basis, [Fraction(j + 1, j + 2) for j in range(dim)], prec)
-        off_span = member + eisenstein(2, prec).series
-        changed = member + QSeries([0] * dim + [1], prec=prec)
-        for target in (member, off_span, changed):
-            expected = span_coordinates(basis, target, dim - 1)
-            assert (expected is not None) == (target is member), k
-            assert forms._triangular_coordinates(basis, target) == expected, k
-
-    def test_one_elimination_per_membership_test(self, monkeypatch):
-        # Only the monomial coordinates, on the dim + 10 window, are solved
-        # by elimination; a target refused by the basis is not solved at all.
+    def test_one_elimination_per_basis(self, monkeypatch):
+        # A member is solved twice by elimination: in membership_basis on the
+        # square window of dim rows, then in the monomial basis on the
+        # dim + 10 window of dim + 11 rows. A target the basis refuses makes
+        # only the first.
         rows = []
 
         def spy(matrix, rhs):
@@ -333,10 +319,10 @@ class TestMembership:
         for form, k in targets:
             rows.clear()
             assert is_modular_member(form, k) is not None
-            assert rows == [dim_modular(k) + 11], k
+            assert rows == [dim_modular(k), dim_modular(k) + 11], k
             rows.clear()
             assert is_modular_member(form + QSeries([0] * form.prec + [1]), k) is None
-            assert rows == [], k
+            assert rows == [dim_modular(k)], k
 
 
 class TestSpanCoordinates:

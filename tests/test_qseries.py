@@ -436,19 +436,12 @@ class TestKroneckerProduct:
     # bound.bit_length() + 8, which the slot width in bytes is rounded down
     # from, on a multiple of 8, one below it and one above it. By
     # bilinearity the product is M^2 times that of the signs. The
-    # four-point path at short lengths (classes 1 and 2 mod 4) and at
-    # prec 768.
+    # four-point path at short lengths (classes 1 and 2 mod 4), at long
+    # lengths in each class mod 4, and at prec 768.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
-    @pytest.mark.parametrize("n", [17, 18, 769])
+    @pytest.mark.parametrize("n", [17, 18, *FOUR_POINT_LENGTHS, 769])
     def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
-        self.check_slot_bound(four_point, n, pattern, residue)
-
-    # The same check at long lengths in each class mod 4, and at prec 768.
-    @pytest.mark.parametrize("residue", [0, 7, 1])
-    @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
-    @pytest.mark.parametrize("n", [*FOUR_POINT_LENGTHS, 769])
-    def test_four_point_coefficients_at_the_slot_bound(self, n, pattern, residue):
         self.check_slot_bound(four_point, n, pattern, residue)
 
     @staticmethod
@@ -522,11 +515,11 @@ class TestProductSum:
     # The sum of three terms of one sign pattern, with weights 1, 2 and 5,
     # puts coefficient n - 1 on the bound n * (1 + 2 + 5) * M^2 itself
     # when every sign is +; M sets the slot width's rounding as in
-    # TestKroneckerProduct.check_slot_bound. At 17 coefficients the sum is
-    # the direct one.
+    # TestKroneckerProduct.check_slot_bound. At _DIRECT_MAX coefficients
+    # the sum is the direct one, from _DIRECT_MAX + 1 the four-point one.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
-    @pytest.mark.parametrize("n", [17, _DIRECT_MAX + 1, 160, 769])
+    @pytest.mark.parametrize("n", [_DIRECT_MAX, _DIRECT_MAX + 1, 160, 769])
     def test_sum_coefficients_at_the_slot_bound(self, n, pattern, residue):
         signs_a, signs_b, expected = sign_product(n, pattern)
         weights = (1, 2, 5)
