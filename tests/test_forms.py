@@ -302,7 +302,33 @@ class TestMembership:
         coords, solved = monomial_solve(k, member.coeffs[:dim], prec)
         assert solved == member and is_modular_member(member, k) == coords
 
-    def test_one_elimination_per_basis(self, monkeypatch):
+    # The basis is triangular, so forward substitution on a_0..a_(dim-1),
+    # written here in Fractions as the reference, gives the coordinates
+    # that the elimination of span_coordinates gives on that window, for a
+    # member, a target off the span and a target changed at q^dim.
+    @pytest.mark.parametrize("k", [*range(4, 61, 2), 264])
+    def test_forward_substitution_matches_the_elimination(self, k):
+        prec = 40
+        basis = membership_basis(k, prec)
+        dim = len(basis)
+        columns = [form.coeffs for form in basis]
+
+        def forward_substitution(target):
+            values, coords = target.coeffs, []
+            for m in range(dim):
+                coords.append(values[m] - sum(c * column[m] for c, column in zip(coords, columns)))
+            combination = [sum(c * column[i] for c, column in zip(coords, columns)) for i in range(prec + 1)]
+            return coords if combination == list(values) else None
+
+        member = _combination(basis, [Fraction(j + 1, j + 2) for j in range(dim)], prec)
+        off_span = member + eisenstein(2, prec).series
+        changed = member + QSeries([0] * dim + [1], prec=prec)
+        for target in (member, off_span, changed):
+            expected = forward_substitution(target)
+            assert (expected is not None) == (target is member), k
+            assert span_coordinates(basis, target, dim - 1) == expected, k
+
+    def test_one_elimination_per_membership_test(self, monkeypatch):
         # A member is solved twice by elimination: in membership_basis on the
         # square window of dim rows, then in the monomial basis on the
         # dim + 10 window of dim + 11 rows. A target the basis refuses makes

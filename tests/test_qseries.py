@@ -441,8 +441,19 @@ class TestKroneckerProduct:
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, 18, *FOUR_POINT_LENGTHS, 769])
-    def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
+    def test_four_point_coefficients_at_the_slot_bound(self, n, pattern, residue):
         self.check_slot_bound(four_point, n, pattern, residue)
+
+    # The same check through QSeries.__mul__, which takes the direct sum at
+    # 17 and 18 coefficients and the four-point path at 769.
+    @pytest.mark.parametrize("residue", [0, 7, 1])
+    @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
+    @pytest.mark.parametrize("n", [17, 18, 769])
+    def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
+        def product_of(a, b):
+            return list((QSeries.from_numerators(a, 1) * QSeries.from_numerators(b, 1)).numerators)
+
+        self.check_slot_bound(product_of, n, pattern, residue)
 
     @staticmethod
     def check_slot_bound(product_of, n, pattern, residue):
@@ -515,11 +526,12 @@ class TestProductSum:
     # The sum of three terms of one sign pattern, with weights 1, 2 and 5,
     # puts coefficient n - 1 on the bound n * (1 + 2 + 5) * M^2 itself
     # when every sign is +; M sets the slot width's rounding as in
-    # TestKroneckerProduct.check_slot_bound. At _DIRECT_MAX coefficients
-    # the sum is the direct one, from _DIRECT_MAX + 1 the four-point one.
+    # TestKroneckerProduct.check_slot_bound. At 17 and _DIRECT_MAX
+    # coefficients the sum is the direct one, from _DIRECT_MAX + 1 the
+    # four-point one.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
-    @pytest.mark.parametrize("n", [_DIRECT_MAX, _DIRECT_MAX + 1, 160, 769])
+    @pytest.mark.parametrize("n", [17, _DIRECT_MAX, _DIRECT_MAX + 1, 160, 769])
     def test_sum_coefficients_at_the_slot_bound(self, n, pattern, residue):
         signs_a, signs_b, expected = sign_product(n, pattern)
         weights = (1, 2, 5)
