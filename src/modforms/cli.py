@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 from .exactmath import rational_str
 from .forms import (
+    _MAX_DIGITS,
     _WINDOW_MARGIN,
     CATALOG_NAMES,
     GeneratorPoly,
@@ -37,6 +38,10 @@ from .qseries import GradedSeries, PrecisionError
 from .verify import DEFAULT_PREC, SUITE_NAMES, run_suite
 
 _NAME_RE = re.compile(r"^[A-Za-z]\w*$")
+# What int() reads as an integer: the digits of an over-long one are counted.
+_INT_RE = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")
+# A refused option value longer than this is quoted by this many characters.
+_QUOTE_MAX = 40
 # Far above every suite and query; a larger value fails at once instead of running.
 _MAX_PREC = 4096
 # The largest precision decompose derives; its solve grows as the cube of it.
@@ -128,14 +133,29 @@ def _option(flag: str, **kwargs):
     return flag, kwargs
 
 
-def _precision(text: str) -> int:
-    """A --prec value. One that is not an integer is a usage error, worded as
-    argparse words it for int; one above _MAX_PREC is an input error, raised
-    while the command line is read, so no command runs."""
+def _integer(text: str) -> int:
+    """An integer option's value. One that int() refuses is a usage error,
+    worded as argparse words it for int; one with more digits than the
+    _MAX_DIGITS that int() reads says so, and a refused value longer than
+    _QUOTE_MAX characters is quoted by its first _QUOTE_MAX."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        pass
+    match = _INT_RE.fullmatch(text)
+    digits = len(match.group(1).replace("_", "")) if match else 0
+    if digits > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"integer value {text[:_QUOTE_MAX]!r}... of {digits} digits exceeds the cap of {_MAX_DIGITS}"
+        )
+    quoted = repr(text) if len(text) <= _QUOTE_MAX else f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
+    raise argparse.ArgumentTypeError(f"invalid int value: {quoted}")
+
+
+def _precision(text: str) -> int:
+    """A --prec value: an _integer, and one above _MAX_PREC is an input
+    error, raised while the command line is read, so no command runs."""
+    value = _integer(text)
     if value > _MAX_PREC:
         raise CLIError(f"--prec {value} exceeds the maximum {_MAX_PREC}")
     return value
@@ -197,7 +217,7 @@ main = _Main("Exact q-expansion computations for level-one modular forms.")
 
 @main.command(
     "eis",
-    _option("--weight", type=int, required=True, help="Even weight k >= 2."),
+    _option("--weight", type=_integer, required=True, help="Even weight k >= 2."),
     _PREC,
     _JSON,
 )
@@ -210,7 +230,7 @@ def eis_cmd(weight: int, prec: int, as_json: bool):
 
 @main.command(
     "delta",
-    _option("--weight", type=int, required=True, help="One of 12,16,18,20,22,26."),
+    _option("--weight", type=_integer, required=True, help="One of 12,16,18,20,22,26."),
     _PREC,
     _JSON,
 )
@@ -224,7 +244,7 @@ def delta_cmd(weight: int, prec: int, as_json: bool):
 @main.command(
     "hecke",
     _option("--input", dest="source", required=True, help="Catalog name or polynomial in E2,E4,E6."),
-    _option("--n", dest="index", type=int, required=True, help="Operator index n >= 1."),
+    _option("--n", dest="index", type=_integer, required=True, help="Operator index n >= 1."),
     _DEFAULT_PREC,
     _JSON,
 )
@@ -241,8 +261,8 @@ def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
 @main.command(
     "eigen",
     _option("--input", dest="source", required=True, help="Catalog name or polynomial in E2,E4,E6."),
-    _option("--bound", type=int, default=10, help="Test T_n for n <= bound (default: %(default)s)."),
-    _option("--window", type=int, default=12, help="(default: %(default)s)"),
+    _option("--bound", type=_integer, default=10, help="Test T_n for n <= bound (default: %(default)s)."),
+    _option("--window", type=_integer, default=12, help="(default: %(default)s)"),
     _DEFAULT_PREC,
     _JSON,
 )
@@ -269,7 +289,7 @@ def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
     "bracket",
     _option("--g", dest="g_name", required=True, help="Catalog name other than E2."),
     _option("--h", dest="h_name", required=True, help="Catalog name other than E2."),
-    _option("--m", dest="order", type=int, required=True, help="Bracket order m >= 0."),
+    _option("--m", dest="order", type=_integer, required=True, help="Bracket order m >= 0."),
     _DEFAULT_PREC,
     _JSON,
 )
@@ -287,8 +307,8 @@ def bracket_cmd(g_name: str, h_name: str, order: int, prec: int, as_json: bool):
 @main.command(
     "decompose",
     _option("--expr", required=True, help="Polynomial in E2, E4, E6."),
-    _option("--weight", type=int, required=True, help="Expected homogeneous weight."),
-    _option("--depth", type=int, required=True, help="Depth bound p < weight/2."),
+    _option("--weight", type=_integer, required=True, help="Expected homogeneous weight."),
+    _option("--depth", type=_integer, required=True, help="Depth bound p < weight/2."),
     _JSON,
 )
 def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):

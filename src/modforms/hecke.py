@@ -11,7 +11,10 @@ term rescales it by (d^2/n)^r, shifting the effective weight of that
 component to k - 2r and contributing the n^r prefactor. Depth 0 is the
 q-expansion form of the weight-k averaging operator. The kernel builds
 b_0..b_{floor(prec/n)} in integers, one strided slice of the coefficients
-per divisor of n. Its independent correctness oracles are
+per divisor of n, scaled and added by map, so that no bytecode runs per
+coefficient. The eigenform test compares T_n f with lambda_n f the same
+way: one lazy pass per Y-component that stops at its first unequal
+coefficient. Its independent correctness oracles are
 multiplicativity T_m T_n = T_{mn} for coprime m, n and the prime-power
 recursion T_p T_{p^r} = T_{p^{r+1}} + p^(k-1) T_{p^(r-1)}, both
 exercised by the test suite at depths 0 and 1.
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from itertools import compress, count as indices, repeat
 from math import gcd
+from operator import add, mul, ne
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactmath import divisors, rational_str
@@ -44,14 +49,19 @@ def _kernel(nums: Sequence[int], k: int, r: int, n: int, count: int) -> tuple[li
     count, where n^r d^(k-2r-1) = c_d / D; a negative exponent (2r+1 > k)
     is written as (n/d)^(2r+1-k) over D = n^(2r+1-k). So every c_d is an
     integer and b_m of T_n is b[m] / (D * series denominator). The terms of
-    d sit at m = d j and read nums[j n/d], one strided slice per divisor.
+    d sit at m = d j and read nums[j n/d], one strided slice per divisor:
+    the slice of d = 1 is copied as b (unscaled when c_1 = 1), and each later
+    one is added onto b[::d] by map, so no bytecode runs per coefficient.
     """
     e = k - 2 * r - 1
-    b = [0] * count
+    b: list[int] = []
     for d in divisors(n):
         c = n**r * (d**e if e >= 0 else (n // d) ** -e)
         terms = nums[: (count - 1) // d * (n // d) + 1 : n // d]
-        b[::d] = [x + c * y for x, y in zip(b[::d], terms)]
+        if d == 1:
+            b = list(terms) if c == 1 else list(map(mul, terms, repeat(c)))
+        else:
+            b[::d] = map(add, b[::d], map(mul, terms, repeat(c)))
     return b, n ** max(-e, 0)
 
 
@@ -151,8 +161,9 @@ def _first_miss(
     lambda_n = p/q (lowest terms) is read off. Returns (p, q, images,
     miss): images[r] is _kernel's (b, D) for component r, and miss is the
     smallest (m, r) with lambda_n a_m != b_m, or None. With a_m = a/s and
-    b_m = b/(s D), that reads p a D != q b (s cancels), compared as one list
-    per component.
+    b_m = b/(s D), that reads p a D != q b (s cancels). Each component is
+    one lazy pass that stops at its first unequal pair, and a factor p D or
+    q of 1 is not multiplied in.
     """
     m0, r0 = first
     images = [_kernel(a, k, r, n, count) for r, a in enumerate(nums)]
@@ -160,11 +171,14 @@ def _first_miss(
     p, q = b0[m0], den0 * nums[r0][m0]
     g = gcd(p, q)
     p, q = p // g, q // g
-    misses = [
-        next((m, r) for m, (a, x) in enumerate(zip(row, b)) if p * den * a != q * x)
-        for r, (row, (b, den)) in enumerate(zip(nums, images))
-        if [p * den * a for a in row[:count]] != [q * x for x in b]
-    ]
+    misses = []
+    for r, (row, (b, den)) in enumerate(zip(nums, images)):
+        pd = p * den
+        left = map(mul, b, repeat(q)) if q != 1 else b
+        right = map(mul, row, repeat(pd)) if pd != 1 else row
+        m = next(compress(indices(), map(ne, left, right)), None)
+        if m is not None:
+            misses.append((m, r))
     return p, q, images, min(misses, default=None)
 
 
@@ -178,8 +192,10 @@ def eigenform_test(
     precision floor(prec/n) certifies (all Y-components for Y-polynomial
     inputs, so a form with both a_0 and a_1 nonzero has the consistency of
     the two candidate ratios checked automatically). Each T_n f is
-    computed in full, one list per Y-component; a miss reports its first
-    witness, smallest m and then smallest Y-power, and stops the test. The
+    computed in full, one list per Y-component, and compared with
+    lambda_n f in one lazy pass per component that stops at that
+    component's first miss; a miss reports its first witness, smallest m
+    and then smallest Y-power, and stops the test. The
     input must carry at least bound*window coefficients so that even
     T_bound leaves a window of length >= window.
     """

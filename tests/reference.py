@@ -31,6 +31,25 @@ def convolve_reference(a, b) -> list[int]:
     return out
 
 
+def hecke_reference(coeffs, k: int, r: int, n: int) -> list[Fraction]:
+    """b_0..b_{floor(prec/n)} of T_n on the Y^r component a_0..a_prec of a
+    weight-k form, by the textbook sum
+
+        b_m = n^r sum_{d | gcd(m, n)} d^(k-2r-1) a_{mn/d^2}
+
+    over Fractions, one term at a time: the oracle for the integer Hecke
+    kernel, where k - 2r - 1 may be negative."""
+    return [
+        n**r
+        * sum(
+            (Fraction(d) ** (k - 2 * r - 1) * coeffs[m * n // (d * d)]
+             for d in range(1, n + 1) if n % d == 0 and m % d == 0),
+            Fraction(0),
+        )
+        for m in range((len(coeffs) - 1) // n + 1)
+    ]
+
+
 def bernoulli_reference(k: int) -> Fraction:
     """B_k from the recurrence sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1) over
     Fractions, B_1 = -1/2: the oracle for the tangent-number path of

@@ -446,6 +446,46 @@ def test_oversized_input_is_one_error_line_at_once(command, error):
     assert result.output.splitlines() == [f"Error: {error}"]
 
 
+# One command line per integer option, with the option's value last.
+_INTEGER_OPTIONS = {
+    "--n": ("hecke", "--input", "E4", "--prec", "2", "--n"),
+    "--prec": ("eis", "--weight", "4", "--prec"),
+    "--weight": ("eis", "--prec", "2", "--weight"),
+    "--m": ("bracket", "--g", "E4", "--h", "E6", "--m"),
+    "--depth": ("decompose", "--expr", "E4", "--weight", "4", "--depth"),
+    "--bound": ("eigen", "--input", "E4", "--bound"),
+    "--window": ("eigen", "--input", "E4", "--window"),
+}
+
+
+@pytest.mark.parametrize("flag", list(_INTEGER_OPTIONS))
+def test_an_overlong_integer_option_is_one_short_error_line(flag):
+    # A value int() refuses is a usage error (exit 2) on one line, which
+    # quotes a long value by its first 40 characters and its length and a
+    # short one whole; the command never runs.
+    argv = _INTEGER_OPTIONS[flag]
+    long_values = [
+        ("9" * 5000, "integer value {!r}... of 5000 digits exceeds the cap of 4300"),
+        ("-" + "1_2" * 2200, "integer value {!r}... of 4400 digits exceeds the cap of 4300"),
+        ("x" * 5000, "invalid int value: {!r}... (5000 characters)"),
+        ("9" * 4299 + "x", "invalid int value: {!r}... (4300 characters)"),
+    ]
+    cases = [(value, message.format(value[:40])) for value, message in long_values]
+    cases += [("four", "invalid int value: 'four'"), ("x" * 40, f"invalid int value: '{'x' * 40}'")]
+    for value, message in cases:
+        result = run_cli(*argv, value)
+        assert (result.exit_code, result.stdout) == (2, ""), value[:50]
+        assert result.stderr == f"Error: argument {flag}: {message}\n"
+
+
+def test_an_integer_option_at_the_digit_cap_is_read():
+    # 4300 digits is what int() reads: the value reaches the command, which
+    # refuses it as an input (exit 1).
+    result = run_cli(*_INTEGER_OPTIONS["--n"], "9" * 4300)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("Error: --n 999") and result.stderr.endswith(" exceeds the maximum 4096\n")
+
+
 def test_mixed_weight_error_is_short():
     result = run_cli("hecke", "--input", "(E2+E4+E6)^36", "--n", "2", "--prec", "8")
     assert result.exit_code == 1

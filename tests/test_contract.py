@@ -1,7 +1,9 @@
 """The engine's outward contract: the benchmark's tracer
 (``perfbench/tracer.py``) patches the engine from outside by name, so a
 renamed or removed layer function breaks ``perfbench/run.py --trace 1``;
-and every name a module exports must exist."""
+every T_n the engine makes comes from ``hecke._kernel`` and every
+eigenvalue comparison from ``hecke._first_miss``; and every name a module
+exports must exist."""
 
 from __future__ import annotations
 
@@ -304,3 +306,70 @@ def test_every_export_resolves():
         module = importlib.import_module(f"modforms.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def test_every_hecke_image_comes_from_the_one_kernel(monkeypatch):
+    # A kernel that answers 7 everywhere shows up in every T_n the engine
+    # makes: hecke, hecke_nearly, the eigenform test and the scans' sieve
+    # hold no second path to T_n (ROADMAP aim 2, one Hecke kernel).
+    hecke_module = importlib.import_module("modforms.hecke")
+    verify = importlib.import_module("modforms.verify")
+    from modforms.nearly import e2_star
+
+    calls = []
+
+    def kernel(nums, k, r, n, count):
+        calls.append((r, n, count))
+        return [7] * count, 1
+
+    monkeypatch.setattr(hecke_module, "_kernel", kernel)
+    e4 = forms.eisenstein(4, 120)
+    assert list(hecke_module.hecke(e4.truncate(24), 3).numerators) == [7] * 9
+    assert calls == [(0, 3, 9)]
+    image = hecke_module.hecke_nearly(e2_star(24), 2)
+    assert [list(c.numerators) for c in image.components] == [[7] * 13] * 2
+    assert calls[1:] == [(0, 2, 13), (1, 2, 13)]
+    del calls[:]
+    violation = hecke_module.eigenform_test(e4).first_violation
+    assert (violation.n, violation.exponent, violation.expected, violation.actual) == (2, 1, 1680, 7)
+    assert calls == [(0, 2, 61)]
+    del calls[:]
+    assert not verify._sieve_passes(e4.truncate(verify._SIEVE_PREC))
+    assert calls == [(0, 2, verify._SIEVE_PREC // 2 + 1)]
+
+
+def test_every_eigenvalue_comparison_goes_through_first_miss(monkeypatch):
+    # The scans' sieve compares through the eigenform test's own
+    # _first_miss, and a _first_miss that reports a miss at a_0 for every
+    # T_n leaves no passing eigen verdict anywhere in a suite run.
+    hecke_module = importlib.import_module("modforms.hecke")
+    verify = importlib.import_module("modforms.verify")
+    assert verify._first_miss is hecke_module._first_miss
+    first_miss = hecke_module._first_miss
+    counts = set()
+
+    def missing(nums, k, n, count, first):
+        counts.add(count)
+        p, q, images, _ = first_miss(nums, k, n, count, first)
+        return p, q, images, (0, 0)
+
+    monkeypatch.setattr(hecke_module, "_first_miss", missing)
+    monkeypatch.setattr(verify, "_first_miss", missing)
+    report = verify.run_suite("all", 128).to_json_dict()
+    eigenvalue_lists = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            eigenvalue_lists.extend(v for key, v in node.items() if key == "eigenvalues")
+            node = list(node.values())
+        for child in node if isinstance(node, list) else ():
+            walk(child)
+
+    walk(report)
+    # Every eigen witness stops at T_2, and no expected scan hit is found.
+    assert eigenvalue_lists and all(v == [[1, "1/1"]] for v in eigenvalue_lists)
+    hits = [check for check in report["checks"] if ".hit." in check["id"]]
+    assert hits and not any(check["pass"] for check in hits)
+    # Both the sieve's T_2 on its prefix and the full tests went through it.
+    sieve = verify._SIEVE_PREC // 2 + 1
+    assert sieve in counts and counts - {sieve}

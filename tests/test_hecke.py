@@ -1,22 +1,27 @@
 """Tests for Hecke operators and the eigenform tester.
 
 The independent oracles for the coefficient formula are multiplicativity
-on coprime indices and the prime-power recursion; both are exercised on
-the whole catalog.
+on coprime indices and the prime-power recursion, both exercised on the
+whole catalog, and the textbook sum over Fractions of
+``reference.hecke_reference`` on random series. The eigenform test is
+held to misses planted at a known (n, m, Y-power) in formal eigenforms.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modforms.exactmath import sigma
 from modforms.forms import CATALOG_NAMES, catalog_form, cusp_delta, eisenstein
-from modforms.hecke import eigenform_test, hecke, hecke_nearly
+from modforms.hecke import Violation, _first_miss, eigenform_test, hecke, hecke_nearly
 from modforms.nearly import YPolyForm, e2_star, maass_shimura
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
+from reference import hecke_reference
 
 PREC = 128
 
@@ -295,3 +300,174 @@ class TestHeckeNearlyOracles:
     def test_commutes_with_raising_up_to_scaling(self, form, n):
         lhs = hecke_nearly(maass_shimura(form), n)
         self.assert_equal(lhs, maass_shimura(hecke_nearly(form, n)) * n)
+
+
+# Signed coefficients over denominators up to 60, so that each component
+# carries a common denominator through the kernel.
+_COEFFS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+
+
+@st.composite
+def _components(draw, most: int) -> list[list[Fraction]]:
+    """1..most components a_0..a_prec of one precision, prec 0..40."""
+    prec = draw(st.integers(0, 40))
+    count = draw(st.integers(1, most))
+    return [draw(st.lists(_COEFFS, min_size=prec + 1, max_size=prec + 1)) for _ in range(count)]
+
+
+def _stripped(images: list[list[Fraction]]) -> list[list[Fraction]]:
+    """images without trailing zero components, as a YPolyForm stores them."""
+    while len(images) > 1 and not any(images[-1]):
+        images.pop()
+    return images
+
+
+class TestFractionOracle:
+    """hecke and hecke_nearly against the textbook sum over Fractions, on
+    random signed series with denominators, weights 1..30, Y-degree 0..2
+    (so 2r + 1 > k, and with it a denominator n^(2r+1-k), occurs at low
+    weight) and n 1..12."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(comps=_components(1), k=st.integers(1, 30), n=st.integers(1, 12))
+    def test_hecke_equals_the_reference(self, comps, k, n):
+        (coeffs,) = comps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # T_n with n > prec certifies only a_0
+            image = hecke(GradedSeries(QSeries(coeffs), k), n)
+        assert image.weight == k
+        assert list(image.coeffs) == hecke_reference(coeffs, k, 0, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(comps=_components(3), k=st.integers(1, 30), n=st.integers(1, 12))
+    @example(comps=[[Fraction(j, 7) for j in range(-6, 31)]] * 3, k=1, n=12)
+    @example(comps=[[Fraction(-j, j + 2) for j in range(37)]] * 2, k=2, n=9)
+    def test_hecke_nearly_equals_the_reference(self, comps, k, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # depth above k/2; n > prec
+            form = YPolyForm([QSeries(c) for c in comps], k)
+            image = hecke_nearly(form, n)
+        assert image.weight == k
+        expected = [hecke_reference(list(c.coeffs), k, r, n) for r, c in enumerate(form.components)]
+        assert [list(c.coeffs) for c in image.components] == _stripped(expected)
+
+
+def _prime_factors(m: int) -> list[int]:
+    return [p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _formal_eigenform(k: int, lam, prec: int) -> list[Fraction]:
+    """a_0..a_prec of the normalized formal weight-k eigenform with prime
+    eigenvalues lam(p): a_0 = 0, a_1 = 1, a_(p^(e+1)) = a_p a_(p^e) -
+    p^(k-1) a_(p^(e-1)), multiplicative on coprime indices. Every T_n
+    maps it to a_n times itself, coefficient by coefficient."""
+    a = [Fraction(0), Fraction(1)]
+    for m in range(2, prec + 1):
+        p = _prime_factors(m)[0]
+        e, rest = 0, m
+        while rest % p == 0:
+            e, rest = e + 1, rest // p
+        powers = [Fraction(1), lam(p)]
+        for _ in range(e - 1):
+            powers.append(lam(p) * powers[-1] - Fraction(p) ** (k - 1) * powers[-2])
+        a.append(powers[e] * a[rest])
+    return a[: prec + 1]
+
+
+def _planted(k, scales, lam, prec, n, plants):
+    """A weight-k form that is a T_j eigenform for every j, with a_(mn) of
+    its Y^r component moved by eps for each (m, r, eps) of plants, and the
+    Violation that the smallest (m, r) makes.
+
+    Component s is scales[s] a_j / j^s for the formal eigenform a_j above:
+    the weight-(k - 2s) eigenform with eigenvalues lam_j / j^s, which the
+    factor n^s of the kernel turns back into lam_j. For n the smallest prime
+    factor of J = mn and J <= prec < 2J, no T_j with j < n reads a_J (j does
+    not divide J, and a_J is neither a compared coefficient nor the term of
+    a divisor d > 1), and T_n reads it first at (m, r), by its d = 1 term."""
+    a = _formal_eigenform(k, lam, prec)
+    comps = [[c * a[j] / j**s if j else a[j] for j in range(prec + 1)] for s, c in enumerate(scales)]
+    m, r, eps = min(plants)
+    expected = a[n] * comps[r][m]
+    for j, s, e in plants:
+        assert _prime_factors(n * j)[0] == n and n * j <= prec < 2 * n * j and (j, s) != (1, 0)
+        comps[s][n * j] += e
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # depth above k/2
+        form = (
+            GradedSeries(QSeries(comps[0]), k) if len(comps) == 1
+            else YPolyForm([QSeries(c) for c in comps], k)
+        )
+    y_power = r if len(comps) > 1 else None
+    return form, Violation(n, m, expected, expected + n**r * eps, y_power)
+
+
+def _lam(n: int, lam_n: Fraction):
+    """Prime eigenvalues: lam_n at n, and (p + 2)/3 at every other prime."""
+    return lambda p: lam_n if p == n else Fraction(p + 2, 3)
+
+
+class TestPlantedMiss:
+    """A miss planted at (n, m, r) is the first violation eigenform_test
+    reports, whichever factor the comparison p a D == q b skips."""
+
+    @pytest.mark.parametrize(
+        "k, scales, n, m, r, lam_n, branch",
+        [
+            (12, (1, Fraction(-3, 2), 5), 2, 3, 1, Fraction(1, 3), "pD = 1"),
+            (7, (1, 4), 3, 5, 0, Fraction(-4), "q = 1"),
+            (2, (1, -3, Fraction(7, 2)), 5, 5, 2, Fraction(-2, 3), "general"),
+            (3, (1, Fraction(1, 9)), 7, 1, 1, Fraction(5, 2), "general"),
+            (30, (1,), 11, 11, 0, Fraction(7, 5), "general"),
+        ],
+        ids=["pD-is-1", "q-is-1", "D-above-1", "m-is-1", "depth-0"],
+    )
+    @pytest.mark.parametrize("top", [False, True], ids=["prec-J", "prec-2J-1"])
+    def test_the_planted_miss_is_the_first_violation(self, k, scales, n, m, r, lam_n, branch, top):
+        prec = 2 * n * m - 1 if top else n * m
+        form, violation = _planted(k, scales, _lam(n, lam_n), prec, n, [(m, r, Fraction(1, 2))])
+        report = eigenform_test(form, bound=n, window=1)
+        assert report.first_violation == violation
+        assert not report.is_eigen_up_to_bound
+        a = _formal_eigenform(k, _lam(n, lam_n), n)
+        assert report.eigenvalues == tuple((j, a[j]) for j in range(1, n))
+        # The branch each case is for: lambda_n = p/q, and the factor p D of
+        # component r.
+        comps = form.components if isinstance(form, YPolyForm) else (form,)
+        p, q, images, miss = _first_miss([c.numerators for c in comps], k, n, prec // n + 1, (1, 0))
+        assert (miss, Fraction(p, q)) == ((m, r), lam_n)
+        pd = p * images[r][1]
+        assert {"pD = 1": pd == 1, "q = 1": q == 1, "general": pd != 1 and q != 1}[branch]
+
+    @pytest.mark.parametrize(
+        "plants",
+        [[(5, 1, 3), (6, 0, 1)], [(5, 2, 3), (6, 1, 1), (7, 0, 2)], [(5, 1, 3), (5, 2, -1)]],
+        ids=["lower-component-later", "each-component-later", "higher-component-same-m"],
+    )
+    def test_the_smallest_miss_over_the_components_is_reported(self, plants):
+        # T_2 misses in several components; the first is the smallest m,
+        # then the smallest Y-power, wherever each component's own first
+        # miss lies.
+        form, violation = _planted(4, (1, -3, 2), _lam(2, Fraction(9)), 19, 2, plants)
+        assert eigenform_test(form, bound=2, window=1).first_violation == violation
+        assert violation[:2] == (2, 5) and violation.y_power == plants[0][1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 30),
+        scales=st.lists(_COEFFS.filter(bool), min_size=1, max_size=3),
+        n=st.sampled_from([2, 3, 5, 7, 11]),
+        m=st.integers(1, 12),
+        r=st.integers(0, 2),
+        lam_n=_COEFFS,
+        eps=_COEFFS.filter(bool),
+        data=st.data(),
+    )
+    def test_a_random_plant_is_the_first_violation(self, k, scales, n, m, r, lam_n, eps, data):
+        r = min(r, len(scales) - 1)
+        if (m, r) == (1, 0) or any(p < n for p in _prime_factors(m)):
+            m = n  # J = n^2, whose one prime factor is n
+        prec = data.draw(st.integers(n * m, 2 * n * m - 1), label="prec")
+        scales = [Fraction(1), *scales[1:]]
+        form, violation = _planted(k, scales, _lam(n, lam_n), prec, n, [(m, r, eps)])
+        assert eigenform_test(form, bound=n, window=1).first_violation == violation

@@ -38,6 +38,7 @@ from modforms.hecke import eigenform_test, hecke, hecke_nearly
 from modforms.nearly import YPolyForm, constant_term, e2_star, maass_shimura
 from modforms.qseries import GradedSeries, QSeries
 from modforms.verify import bracket_search, product_search
+from reference import hecke_reference
 
 PREC = 128
 
@@ -139,19 +140,6 @@ def test_deligne_bound_at_primes():
         assert tau[p] ** 2 <= 4 * p**11
 
 
-def _hecke_formula(coeffs: list[Fraction], k: int, r: int, n: int) -> list[Fraction]:
-    """b_m = n^r sum_{d | (m, n)} d^(k-2r-1) a_{mn/d^2}, in Fractions."""
-    return [
-        n**r
-        * sum(
-            (Fraction(d) ** (k - 2 * r - 1) * coeffs[m * n // (d * d)]
-             for d in range(1, n + 1) if n % d == 0 and m % d == 0),
-            Fraction(0),
-        )
-        for m in range((len(coeffs) - 1) // n + 1)
-    ]
-
-
 # 12, 16, 18, 25 and 36 have square divisors d^2 | n, whose terms come
 # from several strided slices of the coefficients.
 HECKE_INDICES = [*range(1, 11), 12, 16, 18, 25, 36]
@@ -164,21 +152,21 @@ def test_hecke_nearly_matches_the_formula_on_e2star_squared(n):
     assert (form.weight, form.depth) == (4, 2)
     image = hecke_nearly(form, n)
     for r in range(3):
-        expected = _hecke_formula(list(form.component(r).coeffs), 4, r, n)
+        expected = hecke_reference(list(form.component(r).coeffs), 4, r, n)
         assert list(image.component(r).coeffs) == expected, r
 
 
 @pytest.mark.parametrize("n", HECKE_INDICES)
 def test_hecke_matches_the_formula_on_delta12(n):
     delta = catalog_form("Delta12", 240)
-    assert list(hecke(delta, n).coeffs) == _hecke_formula(list(delta.coeffs), 12, 0, n)
+    assert list(hecke(delta, n).coeffs) == hecke_reference(list(delta.coeffs), 12, 0, n)
 
 
 @pytest.mark.parametrize("n", HECKE_INDICES)
 def test_hecke_matches_the_formula_on_the_weight_0_constant(n):
     # The exponent k - 2r - 1 is -1 already at depth 0.
     one = GradedSeries(QSeries.one(240), 0)
-    assert list(hecke(one, n).coeffs) == _hecke_formula(list(one.coeffs), 0, 0, n)
+    assert list(hecke(one, n).coeffs) == hecke_reference(list(one.coeffs), 0, 0, n)
 
 
 def _eigenvalue_formula(weight: int, eisenstein_line: bool):
@@ -246,7 +234,7 @@ def _reference_eigen_report(comps: list[list[Fraction]], k: int, ypoly: bool,
     for n in range(2, bound + 1):
         if m0 > prec // n:
             continue
-        images = [_hecke_formula(c, k, r, n) for r, c in enumerate(comps)]
+        images = [hecke_reference(c, k, r, n) for r, c in enumerate(comps)]
         lam = images[r0][m0] / comps[r0][m0]
         violation = next(
             (
@@ -316,7 +304,7 @@ def test_eigenform_test_and_hecke_match_a_fraction_scan(family, count, zeros):
         comps = [list(c.coeffs) for c in (form.components if ypoly else (form,))]
         for n in ORACLE_HECKE_INDICES:
             image = hecke_nearly(form, n).components if ypoly else (hecke(form, n),)
-            expected = [_hecke_formula(c, form.weight, r, n) for r, c in enumerate(comps)]
+            expected = [hecke_reference(c, form.weight, r, n) for r, c in enumerate(comps)]
             assert [list(c.coeffs) for c in image] == expected, (label, n)
         if not any(any(c) for c in comps):
             zero_forms += 1
