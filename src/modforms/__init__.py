@@ -17,7 +17,6 @@ from .qseries import GradedSeries, PrecisionError, QSeries, first_difference
 from .forms import (
     CATALOG_NAMES,
     DELTA_WEIGHTS,
-    FormCatalogEntry,
     GeneratorPoly,
     catalog,
     catalog_form,
@@ -31,7 +30,6 @@ from .forms import (
     span_coordinates,
 )
 from .nearly import (
-    Y_CONVENTION,
     YPolyForm,
     constant_term,
     e2_star,

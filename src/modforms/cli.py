@@ -2,9 +2,10 @@
 tests, brackets, quasimodular decomposition, and the verification suites.
 
 All JSON output serializes rationals as "num/den" strings. An input the
-engine refuses is one Error: line on stderr and exit 1; a command line the
-parser refuses (a missing or unknown option, a bad integer or choice, an
-unknown or absent subcommand) is one Error: line and exit 2.
+engine refuses is one Error: line on stderr and exit 1, and so is an
+integer option outside -4096..4096; a command line the parser refuses (a
+missing or unknown option, a malformed integer, a bad choice, an unknown
+or absent subcommand) is one Error: line and exit 2.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ _NAME_RE = re.compile(r"^[A-Za-z]\w*$")
 _INT_RE = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")
 # A refused option value longer than this is quoted by this many characters.
 _QUOTE_MAX = 40
-# Far above every suite and query; a larger value fails at once instead of running.
+# The bound of every integer option, far above every suite and query; a
+# value outside -_MAX_PREC.._MAX_PREC fails at once instead of running.
 _MAX_PREC = 4096
 # The largest precision decompose derives; its solve grows as the cube of it.
 _MAX_DECOMPOSE_PREC = 100
@@ -127,38 +129,44 @@ class _Main:
 
 def _option(flag: str, **kwargs):
     """One option: its flag and add_argument keywords. A value is shown
-    under the flag's name."""
+    under the flag's name, and an int value is read by _bounded(flag)."""
     if "action" not in kwargs:
         kwargs.setdefault("metavar", flag.lstrip("-").upper())
+    if kwargs.get("type") is int:
+        kwargs["type"] = _bounded(flag)
     return flag, kwargs
 
 
-def _integer(text: str) -> int:
-    """An integer option's value. One that int() refuses is a usage error,
-    worded as argparse words it for int; one with more digits than the
-    _MAX_DIGITS that int() reads says so, and a refused value longer than
-    _QUOTE_MAX characters is quoted by its first _QUOTE_MAX."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    match = _INT_RE.fullmatch(text)
-    digits = len(match.group(1).replace("_", "")) if match else 0
-    if digits > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"integer value {text[:_QUOTE_MAX]!r}... of {digits} digits exceeds the cap of {_MAX_DIGITS}"
-        )
-    quoted = repr(text) if len(text) <= _QUOTE_MAX else f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
-    raise argparse.ArgumentTypeError(f"invalid int value: {quoted}")
+def _bounded(flag: str):
+    """The reader of every integer option, for option flag. A value int()
+    refuses is a usage error, worded as argparse words it for int. An
+    integer outside -_MAX_PREC.._MAX_PREC, or with more digits than the
+    _MAX_DIGITS that int() reads, is an input error raised while the
+    command line is read, so no command runs. A refused value longer than
+    _QUOTE_MAX characters is quoted by its first _QUOTE_MAX and its length
+    or digit count."""
 
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            match = _INT_RE.fullmatch(text)
+            digits = len(match.group(1).replace("_", "")) if match else 0
+            if digits > _MAX_DIGITS:
+                raise CLIError(
+                    f"{flag} {text[:_QUOTE_MAX]!r}... of {digits} digits exceeds the cap of {_MAX_DIGITS}"
+                ) from None
+            quoted = repr(text) if len(text) <= _QUOTE_MAX else f"{text[:_QUOTE_MAX]!r}... ({len(text)} characters)"
+            raise argparse.ArgumentTypeError(f"invalid int value: {quoted}") from None
+        if -_MAX_PREC <= value <= _MAX_PREC:
+            return value
+        shown = str(value)
+        if len(shown) > _QUOTE_MAX:
+            shown = f"{shown[:_QUOTE_MAX]}... of {len(shown.lstrip('-'))} digits"
+        limit = f"exceeds the maximum {_MAX_PREC}" if value > 0 else f"is below the minimum {-_MAX_PREC}"
+        raise CLIError(f"{flag} {shown} {limit}")
 
-def _precision(text: str) -> int:
-    """A --prec value: an _integer, and one above _MAX_PREC is an input
-    error, raised while the command line is read, so no command runs."""
-    value = _integer(text)
-    if value > _MAX_PREC:
-        raise CLIError(f"--prec {value} exceeds the maximum {_MAX_PREC}")
-    return value
+    return read
 
 
 def _file_path(text: str) -> str:
@@ -169,10 +177,9 @@ def _file_path(text: str) -> str:
 
 
 _JSON = _option("--json", dest="as_json", action="store_true", help="Emit JSON.")
-_PREC = _option("--prec", type=_precision, required=True, help="Certified q-coefficients.")
+_PREC = _option("--prec", type=int, required=True, help="Certified q-coefficients.")
 _DEFAULT_PREC = _option(
-    "--prec", type=_precision, default=DEFAULT_PREC,
-    help="Certified q-coefficients (default: %(default)s).",
+    "--prec", type=int, default=DEFAULT_PREC, help="Certified q-coefficients (default: %(default)s).",
 )
 
 
@@ -217,7 +224,7 @@ main = _Main("Exact q-expansion computations for level-one modular forms.")
 
 @main.command(
     "eis",
-    _option("--weight", type=_integer, required=True, help="Even weight k >= 2."),
+    _option("--weight", type=int, required=True, help="Even weight k >= 2."),
     _PREC,
     _JSON,
 )
@@ -230,7 +237,7 @@ def eis_cmd(weight: int, prec: int, as_json: bool):
 
 @main.command(
     "delta",
-    _option("--weight", type=_integer, required=True, help="One of 12,16,18,20,22,26."),
+    _option("--weight", type=int, required=True, help="One of 12,16,18,20,22,26."),
     _PREC,
     _JSON,
 )
@@ -244,14 +251,12 @@ def delta_cmd(weight: int, prec: int, as_json: bool):
 @main.command(
     "hecke",
     _option("--input", dest="source", required=True, help="Catalog name or polynomial in E2,E4,E6."),
-    _option("--n", dest="index", type=_integer, required=True, help="Operator index n >= 1."),
+    _option("--n", dest="index", type=int, required=True, help="Operator index n >= 1."),
     _DEFAULT_PREC,
     _JSON,
 )
 def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
     """Apply the n-th Hecke operator."""
-    if index > _MAX_PREC:
-        raise CLIError(f"--n {index} exceeds the maximum {_MAX_PREC}")
     form = _resolve_form(source, prec)
     with _domain_errors():
         text = _series_text(hecke(form, index), as_json)
@@ -261,8 +266,8 @@ def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
 @main.command(
     "eigen",
     _option("--input", dest="source", required=True, help="Catalog name or polynomial in E2,E4,E6."),
-    _option("--bound", type=_integer, default=10, help="Test T_n for n <= bound (default: %(default)s)."),
-    _option("--window", type=_integer, default=12, help="(default: %(default)s)"),
+    _option("--bound", type=int, default=10, help="Test T_n for n <= bound (default: %(default)s)."),
+    _option("--window", type=int, default=12, help="(default: %(default)s)"),
     _DEFAULT_PREC,
     _JSON,
 )
@@ -289,7 +294,7 @@ def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
     "bracket",
     _option("--g", dest="g_name", required=True, help="Catalog name other than E2."),
     _option("--h", dest="h_name", required=True, help="Catalog name other than E2."),
-    _option("--m", dest="order", type=_integer, required=True, help="Bracket order m >= 0."),
+    _option("--m", dest="order", type=int, required=True, help="Bracket order m >= 0."),
     _DEFAULT_PREC,
     _JSON,
 )
@@ -307,8 +312,8 @@ def bracket_cmd(g_name: str, h_name: str, order: int, prec: int, as_json: bool):
 @main.command(
     "decompose",
     _option("--expr", required=True, help="Polynomial in E2, E4, E6."),
-    _option("--weight", type=_integer, required=True, help="Expected homogeneous weight."),
-    _option("--depth", type=_integer, required=True, help="Depth bound p < weight/2."),
+    _option("--weight", type=int, required=True, help="Expected homogeneous weight."),
+    _option("--depth", type=int, required=True, help="Depth bound p < weight/2."),
     _JSON,
 )
 def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):

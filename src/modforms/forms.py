@@ -17,18 +17,19 @@ dim M_k + 10 coefficients, which fixes a form of M_k (Sturm's bound).
 The builders ``eisenstein``, ``monomial``, ``monomial_basis``,
 ``membership_basis`` and ``cusp_delta`` each keep one store: one value
 per form (per weight or per monomial), built at the largest precision
-asked for so far. ``catalog`` is a stored view whose entries are the
-``eisenstein`` and ``cusp_delta`` objects themselves; ``catalog_form``
-reads a name from its own builder only. A request at a smaller precision
-is answered by truncating the stored value, which equals a fresh build
-because a series is kept in lowest terms; a larger one rebuilds and
-replaces it. Memory is therefore bounded by the number of forms a
-process asks for, each held once at its largest precision, and not by
-the number of precisions it asks at. Each builder has ``cache_info()``
-with its hits (requests answered from the store), misses (builds) and
-currsize (forms held), and ``__wrapped__``, the unstored builder;
-``cache_stats()`` maps every builder's name, and the parse memo's
-(``_parse``, the 64 texts read last), to its ``cache_info()``.
+asked for so far. ``catalog`` is a stored view whose forms are the
+``eisenstein`` and ``cusp_delta`` objects themselves, in
+``CATALOG_NAMES`` order; ``catalog_form`` reads a name from its own
+builder only. A request at a smaller precision is answered by truncating
+the stored value, which equals a fresh build because a series is kept in
+lowest terms; a larger one rebuilds and replaces it. Memory is
+therefore bounded by the number of forms a process asks for, each held
+once at its largest precision, and not by the number of precisions it
+asks at. Each builder has ``cache_info()`` with its hits (requests
+answered from the store), misses (builds) and currsize (forms held), and
+``__wrapped__``, the unstored builder; ``cache_stats()`` maps every
+builder's name, and the parse memo's (``_parse``, the 64 texts read
+last), to its ``cache_info()``.
 Bases and polynomials read each monomial in E2, E4, E6 from one
 ``monomial`` entry, keyed by its (k, a) pairs: a polynomial is one
 integer linear combination of them.
@@ -59,7 +60,6 @@ __all__ = [
     "is_modular_member",
     "GeneratorPoly",
     "eval_generator_poly",
-    "FormCatalogEntry",
     "CATALOG_NAMES",
     "catalog",
     "catalog_form",
@@ -76,13 +76,10 @@ class CacheInfo(NamedTuple):
 
 
 def _truncated(value, prec: int):
-    """A stored value cut down to prec: a series, a catalog entry, or a
-    tuple of either."""
+    """A stored value cut down to prec: a series or a tuple of series."""
     if isinstance(value, QSeries):
         return value.truncate(prec)
-    if isinstance(value, FormCatalogEntry):
-        return FormCatalogEntry(value.name, value.form.truncate(prec))
-    return tuple(_truncated(item, prec) for item in value)
+    return tuple(item.truncate(prec) for item in value)
 
 
 _STORES: dict[str, Callable] = {}  # every stored builder, by name
@@ -721,11 +718,6 @@ def eval_generator_poly(poly: Union[str, GeneratorPoly], prec: int) -> GradedSer
 # ---------------------------------------------------------------------------
 
 
-class FormCatalogEntry(NamedTuple):
-    name: str
-    form: GradedSeries
-
-
 CATALOG_NAMES = (
     "E2",
     "E4",
@@ -743,9 +735,9 @@ CATALOG_NAMES = (
 
 
 @_stored(_check_cusp_prec)
-def catalog(prec: int) -> tuple[FormCatalogEntry, ...]:
-    """All catalog forms, in display order, as their builders' objects."""
-    return tuple(FormCatalogEntry(name, catalog_form(name, prec)) for name in CATALOG_NAMES)
+def catalog(prec: int) -> tuple[GradedSeries, ...]:
+    """The catalog forms in CATALOG_NAMES order, as their builders' objects."""
+    return tuple(catalog_form(name, prec) for name in CATALOG_NAMES)
 
 
 def catalog_form(name: str, prec: int) -> GradedSeries:

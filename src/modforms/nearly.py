@@ -23,15 +23,12 @@ from .forms import (
 )
 
 __all__ = [
-    "Y_CONVENTION",
     "YPolyForm",
     "e2_star",
     "constant_term",
     "maass_shimura",
     "quasimodular_decompose",
 ]
-
-Y_CONVENTION = "Y=1/(pi*Im z)"
 
 
 class YPolyForm:
@@ -101,27 +98,29 @@ class YPolyForm:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self._components)
 
-    def __add__(self, other):
+    def _linear(self, other, sign: int):
+        # self + sign * other, component by component to the common precision.
         if isinstance(other, GradedSeries):
             other = YPolyForm.from_graded(other)
         if not isinstance(other, YPolyForm):
             return NotImplemented
         if self._weight != other._weight:
+            verb = "add" if sign > 0 else "subtract"
             raise ValueError(
-                f"cannot add forms of weights {self._weight} and {other._weight}"
+                f"cannot {verb} forms of weights {self._weight} and {other._weight}"
             )
-        depth = max(self.depth, other.depth)
         prec = min(self.prec, other.prec)
         comps = [
-            self.component(r).truncate(prec) + other.component(r).truncate(prec)
-            for r in range(depth + 1)
+            self.component(r).truncate(prec)._linear(other.component(r).truncate(prec), sign)
+            for r in range(max(self.depth, other.depth) + 1)
         ]
         return YPolyForm(comps, self._weight)
 
+    def __add__(self, other):
+        return self._linear(other, 1)
+
     def __sub__(self, other):
-        if not isinstance(other, (YPolyForm, GradedSeries)):
-            return NotImplemented
-        return self + (-other)
+        return self._linear(other, -1)
 
     def __neg__(self) -> "YPolyForm":
         return YPolyForm([-c for c in self._components], self._weight)
@@ -141,9 +140,6 @@ class YPolyForm:
         scalar = as_rational(other)
         return YPolyForm([c * scalar for c in self._components], self._weight)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __eq__(self, other):
         if not isinstance(other, YPolyForm):
             return NotImplemented
@@ -152,27 +148,6 @@ class YPolyForm:
         )
 
     __hash__ = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weight": self._weight,
-            "scaling": Y_CONVENTION,
-            "components": [c.to_json_dict() for c in self._components],
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"YPolyForm(weight={self._weight}, depth={self.depth}, prec={self.prec})"
-        )
-
-    def __str__(self) -> str:
-        parts = []
-        for r, c in enumerate(self._components):
-            if c.is_zero():
-                continue
-            prefix = "" if r == 0 else ("Y * " if r == 1 else f"Y^{r} * ")
-            parts.append(f"{prefix}({c})")
-        return " + ".join(parts) if parts else "0"
 
 
 def e2_star(prec: int) -> YPolyForm:

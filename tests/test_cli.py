@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modforms.brackets import rankin_cohen
 from cli_run import run_cli
@@ -414,11 +415,11 @@ def test_coefficients_too_long_to_print_are_one_error_line(command):
         ),
         (
             ("decompose", "--expr", "E4", "--weight", "200000000", "--depth", "0"),
-            "expression has weight 4, not the requested 200000000",
+            f"--weight 200000000 exceeds the maximum {_MAX_PREC}",
         ),
         (
             ("decompose", "--expr", "E4", "--weight", "4", "--depth", "300000000"),
-            "--depth 300000000 must satisfy 0 <= depth < weight/2",
+            f"--depth 300000000 exceeds the maximum {_MAX_PREC}",
         ),
         (
             ("decompose", "--expr", "E4^100", "--weight", "400", "--depth", "199"),
@@ -460,22 +461,26 @@ _INTEGER_OPTIONS = {
 
 @pytest.mark.parametrize("flag", list(_INTEGER_OPTIONS))
 def test_an_overlong_integer_option_is_one_short_error_line(flag):
-    # A value int() refuses is a usage error (exit 2) on one line, which
-    # quotes a long value by its first 40 characters and its length and a
-    # short one whole; the command never runs.
+    # A value int() refuses is one Error: line, which quotes a long value by
+    # its first 40 characters and its length and a short one whole; the
+    # command never runs. A malformed value is a usage error (exit 2); a
+    # well-formed one with more digits than int() reads is an input error
+    # (exit 1), as is every integer outside -4096..4096.
     argv = _INTEGER_OPTIONS[flag]
     long_values = [
-        ("9" * 5000, "integer value {!r}... of 5000 digits exceeds the cap of 4300"),
-        ("-" + "1_2" * 2200, "integer value {!r}... of 4400 digits exceeds the cap of 4300"),
-        ("x" * 5000, "invalid int value: {!r}... (5000 characters)"),
-        ("9" * 4299 + "x", "invalid int value: {!r}... (4300 characters)"),
+        ("9" * 5000, 1, "{flag} {!r}... of 5000 digits exceeds the cap of 4300"),
+        ("-" + "1_2" * 2200, 1, "{flag} {!r}... of 4400 digits exceeds the cap of 4300"),
+        ("x" * 5000, 2, "argument {flag}: invalid int value: {!r}... (5000 characters)"),
+        ("9" * 4299 + "x", 2, "argument {flag}: invalid int value: {!r}... (4300 characters)"),
     ]
-    cases = [(value, message.format(value[:40])) for value, message in long_values]
-    cases += [("four", "invalid int value: 'four'"), ("x" * 40, f"invalid int value: '{'x' * 40}'")]
-    for value, message in cases:
+    cases = [(value, code, message.format(value[:40], flag=flag)) for value, code, message in long_values]
+    cases += [("four", 2, f"argument {flag}: invalid int value: 'four'"),
+              ("x" * 40, 2, f"argument {flag}: invalid int value: '{'x' * 40}'")]
+    for value, code, message in cases:
         result = run_cli(*argv, value)
-        assert (result.exit_code, result.stdout) == (2, ""), value[:50]
-        assert result.stderr == f"Error: argument {flag}: {message}\n"
+        assert (result.exit_code, result.stdout) == (code, ""), value[:50]
+        assert result.stderr == f"Error: {message}\n"
+        assert len(result.stderr) <= 120
 
 
 def test_an_integer_option_at_the_digit_cap_is_read():
@@ -484,6 +489,91 @@ def test_an_integer_option_at_the_digit_cap_is_read():
     result = run_cli(*_INTEGER_OPTIONS["--n"], "9" * 4300)
     assert result.exit_code == 1
     assert result.stderr.startswith("Error: --n 999") and result.stderr.endswith(" exceeds the maximum 4096\n")
+
+
+@pytest.mark.parametrize("flag", list(_INTEGER_OPTIONS))
+def test_an_integer_option_outside_the_bound_is_one_short_error_line(flag):
+    # Every integer option is read through one reader: a value outside
+    # -4096..4096 is an input error (exit 1) before the command runs, and a
+    # value of more than 40 characters is quoted by its first 40 and its
+    # digit count.
+    nines = "9" * 4300
+    cases = [
+        (nines, f"{nines[:40]}... of 4300 digits exceeds the maximum {_MAX_PREC}"),
+        ("-" + nines, f"-{nines[:39]}... of 4300 digits is below the minimum -{_MAX_PREC}"),
+        (str(_MAX_PREC + 1), f"{_MAX_PREC + 1} exceeds the maximum {_MAX_PREC}"),
+        (str(-_MAX_PREC - 1), f"{-_MAX_PREC - 1} is below the minimum -{_MAX_PREC}"),
+    ]
+    for value, message in cases:
+        result = run_cli(*_INTEGER_OPTIONS[flag], value)
+        assert (result.exit_code, result.stdout) == (1, ""), value[:50]
+        assert result.stderr == f"Error: {flag} {message}\n"
+        assert len(result.stderr) <= 120
+
+
+# Each command with small valid values of its options.
+_SMALL_COMMAND_LINES = {
+    "eis": {"--weight": "4", "--prec": "6"},
+    "delta": {"--weight": "12", "--prec": "6"},
+    "hecke": {"--input": "E4", "--n": "2", "--prec": "6"},
+    "eigen": {"--input": "E4", "--bound": "2", "--window": "2", "--prec": "12"},
+    "bracket": {"--g": "E4", "--h": "E6", "--m": "1", "--prec": "6"},
+    "decompose": {"--expr": "E4", "--weight": "4", "--depth": "0"},
+    "verify": {"--suite": "ghitza", "--prec": "16"},
+}
+_OPTION_CHOICES = [
+    (command, flag) for command, options in _SMALL_COMMAND_LINES.items() for flag in options
+    if flag in _INTEGER_OPTIONS
+]
+_DIGIT_SCRIPTS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                  "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_SIGNS = st.sampled_from(["", "+", "-", "--", "+-", " -", "- "])
+
+
+def _in_script(script: str, number: int) -> str:
+    return "".join(script[int(d)] for d in str(number))
+
+
+# Integer option values by class: signs, underscores, non-ASCII digits,
+# the +-4096 boundary (with leading zeros), and values of about 4300 digits,
+# the most that int() reads, with and without underscores.
+_INTEGER_TEXTS = st.one_of(
+    st.tuples(_SIGNS, st.integers(0, 99).map(str)).map("".join),
+    st.lists(st.sampled_from(["0", "1", "9", "_", "__"]), min_size=1, max_size=6).map("".join),
+    st.builds(_in_script, st.sampled_from(_DIGIT_SCRIPTS), st.integers(0, 5000)),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.sampled_from(["", "0", "00"]),
+              st.sampled_from([_MAX_PREC - 1, _MAX_PREC, _MAX_PREC + 1]).map(str)).map("".join),
+    st.builds(lambda sign, digit, n, sep: sign + sep.join(digit * n), st.sampled_from(["", "-"]),
+              st.sampled_from(["0", "1", "9"]), st.integers(4299, 4301), st.sampled_from(["", "_"])),
+)
+
+
+def _int_or_none(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@given(st.sampled_from(_OPTION_CHOICES), _INTEGER_TEXTS)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_every_integer_option_value_gets_a_result_or_one_short_error_line(choice, text):
+    # One drawn integer option of one command takes the drawn value, every
+    # other option a small valid one. verify stays at prec <= 64.
+    command, flag = choice
+    value = _int_or_none(text)
+    assume(not (command == "verify" and value is not None and 64 < value <= _MAX_PREC))
+    argv = [command]
+    for option, default in _SMALL_COMMAND_LINES[command].items():
+        argv += [option, text if option == flag else default]
+    result = run_cli(*argv)
+    assert "set_int_max_str_digits" not in result.output and "Traceback" not in result.output
+    if result.exit_code == 0:
+        assert result.stdout.strip() and "Error:" not in result.stderr
+    else:
+        assert result.exit_code in (1, 2) and result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if not line.startswith("Warning: ")]
+        assert len(errors) == 1 and errors[0].startswith("Error: ") and len(errors[0]) <= 120, errors
 
 
 def test_mixed_weight_error_is_short():

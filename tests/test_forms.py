@@ -602,19 +602,19 @@ class TestCombination:
 
 class TestCatalog:
     def test_names_and_weights(self):
-        entries = catalog(8)
-        assert tuple(e.name for e in entries) == CATALOG_NAMES
-        weights = {e.name: e.form.weight for e in entries}
-        assert weights["E2"] == 2
-        assert weights["Delta26"] == 26
+        # The catalog is its forms in CATALOG_NAMES order.
+        weights = [form.weight for form in catalog(8)]
+        assert weights == [2, 4, 6, 8, 10, 14, 12, 16, 18, 20, 22, 26]
+        assert [catalog_form(name, 8).weight for name in CATALOG_NAMES] == weights
 
     def test_catalog_form_lookup(self):
         assert catalog_form("E4", 8) == eisenstein(4, 8)
         with pytest.raises(ValueError, match="unknown catalog form"):
             catalog_form("E12", 8)
-        # Each name is its builder's object, and so is each catalog entry.
+        # Each name is its builder's object, and so is each catalog form,
+        # at every precision of an ascending sequence.
         assert tuple(_BUILDERS) == CATALOG_NAMES
-        assert _fresh(_ONE_BUILDER_LOOKUP, 8, 120) == ()
+        assert _fresh(_ONE_BUILDER_LOOKUP, 8, 120, 240) == ()
         catalog(240)
         for name, (builder, k) in _BUILDERS.items():
             stored, fresh = catalog_form(name, 120), builder.__wrapped__(k, 120)
@@ -627,19 +627,20 @@ _BUILDERS.update({f"Delta{k}": (cusp_delta, k) for k in DELTA_WEIGHTS})
 
 # Each script runs in its own process, so the stores start empty.
 # The indices of the catalog names, at each precision given in ascending
-# order, whose form is not the very object its builder returns, or whose
-# catalog entry is not that object.
+# order, whose catalog form or catalog_form is not the very object its
+# builder returns; -1 when the catalog does not hold one form per name.
 _ONE_BUILDER_LOOKUP = """
 import sys
 from modforms.forms import DELTA_WEIGHTS, CATALOG_NAMES, catalog, catalog_form, cusp_delta, eisenstein
 builders = [(eisenstein, k) for k in (2, 4, 6, 8, 10, 14)] + [(cusp_delta, k) for k in DELTA_WEIGHTS]
 wrong = set()
 for prec in map(int, sys.argv[1:]):
+    forms = catalog(prec)
+    if len(forms) != len(CATALOG_NAMES):
+        wrong.add(-1)
     for index, (name, (builder, k)) in enumerate(zip(CATALOG_NAMES, builders)):
-        if catalog_form(name, prec) is not builder(k, prec):
-            wrong.add(index)
-    for index, entry in enumerate(catalog(prec)):
-        if entry.name != CATALOG_NAMES[index] or entry.form is not catalog_form(entry.name, prec):
+        form = builder(k, prec)
+        if forms[index] is not form or catalog_form(name, prec) is not form:
             wrong.add(index)
 print(*sorted(wrong))
 """

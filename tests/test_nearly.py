@@ -17,7 +17,6 @@ from modforms.forms import (
     monomial_exponents,
 )
 from modforms.nearly import (
-    Y_CONVENTION,
     YPolyForm,
     constant_term,
     e2_star,
@@ -51,6 +50,20 @@ class TestYPolyForm:
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
             e2_star(8) + YPolyForm([QSeries([1], 8)], weight=4)
+        with pytest.raises(ValueError, match="cannot subtract forms of weights 2 and 4"):
+            e2_star(8) - YPolyForm([QSeries([1], 8)], weight=4)
+        with pytest.raises(ValueError, match="cannot subtract forms of weights 2 and 4"):
+            e2_star(8) - eisenstein(4, 8)
+
+    def test_difference_with_graded_promotes(self):
+        # A GradedSeries operand is the Y^0 component; the difference runs
+        # to the lesser precision and keeps the Y-components of the other.
+        estar, e2 = e2_star(12), eisenstein(2, 8)
+        difference = estar - e2
+        assert difference.weight == 2 and difference.prec == 8
+        assert difference.component(0).is_zero()
+        assert difference.component(1) == QSeries.constant(-3, 8)
+        assert difference + e2 == YPolyForm([c.truncate(8) for c in estar.components], 2)
 
     def test_product_with_graded_promotes(self):
         e4 = eisenstein(4, 8)
@@ -66,16 +79,6 @@ class TestYPolyForm:
         assert square.component(2) == QSeries.constant(9, 16)
         e2 = eisenstein(2, 16).series
         assert square.component(1) == e2 * -6
-
-    def test_json_roundtrip_records_scaling(self):
-        assert e2_star(2).to_json_dict() == {
-            "weight": 2,
-            "scaling": Y_CONVENTION,
-            "components": [
-                {"prec": 2, "coeffs": ["1/1", "-24/1", "-72/1"]},
-                {"prec": 2, "coeffs": ["-3/1", "0/1", "0/1"]},
-            ],
-        }
 
     def test_constant_term_of_product_depends_only_on_constant_terms(self):
         rng = random.Random(7)

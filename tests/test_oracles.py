@@ -25,7 +25,6 @@ from modforms.exactmath import solve_linear
 from modforms.forms import (
     CATALOG_NAMES,
     DELTA_WEIGHTS,
-    catalog,
     catalog_form,
     cusp_delta,
     dim_modular,
@@ -261,9 +260,8 @@ def _reference_eigen_report(comps: list[list[Fraction]], k: int, ypoly: bool,
 
 def _oracle_forms(family: str):
     """(label, form) pairs of one input family, all at ORACLE_PREC."""
-    names = [e.name for e in catalog(ORACLE_PREC)]
-    forms = {name: catalog_form(name, ORACLE_PREC) for name in names}
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    forms = {name: catalog_form(name, ORACLE_PREC) for name in CATALOG_NAMES}
+    pairs = [(a, b) for i, a in enumerate(CATALOG_NAMES) for b in CATALOG_NAMES[i:]]
     if family == "catalog":
         return list(forms.items())
     if family == "derivatives":
