@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json as jsonlib
 import os
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .exactmath import rational_str
@@ -102,14 +102,36 @@ class _Main:
     def main(self, args=None, prog_name=None):
         """Run one command line (sys.argv[1:] by default) and raise SystemExit
         with its exit code. prog_name is accepted and unused: the program is
-        always named modforms."""
+        always named modforms.
+
+        A line that begins with a command name is read by that command's
+        subparser alone, as the top-level parser would hand it on; the
+        top-level parser reads only help and a missing or unknown command.
+        A reader of stdout that closes early (as `| head` does) ends the run
+        with exit 1 and no traceback."""
         args = sys.argv[1:] if args is None else args
         try:
-            kwargs = vars(self.parser.parse_args(self._glued(args)))
-            code = self.commands[kwargs.pop("command")].callback(**kwargs)
+            sub = self._subparsers.choices.get(args[0]) if args else None
+            if sub is None:
+                kwargs = vars(self.parser.parse_args(self._glued(args)))
+                name = kwargs.pop("command")
+            else:
+                kwargs = vars(sub.parse_args(self._glued(args[1:])))
+                name = args[0]
+            code = self.commands[name].callback(**kwargs)
+            sys.stdout.flush()
         except CLIError as exc:
             print(f"Error: {exc}", file=sys.stderr)
             code = exc.exit_code
+        except BrokenPipeError:
+            # What stdout still buffers is flushed at exit: point its file at
+            # os.devnull, so that flush neither fails nor prints.
+            with contextlib.suppress(OSError, ValueError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            code = 1
         raise SystemExit(code or 0)
 
     __call__ = main
@@ -197,26 +219,60 @@ def _domain_errors():
 
 
 def _resolve_form(text: str, prec: int) -> GradedSeries:
-    """A catalog name, or a weight-homogeneous polynomial in E2, E4, E6."""
-    if text not in CATALOG_NAMES and _NAME_RE.match(text):
+    """A catalog name, or a weight-homogeneous polynomial in E2, E4, E6; the
+    caller runs it inside its _domain_errors() block."""
+    if text in CATALOG_NAMES:
+        return catalog_form(text, prec)
+    if _NAME_RE.match(text):
         raise CLIError(
             f"unknown form name {text!r}; catalog names are {', '.join(CATALOG_NAMES)}"
         )
-    with _domain_errors():
-        if text in CATALOG_NAMES:
-            return catalog_form(text, prec)
-        return eval_generator_poly(text, prec)
+    return eval_generator_poly(text, prec)
 
 
 def _series_text(form: GradedSeries, as_json: bool) -> str:
     """str(form), or the bytes of json.dumps(form.to_json_dict(), indent=2) in one
-    pass: each coefficient string is "num/den" digits and needs no escaping."""
+    pass: each coefficient string is "num/den" digits and needs no escaping. A
+    series of denominator 1, as every catalog form is, joins its numerators."""
     if not as_json:
         return str(form)
-    data = form.to_json_dict()
-    coeffs = ",\n      ".join(f'"{c}"' for c in data["series"]["coeffs"])
-    return (f'{{\n  "weight": {data["weight"]},\n  "series": {{\n    "prec": {data["series"]["prec"]},'
+    if form.denominator == 1:
+        coeffs = '/1",\n      "'.join(map(str, form.numerators))
+        coeffs = f'"{coeffs}/1"'
+    else:
+        coeffs = ",\n      ".join(f'"{c}"' for c in form.to_json_dict()["series"]["coeffs"])
+    return (f'{{\n  "weight": {form.weight},\n  "series": {{\n    "prec": {form.prec},'
             f'\n    "coeffs": [\n      {coeffs}\n    ]\n  }}\n}}')
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for a value of str-keyed
+    dicts, lists, tuples, str, int, finite float, bool and None. Each container is
+    one join of its items' texts, where json.dumps yields them piece by piece."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]"
+    items = [_json_text(v, inner) for v in value]
+    return f"[{inner}{(',' + inner).join(items)}{indent}]"
 
 
 main = _Main("Exact q-expansion computations for level-one modular forms.")
@@ -257,9 +313,8 @@ def delta_cmd(weight: int, prec: int, as_json: bool):
 )
 def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
     """Apply the n-th Hecke operator."""
-    form = _resolve_form(source, prec)
     with _domain_errors():
-        text = _series_text(hecke(form, index), as_json)
+        text = _series_text(hecke(_resolve_form(source, prec), index), as_json)
     print(text)
 
 
@@ -273,11 +328,10 @@ def hecke_cmd(source: str, index: int, prec: int, as_json: bool):
 )
 def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
     """Test whether a form is a Hecke eigenform up to the bound."""
-    form = _resolve_form(source, prec)
     with _domain_errors():
-        report = eigenform_test(form, bound=bound, window=window)
+        report = eigenform_test(_resolve_form(source, prec), bound=bound, window=window)
         if as_json:
-            lines = [jsonlib.dumps(report.to_json_dict(), indent=2)]
+            lines = [_json_text(report.to_json_dict())]
         elif report.is_eigen_up_to_bound:
             lines = [f"eigenform up to T_{report.tested_bound}"]
             lines += [f"  lambda_{n} = {lam}" for n, lam in report.eigenvalues]
@@ -340,7 +394,7 @@ def decompose_cmd(expr: str, weight: int, depth: int, as_json: bool):
 def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
     if parts is None:
         if as_json:
-            return jsonlib.dumps({"weight": weight, "depth_bound": depth, "decomposable": False})
+            return f'{{"weight": {weight}, "depth_bound": {depth}, "decomposable": false}}'
         return f"not decomposable with depth bound {depth}"
 
     # Every component has weight k - 2r >= 2; at weight 2 its basis is empty.
@@ -360,7 +414,7 @@ def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
                 for r, part, coords in parts
             ],
         }
-        return jsonlib.dumps(payload, indent=2)
+        return _json_text(payload)
     lines = []
     for r, part, coords in parts:
         labels = ", ".join(
@@ -390,7 +444,7 @@ def verify_cmd(suite: str, prec: int, as_json: bool, out: str | None):
     try:
         with handle, _domain_errors():
             report = run_suite(suite, prec)
-            payload = jsonlib.dumps(report.to_json_dict(), indent=2) if as_json or out else None
+            payload = _json_text(report.to_json_dict()) if as_json or out else None
             text = payload if as_json else "\n".join(report.summary_lines())
             if out:
                 handle.truncate(0)

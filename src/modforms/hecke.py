@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count as indices, repeat
 from math import gcd
 from operator import add, mul, ne
@@ -42,6 +43,13 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _divisors(n: int) -> tuple[int, ...]:
+    """divisors(n), kept for the last 64 n: the eigenform test applies the
+    same few T_n to every candidate it tests."""
+    return tuple(divisors(n))
+
+
 def _kernel(nums: Sequence[int], k: int, r: int, n: int, count: int) -> tuple[list[int], int]:
     """T_n on the Y^r component of a weight-k form, in integers.
 
@@ -55,7 +63,7 @@ def _kernel(nums: Sequence[int], k: int, r: int, n: int, count: int) -> tuple[li
     """
     e = k - 2 * r - 1
     b: list[int] = []
-    for d in divisors(n):
+    for d in _divisors(n):
         c = n**r * (d**e if e >= 0 else (n // d) ** -e)
         terms = nums[: (count - 1) // d * (n // d) + 1 : n // d]
         if d == 1:

@@ -308,7 +308,7 @@ def _line(form: GradedSeries, prec: int) -> tuple[str, GradedSeries | None, Frac
     return "cusp", cusp_delta(k, prec) if k in DELTA_WEIGHTS else None, form[1]
 
 
-def _eigen_scan(candidates, prec: int, skipped: list[str]):
+def _eigen_scan(candidates, prec: int, skipped: dict):
     """Decide each (key, label, build, modular) candidate, built at precision
     p by build(p); ``modular`` marks a modular form (see the scans).
 
@@ -330,7 +330,7 @@ def _eigen_scan(candidates, prec: int, skipped: list[str]):
     Yields (key, form, report, c) for each candidate in order: form is the
     prefix for a line verdict and the full build otherwise, c as in _line or
     None off a line, and all None for a dropped one. A candidate whose
-    precision is too low appends a line to ``skipped`` instead. The scan
+    precision is too low maps its key to a line in ``skipped`` instead. The scan
     holds one candidate at a time: the caller drops each before the next.
     """
     sieve = prec >= _FULL_TEST_PREC
@@ -352,7 +352,7 @@ def _eigen_scan(candidates, prec: int, skipped: list[str]):
             try:
                 result = eigenform_test(form)
             except PrecisionError as exc:
-                skipped.append(f"{label}: {exc}")
+                skipped[key] = f"{label}: {exc}"
                 continue
         yield key, form, result, scale
 
@@ -462,12 +462,13 @@ def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], Verifica
     start = time.perf_counter()
     report = VerificationReport("products")
 
-    skipped: list[str] = []
+    skipped: dict[tuple, str] = {}
     hits = []
     for key, form, result, _ in _eigen_scan(_product_candidates(prec), prec, skipped):
         if result is not None and result.is_eigen_up_to_bound:
             hits.append(ProductHit(*key, form.weight, result.eigenvalues))
 
+    # A missed hit's witness is the line the scan skipped it with, or else its key.
     found = {hit.key: hit for hit in hits}
     for key, anchor in _EXPECTED_PRODUCT_RESULTS.items():
         hit = found.get(key)
@@ -475,7 +476,7 @@ def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], Verifica
             f"products.hit.{_product_label(*key)}",
             anchor,
             hit is not None,
-            hit.to_json_dict() if hit else None,
+            hit.to_json_dict() if hit else skipped.get(key, key),
         )
     unexpected = [hit for hit in hits if hit.key not in _EXPECTED_PRODUCT_RESULTS]
     report.add(
@@ -488,7 +489,7 @@ def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], Verifica
         "products.scan_complete",
         "every candidate was tested at full precision",
         not skipped,
-        skipped,
+        list(skipped.values()),
     )
 
     report.runtime_seconds = time.perf_counter() - start
@@ -556,7 +557,7 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
     start = time.perf_counter()
     report = VerificationReport("brackets")
 
-    skipped: list[str] = []
+    skipped: dict[tuple, str] = {}
     hits: list[BracketHit] = []
     lines: dict[tuple[int, str], list[Fraction] | None] = {}  # coordinates of each line
     for key, bracket, result, scale in _eigen_scan(_bracket_candidates(prec), prec, skipped):
@@ -604,7 +605,7 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
         "brackets.scan_complete",
         "every bracket candidate was tested at full precision",
         not skipped,
-        skipped,
+        list(skipped.values()),
     )
 
     report.runtime_seconds = time.perf_counter() - start

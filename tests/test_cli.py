@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from modforms.brackets import rankin_cohen
 from cli_run import run_cli
-from modforms.cli import _MAX_PREC, _series_text, main
+from modforms.cli import _MAX_PREC, CLIError, _json_text, _series_text, main
 from modforms.forms import catalog_form, cusp_delta, eisenstein, eval_generator_poly
 from modforms.hecke import hecke
 from modforms.qseries import GradedSeries, QSeries
@@ -35,8 +39,15 @@ class TestSeriesJson:
             lambda: eisenstein(4, 0),
             lambda: GradedSeries(QSeries.zero(5), 12),
             lambda: hecke(eisenstein(12, 12), 7),
+            lambda: eisenstein(2, 6),
+            lambda: GradedSeries(QSeries([0, -3, Fraction(1, 2), 0, Fraction(-7, 6)]), 4),
+            lambda: GradedSeries(QSeries([Fraction(-5, 3)], prec=0), 2),
+            lambda: cusp_delta(12, 10),
         ],
-        ids=["E4", "E12", "D(E2)", "E6", "prec-0", "zero", "hecke-n-above-half"],
+        ids=[
+            "E4", "E12", "D(E2)", "E6", "prec-0", "zero", "hecke-n-above-half",
+            "negative-denominator-1", "signed-denominator-6", "prec-0-denominator-3", "Delta12",
+        ],
     )
     def test_equals_the_json_encoder(self, form):
         form = form()
@@ -58,6 +69,40 @@ class TestSeriesJson:
         result = run_cli(*argv, "--prec", "30", "--json")
         assert result.exit_code == 0
         assert json.loads(result.output) == form(30).to_json_dict()
+
+
+# Report values: str-keyed dicts and lists of the leaves json.dumps writes,
+# with strings that need escaping (quotes, backslashes, control and non-ASCII
+# characters) drawn often.
+_json_strings = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\U0001f600ab')),
+)
+_json_values = st.recursive(
+    st.one_of(_json_strings, st.integers(), st.integers(-(2**200), 2**200),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestReportJson:
+    """The JSON reports of eigen, decompose and verify are written by
+    _json_text, byte for byte what json.dumps(value, indent=2) gives."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_json_values)
+    def test_equals_the_json_encoder(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers_and_tuples(self):
+        value = {"a": [], "b": {}, "c": ({}, [[]], (1, "x")), "": None}
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_a_value_json_cannot_write_is_refused(self):
+        with pytest.raises(TypeError):
+            _json_text({"coefficient": Fraction(1, 2)})
 
 
 class TestEis:
@@ -612,6 +657,28 @@ def test_import_loads_only_the_standard_library():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+def _stable(text: str) -> str:
+    """text with the run time of a verify report zeroed."""
+    text = re.sub(r'"runtime_seconds": [0-9.e-]+', '"runtime_seconds": 0', text)
+    return re.sub(r"\([0-9.]+s\)", "(0s)", text)
+
+
+def _top_level_run(*argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a line read whole by the top-level
+    parser, main.parser, and run by the command's callback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            kwargs = vars(main.parser.parse_args(main._glued(argv)))
+            code = main.commands[kwargs.pop("command")].callback(**kwargs)
+        except CLIError as exc:
+            print(f"Error: {exc}", file=sys.stderr)
+            code = exc.exit_code
+        except SystemExit as exc:
+            code = exc.code
+    return code or 0, _stable(out.getvalue()), err.getvalue()
+
+
 class TestUsage:
     """A command line the parser refuses is one Error: line on stderr and
     exit 2; an input the engine refuses stays exit 1."""
@@ -668,6 +735,71 @@ class TestUsage:
         monkeypatch.setattr(command, "callback", lambda **kwargs: calls.append(kwargs) or 3)
         assert run_cli("eis", "--weight", "4", "--prec", "6").exit_code == 3
         assert calls == [{"weight": 4, "prec": 6, "as_json": False}]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eis", "--weight", "4", "--prec", "6"),
+            ("delta", "--weight", "16", "--prec", "6", "--json"),
+            ("hecke", "--input", "E4*E6 - E2*E8", "--n", "3", "--prec", "12"),
+            ("eigen", "--input", "Delta12", "--bound", "3", "--window", "4", "--prec", "12", "--json"),
+            ("bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "8"),
+            ("decompose", "--expr", "E2*E4 - E6", "--weight", "6", "--depth", "2", "--json"),
+            ("verify", "--suite", "ghitza", "--prec", "64", "--json"),
+            ("verify", "--suite", "ghitza", "--prec", "64"),
+            ("--help",), ("eis", "--help"), ("hecke", "--n", "2", "--help"),
+            (), ("eigenform", "--input", "E4"), ("--json", "eis"), ("--", "eis"), ("",),
+            ("eis", "--weight", "4"), ("eis",), ("eis", "--weight"),
+            ("eis", "--weight", "4", "--prec", "6", "--depth", "1"),
+            ("eis", "--wei", "4", "--prec", "6"),
+            ("eis", "--weight", "4", "--weight", "6", "--prec", "6"),
+            ("eis", "--weight=4", "--prec=6", "--json"),
+            ("hecke", "--input=-E4", "--n=2", "--prec", "6"),
+            ("hecke", "--input", "-E4", "--n", "-2", "--prec", "6"),
+            ("eis", "--weight", "-4", "--prec", "6"),
+            ("eis", "--weight", "--prec", "6"),
+            ("eis", "--weight", "4", "--prec", "6", "7"),
+            ("eis", "--weight", "4", "--prec", "6", "--", "7"),
+            ("verify", "--suite", "everything"),
+            ("hecke", "--input", "Foo", "--n", "2"),
+        ],
+    )
+    def test_dispatch_reads_a_line_as_the_top_level_parser_did(self, argv):
+        # main.main hands a line that begins with a command name to that
+        # command's subparser; the top-level parser reading the whole line
+        # gives the same stdout, stderr and exit code.
+        result = run_cli(*argv)
+        assert (result.exit_code, _stable(result.stdout), result.stderr) == _top_level_run(*argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eis", "--weight", "12", "--prec", "3000", "--json"), ("verify", "--suite", "products", "--prec", "64")],
+        ids=["eis", "verify"],
+    )
+    def test_a_closed_stdout_is_exit_1_without_a_traceback(self, argv):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exit_:
+                main.main(args=list(argv), prog_name="modforms")
+        assert (exit_.value.code, err.getvalue()) == (1, "")
+
+    def test_a_reader_that_exits_early_leaves_no_traceback(self):
+        # As `modforms eis ... | head -c 10` does: the reader closes the pipe
+        # after 10 bytes, and the text (over 200 kB) cannot all be written.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modforms.cli", "eis", "--weight", "12", "--prec", "4096", "--json"],
+            env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), head, stderr) == (1, b'{\n  "weigh', b"")
 
     def test_module_run_prints_the_in_process_bytes(self):
         argv = ("eis", "--weight", "4", "--prec", "6", "--json")

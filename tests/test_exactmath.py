@@ -115,6 +115,14 @@ class TestSigma:
         with pytest.raises(ValueError):
             divisors(0)
 
+    def test_divisors_returns_a_fresh_list(self):
+        # The Hecke kernel memoizes divisors as tuples of its own; each caller
+        # of divisors gets a list it may change.
+        first, second = divisors(6), divisors(6)
+        assert first == second == [1, 2, 3, 6] and first is not second
+        first.append(12)
+        assert divisors(6) == [1, 2, 3, 6]
+
 
 class TestBinomial:
     def test_known_values(self):

@@ -148,7 +148,7 @@ class TestPrefixSieve:
 
                 yield key, label, logged, modular
 
-        skipped = []
+        skipped = {}
         for key, form, report, _ in _eigen_scan(watched(), prec, skipped):
             if form is not None and form.prec == prec:
                 assert report == eigenform_test(form), key
@@ -187,6 +187,25 @@ class TestPrefixSieve:
         assert not check.passed
         assert len(check.witness) == count
         assert all(line.endswith("needs precision >= 120, have 64") for line in check.witness)
+
+    @pytest.mark.parametrize("suite", ["products", "brackets"])
+    def test_every_failed_record_at_low_precision_has_a_witness(self, suite):
+        # A missed product hit carries the line the scan skipped it with.
+        report = run_suite(suite, 64).to_json_dict()
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert failed and all(c["witness"] is not None for c in failed)
+        skipped = [c["witness"] for c in failed if c["id"].endswith(".scan_complete")]
+        for check in failed:
+            if ".hit." in check["id"]:
+                label = check["id"].split(".hit.", 1)[1]
+                assert check["witness"].startswith(f"{label}: ") and check["witness"] in skipped[0]
+
+    def test_a_missed_hit_the_scan_did_not_skip_has_its_key_as_witness(self, monkeypatch):
+        monkeypatch.setattr(verify, "_eigen_scan", lambda candidates, prec, skipped: iter(()))
+        _, report = product_search(_FULL_TEST_PREC)
+        hits = [c for c in report.to_json_dict()["checks"] if ".hit." in c["id"]]
+        assert not any(c["pass"] for c in hits)
+        assert [c["witness"] for c in hits] == [list(key) for key in EXPECTED_EIGEN_PRODUCTS]
 
     def test_full_test_precision_is_the_default_need(self):
         form = catalog_form("E4", _FULL_TEST_PREC)
@@ -291,7 +310,7 @@ class TestSturmConditions:
                 built.append(p)
             return build(p)
 
-        skipped = []
+        skipped = {}
         (yielded,) = _eigen_scan([("x", "x", logged, modular)], self.PREC, skipped)
         assert not skipped
         return bool(built), yielded
