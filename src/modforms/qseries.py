@@ -147,10 +147,13 @@ class QSeries:
         return not any(self._nums)
 
     def truncate(self, prec: int) -> "QSeries":
+        """The series to prec; at its own precision, the series itself."""
         if prec > self.prec:
             raise PrecisionError(
                 f"cannot extend precision {self.prec} to {prec} without new data"
             )
+        if prec == self.prec:
+            return self
         return QSeries.from_numerators(self._nums[: prec + 1], self._den)
 
     # -- ring operations ------------------------------------------------
@@ -385,14 +388,19 @@ class GradedSeries(QSeries):
 
     @property
     def series(self) -> QSeries:
-        return QSeries.from_numerators(self._nums, self._den)
+        """The untagged series, sharing this one's numerators, which are
+        already in lowest terms."""
+        series = object.__new__(QSeries)
+        series._nums, series._den = self._nums, self._den
+        return series
 
     @property
     def weight(self) -> int:
         return self._weight
 
     def truncate(self, prec: int) -> "GradedSeries":
-        return GradedSeries(super().truncate(prec), self._weight)
+        series = super().truncate(prec)
+        return self if series is self else GradedSeries(series, self._weight)
 
     def _linear(self, other: QSeries, sign: int) -> QSeries:
         if not isinstance(other, GradedSeries):

@@ -6,6 +6,13 @@ Every check record carries an ``anchor``: the mathematical claim being
 verified, stated as a formula, so a failing record can be re-derived
 from raw series without consulting anything else. Failing records always
 include a concrete witness (a coefficient index or a parameter tuple).
+
+The product and bracket scans decide each candidate from the integer
+numerators of its first five coefficients, computed from the operands'
+own by the product kernel or by rankin_cohen's integer core, and make a
+series only for a candidate they yield (see _eigen_scan). A line's eigen
+report goes into a table that run_suite makes per call and hands to both
+scans, so each line is tested once per run; it holds reports, not series.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ import math
 import time
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .brackets import rankin_cohen
+from .brackets import _bracket_numerators, rankin_cohen
 from .exactmath import bernoulli, rational_str, sigma
 from .forms import (
     CATALOG_NAMES,
@@ -28,7 +35,7 @@ from .forms import (
 )
 from .hecke import EigenReport, _first_miss, eigenform_test
 from .nearly import constant_term, e2_star, maass_shimura
-from .qseries import GradedSeries, PrecisionError, first_difference
+from .qseries import GradedSeries, PrecisionError, QSeries, _product, first_difference
 
 __all__ = [
     "DEFAULT_PREC",
@@ -299,94 +306,113 @@ _SIEVE_PREC = 4
 _FULL_TEST_PREC = 120
 
 
-def _line(form: GradedSeries, prec: int) -> tuple[str, GradedSeries | None, Fraction]:
-    """(classification, L, c), form being on L iff form == c*L, for the line L of
-    its weight at prec: E_k if a_0 != 0, else Delta_k (None unless dim S_k = 1)."""
-    k = form.weight
-    if form[0] != 0:
-        return "eisenstein-line", eisenstein(k, prec), form[0]
-    return "cusp", cusp_delta(k, prec) if k in DELTA_WEIGHTS else None, form[1]
+class _Prefix(NamedTuple):
+    """A scan candidate's weight and first _SIEVE_PREC + 1 coefficients, as
+    integer numerators over one denominator, not in lowest terms: what the
+    sieve and the line comparison read, in place of a series."""
+
+    weight: int
+    numerators: Sequence[int]
+    denominator: int
 
 
-def _eigen_scan(candidates, prec: int, skipped: dict):
-    """Decide each (key, label, build, modular) candidate, built at precision
-    p by build(p); ``modular`` marks a modular form (see the scans).
+def _line(weight: int, a0, prec: int) -> tuple[str, GradedSeries | None]:
+    """(classification, L): the line L of weight at prec that a form of that
+    weight with constant term a0 would be on: E_k if a0 != 0, else Delta_k
+    (None unless dim S_k = 1)."""
+    if a0:
+        return "eisenstein-line", eisenstein(weight, prec)
+    return "cusp", cusp_delta(weight, prec) if weight in DELTA_WEIGHTS else None
 
-    Each is first built at _SIEVE_PREC. A zero prefix drops it: a product of
-    nonzero catalog forms has order at most 2, and a bracket has weight at
-    most 26, so by Sturm's bound it is zero once a_0..a_2 vanish. A prefix
-    that fails T_2 on exponents 0..2 (reading a_0..a_4; see _sieve_passes)
-    drops it too, with the first violation the full test would find; every
-    catalog candidate whose prefix passes is an eigenform.
+
+def _line_verdict(prefix: _Prefix, prec: int, line_reports: dict):
+    """(c, the eigen report of L) if prefix is c*L on a_0.._SIEVE_PREC for
+    the line L of its weight at prec (see _line), else (None, None): with c
+    = a_j/L_j for j = 0 on the Eisenstein line and j = 1 on a cusp line,
+    that is a_i L_j = L_i a_j for each i, in numerators. L's report comes
+    from line_reports, keyed (classification, weight, prec), and is made
+    there by L's own test the first time it is asked for."""
+    nums, weight = prefix.numerators, prefix.weight
+    kind, line = _line(weight, nums[0], prec)
+    if line is None:
+        return None, None
+    j, ell = (0 if nums[0] else 1), line.numerators
+    if any(a * ell[j] != b * nums[j] for a, b in zip(nums, ell)):
+        return None, None
+    key = (kind, weight, prec)
+    if key not in line_reports:
+        line_reports[key] = eigenform_test(line)
+    return Fraction(nums[j], prefix.denominator), line_reports[key]
+
+
+def _eigen_scan(candidates, prec: int, skipped: dict, line_reports: dict | None):
+    """Decide each (key, label, prefix, build, modular) candidate: prefix is
+    its _Prefix, build(p) builds it at precision p, and ``modular`` marks a
+    modular form (see the scans).
+
+    A zero prefix drops a candidate: a product of nonzero catalog forms has
+    order at most 2, and a bracket has weight at most 26, so by Sturm's
+    bound it is zero once a_0..a_2 vanish. A prefix that fails T_2 on
+    exponents 0..2 (reading a_0..a_4; see _sieve_passes) drops it too, with
+    the first violation the full test would find; every catalog candidate
+    whose prefix passes is an eigenform. Both read the prefix's integers.
 
     A modular candidate of weight k, k // 12 <= _SIEVE_PREC, whose prefix is
-    c*L on a_0..a_4 (see _line) is c*L by Sturm's bound. It takes L's report
-    unbuilt, as T_n(cL) = c T_n(L), and counts as tested at full precision
-    in scan_complete, since L is tested in full (once per scan). Every other
-    pass, and one on a line whose own test fails, is built in full and
-    tested itself. Below _FULL_TEST_PREC the sieve and line verdicts are
-    off: each nonzero candidate records its PrecisionError.
+    c*L on a_0..a_4 is c*L by Sturm's bound (see _line_verdict). It takes
+    L's report unbuilt, as T_n(cL) = c T_n(L), and counts as tested at full
+    precision in scan_complete, since L is tested in full, once for all the
+    scans that share line_reports (a new table if None). Every other pass,
+    and one on a line whose own test fails, is built in full and tested
+    itself. Below _FULL_TEST_PREC the sieve and line verdicts are off: each
+    nonzero candidate records its PrecisionError.
 
     Yields (key, form, report, c) for each candidate in order: form is the
-    prefix for a line verdict and the full build otherwise, c as in _line or
-    None off a line, and all None for a dropped one. A candidate whose
-    precision is too low maps its key to a line in ``skipped`` instead. The scan
-    holds one candidate at a time: the caller drops each before the next.
+    prefix as a series for a line verdict and the full build otherwise, c
+    as in _line_verdict or None off a line, and all None for a dropped one.
+    A candidate whose precision is too low maps its key to a line in
+    ``skipped`` instead. No series is made for a dropped candidate, and the
+    caller drops each form before the next.
     """
     sieve = prec >= _FULL_TEST_PREC
-    reports = {}  # (classification, weight) -> the eigen report of that line
-    for key, label, build, modular in candidates:
-        form = build(min(prec, _SIEVE_PREC))
-        if form.is_zero() or (sieve and not _sieve_passes(form)):
+    line_reports = {} if line_reports is None else line_reports
+    for key, label, prefix, build, modular in candidates:
+        if not any(prefix.numerators) or (sieve and not _sieve_passes(prefix)):
             yield key, None, None, None
             continue
-        sturm = sieve and modular and form.weight // 12 <= _SIEVE_PREC
-        kind, line, scale = _line(form, prec) if sturm else (None, None, None)
-        if line is None or form != line.truncate(_SIEVE_PREC) * scale:
-            scale = None
-        elif (kind, form.weight) not in reports:
-            reports[kind, form.weight] = eigenform_test(line)
-        result = None if scale is None else reports[kind, form.weight]
-        if result is None or not result.is_eigen_up_to_bound:
-            form = build(prec)
-            try:
-                result = eigenform_test(form)
-            except PrecisionError as exc:
-                skipped[key] = f"{label}: {exc}"
-                continue
+        scale = result = None
+        if sieve and modular and prefix.weight // 12 <= _SIEVE_PREC:
+            scale, result = _line_verdict(prefix, prec, line_reports)
+        if result is not None and result.is_eigen_up_to_bound:
+            series = QSeries.from_numerators(prefix.numerators, prefix.denominator)
+            yield key, GradedSeries(series, prefix.weight), result, scale
+            continue
+        form = build(prec)
+        try:
+            result = eigenform_test(form)
+        except PrecisionError as exc:
+            skipped[key] = f"{label}: {exc}"
+            continue
         yield key, form, result, scale
 
 
-def _sieve_passes(prefix: GradedSeries) -> bool:
+def _sieve_passes(prefix) -> bool:
     """eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound for a
-    nonzero prefix of _SIEVE_PREC + 1 coefficients, read off its numerators
-    by the test's own T_2 comparison on exponents 0.._SIEVE_PREC // 2."""
+    nonzero prefix of _SIEVE_PREC + 1 coefficients (a _Prefix, or a series
+    of that precision), read off its numerators by the test's own T_2
+    comparison on exponents 0.._SIEVE_PREC // 2, which a common factor of
+    the numerators does not change."""
     nums = prefix.numerators
     m0 = next(m for m, a in enumerate(nums) if a)
     count = _SIEVE_PREC // 2 + 1
     return m0 >= count or _first_miss((nums,), prefix.weight, 2, count, (m0, 0))[3] is None
 
 
-# A scan operand: a form at the scan's precision and its prefix at the
-# sieve's, truncated once per scan rather than once per candidate.
-_Operand = tuple[GradedSeries, GradedSeries]
+def _truncated_product(left: GradedSeries, right: GradedSeries, prec: int) -> GradedSeries:
+    return left.truncate(prec) * right.truncate(prec)
 
 
-def _operand(form: GradedSeries) -> _Operand:
-    return form, form.truncate(min(form.prec, _SIEVE_PREC))
-
-
-def _truncated(operand: _Operand, prec: int) -> GradedSeries:
-    form, prefix = operand
-    return prefix if prec == prefix.prec else form.truncate(prec)
-
-
-def _truncated_product(left: _Operand, right: _Operand, prec: int) -> GradedSeries:
-    return _truncated(left, prec) * _truncated(right, prec)
-
-
-def _truncated_bracket(g: _Operand, h: _Operand, m: int, prec: int) -> GradedSeries:
-    return rankin_cohen(_truncated(g, prec), _truncated(h, prec), m)
+def _truncated_bracket(g: GradedSeries, h: GradedSeries, m: int, prec: int) -> GradedSeries:
+    return rankin_cohen(g.truncate(prec), h.truncate(prec), m)
 
 
 def _deriv_label(name: str, order: int) -> str:
@@ -437,34 +463,46 @@ EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 
 
 def _product_candidates(prec: int):
-    """The (key, label, build, modular) candidates of the product scan: a
-    product is modular when neither operand has a D or is E2."""
-    items: list[tuple[str, int, _Operand]] = []
+    """The (key, label, prefix, build, modular) candidates of the product
+    scan: a prefix is the kernel's product of the operands' first
+    numerators, and a product is modular when neither operand has a D or is
+    E2."""
+    items: list[tuple[str, int, GradedSeries, Sequence[int]]] = []
     for name in CATALOG_NAMES:
         form = catalog_form(name, prec)
-        items += [(name, 0, _operand(form)), (name, 1, _operand(form.derivative()))]
-    for i, (left_name, left_order, left) in enumerate(items):
-        for right_name, right_order, right in items[i:]:
+        for order, operand in enumerate((form, form.derivative())):
+            items.append((name, order, operand, operand.numerators[: _SIEVE_PREC + 1]))
+    for i, (left_name, left_order, left, left_head) in enumerate(items):
+        for right_name, right_order, right, right_head in items[i:]:
             key = (left_name, left_order, right_name, right_order)
             modular = not (left_order or right_order) and "E2" not in key
+            prefix = _Prefix(
+                left.weight + right.weight,
+                _product(left_head, right_head),
+                left.denominator * right.denominator,
+            )
             build = partial(_truncated_product, left, right)
-            yield key, _product_label(*key), build, modular
+            yield key, _product_label(*key), prefix, build, modular
 
 
-def product_search(prec: int = DEFAULT_PREC) -> tuple[list[ProductHit], VerificationReport]:
+def product_search(
+    prec: int = DEFAULT_PREC, line_reports: dict | None = None
+) -> tuple[list[ProductHit], VerificationReport]:
     """Test every unordered catalog product (D^r f)(D^s g), r, s <= 1,
     for eigenform-ness.
 
     Returns the passing candidates and a report comparing them against
     the classified list: each expected hit must be found and nothing else
-    may pass (``scan_complete``: see _eigen_scan).
+    may pass (``scan_complete``: see _eigen_scan). line_reports is the
+    table of line reports the scan reads and fills (see _line_verdict);
+    without one, the scan makes its own.
     """
     start = time.perf_counter()
     report = VerificationReport("products")
 
     skipped: dict[tuple, str] = {}
     hits = []
-    for key, form, result, _ in _eigen_scan(_product_candidates(prec), prec, skipped):
+    for key, form, result, _ in _eigen_scan(_product_candidates(prec), prec, skipped, line_reports):
         if result is not None and result.is_eigen_up_to_bound:
             hits.append(ProductHit(*key, form.weight, result.eigenvalues))
 
@@ -529,22 +567,30 @@ class BracketHit(NamedTuple):
 
 
 def _bracket_candidates(prec: int):
-    """The (key, label, build, modular) candidates of the bracket scan:
-    [g, h]_m, m <= 4, for modular catalog pairs up to the top catalog
-    weight. Each is modular: a bracket of modular forms is one."""
-    entries = [
-        (name, _operand(catalog_form(name, prec))) for name in CATALOG_NAMES if name != "E2"
-    ]
-    top_weight = max(g[0].weight for _, g in entries)
-    for i, (g_name, g) in enumerate(entries):
-        for h_name, h in entries[i:]:
+    """The (key, label, prefix, build, modular) candidates of the bracket
+    scan: [g, h]_m, m <= 4, for modular catalog pairs up to the top catalog
+    weight. A prefix is rankin_cohen's integer core on the operands' first
+    numerators. Each is modular: a bracket of modular forms is one."""
+    entries = []
+    for name in CATALOG_NAMES:
+        if name != "E2":
+            form = catalog_form(name, prec)
+            entries.append((name, form, form.numerators[: _SIEVE_PREC + 1]))
+    top_weight = max(g.weight for _, g, _ in entries)
+    for i, (g_name, g, g_head) in enumerate(entries):
+        for h_name, h, h_head in entries[i:]:
             for m in range(5):
-                if g[0].weight + h[0].weight + 2 * m <= top_weight:
+                weight = g.weight + h.weight + 2 * m
+                if weight <= top_weight:
+                    nums = _bracket_numerators(g_head, h_head, g.weight, h.weight, m)
+                    prefix = _Prefix(weight, nums, g.denominator * h.denominator)
                     build = partial(_truncated_bracket, g, h, m)
-                    yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", build, True
+                    yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", prefix, build, True
 
 
-def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], VerificationReport]:
+def bracket_search(
+    prec: int = DEFAULT_PREC, line_reports: dict | None = None
+) -> tuple[list[BracketHit], VerificationReport]:
     """Eigenform scan over [g, h]_m, m <= 4, for modular catalog pairs up
     to the top catalog weight.
 
@@ -552,7 +598,8 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
     one-dimensional cusp space, and a hit c*f on such a line f (c from the
     scan's comparison) takes c times the coordinates of f, solved once per
     line; the m = 0 slice must be exactly the modular product hits
-    (``scan_complete``: see _eigen_scan).
+    (``scan_complete``: see _eigen_scan). line_reports is as in
+    product_search.
     """
     start = time.perf_counter()
     report = VerificationReport("brackets")
@@ -560,11 +607,12 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
     skipped: dict[tuple, str] = {}
     hits: list[BracketHit] = []
     lines: dict[tuple[int, str], list[Fraction] | None] = {}  # coordinates of each line
-    for key, bracket, result, scale in _eigen_scan(_bracket_candidates(prec), prec, skipped):
+    scan = _eigen_scan(_bracket_candidates(prec), prec, skipped, line_reports)
+    for key, bracket, result, scale in scan:
         if result is None or not result.is_eigen_up_to_bound:
             continue
         weight = bracket.weight
-        classification, line, _ = _line(bracket, prec)
+        classification, line = _line(weight, bracket[0], prec)
         if scale is not None:
             if (weight, classification) not in lines:
                 lines[weight, classification] = is_modular_member(line, weight)
@@ -617,35 +665,51 @@ def bracket_search(prec: int = DEFAULT_PREC) -> tuple[list[BracketHit], Verifica
 # ---------------------------------------------------------------------------
 
 
-def _eq3() -> list:
-    return [
-        (k, s)
-        for k in range(4, 41, 2)
-        for s in range(1, 41)
-        if 3**s * (1 + 3 ** (k - 1)) + 2**s + 28 == 2 ** (k + s - 4) * (2**s - 8)
-    ]
+# The scans of eq3, eq4 and eq7 yield each parameter tuple with the integer
+# value there of the equation's one side minus the other. Each power of s
+# or r is the previous one times its base.
 
 
-def _eq4() -> list:
-    out = []
+def _eq3_values():
+    """((k, s), lhs - rhs) of eq3, as 3^s c + 2^s + 28 - 2^(k-4) 2^s (2^s - 8)
+    with c = 1 + 3^(k-1)."""
+    for k in range(4, 41, 2):
+        c, top = 1 + 3 ** (k - 1), 2 ** (k - 4)
+        two = three = 1
+        for s in range(1, 41):
+            two *= 2
+            three *= 3
+            yield (k, s), three * c + two + 28 - top * two * (two - 8)
+
+
+def _eq4_values():
+    """((k, s), the left side of eq4), with 2^(2s+1) = 2 (2^s)^2, 2^(s+2) =
+    4 2^s and 2^(k+2s-1) = 2^(k-1) (2^s)^2."""
     for k in range(4, 41, 2):
         s2, s3, s5 = sigma(k - 1, 2), sigma(k - 1, 3), sigma(k - 1, 5)
+        square, linear = 2 * s2 * s2 - 3 * 2 ** (k - 1), 28 * s2
+        two = three = five = 1
         for s in range(1, 41):
-            value = (
-                5**s * s5
-                + 3 ** (s + 1) * s3
-                + 2 ** (2 * s + 1) * s2 * s2
-                + 7 * 2 ** (s + 2) * s2
-                - 3 * 2 ** (k + 2 * s - 1)
-                + 78
-            )
-            if value == 0:
-                out.append((k, s))
-    return out
+            two *= 2
+            three *= 3
+            five *= 5
+            yield (k, s), five * s5 + 3 * three * s3 + two * (two * square + linear) + 78
 
 
-def _eq7() -> list:
-    return [(r,) for r in range(1, 65) if Fraction(2) ** (2 * r - 3) + 4 * 3**r + 21 * 2**r == 212]
+def _eq7_values():
+    """((r,), twice the left side of eq7): 2^(2r-2) + 8*3^r + 42*2^r - 424,
+    an integer from r = 1 on."""
+    four, three, two = 1, 3, 2
+    for r in range(1, 65):
+        yield (r,), four + 8 * three + 42 * two - 424
+        four *= 4
+        three *= 3
+        two *= 2
+
+
+def _solutions(values) -> list:
+    """The parameters at which the scan values() reads 0."""
+    return [params for params, value in values() if value == 0]
 
 
 def _quadratic() -> list:
@@ -671,15 +735,18 @@ _EQUATIONS = {
     "eq3": (
         "3^s(1+3^(k-1)) + 2^s + 28 = 2^(k+s-4)(2^s-8) has no solutions "
         "(even 4 <= k <= 40, 1 <= s <= 40)",
-        _eq3,
+        partial(_solutions, _eq3_values),
     ),
     "eq4": (
         "5^s*sigma_{k-1}(5) + 3^(s+1)*sigma_{k-1}(3) + 2^(2s+1)*sigma_{k-1}(2)^2 "
         "+ 7*2^(s+2)*sigma_{k-1}(2) - 3*2^(k+2s-1) + 78 = 0 has no solutions "
         "(even 4 <= k <= 40, 1 <= s <= 40)",
-        _eq4,
+        partial(_solutions, _eq4_values),
     ),
-    "eq7": ("2^(2r-3) + 4*3^r + 21*2^r - 212 = 0 has no solutions (1 <= r <= 64)", _eq7),
+    "eq7": (
+        "2^(2r-3) + 4*3^r + 21*2^r - 212 = 0 has no solutions (1 <= r <= 64)",
+        partial(_solutions, _eq7_values),
+    ),
     "quadratic": (
         "no r makes b^2 + 2^(2r+3)(2^k-1) a perfect square with a root equal "
         "to 2k/B_k (k in {4,6,8,10,14}, 1 <= r <= 40)",
@@ -695,7 +762,8 @@ def diophantine_check(equation: str) -> list:
     eq3:  3^s (1 + 3^(k-1)) + 2^s + 28 = 2^(k+s-4) (2^s - 8)
     eq4:  5^s s_5 + 3^(s+1) s_3 + 2^(2s+1) s_2^2 + 7*2^(s+2) s_2
           - 3*2^(k+2s-1) + 78 = 0        (s_j = sigma_{k-1}(j))
-    eq7:  2^(2r-3) + 4*3^r + 21*2^r - 212 = 0   (rational at r = 1)
+    eq7:  2^(2r-3) + 4*3^r + 21*2^r - 212 = 0   (rational at r = 1, so
+          scanned doubled: 2^(2r-2) + 8*3^r + 42*2^r - 424 = 0)
     quadratic: records (k, r) where b^2 + 2^(2r+3)(2^k - 1) is a perfect
           square, with b = 4*3^r + 3*2^r(2^(k-1) - 1) + 1 + 3^(k-1), and
           flags as admissible those where a root (-b +- sqrt)/2 actually
@@ -770,15 +838,18 @@ SUITE_NAMES = ("identities", "products", "brackets", "diophantine", "ghitza", "a
 
 
 def run_suite(suite: str, prec: int = DEFAULT_PREC) -> VerificationReport:
-    """Run one named suite, or all of them in order, and return its report."""
+    """Run one named suite, or all of them in order, and return its report.
+    The product and bracket scans share one table of line reports, made
+    for this call and dropped with it, so each line is tested once."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     if prec < 0:
         raise ValueError("prec must be >= 0")
+    line_reports: dict = {}  # the scans' line reports, kept for this call only
     runs = {
         "identities": lambda: verify_identity_suite(prec),
-        "products": lambda: product_search(prec)[1],
-        "brackets": lambda: bracket_search(prec)[1],
+        "products": lambda: product_search(prec, line_reports)[1],
+        "brackets": lambda: bracket_search(prec, line_reports)[1],
         "diophantine": verify_diophantine_suite,
         "ghitza": ghitza_check,
     }

@@ -114,6 +114,18 @@ class TestArithmetic:
         with pytest.raises(PrecisionError):
             f.truncate(5)
 
+    def test_truncate_to_its_own_precision_is_the_series_itself(self):
+        f = QSeries([1, 2, 3])
+        assert f.truncate(2) is f and f.truncate(1) is not f
+        form = catalog_form("E4", 16)
+        assert form.truncate(16) is form
+        shorter = form.truncate(15)
+        assert type(shorter) is GradedSeries and shorter.weight == 4 and shorter.prec == 15
+        # The untagged view shares the numerators, already in lowest terms.
+        series = form.series
+        assert type(series) is QSeries and series.numerators is form.numerators
+        assert series == QSeries(form.coeffs)
+
 
 class TestDerivative:
     def test_scales_by_exponent(self):

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modforms import brackets as brackets_module, qseries, verify
+from modforms.exactmath import sigma
 from modforms.forms import DELTA_WEIGHTS, catalog_form, cusp_delta, eisenstein
 from modforms.hecke import EigenReport, Violation, eigenform_test
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
 from modforms.verify import (
     _FULL_TEST_PREC,
     _SIEVE_PREC,
+    _Prefix,
     EXPECTED_EIGEN_PRODUCTS,
     SUITE_NAMES,
     BracketHit,
@@ -123,8 +125,8 @@ class TestPrefixSieve:
         # each with the report of its own full test.
         prec = 128
         full_builds = []
-        for key, label, build, modular in candidates(prec):
-            prefix, form = build(_SIEVE_PREC), build(prec)
+        for key, label, head, build, modular in candidates(prec):
+            prefix, form = _series(head), build(prec)
             assert prefix.is_zero() == form.is_zero(), label
             if form.is_zero():
                 continue
@@ -140,16 +142,16 @@ class TestPrefixSieve:
         built = []
 
         def watched():
-            for key, label, build, modular in candidates(prec):
+            for key, label, head, build, modular in candidates(prec):
                 def logged(p, key=key, build=build):
                     if p == prec:
                         built.append(key)
                     return build(p)
 
-                yield key, label, logged, modular
+                yield key, label, head, logged, modular
 
         skipped = {}
-        for key, form, report, _ in _eigen_scan(watched(), prec, skipped):
+        for key, form, report, _ in _eigen_scan(watched(), prec, skipped, {}):
             if form is not None and form.prec == prec:
                 assert report == eigenform_test(form), key
         assert built == full_builds
@@ -165,8 +167,8 @@ class TestPrefixSieve:
         # on exponents 0..8 (a_0..a_16): five coefficients lose nothing.
         assert _SIEVE_PREC == 4
         passes = []
-        for key, label, build, _ in candidates(128):
-            short, long = build(_SIEVE_PREC), build(16)
+        for key, label, head, build, _ in candidates(128):
+            short, long = _series(head), build(16)
             assert short.is_zero() == long.is_zero(), label
             if long.is_zero():
                 continue
@@ -201,7 +203,7 @@ class TestPrefixSieve:
                 assert check["witness"].startswith(f"{label}: ") and check["witness"] in skipped[0]
 
     def test_a_missed_hit_the_scan_did_not_skip_has_its_key_as_witness(self, monkeypatch):
-        monkeypatch.setattr(verify, "_eigen_scan", lambda candidates, prec, skipped: iter(()))
+        monkeypatch.setattr(verify, "_eigen_scan", lambda *scan_args: iter(()))
         _, report = product_search(_FULL_TEST_PREC)
         hits = [c for c in report.to_json_dict()["checks"] if ".hit." in c["id"]]
         assert not any(c["pass"] for c in hits)
@@ -247,14 +249,14 @@ class TestSieveVerdicts:
     @pytest.mark.parametrize("candidates", [_product_candidates, _bracket_candidates])
     def test_every_scan_candidate(self, candidates, prec):
         verdicts = []
-        for key, label, build, _ in candidates(prec):
-            prefix = build(_SIEVE_PREC)
-            # The prefix from the operands' stored prefixes is the prefix
-            # of the candidate built from the full operands.
+        for key, label, head, build, _ in candidates(prec):
+            prefix = _series(head)
+            # The integer prefix from the operands' heads is the prefix of
+            # the candidate built from the full operands.
             assert prefix == build(16).truncate(_SIEVE_PREC), label
             if prefix.is_zero():
                 continue
-            passed = _sieve_passes(prefix)
+            passed = _sieve_passes(head)
             assert passed == eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
             verdicts.append(passed)
         assert 0 < sum(verdicts) < len(verdicts)
@@ -288,6 +290,11 @@ class TestSieveVerdicts:
         assert set(counts) == {_SIEVE_PREC // 2 + 1, 128 // 2 + 1}
 
 
+def _series(prefix):
+    """A scan candidate's _Prefix as the series it stands for."""
+    return GradedSeries(QSeries.from_numerators(prefix.numerators, prefix.denominator), prefix.weight)
+
+
 def _line_multiple(form):
     """c*L for the Eisenstein or one-dimensional cusp line L of form's
     weight that form would be on (c from a_0 or a_1), or None off both."""
@@ -311,7 +318,9 @@ class TestSturmConditions:
             return build(p)
 
         skipped = {}
-        (yielded,) = _eigen_scan([("x", "x", logged, modular)], self.PREC, skipped)
+        prefix = build(_SIEVE_PREC)
+        head = _Prefix(prefix.weight, prefix.numerators, prefix.denominator)
+        (yielded,) = _eigen_scan([("x", "x", head, logged, modular)], self.PREC, skipped, {})
         assert not skipped
         return bool(built), yielded
 
@@ -383,9 +392,10 @@ class TestSharedProducts:
         # The identity suite's 29 products, D(E4)*E4 and E2*Delta12 from the
         # product scan, and E4*D(E6) and D(E4)*E6 from the bracket suite:
         # the scans build no modular candidate in full, and the suites share
-        # nothing, so D(E4)*E4 and E2*Delta12 are each built twice.
+        # no series, so D(E4)*E4 and E2*Delta12 are each built twice.
         # The identity suite runs 8 full eigen tests, the product scan 2 of
-        # its own and 8 of lines, and the bracket scan 9 of lines.
+        # its own and 8 of lines, and the bracket scan 1 of a line, Delta12:
+        # its other 8 lines' reports are the product scan's.
         tested = []
 
         def spy(form, *args):
@@ -401,7 +411,7 @@ class TestSharedProducts:
         products = _full_products(monkeypatch, run, 256)
         assert len(products) == 33
         assert len(set(products)) == 31
-        assert sum(tested) == 27
+        assert sum(tested) == 19
 
 
 def _records(report):
@@ -418,15 +428,15 @@ class TestLineVerdicts:
         scan = verify._eigen_scan
         decided, forms = [], []
 
-        def checked(candidates, p, skipped):
+        def checked(candidates, p, skipped, line_reports):
             builds = {}
 
             def kept():
-                for key, label, build, modular in candidates:
+                for key, label, head, build, modular in candidates:
                     builds[key] = build
-                    yield key, label, build, modular
+                    yield key, label, head, build, modular
 
-            for key, form, report, scale in scan(kept(), p, skipped):
+            for key, form, report, scale in scan(kept(), p, skipped, line_reports):
                 if form is not None:
                     full = builds[key](p)
                     if form.prec < p:
@@ -452,11 +462,11 @@ class TestLineVerdicts:
         expected = _records(run_suite("all", prec))
         line_of, lines, own, failing = verify._line, [], [], []
 
-        def line_spy(form, p):
-            kind, line, scale = line_of(form, p)
-            if (kind, form.weight) == ("cusp", 16):
+        def line_spy(weight, a0, p):
+            kind, line = line_of(weight, a0, p)
+            if (kind, weight) == ("cusp", 16):
                 lines.append(line)
-            return kind, line, scale
+            return kind, line
 
         def test_spy(form, *args):
             report = eigenform_test(form, *args)
@@ -475,6 +485,36 @@ class TestLineVerdicts:
         # E4*Delta12, and the seven brackets on the line: [E4,Delta12]_0 and
         # six with m >= 1.
         assert len(own) == 8
+
+
+    def test_one_run_tests_each_line_once(self, monkeypatch):
+        # One run_suite("all") hands the product and bracket scans one table
+        # of line reports: each line the scans reach is tested once, eight by
+        # the product scan and Delta12, which only [g,h]_m with m >= 1 reach,
+        # by the bracket scan.
+        line_of, lines, tested = verify._line, [], []
+
+        def line_spy(weight, a0, p):
+            kind, line = line_of(weight, a0, p)
+            lines.append(line)
+            return kind, line
+
+        def test_spy(form, *args):
+            if any(form is line for line in lines):
+                tested.append(("eisenstein" if form[0] else "cusp", form.weight))
+            return eigenform_test(form, *args)
+
+        monkeypatch.setattr(verify, "_line", line_spy)
+        monkeypatch.setattr(verify, "eigenform_test", test_spy)
+        assert run_suite("all", 256).all_passed()
+        assert sorted(tested) == sorted(
+            [("eisenstein", k) for k in (8, 10, 14)] + [("cusp", k) for k in (12, 16, 18, 20, 22, 26)]
+        )
+        # Run alone, each scan makes its own table.
+        for search, count in ((product_search, 8), (bracket_search, 9)):
+            tested.clear()
+            search(256)
+            assert len(tested) == len(set(tested)) == count
 
 
 class TestRunTable:
@@ -503,6 +543,26 @@ class TestRunTable:
         assert live_series() == before
 
 
+class TestTruncation:
+    def test_reports_are_those_of_copying_truncations(self, monkeypatch):
+        # A truncation to a series' own precision returns the series itself;
+        # the reports are the ones a fresh copy at every truncation gives.
+        expected = [_records(run_suite("all", 128)), _records(run_suite("identities", 768))]
+        copies = []
+
+        def copying(self, prec):
+            if prec > self.prec:
+                raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
+            copies.append(prec == self.prec)
+            series = QSeries.from_numerators(self.numerators[: prec + 1], self.denominator)
+            return GradedSeries(series, self.weight) if isinstance(self, GradedSeries) else series
+
+        monkeypatch.setattr(QSeries, "truncate", copying)
+        monkeypatch.setattr(GradedSeries, "truncate", copying)
+        assert [_records(run_suite("all", 128)), _records(run_suite("identities", 768))] == expected
+        assert any(copies)
+
+
 class TestDiophantine:
     def test_eq3_empty_and_sample_point(self):
         assert diophantine_check("eq3") == []
@@ -526,6 +586,37 @@ class TestDiophantine:
     def test_unknown_equation(self):
         with pytest.raises(ValueError):
             diophantine_check("eq99")
+
+    def test_stepped_scans_match_their_closed_forms(self):
+        # Each power is stepped by one multiplication; the closed forms take
+        # pow, and eq7 its rational left side, doubled.
+        ks, ss = range(4, 41, 2), range(1, 41)
+        eq3 = [
+            ((k, s), pow(3, s) * (1 + pow(3, k - 1)) + pow(2, s) + 28 - pow(2, k + s - 4) * (pow(2, s) - 8))
+            for k in ks
+            for s in ss
+        ]
+        eq4 = [
+            (
+                (k, s),
+                pow(5, s) * sigma(k - 1, 5)
+                + pow(3, s + 1) * sigma(k - 1, 3)
+                + pow(2, 2 * s + 1) * sigma(k - 1, 2) ** 2
+                + 7 * pow(2, s + 2) * sigma(k - 1, 2)
+                - 3 * pow(2, k + 2 * s - 1)
+                + 78,
+            )
+            for k in ks
+            for s in ss
+        ]
+        eq7 = [
+            ((r,), 2 * (Fraction(2) ** (2 * r - 3) + 4 * pow(3, r) + 21 * pow(2, r) - 212))
+            for r in range(1, 65)
+        ]
+        for values, closed in ((verify._eq3_values, eq3), (verify._eq4_values, eq4), (verify._eq7_values, eq7)):
+            stepped = list(values())
+            assert stepped == closed
+            assert all(type(value) is int for _, value in stepped)
 
     def test_suite_passes(self):
         report = verify_diophantine_suite()
