@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import warnings
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -32,11 +33,19 @@ from .forms import (
     eval_generator_poly,
     monomial_exponents,
 )
-from .hecke import eigenform_test, hecke
+from .hecke import EigenReport, Violation, eigenform_test, hecke
 from .nearly import quasimodular_decompose
 from .brackets import rankin_cohen
 from .qseries import GradedSeries, PrecisionError
-from .verify import DEFAULT_PREC, SUITE_NAMES, run_suite
+from .verify import (
+    DEFAULT_PREC,
+    SUITE_NAMES,
+    BracketHit,
+    CheckRecord,
+    ProductHit,
+    VerificationReport,
+    run_suite,
+)
 
 _NAME_RE = re.compile(r"^[A-Za-z]\w*$")
 # What int() reads as an integer: the digits of an over-long one are counted.
@@ -207,13 +216,21 @@ _DEFAULT_PREC = _option(
 
 @contextlib.contextmanager
 def _domain_errors():
-    """Each domain error is one Error: line, each warning one Warning: line."""
+    """Each domain error is one Error: line, each warning one Warning: line.
+    An answer with an integer too long for str() to write is one Error: line
+    that names the cap."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             yield
         except (ValueError, PrecisionError) as exc:
-            raise CLIError(str(exc)) from exc
+            message = str(exc)
+            if "integer string conversion" in message:  # Python's int-to-str cap
+                message = (
+                    f"the answer has a coefficient of more than {sys.get_int_max_str_digits()} "
+                    "digits, the cap on integers the engine prints"
+                )
+            raise CLIError(message) from exc
     for warning in caught:
         print(f"Warning: {warning.message}", file=sys.stderr)
 
@@ -245,34 +262,83 @@ def _series_text(form: GradedSeries, as_json: bool) -> str:
             f'\n    "coeffs": [\n      {coeffs}\n    ]\n  }}\n}}')
 
 
+def _fraction_text(value: Fraction) -> str:
+    return f'"{value.numerator}/{value.denominator}"'
+
+
+# The text of each leaf value, by its type: what json.dumps writes, and a
+# Fraction as rational_str's "num/den".
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    Fraction: _fraction_text,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+# The (key, value) items of each report record, under the keys and in the
+# order of its to_json_dict, each value as it is.
+_RECORD_ITEMS = {
+    VerificationReport: lambda r: (
+        ("suite", r.suite), ("checks", r.checks), ("passed", r.passed),
+        ("failed", r.failed), ("runtime_seconds", r.runtime_seconds),
+    ),
+    CheckRecord: lambda c: (
+        ("id", c.check_id), ("anchor", c.anchor), ("pass", c.passed), ("witness", c.witness),
+    ),
+    EigenReport: lambda r: zip(r._fields, r),
+    Violation: lambda v: zip(v._fields, v if v.y_power is not None else v[:4]),
+    ProductHit: lambda h: (
+        ("product", h.description), ("weight", h.weight), ("eigenvalues", h.eigenvalues),
+    ),
+    BracketHit: lambda h: (
+        ("bracket", h.description), ("weight", h.weight), ("classification", h.classification),
+        ("coordinates", h.coordinates), ("eigenvalues", h.eigenvalues),
+    ),
+}
+
+
 def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte, for a value of str-keyed
-    dicts, lists, tuples, str, int, finite float, bool and None. Each container is
-    one join of its items' texts, where json.dumps yields them piece by piece."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
-    inner = indent + "  "
+    """json.dumps(jsonable(value), indent=2), byte for byte, in one pass over a
+    report value as it is: str-keyed dicts, lists, tuples, the leaves of
+    _LEAVES, and a record of _RECORD_ITEMS as its to_json_dict. Each container
+    is one join of its items' texts, where json.dumps yields them piece by
+    piece; a leaf item is written in its container's loop."""
+    cls = type(value)
+    leaf = _LEAVES.get(cls)
+    if leaf is not None:
+        return leaf(value)
+    if cls is list or cls is tuple:
+        return _array_text(value, indent)
+    record = _RECORD_ITEMS.get(cls)
+    if record is not None:
+        return _object_text(record(value), indent)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
+        return _object_text(value.items(), indent)
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _array_text(values, indent: str) -> str:
+    if not values:
         return "[]"
-    items = [_json_text(v, inner) for v in value]
+    inner = indent + "  "
+    items = []
+    for item in values:
+        leaf = _LEAVES.get(type(item))
+        items.append(leaf(item) if leaf else _json_text(item, inner))
     return f"[{inner}{(',' + inner).join(items)}{indent}]"
+
+
+def _object_text(pairs, indent: str) -> str:
+    inner = indent + "  "
+    items = []
+    for key, item in pairs:
+        leaf = _LEAVES.get(type(item))
+        items.append(f"{encode_basestring_ascii(key)}: {leaf(item) if leaf else _json_text(item, inner)}")
+    if not items:
+        return "{}"
+    return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
 
 
 main = _Main("Exact q-expansion computations for level-one modular forms.")
@@ -331,7 +397,7 @@ def eigen_cmd(source: str, bound: int, window: int, prec: int, as_json: bool):
     with _domain_errors():
         report = eigenform_test(_resolve_form(source, prec), bound=bound, window=window)
         if as_json:
-            lines = [_json_text(report.to_json_dict())]
+            lines = [_json_text(report)]
         elif report.is_eigen_up_to_bound:
             lines = [f"eigenform up to T_{report.tested_bound}"]
             lines += [f"  lambda_{n} = {lam}" for n, lam in report.eigenvalues]
@@ -408,7 +474,7 @@ def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
                     "r": r,
                     "weight": part.weight,
                     "basis": [f"E4^{a}*E6^{b}" for a, b in monomial_exponents(part.weight)],
-                    "coordinates": [rational_str(c) for c in coords],
+                    "coordinates": coords,
                     "series": part.series.to_json_dict(),
                 }
                 for r, part, coords in parts
@@ -444,7 +510,7 @@ def verify_cmd(suite: str, prec: int, as_json: bool, out: str | None):
     try:
         with handle, _domain_errors():
             report = run_suite(suite, prec)
-            payload = _json_text(report.to_json_dict()) if as_json or out else None
+            payload = _json_text(report) if as_json or out else None
             text = payload if as_json else "\n".join(report.summary_lines())
             if out:
                 handle.truncate(0)

@@ -161,7 +161,7 @@ def _difference_witness(left: GradedSeries, right: GradedSeries):
 
 def _eigen_witness(report: EigenReport, head: int = 5):
     return {
-        "eigenvalues": list(report.eigenvalues[:head]),
+        "eigenvalues": report.eigenvalues[:head],
         "first_violation": report.first_violation,
     }
 
@@ -407,8 +407,13 @@ def _sieve_passes(prefix) -> bool:
     return m0 >= count or _first_miss((nums,), prefix.weight, 2, count, (m0, 0))[3] is None
 
 
-def _truncated_product(left: GradedSeries, right: GradedSeries, prec: int) -> GradedSeries:
-    return left.truncate(prec) * right.truncate(prec)
+def _truncated_product(
+    left: GradedSeries, left_deriv: int, right: GradedSeries, right_deriv: int, prec: int
+) -> GradedSeries:
+    """(D^left_deriv left)(D^right_deriv right) to prec, each D taken on the
+    truncated operand."""
+    left, right = left.truncate(prec), right.truncate(prec)
+    return (left.derivative() if left_deriv else left) * (right.derivative() if right_deriv else right)
 
 
 def _truncated_bracket(g: GradedSeries, h: GradedSeries, m: int, prec: int) -> GradedSeries:
@@ -465,23 +470,24 @@ EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 def _product_candidates(prec: int):
     """The (key, label, prefix, build, modular) candidates of the product
     scan: a prefix is the kernel's product of the operands' first
-    numerators, and a product is modular when neither operand has a D or is
-    E2."""
+    numerators, those of D f being j*a_j, and a product is modular when
+    neither operand has a D or is E2. Only build takes a full derivative."""
     items: list[tuple[str, int, GradedSeries, Sequence[int]]] = []
     for name in CATALOG_NAMES:
         form = catalog_form(name, prec)
-        for order, operand in enumerate((form, form.derivative())):
-            items.append((name, order, operand, operand.numerators[: _SIEVE_PREC + 1]))
+        head = form.numerators[: _SIEVE_PREC + 1]
+        items.append((name, 0, form, head))
+        items.append((name, 1, form, [j * a for j, a in enumerate(head)]))
     for i, (left_name, left_order, left, left_head) in enumerate(items):
         for right_name, right_order, right, right_head in items[i:]:
             key = (left_name, left_order, right_name, right_order)
             modular = not (left_order or right_order) and "E2" not in key
             prefix = _Prefix(
-                left.weight + right.weight,
+                left.weight + right.weight + 2 * (left_order + right_order),
                 _product(left_head, right_head),
                 left.denominator * right.denominator,
             )
-            build = partial(_truncated_product, left, right)
+            build = partial(_truncated_product, left, left_order, right, right_order)
             yield key, _product_label(*key), prefix, build, modular
 
 
@@ -514,14 +520,14 @@ def product_search(
             f"products.hit.{_product_label(*key)}",
             anchor,
             hit is not None,
-            hit.to_json_dict() if hit else skipped.get(key, key),
+            hit or skipped.get(key, key),
         )
     unexpected = [hit for hit in hits if hit.key not in _EXPECTED_PRODUCT_RESULTS]
     report.add(
         "products.no_unexpected",
         "no catalog product is an eigenform outside the classified list",
         not unexpected,
-        [hit.to_json_dict() for hit in unexpected],
+        unexpected,
     )
     report.add(
         "products.scan_complete",
@@ -627,7 +633,7 @@ def bracket_search(
             f"{hit.description} lies on the Eisenstein line or in a "
             f"one-dimensional cusp space of weight {weight}",
             scale is not None and coords is not None,
-            hit.to_json_dict(),
+            hit,
         )
 
     slice_m0 = {(hit.g, hit.h) for hit in hits if hit.m == 0}

@@ -19,10 +19,12 @@ from hypothesis import assume, given, settings, strategies as st
 from modforms.brackets import rankin_cohen
 from cli_run import run_cli
 from modforms.cli import _MAX_PREC, CLIError, _json_text, _series_text, main
-from modforms.forms import catalog_form, cusp_delta, eisenstein, eval_generator_poly
-from modforms.hecke import hecke
+from modforms.exactmath import rational_str
+from modforms.forms import catalog_form, cusp_delta, eisenstein, eval_generator_poly, monomial_exponents
+from modforms.hecke import eigenform_test, hecke
+from modforms.nearly import e2_star, quasimodular_decompose
 from modforms.qseries import GradedSeries, QSeries
-from modforms.verify import VerificationReport
+from modforms.verify import SUITE_NAMES, VerificationReport, run_suite
 
 
 class TestSeriesJson:
@@ -102,7 +104,81 @@ class TestReportJson:
 
     def test_a_value_json_cannot_write_is_refused(self):
         with pytest.raises(TypeError):
-            _json_text({"coefficient": Fraction(1, 2)})
+            _json_text({"coefficient": 1j})
+
+
+# Every suite at every precision it takes from 0..5, 64, 128 and 256 (the
+# identities from 128, the scans from 1, where a cusp form can be built):
+# the products and brackets below 120 fail, with witnesses.
+_SUITE_RUNS = [
+    (suite, prec)
+    for suite in SUITE_NAMES
+    for prec in (0, 1, 2, 3, 4, 5, 64, 128, 256)
+    if not (prec < 128 and suite in ("identities", "all") or prec == 0 and suite in ("products", "brackets"))
+]
+
+
+class TestReportWriter:
+    """_json_text writes a report value as it is, with no dict made first:
+    byte for byte what json.dumps gives on its to_json_dict, the oracle."""
+
+    @pytest.mark.parametrize("suite, prec", _SUITE_RUNS, ids=[f"{s}-{p}" for s, p in _SUITE_RUNS])
+    def test_suite_reports(self, suite, prec):
+        report = run_suite(suite, prec)
+        if suite in ("products", "brackets"):
+            assert report.all_passed() == (prec >= 120)
+        assert _json_text(report) == json.dumps(report.to_json_dict(), indent=2)
+
+    @pytest.mark.parametrize(
+        "form, violated, y_power",
+        [
+            (lambda: eisenstein(4, 128), False, None),
+            (lambda: e2_star(128), False, None),
+            (lambda: eval_generator_poly("E2*E4", 128), True, None),
+            (lambda: e2_star(128) * eisenstein(4, 128), True, 1),
+        ],
+        ids=["E4", "E2star", "E2*E4", "E2star*E4"],
+    )
+    def test_eigen_reports(self, form, violated, y_power):
+        report = eigenform_test(form())
+        violation = report.first_violation
+        assert (violation is not None, violation and violation.y_power) == (violated, y_power)
+        assert _json_text(report) == json.dumps(report.to_json_dict(), indent=2)
+
+    @pytest.mark.parametrize(
+        "expr, weight, depth",
+        [("(E2*E4 + E6)/7", 6, 1), ("E2^2*E4", 8, 2), ("E2*E4*E6", 12, 1)],
+    )
+    def test_decompose_payload(self, expr, weight, depth):
+        # The payload as the command built it before: rational_str
+        # coordinates and each component's series dict.
+        parts = quasimodular_decompose(eval_generator_poly(expr, 32), depth)
+        payload = {
+            "weight": weight,
+            "depth_bound": depth,
+            "decomposable": True,
+            "components": [
+                {
+                    "r": r,
+                    "weight": part.weight,
+                    "basis": [f"E4^{a}*E6^{b}" for a, b in monomial_exponents(part.weight)],
+                    "coordinates": [rational_str(c) for c in coords],
+                    "series": part.series.to_json_dict(),
+                }
+                for r, part, coords in parts
+            ],
+        }
+        result = run_cli("decompose", "--expr", expr, "--weight", str(weight), "--depth", str(depth), "--json")
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("suite, prec", [("ghitza", 128), ("products", 64), ("all", 128)])
+    def test_out_file_is_stdout(self, tmp_path, suite, prec):
+        target = tmp_path / "report.json"
+        result = run_cli("verify", "--suite", suite, "--prec", str(prec), "--json", "--out", str(target))
+        assert result.exit_code == (0 if prec >= 120 else 1)
+        assert target.read_text(encoding="utf-8") == result.stdout
+        assert json.loads(result.stdout)["suite"] == suite
 
 
 class TestEis:
@@ -444,7 +520,9 @@ def test_coefficients_too_long_to_print_are_one_error_line(command):
     result = run_cli(*command)
     assert result.exit_code == 1
     (line,) = result.output.splitlines()
-    assert line.startswith("Error: Exceeds the limit (4300 digits) for integer string conversion")
+    assert line.startswith(
+        "Error: the answer has a coefficient of more than 4300 digits, the cap on integers the engine prints"
+    )
 
 
 @pytest.mark.parametrize(

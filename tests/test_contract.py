@@ -134,6 +134,38 @@ def test_the_engine_never_builds_the_catalog():
     assert out["catalog"] == 0
 
 
+def test_verify_json_builds_no_dict_of_a_report_or_record(monkeypatch):
+    # verify --json writes the report and the records in it as they are:
+    # no to_json_dict of the report or of a record, and no jsonable.
+    from cli_run import run_cli
+    from modforms import verify
+    from modforms.hecke import EigenReport, Violation
+
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def logged(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, logged)
+
+    spy(verify, "jsonable")
+    for record in (verify.VerificationReport, verify.ProductHit, verify.BracketHit, EigenReport, Violation):
+        spy(record, "to_json_dict")
+    result = run_cli("verify", "--suite", "all", "--prec", "128", "--json")
+    assert result.exit_code == 0
+    checks = json.loads(result.stdout)["checks"]
+    assert any(".hit." in c["id"] for c in checks)
+    assert any(c["id"].startswith("identities.eigen.") and c["witness"]["first_violation"] for c in checks)
+    assert calls == []
+    # The spies are live: the dict API still calls them.
+    verify.run_suite("ghitza", 16).to_json_dict()
+    assert calls[:2] == ["to_json_dict", "jsonable"]
+
+
 def test_no_cusp_form_is_built_from_a_checked_identity(monkeypatch):
     # The identities the suite checks must not be assumed in building the
     # forms they are checked on: no Delta_k multiplies the two sides of a

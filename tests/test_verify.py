@@ -87,7 +87,7 @@ class TestProductSearch:
         hits, report = products
         data = {d["product"]: d for d in jsonable(hits)}
         witnesses = {
-            c.check_id.removeprefix("products.hit."): c.witness
+            c.check_id.removeprefix("products.hit."): jsonable(c.witness)
             for c in report.checks
             if c.check_id.startswith("products.hit.")
         }
