@@ -18,6 +18,7 @@ import sys
 import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from types import SimpleNamespace
 
 from .exactmath import rational_str
@@ -36,7 +37,7 @@ from .forms import (
 from .hecke import EigenReport, Violation, eigenform_test, hecke
 from .nearly import quasimodular_decompose
 from .brackets import rankin_cohen
-from .qseries import GradedSeries, PrecisionError
+from .qseries import GradedSeries, PrecisionError, QSeries
 from .verify import (
     DEFAULT_PREC,
     SUITE_NAMES,
@@ -248,18 +249,25 @@ def _resolve_form(text: str, prec: int) -> GradedSeries:
 
 
 def _series_text(form: GradedSeries, as_json: bool) -> str:
-    """str(form), or the bytes of json.dumps(form.to_json_dict(), indent=2) in one
-    pass: each coefficient string is "num/den" digits and needs no escaping. A
-    series of denominator 1, as every catalog form is, joins its numerators."""
+    """str(form), or its --json text in one pass: {"weight", "series":
+    {"prec", "coeffs"}}, each coefficient a "num/den" string that needs no
+    escaping. A series of denominator 1, as every catalog form is, joins its
+    numerators."""
     if not as_json:
         return str(form)
     if form.denominator == 1:
         coeffs = '/1",\n      "'.join(map(str, form.numerators))
         coeffs = f'"{coeffs}/1"'
     else:
-        coeffs = ",\n      ".join(f'"{c}"' for c in form.to_json_dict()["series"]["coeffs"])
+        coeffs = ",\n      ".join(f'"{c}"' for c in _coeff_texts(form))
     return (f'{{\n  "weight": {form.weight},\n  "series": {{\n    "prec": {form.prec},'
             f'\n    "coeffs": [\n      {coeffs}\n    ]\n  }}\n}}')
+
+
+def _coeff_texts(series: QSeries) -> list[str]:
+    """The "num/den" text of each coefficient of series, in lowest terms."""
+    den = series.denominator
+    return [f"{a // (g := gcd(a, den))}/{den // g}" for a in series.numerators]
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -267,7 +275,7 @@ def _fraction_text(value: Fraction) -> str:
 
 
 # The text of each leaf value, by its type: what json.dumps writes, and a
-# Fraction as rational_str's "num/den".
+# Fraction as "num/den".
 _LEAVES = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -277,8 +285,8 @@ _LEAVES = {
     type(None): lambda _: "null",
 }
 
-# The (key, value) items of each report record, under the keys and in the
-# order of its to_json_dict, each value as it is.
+# The (key, value) items of each record a JSON report holds, each value as it
+# is: the one statement of the records' JSON shape.
 _RECORD_ITEMS = {
     VerificationReport: lambda r: (
         ("suite", r.suite), ("checks", r.checks), ("passed", r.passed),
@@ -296,15 +304,17 @@ _RECORD_ITEMS = {
         ("bracket", h.description), ("weight", h.weight), ("classification", h.classification),
         ("coordinates", h.coordinates), ("eigenvalues", h.eigenvalues),
     ),
+    QSeries: lambda s: (("prec", s.prec), ("coeffs", _coeff_texts(s))),
 }
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps(jsonable(value), indent=2), byte for byte, in one pass over a
-    report value as it is: str-keyed dicts, lists, tuples, the leaves of
-    _LEAVES, and a record of _RECORD_ITEMS as its to_json_dict. Each container
-    is one join of its items' texts, where json.dumps yields them piece by
-    piece; a leaf item is written in its container's loop."""
+    """The JSON text of a report value, as json.dumps(..., indent=2) writes
+    it, in one pass over the value as it is: str-keyed dicts, lists, tuples,
+    the leaves of _LEAVES, and a record of _RECORD_ITEMS as the object of its
+    items. Each container is one join of its items' texts, where json.dumps
+    yields them piece by piece; a leaf item is written in its container's
+    loop."""
     cls = type(value)
     leaf = _LEAVES.get(cls)
     if leaf is not None:
@@ -475,7 +485,7 @@ def _decomposition_text(parts, weight: int, depth: int, as_json: bool) -> str:
                     "weight": part.weight,
                     "basis": [f"E4^{a}*E6^{b}" for a, b in monomial_exponents(part.weight)],
                     "coordinates": coords,
-                    "series": part.series.to_json_dict(),
+                    "series": part.series,
                 }
                 for r, part, coords in parts
             ],

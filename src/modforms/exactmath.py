@@ -37,7 +37,8 @@ def as_rational(value) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    """Canonical "num/den" string used in all JSON output."""
+    """The "num/den" string of a rational, in lowest terms, as the JSON
+    reports write one."""
     value = as_rational(value)
     return f"{value.numerator}/{value.denominator}"
 

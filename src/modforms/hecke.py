@@ -30,7 +30,7 @@ from math import gcd
 from operator import add, mul, ne
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .exactmath import divisors, rational_str
+from .exactmath import divisors
 from .nearly import YPolyForm
 from .qseries import GradedSeries, PrecisionError, QSeries
 
@@ -113,17 +113,6 @@ class Violation(NamedTuple):
     actual: Fraction
     y_power: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        data = {
-            "n": self.n,
-            "exponent": self.exponent,
-            "expected": rational_str(self.expected),
-            "actual": rational_str(self.actual),
-        }
-        if self.y_power is not None:
-            data["y_power"] = self.y_power
-        return data
-
 
 class EigenReport(NamedTuple):
     """Outcome of the finite eigenform test.
@@ -145,18 +134,6 @@ class EigenReport(NamedTuple):
             if m == n:
                 return lam
         raise KeyError(f"no eigenvalue recorded for n = {n}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_eigen_up_to_bound": self.is_eigen_up_to_bound,
-            "tested_bound": self.tested_bound,
-            "eigenvalues": [[n, rational_str(lam)] for n, lam in self.eigenvalues],
-            "first_violation": (
-                self.first_violation.to_json_dict() if self.first_violation else None
-            ),
-            "precision_used": self.precision_used,
-            "min_comparison_prec": self.min_comparison_prec,
-        }
 
 
 def _first_miss(

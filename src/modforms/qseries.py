@@ -212,18 +212,7 @@ class QSeries:
         """Apply q d/dq: the coefficient of q^m becomes m*a_m."""
         return QSeries.from_numerators([m * a for m, a in enumerate(self._nums)], self._den)
 
-    # -- serialization and display ---------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Coefficients as the "num/den" strings of ``rational_str``."""
-        den = self._den
-        if den == 1:
-            return {"prec": self.prec, "coeffs": [f"{a}/1" for a in self._nums]}
-        coeffs = []
-        for a in self._nums:
-            g = gcd(a, den)
-            coeffs.append(f"{a // g}/{den // g}")
-        return {"prec": self.prec, "coeffs": coeffs}
+    # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
         return f"{_format_terms(self)} + O(q^{self.prec + 1})"
@@ -430,9 +419,6 @@ class GradedSeries(QSeries):
     def derivative(self) -> "GradedSeries":
         """q d/dq, which sends weight k to weight k+2."""
         return GradedSeries(super().derivative(), self._weight + 2)
-
-    def to_json_dict(self) -> dict:
-        return {"weight": self._weight, "series": super().to_json_dict()}
 
     def __str__(self) -> str:
         return f"[weight {self._weight}] {super().__str__()}"

@@ -24,7 +24,7 @@ from functools import partial
 from typing import NamedTuple, Sequence
 
 from .brackets import _bracket_numerators, rankin_cohen
-from .exactmath import bernoulli, rational_str, sigma
+from .exactmath import bernoulli, sigma
 from .forms import (
     CATALOG_NAMES,
     DELTA_WEIGHTS,
@@ -53,29 +53,9 @@ __all__ = [
     "ghitza_check",
     "SUITE_NAMES",
     "run_suite",
-    "jsonable",
 ]
 
 DEFAULT_PREC = 128
-
-
-def jsonable(value):
-    """Recursively convert report data to JSON-safe values.
-
-    Rationals become "num/den" strings; series, forms, eigen reports and
-    hits use their own to_json_dict, the shape the reports carry.
-    """
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if hasattr(value, "to_json_dict"):
-        return value.to_json_dict()
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
 class CheckRecord(NamedTuple):
@@ -114,23 +94,6 @@ class VerificationReport:
 
     def all_passed(self) -> bool:
         return self.failed == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [
-                {
-                    "id": c.check_id,
-                    "anchor": c.anchor,
-                    "pass": c.passed,
-                    "witness": jsonable(c.witness),
-                }
-                for c in self.checks
-            ],
-            "passed": self.passed,
-            "failed": self.failed,
-            "runtime_seconds": self.runtime_seconds,
-        }
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -444,13 +407,6 @@ class ProductHit(NamedTuple):
     def description(self) -> str:
         return _product_label(*self.key)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "product": self.description,
-            "weight": self.weight,
-            "eigenvalues": [[n, rational_str(lam)] for n, lam in self.eigenvalues],
-        }
-
 
 # Every catalog product (D^r f)(D^s g) that is an eigenform, keyed
 # (f, r, g, s), with the identity that makes it one: the sixteen pairs
@@ -561,15 +517,6 @@ class BracketHit(NamedTuple):
     @property
     def description(self) -> str:
         return f"[{self.g},{self.h}]_{self.m}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bracket": self.description,
-            "weight": self.weight,
-            "classification": self.classification,
-            "coordinates": [rational_str(c) for c in self.coordinates],
-            "eigenvalues": [[n, rational_str(lam)] for n, lam in self.eigenvalues],
-        }
 
 
 def _bracket_candidates(prec: int):

@@ -6,7 +6,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from modforms.qseries import QSeries
+from modforms.hecke import EigenReport, Violation
+from modforms.qseries import GradedSeries, QSeries
+from modforms.verify import BracketHit, CheckRecord, ProductHit, VerificationReport
 
 
 def mul_reference(f: QSeries, g: QSeries) -> QSeries:
@@ -80,3 +82,60 @@ def format_terms_reference(coeffs, max_terms: int | None = None) -> str:
         else:
             parts.append(f"{'-' if c < 0 else '+'} {body}")
     return " ".join(parts) if parts else "0"
+
+
+def _rational_text(c: Fraction) -> str:
+    return f"{c.numerator}/{c.denominator}"
+
+
+def _series_form(s: QSeries) -> dict:
+    return {"prec": s.prec, "coeffs": [_rational_text(s[i]) for i in range(s.prec + 1)]}
+
+
+def json_form(value):
+    """The dict form of a report value, which json.dumps(..., indent=2) turns
+    into the CLI's --json text: a Fraction as "num/den", a series'
+    coefficients from its Fractions, and each record under its keys in their
+    order. The oracle for ``cli._json_text`` and ``cli._series_text``."""
+    if isinstance(value, Fraction):
+        return _rational_text(value)
+    if isinstance(value, GradedSeries):
+        return {"weight": value.weight, "series": _series_form(value)}
+    if isinstance(value, QSeries):
+        return _series_form(value)
+    if isinstance(value, VerificationReport):
+        return {
+            "suite": value.suite,
+            "checks": json_form(value.checks),
+            "passed": value.passed,
+            "failed": value.failed,
+            "runtime_seconds": value.runtime_seconds,
+        }
+    if isinstance(value, CheckRecord):
+        return {"id": value.check_id, "anchor": value.anchor, "pass": value.passed,
+                "witness": json_form(value.witness)}
+    if isinstance(value, ProductHit):
+        return {"product": value.description, "weight": value.weight,
+                "eigenvalues": json_form(value.eigenvalues)}
+    if isinstance(value, BracketHit):
+        return {
+            "bracket": value.description,
+            "weight": value.weight,
+            "classification": value.classification,
+            "coordinates": json_form(value.coordinates),
+            "eigenvalues": json_form(value.eigenvalues),
+        }
+    if isinstance(value, Violation):
+        fields = value._asdict()
+        if value.y_power is None:
+            del fields["y_power"]
+        return {key: json_form(item) for key, item in fields.items()}
+    if isinstance(value, EigenReport):
+        return {key: json_form(item) for key, item in value._asdict().items()}
+    if isinstance(value, dict):
+        return {key: json_form(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_form(item) for item in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"no JSON form for {type(value).__name__}")

@@ -19,17 +19,17 @@ from hypothesis import assume, given, settings, strategies as st
 from modforms.brackets import rankin_cohen
 from cli_run import run_cli
 from modforms.cli import _MAX_PREC, CLIError, _json_text, _series_text, main
-from modforms.exactmath import rational_str
 from modforms.forms import catalog_form, cusp_delta, eisenstein, eval_generator_poly, monomial_exponents
 from modforms.hecke import eigenform_test, hecke
 from modforms.nearly import e2_star, quasimodular_decompose
 from modforms.qseries import GradedSeries, QSeries
-from modforms.verify import SUITE_NAMES, VerificationReport, run_suite
+from modforms.verify import SUITE_NAMES, run_suite
+from reference import json_form
 
 
 class TestSeriesJson:
     """The --json text of a series is written directly, byte for byte what
-    json.dumps(form.to_json_dict(), indent=2) gives."""
+    json.dumps(json_form(form), indent=2) gives."""
 
     @pytest.mark.parametrize(
         "form",
@@ -45,15 +45,18 @@ class TestSeriesJson:
             lambda: GradedSeries(QSeries([0, -3, Fraction(1, 2), 0, Fraction(-7, 6)]), 4),
             lambda: GradedSeries(QSeries([Fraction(-5, 3)], prec=0), 2),
             lambda: cusp_delta(12, 10),
+            lambda: GradedSeries(QSeries([1, Fraction(-24, 7), 0]), 2),
+            lambda: GradedSeries(QSeries([0, 1, -24]), 12),
         ],
         ids=[
             "E4", "E12", "D(E2)", "E6", "prec-0", "zero", "hecke-n-above-half",
             "negative-denominator-1", "signed-denominator-6", "prec-0-denominator-3", "Delta12",
+            "denominator-7-with-zero", "leading-zero-weight-12",
         ],
     )
     def test_equals_the_json_encoder(self, form):
         form = form()
-        assert _series_text(form, True) == json.dumps(form.to_json_dict(), indent=2)
+        assert _series_text(form, True) == json.dumps(json_form(form), indent=2)
 
     @pytest.mark.parametrize(
         "argv, form",
@@ -70,7 +73,7 @@ class TestSeriesJson:
     def test_command_output_loads_to_the_json_dict(self, argv, form):
         result = run_cli(*argv, "--prec", "30", "--json")
         assert result.exit_code == 0
-        assert json.loads(result.output) == form(30).to_json_dict()
+        assert json.loads(result.output) == json_form(form(30))
 
 
 # Report values: str-keyed dicts and lists of the leaves json.dumps writes,
@@ -120,14 +123,14 @@ _SUITE_RUNS = [
 
 class TestReportWriter:
     """_json_text writes a report value as it is, with no dict made first:
-    byte for byte what json.dumps gives on its to_json_dict, the oracle."""
+    byte for byte what json.dumps gives on its json_form, the oracle."""
 
     @pytest.mark.parametrize("suite, prec", _SUITE_RUNS, ids=[f"{s}-{p}" for s, p in _SUITE_RUNS])
     def test_suite_reports(self, suite, prec):
         report = run_suite(suite, prec)
         if suite in ("products", "brackets"):
             assert report.all_passed() == (prec >= 120)
-        assert _json_text(report) == json.dumps(report.to_json_dict(), indent=2)
+        assert _json_text(report) == json.dumps(json_form(report), indent=2)
 
     @pytest.mark.parametrize(
         "form, violated, y_power",
@@ -143,15 +146,15 @@ class TestReportWriter:
         report = eigenform_test(form())
         violation = report.first_violation
         assert (violation is not None, violation and violation.y_power) == (violated, y_power)
-        assert _json_text(report) == json.dumps(report.to_json_dict(), indent=2)
+        assert _json_text(report) == json.dumps(json_form(report), indent=2)
 
     @pytest.mark.parametrize(
         "expr, weight, depth",
         [("(E2*E4 + E6)/7", 6, 1), ("E2^2*E4", 8, 2), ("E2*E4*E6", 12, 1)],
     )
     def test_decompose_payload(self, expr, weight, depth):
-        # The payload as the command built it before: rational_str
-        # coordinates and each component's series dict.
+        # The payload built apart from the command: "num/den" coordinates
+        # and each component's series in its dict form.
         parts = quasimodular_decompose(eval_generator_poly(expr, 32), depth)
         payload = {
             "weight": weight,
@@ -162,8 +165,8 @@ class TestReportWriter:
                     "r": r,
                     "weight": part.weight,
                     "basis": [f"E4^{a}*E6^{b}" for a, b in monomial_exponents(part.weight)],
-                    "coordinates": [rational_str(c) for c in coords],
-                    "series": part.series.to_json_dict(),
+                    "coordinates": json_form(coords),
+                    "series": json_form(part.series),
                 }
                 for r, part, coords in parts
             ],
@@ -457,7 +460,7 @@ class TestVerify:
         def refuse(report):
             raise AssertionError("the JSON report was built in text mode")
 
-        monkeypatch.setattr(VerificationReport, "to_json_dict", refuse)
+        monkeypatch.setattr("modforms.cli._json_text", refuse)
         result = run_cli("verify", "--suite", "ghitza")
         assert result.exit_code == 0
         assert "suite ghitza: 5 passed, 0 failed (" in result.output.splitlines()[-1]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import modforms
 from modforms import forms
+from reference import json_form
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,36 +135,17 @@ def test_the_engine_never_builds_the_catalog():
     assert out["catalog"] == 0
 
 
-def test_verify_json_builds_no_dict_of_a_report_or_record(monkeypatch):
-    # verify --json writes the report and the records in it as they are:
-    # no to_json_dict of the report or of a record, and no jsonable.
-    from cli_run import run_cli
-    from modforms import verify
-    from modforms.hecke import EigenReport, Violation
-
-    calls = []
-
-    def spy(owner, name):
-        original = getattr(owner, name)
-
-        def logged(*args):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(owner, name, logged)
-
-    spy(verify, "jsonable")
-    for record in (verify.VerificationReport, verify.ProductHit, verify.BracketHit, EigenReport, Violation):
-        spy(record, "to_json_dict")
-    result = run_cli("verify", "--suite", "all", "--prec", "128", "--json")
-    assert result.exit_code == 0
-    checks = json.loads(result.stdout)["checks"]
-    assert any(".hit." in c["id"] for c in checks)
-    assert any(c["id"].startswith("identities.eigen.") and c["witness"]["first_violation"] for c in checks)
-    assert calls == []
-    # The spies are live: the dict API still calls them.
-    verify.run_suite("ghitza", 16).to_json_dict()
-    assert calls[:2] == ["to_json_dict", "jsonable"]
+def test_the_json_shape_is_stated_only_in_the_cli():
+    # cli._RECORD_ITEMS and cli._series_text are the one statement of the
+    # --json shape: no engine class keeps a dict form of itself beside them.
+    for info in pkgutil.iter_modules(modforms.__path__):
+        module = importlib.import_module(f"modforms.{info.name}")
+        owners = [
+            name for name, value in vars(module).items()
+            if isinstance(value, type) and "to_json_dict" in vars(value)
+        ]
+        assert not owners, (info.name, owners)
+    assert not hasattr(importlib.import_module("modforms.verify"), "jsonable")
 
 
 def test_no_cusp_form_is_built_from_a_checked_identity(monkeypatch):
@@ -387,7 +369,7 @@ def test_every_eigenvalue_comparison_goes_through_first_miss(monkeypatch):
 
     monkeypatch.setattr(hecke_module, "_first_miss", missing)
     monkeypatch.setattr(verify, "_first_miss", missing)
-    report = verify.run_suite("all", 128).to_json_dict()
+    report = json_form(verify.run_suite("all", 128))
     eigenvalue_lists = []
 
     def walk(node):

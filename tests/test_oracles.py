@@ -37,7 +37,7 @@ from modforms.hecke import eigenform_test, hecke, hecke_nearly
 from modforms.nearly import YPolyForm, constant_term, e2_star, maass_shimura
 from modforms.qseries import GradedSeries, QSeries
 from modforms.verify import bracket_search, product_search
-from reference import hecke_reference
+from reference import hecke_reference, json_form
 
 PREC = 128
 
@@ -307,6 +307,6 @@ def test_eigenform_test_and_hecke_match_a_fraction_scan(family, count, zeros):
         if not any(any(c) for c in comps):
             zero_forms += 1
             continue
-        report = eigenform_test(form).to_json_dict()
+        report = json_form(eigenform_test(form))
         assert report == _reference_eigen_report(comps, form.weight, ypoly), label
     assert zero_forms == zeros
