@@ -383,6 +383,12 @@ def _truncated_bracket(g: GradedSeries, h: GradedSeries, m: int, prec: int) -> G
     return rankin_cohen(g.truncate(prec), h.truncate(prec), m)
 
 
+def _scan_form(name: str, prec: int) -> GradedSeries:
+    """The catalog form the scans read: at prec 0 a cusp form, whose
+    builder needs prec 1, is built there and truncated."""
+    return catalog_form(name, max(prec, 1)).truncate(prec)
+
+
 def _deriv_label(name: str, order: int) -> str:
     return f"D({name})" if order else name
 
@@ -430,7 +436,7 @@ def _product_candidates(prec: int):
     neither operand has a D or is E2. Only build takes a full derivative."""
     items: list[tuple[str, int, GradedSeries, Sequence[int]]] = []
     for name in CATALOG_NAMES:
-        form = catalog_form(name, prec)
+        form = _scan_form(name, prec)
         head = form.numerators[: _SIEVE_PREC + 1]
         items.append((name, 0, form, head))
         items.append((name, 1, form, [j * a for j, a in enumerate(head)]))
@@ -527,7 +533,7 @@ def _bracket_candidates(prec: int):
     entries = []
     for name in CATALOG_NAMES:
         if name != "E2":
-            form = catalog_form(name, prec)
+            form = _scan_form(name, prec)
             entries.append((name, form, form.numerators[: _SIEVE_PREC + 1]))
     top_weight = max(g.weight for _, g, _ in entries)
     for i, (g_name, g, g_head) in enumerate(entries):
@@ -599,8 +605,8 @@ def bracket_search(
         },
     )
 
-    e4e6_1 = rankin_cohen(catalog_form("E4", prec), catalog_form("E6", prec), 1)
-    target = catalog_form("Delta12", prec) * (-3456)
+    e4e6_1 = rankin_cohen(_scan_form("E4", prec), _scan_form("E6", prec), 1)
+    target = _scan_form("Delta12", prec) * (-3456)
     report.add(*_equality("brackets.e4_e6_1", "[E4,E6]_1 = -3456 * Delta12", e4e6_1, target))
     report.add(
         "brackets.scan_complete",

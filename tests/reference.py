@@ -11,26 +11,35 @@ from modforms.qseries import GradedSeries, QSeries
 from modforms.verify import BracketHit, CheckRecord, ProductHit, VerificationReport
 
 
-def mul_reference(f: QSeries, g: QSeries) -> QSeries:
-    """Schoolbook Cauchy product over Fractions, to the common precision:
-    the oracle for both product paths of QSeries.__mul__, which must agree
-    with it bit for bit."""
-    prec = min(f.prec, g.prec)
-    out = []
-    for m in range(prec + 1):
-        out.append(sum((f[i] * g[m - i] for i in range(m + 1)), Fraction(0)))
-    return QSeries(out, prec=prec)
-
-
 def convolve_reference(a, b) -> list[int]:
     """The first len(a) coefficients of the product of two integer
     polynomials of equal length, by the schoolbook double loop: the oracle
-    for the long product paths, where mul_reference's Fractions are slow."""
+    for every product path."""
     out = [0] * len(a)
     for i, x in enumerate(a):
         for j in range(len(a) - i):
             out[i + j] += x * b[j]
     return out
+
+
+def sum_reference(terms) -> list[int]:
+    """sum c * convolve_reference(a, b) over the terms (c, a, b): the oracle
+    for the kernel's weighted sums of products."""
+    out = [0] * len(terms[0][1])
+    for c, a, b in terms:
+        out = [t + c * x for t, x in zip(out, convolve_reference(a, b))]
+    return out
+
+
+def mul_reference(f: QSeries, g: QSeries) -> QSeries:
+    """The product to the common precision: convolve_reference on the two
+    numerator lists, over the product of the two denominators, read back
+    one Fraction at a time. The oracle for QSeries.__mul__, which must agree
+    with it bit for bit."""
+    prec = min(f.prec, g.prec)
+    den = f.denominator * g.denominator
+    out = convolve_reference(f.numerators[: prec + 1], g.numerators[: prec + 1])
+    return QSeries([Fraction(c, den) for c in out], prec=prec)
 
 
 def hecke_reference(coeffs, k: int, r: int, n: int) -> list[Fraction]:

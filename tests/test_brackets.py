@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from modforms import brackets
 from modforms.brackets import rankin_cohen
-from modforms.exactmath import binomial
 from modforms.forms import CATALOG_NAMES, catalog_form, cusp_delta, eisenstein, is_modular_member
 from modforms.qseries import GradedSeries, QSeries
 from reference import mul_reference
@@ -96,14 +96,14 @@ def test_domain_errors():
 
 def _textbook_bracket(g, h, m):
     """sum_r (-1)^r C(m+k1-1, m-r) C(m+k2-1, r) D^r(g) D^(m-r)(h), with
-    every product taken by the Fraction schoolbook oracle."""
+    every product taken by the schoolbook oracle mul_reference."""
     g_derivs, h_derivs = [g], [h]
     for _ in range(m):
         g_derivs.append(g_derivs[-1].derivative())
         h_derivs.append(h_derivs[-1].derivative())
     total = QSeries.zero(min(g.prec, h.prec))
     for r in range(m + 1):
-        coeff = (-1) ** r * binomial(m + g.weight - 1, m - r) * binomial(m + h.weight - 1, r)
+        coeff = (-1) ** r * math.comb(m + g.weight - 1, m - r) * math.comb(m + h.weight - 1, r)
         total = total + mul_reference(g_derivs[r], h_derivs[m - r]) * coeff
     return GradedSeries(total, g.weight + h.weight + 2 * m)
 

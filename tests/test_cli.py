@@ -111,13 +111,13 @@ class TestReportJson:
 
 
 # Every suite at every precision it takes from 0..5, 64, 128 and 256 (the
-# identities from 128, the scans from 1, where a cusp form can be built):
-# the products and brackets below 120 fail, with witnesses.
+# identities from 128): the products and brackets below 120 fail, with
+# witnesses.
 _SUITE_RUNS = [
     (suite, prec)
     for suite in SUITE_NAMES
     for prec in (0, 1, 2, 3, 4, 5, 64, 128, 256)
-    if not (prec < 128 and suite in ("identities", "all") or prec == 0 and suite in ("products", "brackets"))
+    if not (prec < 128 and suite in ("identities", "all"))
 ]
 
 
@@ -474,6 +474,15 @@ class TestVerify:
         for data in (written, shown):
             del data["runtime_seconds"]
         assert written == shown
+
+    # At prec 0 the scans read their cusp forms truncated from prec 1: a
+    # report whose records fail, as at prec 1..5, not an error line.
+    @pytest.mark.parametrize("suite", ["products", "brackets"])
+    def test_scans_at_precision_zero_report_failures(self, suite):
+        result = run_cli("verify", "--suite", suite, "--prec", "0")
+        assert result.exit_code == 1
+        assert re.fullmatch(rf"suite {suite}: \d+ passed, [1-9]\d* failed \(.*\)", result.output.splitlines()[-1])
+        assert not [line for line in result.output.splitlines() if line.startswith("Error:")]
 
     def test_identity_precision_guard(self):
         result = run_cli("verify", "--suite", "identities", "--prec", "32")

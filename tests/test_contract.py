@@ -2,11 +2,13 @@
 (``perfbench/tracer.py``) patches the engine from outside by name, so a
 renamed or removed layer function breaks ``perfbench/run.py --trace 1``;
 every T_n the engine makes comes from ``hecke._kernel`` and every
-eigenvalue comparison from ``hecke._first_miss``; and every name a module
-exports must exist."""
+eigenvalue comparison from ``hecke._first_miss``; every name a module
+exports must exist; and the tests' oracles take only record and series
+classes from the engine."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import modforms
 from modforms import forms
+from modforms.qseries import QSeries
+from modforms.verify import VerificationReport
 from reference import json_form
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,12 +45,13 @@ print(json.dumps({
 """
 
 
-def _traced(*argv) -> dict:
+def _script_json(script: str, *argv: str, timeout: int = 60):
+    """The JSON value a script prints last, run in a fresh interpreter that
+    imports the engine, the benchmark's modules and the tests' helpers."""
     paths = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_CALL, *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -57,14 +62,14 @@ def test_tracer_instruments_a_cli_call():
     # no traced forms function; the verify run below sees that layer. It
     # sums its products in one kernel call, not through QSeries.__mul__,
     # so a polynomial input shows the qseries layer.
-    out = _traced("bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "16")
+    out = _script_json(_TRACED_CALL, "bracket", "--g", "E4", "--h", "E6", "--m", "1", "--prec", "16")
     assert out["exit_code"] == 0
     assert {"brackets", "cli"} <= set(out["layers"])
     metrics = out["metrics"]
     assert metrics["cli.command.calls"] == 1
     assert metrics["brackets.rankin_cohen.calls"] == 1
     assert metrics["forms.catalog.builds"] == 0
-    out = _traced("hecke", "--input", "E4*E6", "--n", "2", "--prec", "16")
+    out = _script_json(_TRACED_CALL, "hecke", "--input", "E4*E6", "--n", "2", "--prec", "16")
     assert out["exit_code"] == 0
     assert {"qseries", "cli"} <= set(out["layers"])
     assert out["metrics"]["cli.command.calls"] == 1
@@ -74,7 +79,7 @@ def test_tracer_instruments_a_cli_call():
 def test_tracer_sees_every_layer_of_a_verify_run():
     # perfbench/run.py --trace 1 fails verify-all unless every layer records
     # a span, and most bracket and Hecke spans come from the scans' prefixes.
-    out = _traced("verify", "--suite", "all", "--prec", "128")
+    out = _script_json(_TRACED_CALL, "verify", "--suite", "all", "--prec", "128")
     assert out["exit_code"] == 0
     assert out["layers"] == out["all_layers"]
 
@@ -122,12 +127,7 @@ print(json.dumps({"lookup": lookup, "catalog": forms.catalog.cache_info().misses
 
 
 def test_the_engine_never_builds_the_catalog():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _ENGINE_BUILDS], env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _script_json(_ENGINE_BUILDS)
     lookup = out["lookup"]
     assert lookup["eisenstein"] == 1
     assert lookup["cusp_delta"] == lookup["monomial_basis"] == lookup["catalog"] == 0
@@ -146,6 +146,21 @@ def test_the_json_shape_is_stated_only_in_the_cli():
         ]
         assert not owners, (info.name, owners)
     assert not hasattr(importlib.import_module("modforms.verify"), "jsonable")
+
+
+def test_the_oracles_import_only_record_and_series_classes():
+    # tests/reference.py reads the engine's values and runs none of its
+    # code: each name it takes from modforms is a record or series class.
+    taken = []
+    for node in ast.walk(ast.parse((ROOT / "tests" / "reference.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert not [alias.name for alias in node.names if alias.name.startswith("modforms")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("modforms"):
+            module = importlib.import_module(node.module)
+            taken += [(alias.name, getattr(module, alias.name)) for alias in node.names]
+    assert taken
+    for name, value in taken:
+        assert isinstance(value, type) and issubclass(value, (tuple, QSeries, VerificationReport)), name
 
 
 def test_no_cusp_form_is_built_from_a_checked_identity(monkeypatch):
@@ -210,6 +225,7 @@ def test_no_membership_basis_product_is_a_checked_identity(monkeypatch):
 # Full-precision series products that the identity suite makes after a
 # catalog at the same precision: all of them, and the distinct ones.
 _IDENTITY_PRODUCTS = """
+import json
 from modforms import qseries
 from modforms.forms import catalog
 from modforms.verify import run_suite
@@ -223,20 +239,14 @@ qseries._product = spy
 catalog(256)
 del operands[:]
 run_suite("identities", 256)
-print(len(operands), len(set(operands)))
+print(json.dumps([len(operands), len(set(operands))]))
 """
 
 
 def test_the_identity_suite_repeats_no_product():
     # The membership bases are built from E_k and the cusp forms, so none
     # of them rebuilds a product that a checked identity makes.
-    proc = subprocess.run(
-        [sys.executable, "-c", _IDENTITY_PRODUCTS],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    made, distinct = map(int, proc.stdout.split())
+    made, distinct = _script_json(_IDENTITY_PRODUCTS)
     assert made == distinct > 0
 
 
@@ -270,13 +280,7 @@ def test_the_full_precision_products_take_the_four_point_path():
     # four-point path.
     from modforms.qseries import _DIRECT_MAX
 
-    proc = subprocess.run(
-        [sys.executable, "-c", _PRODUCT_PATHS],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lengths = json.loads(proc.stdout)
+    lengths = _script_json(_PRODUCT_PATHS)
     products = lengths["_product_sum"]
     assert products.count(769) == 33
     assert lengths["_four_point_product"] == [n for n in products if n > _DIRECT_MAX]
@@ -303,13 +307,7 @@ print(json.dumps({"queries": len(argvs), "codes": sorted(codes), "hits": info.hi
 def test_each_polynomial_text_is_parsed_once():
     # A polynomial input costs a catalog name's lookup only while its text
     # is parsed once per process, not once per query.
-    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PARSE_MISSES], env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _script_json(_PARSE_MISSES, timeout=120)
     assert out["queries"] > 16 * 11 and out["codes"] == [0]
     assert out["misses"] == 16
     assert out["hits"] == 2 * out["queries"] - 16

@@ -35,6 +35,7 @@ from modforms.forms import (
 from modforms.exactmath import bernoulli, sigma, solve_linear
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
 from reference import mul_reference
+from strategies import rationals
 from test_oracles import monomial_solve
 
 PREC = 64
@@ -533,7 +534,7 @@ class TestGeneratorPoly:
     @given(
         st.dictionaries(
             st.tuples(*[st.integers(0, 3)] * 3),
-            st.fractions(min_value=-50, max_value=50, max_denominator=20),
+            rationals(-50, 50, 20),
             max_size=5,
         )
     )
@@ -573,7 +574,7 @@ class TestCombination:
                 st.one_of(
                     st.just(0),
                     st.integers(-(10**9), 10**9),
-                    st.fractions(min_value=-100, max_value=100, max_denominator=10**4),
+                    rationals(-100, 100, 10**4),
                 ),
             ),
             max_size=6,
@@ -645,120 +646,76 @@ for prec in map(int, sys.argv[1:]):
 print(*sorted(wrong))
 """
 
-_CATALOG_COUNTS = """
+# The hits, misses and size of a store after it is asked, at each precision
+# given in order, for the catalog or for E4^3.
+_STORE_COUNTS = """
 import sys
-from modforms.forms import catalog
-for prec in sys.argv[1:]:
-    catalog(int(prec))
-info = catalog.cache_info()
+from modforms.forms import catalog, monomial
+store, ask = {"catalog": (catalog, catalog), "E4^3": (monomial, lambda p: monomial(((4, 3),), p))}[sys.argv[1]]
+for prec in map(int, sys.argv[2:]):
+    ask(prec)
+info = store.cache_info()
 print(info.hits, info.misses, info.currsize)
+"""
+
+# The start of the scripts that count series products: each product
+# appends its two operands to ``products``.
+_PRODUCTS = """
+from modforms import qseries
+products = []
+product = qseries._product
+def spy(a, b):
+    products.append((a, b))
+    return product(a, b)
+qseries._product = spy
 """
 
 # Series products made by catalog(768), then the full-precision products
 # made by the identity suite after it, and how many of those are distinct.
-_PRODUCT_COUNTS = """
-from modforms import qseries
+_PRODUCT_COUNTS = _PRODUCTS + """
 from modforms.forms import catalog
 from modforms.verify import verify_identity_suite
-operands = []
-product = qseries._product
-def spy(a, b):
-    operands.append(frozenset([tuple(a), tuple(b)]))
-    return product(a, b)
-qseries._product = spy
 catalog(768)
-made = len(operands)
+made = len(products)
 verify_identity_suite(768)
-full = [pair for pair in operands[made:] if len(next(iter(pair))) == 769]
+full = [frozenset([tuple(a), tuple(b)]) for a, b in products[made:] if len(a) == 769]
 print(made, len(full), len(set(full)))
 """
 
 # The series products, and the Eisenstein and cusp-form builds, that the
 # membership bases of the cusp weights make after a catalog.
-_CUSP_BASES = """
-from modforms import qseries
+_CUSP_BASES = _PRODUCTS + """
 from modforms.forms import DELTA_WEIGHTS, catalog, cusp_delta, eisenstein, membership_basis
-calls = [0]
-product = qseries._product
-def spy(a, b):
-    calls[0] += 1
-    return product(a, b)
-qseries._product = spy
 catalog(200)
-before = calls[0], eisenstein.cache_info().misses, cusp_delta.cache_info().misses
+before = len(products), eisenstein.cache_info().misses, cusp_delta.cache_info().misses
 for k in DELTA_WEIGHTS:
     membership_basis(k, 200)
-after = calls[0], eisenstein.cache_info().misses, cusp_delta.cache_info().misses
+after = len(products), eisenstein.cache_info().misses, cusp_delta.cache_info().misses
 print(*(b - a for a, b in zip(before, after)))
-"""
-
-_POWER_COUNTS = """
-import sys
-from modforms.forms import monomial
-for prec in sys.argv[1:]:
-    monomial(((4, 3),), int(prec))
-info = monomial.cache_info()
-print(info.hits, info.misses, info.currsize)
 """
 
 # The number of series products a polynomial makes after a catalog, and
 # the largest precision any of them is made at.
-_PRODUCTS_AFTER_A_CATALOG = """
+_PRODUCTS_AFTER_A_CATALOG = _PRODUCTS + """
 import sys
-from modforms import qseries
 from modforms.forms import catalog, eval_generator_poly
-precs = []
-product = qseries._product
-def spy(a, b):
-    precs.append(len(a) - 1)
-    return product(a, b)
-qseries._product = spy
 catalog(int(sys.argv[1]))
-del precs[:]
+del products[:]
 eval_generator_poly(sys.argv[2], int(sys.argv[3]))
-print(len(precs), max(precs, default=0))
-"""
-
-# The exponents a, of 0..9 and 37 asked in the order given, whose E_k^a at
-# prec 24 differs from a chain of schoolbook products of E_k.
-_POWERS_AGAINST_THE_ORACLE = """
-import sys
-from modforms.forms import eisenstein, monomial
-from modforms.qseries import QSeries
-from reference import mul_reference
-k, order = int(sys.argv[1]), sys.argv[2]
-e = eisenstein.__wrapped__(k, 24)
-chain = [QSeries.one(24)]
-for _ in range(37):
-    chain.append(mul_reference(chain[-1], e))
-exponents = [*range(10), 37]
-wrong = []
-for a in exponents if order == "ascending" else exponents[::-1]:
-    power = monomial(((k, a),) if a else (), 24)
-    same = (power.numerators, power.denominator) == (chain[a].numerators, chain[a].denominator)
-    if not (same and power.prec == 24 and power.weight == k * a):
-        wrong.append(a)
-print(*wrong)
+print(len(products), max((len(a) - 1 for a, _ in products), default=0))
 """
 
 # The series products made by evaluating a polynomial again, at the
 # precision of its first evaluation and then below it.
-_PRODUCTS_OF_A_SECOND_EVALUATION = """
+_PRODUCTS_OF_A_SECOND_EVALUATION = _PRODUCTS + """
 import sys
-from modforms import qseries
 from modforms.forms import eval_generator_poly
-calls = [0]
-product = qseries._product
-def spy(a, b):
-    calls[0] += 1
-    return product(a, b)
-qseries._product = spy
 poly, prec = sys.argv[1], int(sys.argv[2])
 eval_generator_poly(poly, prec)
-first = calls[0]
+first = len(products)
 eval_generator_poly(poly, prec)
 eval_generator_poly(poly, prec // 2)
-print(int(first > 0), calls[0] - first)
+print(int(first > 0), len(products) - first)
 """
 
 _SHARED_MIXED_MONOMIAL = """
@@ -769,19 +726,16 @@ info = monomial.cache_info()
 print(info.hits, info.misses, info.currsize)
 """
 
-# The mixed monomials, asked for at prec 24 (after each was first built at
-# the precision given, when it is not 24), that differ from a chain of
-# schoolbook products of E2, E4 and E6.
-_MIXED_MONOMIALS_AGAINST_THE_ORACLE = """
+# The indices of the monomials given as "k^a*k^a" texts ("" for 1), each
+# first built at the precision given in the order given, whose value at
+# prec 24 differs from a chain of schoolbook products of E_k.
+_MONOMIALS_AGAINST_THE_ORACLE = """
 import sys
 from modforms.forms import eisenstein, monomial
 from modforms.qseries import QSeries
 from reference import mul_reference
-first = int(sys.argv[1])
-monomials = [
-    ((4, 1), (6, 1)), ((4, 2), (6, 1)), ((4, 3), (6, 2)), ((2, 1), (4, 1)),
-    ((2, 2), (6, 1)), ((2, 1), (4, 2), (6, 1)), ((2, 3), (4, 1), (6, 3)),
-]
+first, texts = int(sys.argv[1]), sys.argv[2:]
+monomials = [tuple(tuple(map(int, f.split("^"))) for f in text.split("*") if f) for text in texts]
 for pairs in monomials:
     monomial(pairs, first)
 wrong = []
@@ -840,7 +794,7 @@ class TestStore:
         ids=["ascending", "descending"],
     )
     def test_catalog_is_built_once_per_larger_precision(self, precs, counts):
-        assert _fresh(_CATALOG_COUNTS, *precs) == counts
+        assert _fresh(_STORE_COUNTS, "catalog", *precs) == counts
 
     def test_powers_are_multiplied_once(self):
         # The catalog makes three squarings for Delta12 and one product for
@@ -863,7 +817,7 @@ class TestStore:
     def test_a_larger_precision_replaces_each_power(self, precs, counts):
         # E4^3 is built from E4^2 and E4^1, each stored once per larger
         # precision; the 200 and the second 300 are answered from the store.
-        assert _fresh(_POWER_COUNTS, *precs) == counts
+        assert _fresh(_STORE_COUNTS, "E4^3", *precs) == counts
 
     @pytest.mark.parametrize(
         "catalog_prec, poly, prec, count",
@@ -888,7 +842,8 @@ class TestStore:
 
     @pytest.mark.parametrize("first", [24, 200], ids=["at-24", "after-200"])
     def test_mixed_monomials_equal_the_oracle(self, first):
-        assert _fresh(_MIXED_MONOMIALS_AGAINST_THE_ORACLE, first) == ()
+        mixed = ["4^1*6^1", "4^2*6^1", "4^3*6^2", "2^1*4^1", "2^2*6^1", "2^1*4^2*6^1", "2^3*4^1*6^3"]
+        assert _fresh(_MONOMIALS_AGAINST_THE_ORACLE, first, *mixed) == ()
 
     def test_bases_and_polynomials_share_one_mixed_monomial(self):
         # E4*E6 of the weight-10 basis and of 3*E4*E6 is one store entry:
@@ -919,8 +874,10 @@ class TestStore:
             assert stored.prec == 120 and stored.weight == k * a
             assert (stored.numerators, stored.denominator) == (fresh.numerators, fresh.denominator)
             fresh = fresh * eisenstein.__wrapped__(k, 120)
-        for order in ("ascending", "descending"):
-            assert _fresh(_POWERS_AGAINST_THE_ORACLE, k, order) == (), order
+        # E_k^a for a of 0..9 and 37, asked in each order.
+        powers = [f"{k}^{a}" if a else "" for a in (*range(10), 37)]
+        for texts in (powers, powers[::-1]):
+            assert _fresh(_MONOMIALS_AGAINST_THE_ORACLE, 24, *texts) == ()
 
     @pytest.mark.parametrize(
         "call, low, error",

@@ -22,6 +22,7 @@ from modforms.hecke import Violation, _first_miss, eigenform_test, hecke, hecke_
 from modforms.nearly import YPolyForm, e2_star, maass_shimura
 from modforms.qseries import GradedSeries, PrecisionError, QSeries
 from reference import hecke_reference, json_form
+from strategies import rationals
 
 PREC = 128
 
@@ -304,7 +305,7 @@ class TestHeckeNearlyOracles:
 
 # Signed coefficients over denominators up to 60, so that each component
 # carries a common denominator through the kernel.
-_COEFFS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+_COEFFS = rationals(-10**6, 10**6, 60)
 
 
 @st.composite

@@ -37,7 +37,7 @@ from modforms.hecke import eigenform_test, hecke, hecke_nearly
 from modforms.nearly import YPolyForm, constant_term, e2_star, maass_shimura
 from modforms.qseries import GradedSeries, QSeries
 from modforms.verify import bracket_search, product_search
-from reference import hecke_reference, json_form
+from reference import convolve_reference, hecke_reference, json_form
 
 PREC = 128
 
@@ -75,15 +75,12 @@ def test_delta12_is_the_eta_product():
     assert _tau() == _eta_product(PREC)
 
 
-def _schoolbook(a: list[int], b: list[int]) -> list[int]:
-    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
-
-
 @pytest.mark.parametrize("prec", [1, 2, 16, 300])
 def test_delta12_is_the_discriminant(prec):
     # E4^3 - E6^2 = 1728 Delta12, in plain integers.
     e4, e6 = (list(eisenstein.__wrapped__(k, prec).numerators) for k in (4, 6))
-    discriminant = [x - y for x, y in zip(_schoolbook(_schoolbook(e4, e4), e4), _schoolbook(e6, e6))]
+    e4_cubed = convolve_reference(convolve_reference(e4, e4), e4)
+    discriminant = [x - y for x, y in zip(e4_cubed, convolve_reference(e6, e6))]
     delta = cusp_delta.__wrapped__(12, prec)
     assert delta.denominator == 1 and discriminant == [1728 * a for a in delta.numerators]
 

@@ -28,19 +28,17 @@ from modforms.qseries import (
     _unpack,
     first_difference,
 )
-from reference import convolve_reference, format_terms_reference, json_form, mul_reference
+from reference import convolve_reference, format_terms_reference, json_form, mul_reference, sum_reference
+from strategies import rational_from, rationals
+
+small_fractions = rationals(-6, 6, 6)
 
 
-def four_point(a, b):
-    """The four-point substitution as the product of two operands: the one
-    term (1, a, b) at the slot width the dispatcher gives it, whatever the
-    length."""
-    terms = [(1, a, b)]
-    return _four_point_product(terms, _slot_width(terms))
-
-small_fractions = st.fractions(
-    min_value=-6, max_value=6, max_denominator=6
-)
+def test_rationals_reach_the_value_space_of_st_fractions():
+    # Every rational in [lo, hi] of denominator at most D, and nothing else.
+    lo, hi, den = -2, 3, 6
+    reached = {rational_from(u, d, den) for u in range(lo * den, hi * den + 1) for d in range(1, den + 1)}
+    assert reached == {Fraction(m, d) for d in range(1, den + 1) for m in range(lo * d, hi * d + 1)}
 
 
 def series_strategy(max_prec=8):
@@ -192,7 +190,7 @@ class TestProperties:
 # Small and large numerators of both signs, over unrelated denominators.
 numerators = st.one_of(
     st.integers(-6, 6),
-    st.integers(2**100, 2**140).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(2**100, 2**140)),
 )
 numerator_series = st.builds(
     QSeries.from_numerators,
@@ -262,6 +260,36 @@ def series_of_length(n):
     return st.builds(QSeries.from_numerators, nums, st.integers(2, 10**6))
 
 
+# The kernel case table: rows (n, operands, terms) of drawn cases, held to
+# convolve_reference. n picks the path, the direct sum up to _DIRECT_MAX
+# or the four-point substitution, and there which slices n mod 4 makes
+# short. operands are how b is made from a: "other" (drawn apart), "same"
+# (a itself), "copy" (an equal copy), "zero" or "constant". A row of one
+# term checks each operand through QSeries.__mul__; a row of more draws
+# sums of 1..terms terms for _product_sum. The slot-bound cases follow.
+FOUR_POINT_LENGTHS = [160, 161, 162, 163]
+PRODUCT_CASES = [(n, ("other", "same", "copy"), 1)
+                 for n in (1, 2, 15, 16, _DIRECT_MAX, _DIRECT_MAX + 1, 40, *FOUR_POINT_LENGTHS)]
+SUM_CASES = [(n, ("other", "same", "copy", "zero", "constant"), 4)
+             for n in (1, 16, _DIRECT_MAX, _DIRECT_MAX + 1, 159, 160, 241)]
+KERNEL_CASES = PRODUCT_CASES + SUM_CASES
+
+
+def test_the_kernel_table_has_a_row_for_each_case():
+    lengths = {n for n, _, _ in KERNEL_CASES}
+    assert {_DIRECT_MAX, _DIRECT_MAX + 1} <= lengths
+    assert {n % 4 for n in lengths if n > _DIRECT_MAX} == {0, 1, 2, 3}
+    assert {"same", "copy", "zero", "constant"} <= {kind for _, kinds, _ in KERNEL_CASES for kind in kinds}
+    assert any(terms > 1 for _, _, terms in KERNEL_CASES)
+
+
+def twin(f):
+    """An equal copy of the series f, with numerators of its own."""
+    copy = QSeries.from_numerators(list(f.numerators), f.denominator)
+    assert copy.numerators == f.numerators and copy.numerators is not f.numerators
+    return copy
+
+
 # Signs of two operands by index: equal (a square), opposite and
 # alternating, and with zeros.
 SIGN_PATTERNS = {
@@ -279,6 +307,38 @@ def sign_product(n, pattern):
     return a, b, tuple(convolve_reference(a, b))
 
 
+def check_slot_bound(product_sum, n, pattern, residue, weights=(1,)):
+    """Every coefficient +-M or 0, so that coefficient n - 1 of the sum of
+    the terms (c, a, b), c in weights, reaches the slot bound n * sum(c) *
+    M^2 itself when the signs are all +, and one more sign bit is needed.
+    M puts bound.bit_length() + 8, which the slot width in bytes is
+    rounded down from, on a multiple of 8 (residue 0), one below it (7)
+    and one above it (1). By bilinearity the sum is sum(c) M^2 times the
+    product of the signs."""
+    signs_a, signs_b, expected = sign_product(n, pattern)
+    total = sum(weights)
+    big = next(m for t in itertools.count(120) for m in [math.isqrt((1 << t) // (total * n)) + 1]
+               if ((total * n * m * m).bit_length() + 8) % 8 == residue)
+    a, b = [big * s for s in signs_a], [big * s for s in signs_b]
+    product = product_sum([(c, a, b) for c in weights])
+    assert product == [total * big * big * c for c in expected]
+    if pattern != "zeros":
+        assert abs(product[n - 1]) == total * n * big * big
+
+
+def four_point_sum(terms):
+    """The four-point substitution on the terms, at the slot width the
+    dispatcher gives them, whatever their length."""
+    return _four_point_product(terms, _slot_width(terms))
+
+
+def series_product(terms):
+    """The one term (1, a, b) through QSeries.__mul__."""
+    ((c, a, b),) = terms
+    assert c == 1
+    return list((QSeries.from_numerators(a, 1) * QSeries.from_numerators(b, 1)).numerators)
+
+
 class TestKroneckerProduct:
     """Series products through the one kernel: QSeries.__mul__ takes the
     direct sum up to _DIRECT_MAX coefficients and the four-point
@@ -291,16 +351,7 @@ class TestKroneckerProduct:
     @staticmethod
     def assert_matches_reference(f, g):
         product, expected = f * g, mul_reference(f, g)
-        assert product.numerators == expected.numerators
-        assert product.denominator == expected.denominator
-
-    @staticmethod
-    def assert_matches_convolution(f, g):
-        # Two series of one length, against the integer schoolbook product
-        # of their numerators over the product of their denominators.
-        expected = convolve_reference(f.numerators, g.numerators)
-        den = f.denominator * g.denominator
-        assert (f * g).coeffs == tuple(Fraction(c, den) for c in expected)
+        assert (product.numerators, product.denominator) == (expected.numerators, expected.denominator)
 
     # A coefficient of the product reaches n * max|a| * max|b|, the slot
     # bound, and its bit length is a whole number of bytes: the sign bit
@@ -317,25 +368,20 @@ class TestKroneckerProduct:
     def test_matches_reference(self, f, g):
         self.assert_matches_reference(f, g)
 
-    # Short lengths on the direct sum, both sides of the crossover from the
-    # direct sum to the four-point path, and four-point lengths up to
-    # 160-163, one in each class mod 4.
-    FOUR_POINT_LENGTHS = [160, 161, 162, 163]
-    CROSSOVER_LENGTHS = [1, 2, 15, 16, _DIRECT_MAX, _DIRECT_MAX + 1, 40, *FOUR_POINT_LENGTHS]
-
-    @pytest.mark.parametrize("n", CROSSOVER_LENGTHS)
+    # The one-term rows of the kernel table: b drawn apart, a itself and an
+    # equal copy of a, over denominators other than 1.
+    @pytest.mark.parametrize("n, operands, terms", PRODUCT_CASES, ids=[str(n) for n, _, _ in PRODUCT_CASES])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_matches_reference_across_the_crossover(self, n, data):
+    def test_matches_reference_across_the_crossover(self, n, operands, terms, data):
         f, g = data.draw(series_of_length(n)), data.draw(series_of_length(n))
-        twin = QSeries.from_numerators(list(f.numerators), f.denominator)
-        assert twin.numerators == f.numerators and twin.numerators is not f.numerators
-        self.assert_matches_convolution(f, g)
-        self.assert_matches_convolution(f, f)
-        self.assert_matches_convolution(f, twin)
+        made = {"other": lambda: g, "same": lambda: f, "copy": lambda: twin(f)}
+        for kind in operands:
+            self.assert_matches_reference(f, made[kind]())
 
     def test_the_length_alone_picks_the_path(self, monkeypatch):
-        assert {_DIRECT_MAX, _DIRECT_MAX + 1} <= set(self.CROSSOVER_LENGTHS)
+        lengths = [n for n, _, _ in PRODUCT_CASES]
+        assert {_DIRECT_MAX, _DIRECT_MAX + 1} <= set(lengths)
         packed = []
 
         def product(terms, width):
@@ -344,13 +390,13 @@ class TestKroneckerProduct:
             return [0] * n
 
         monkeypatch.setattr(qseries, "_four_point_product", product)
-        for n in self.CROSSOVER_LENGTHS:
+        for n in lengths:
             f, g = QSeries.from_numerators(range(1, n + 1), 1), QSeries.from_numerators(range(-n, 0), 1)
             if n <= _DIRECT_MAX:  # the direct sum, untouched by the stub
-                self.assert_matches_convolution(f, g)
+                self.assert_matches_reference(f, g)
             else:
                 f * g
-        assert packed == [n for n in self.CROSSOVER_LENGTHS if n > _DIRECT_MAX]
+        assert packed == [n for n in lengths if n > _DIRECT_MAX]
 
     # The four-point path against the schoolbook product at every short
     # length, where some classes mod 4 are empty, and at long ones,
@@ -359,8 +405,8 @@ class TestKroneckerProduct:
     @settings(max_examples=80, deadline=None)
     def test_four_point_equals_the_convolution(self, n, data):
         a, b = (data.draw(series_of_length(n)).numerators for _ in range(2))
-        assert four_point(a, b) == convolve_reference(a, b)[:n]
-        assert four_point(a, a) == convolve_reference(a, a)[:n]
+        assert four_point_sum([(1, a, b)]) == convolve_reference(a, b)
+        assert four_point_sum([(1, a, a)]) == convolve_reference(a, a)
 
     # The even and odd classes are read off the values at x = 2^(w/4) and
     # -x: even and odd parts of opposite signs make the two differ in sign.
@@ -368,8 +414,7 @@ class TestKroneckerProduct:
     def test_even_and_odd_parts_of_opposite_signs(self, n):
         a = tuple((-1) ** i * (i + 2) for i in range(n))
         b = tuple((-1) ** (i + 1) * (2**70 + i) for i in range(n))
-        expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
-        assert four_point(a, b) == list(expected.numerators)
+        assert four_point_sum([(1, a, b)]) == convolve_reference(a, b)
 
     # The four-point path also reads the real and imaginary parts of c(ix)
     # at x = 2^(w/4), for the slot width w: with positive a and b of
@@ -385,17 +430,15 @@ class TestKroneckerProduct:
         re = sum(c * x**k * (1, 0, -1, 0)[k % 4] for k, c in enumerate(full))
         im = sum(c * x**k * (0, 1, 0, -1)[k % 4] for k, c in enumerate(full))
         assert re * im < 0
-        assert four_point(a, b) == full[:n]
+        assert four_point_sum([(1, a, b)]) == full[:n]
 
     # Equal operands are packed once and squared, whether they are one
     # tuple or two equal ones.
     @given(numerator_series)
     @settings(max_examples=60, deadline=None)
     def test_square(self, f):
-        twin = QSeries.from_numerators(list(f.numerators), f.denominator)
-        assert twin.numerators == f.numerators and twin.numerators is not f.numerators
         self.assert_matches_reference(f, f)
-        self.assert_matches_reference(f, twin)
+        self.assert_matches_reference(f, twin(f))
 
     @given(numerator_series, st.integers(0, 11))
     @settings(max_examples=60, deadline=None)
@@ -442,21 +485,16 @@ class TestKroneckerProduct:
         ],
     )
     def test_slot_edge_cases_match_reference(self, a, b):
-        expected = mul_reference(QSeries.from_numerators(a, 1), QSeries.from_numerators(b, 1))
-        assert four_point(a, b) == list(expected.numerators)
+        assert four_point_sum([(1, a, b)]) == convolve_reference(a, b)
 
-    # Every coefficient +-M or 0, so that a product coefficient reaches the
-    # slot bound n * M^2 itself when its terms share one sign. M puts
-    # bound.bit_length() + 8, which the slot width in bytes is rounded down
-    # from, on a multiple of 8, one below it and one above it. By
-    # bilinearity the product is M^2 times that of the signs. The
-    # four-point path at short lengths (classes 1 and 2 mod 4), at long
-    # lengths in each class mod 4, and at prec 768.
+    # Products at the slot bound (see check_slot_bound): the four-point
+    # path at short lengths (classes 1 and 2 mod 4), at long lengths in
+    # each class mod 4, and at prec 768.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, 18, *FOUR_POINT_LENGTHS, 769])
     def test_four_point_coefficients_at_the_slot_bound(self, n, pattern, residue):
-        self.check_slot_bound(four_point, n, pattern, residue)
+        check_slot_bound(four_point_sum, n, pattern, residue)
 
     # The same check through QSeries.__mul__, which takes the direct sum at
     # 17 and 18 coefficients and the four-point path at 769.
@@ -464,20 +502,7 @@ class TestKroneckerProduct:
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, 18, 769])
     def test_coefficients_at_the_slot_bound(self, n, pattern, residue):
-        def product_of(a, b):
-            return list((QSeries.from_numerators(a, 1) * QSeries.from_numerators(b, 1)).numerators)
-
-        self.check_slot_bound(product_of, n, pattern, residue)
-
-    @staticmethod
-    def check_slot_bound(product_of, n, pattern, residue):
-        signs_a, signs_b, expected = sign_product(n, pattern)
-        big = next(m for t in itertools.count(120) for m in [math.isqrt((1 << t) // n) + 1]
-                   if ((n * m * m).bit_length() + 8) % 8 == residue)
-        product = product_of([big * s for s in signs_a], [big * s for s in signs_b])
-        assert product == [big * big * c for c in expected]
-        if pattern != "zeros":
-            assert abs(product[n - 1]) == n * big * big
+        check_slot_bound(series_product, n, pattern, residue)
 
     def test_catalog_product_at_prec_512(self):
         left = catalog_form("Delta12", 512) * catalog_form("E2", 512)
@@ -491,42 +516,35 @@ class TestKroneckerProduct:
         self.assert_matches_reference(left, right)
 
 
-def sum_reference(terms):
-    """sum c * convolve_reference(a, b) over the terms (c, a, b)."""
-    out = [0] * len(terms[0][1])
-    for c, a, b in terms:
-        out = [t + c * x for t, x in zip(out, convolve_reference(a, b))]
-    return out
-
-
 class TestProductSum:
     """_product_sum(terms) is the one multiply kernel: sum c * a * b over
     the terms (c, a, b), summed at the evaluation points of each path and
-    read back once, on one slot width for all terms. convolve_reference
-    is its oracle, term by term."""
+    read back once, on one slot width for all terms. sum_reference is its
+    oracle, term by term."""
 
-    # Short direct-sum lengths, both sides of the crossover at _DIRECT_MAX,
-    # and long lengths in classes 3, 0 and 1 mod 4.
-    LENGTHS = [1, 16, _DIRECT_MAX, _DIRECT_MAX + 1, 159, 160, 241]
-
-    @pytest.mark.parametrize("n", LENGTHS)
+    # The rows of the kernel table with more than one term: signed and
+    # zero weights, and b made from a as the row allows.
+    @pytest.mark.parametrize("n, operands, terms", SUM_CASES, ids=[str(n) for n, _, _ in SUM_CASES])
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_matches_the_convolution_sum(self, n, data):
-        # Signed and zero weights; b is a itself, an equal copy of it, or
-        # another operand.
-        terms = []
-        for _ in range(data.draw(st.integers(1, 4))):
+    def test_matches_the_convolution_sum(self, n, operands, terms, data):
+        made = {
+            "other": lambda a: data.draw(series_of_length(n)).numerators,
+            "same": lambda a: a,
+            "copy": list,
+            "zero": lambda a: [0] * n,
+            "constant": lambda a: [data.draw(numerators)] + [0] * (n - 1),
+        }
+        sums = []
+        for _ in range(data.draw(st.integers(1, terms))):
             c = data.draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**40), 10**40)))
             a = data.draw(series_of_length(n)).numerators
-            b = data.draw(st.sampled_from(["same", "copy", "other"]))
-            b = a if b == "same" else list(a) if b == "copy" else data.draw(series_of_length(n)).numerators
-            terms.append((c, a, b))
-        assert _product_sum(terms) == sum_reference(terms)
+            sums.append((c, a, made[data.draw(st.sampled_from(operands))](a)))
+        assert _product_sum(sums) == sum_reference(sums)
 
     # c a b - c b a, and a b + a (-b), cancel; so do the halves of a
     # square, and a term of weight 0.
-    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("n", [n for n, _, _ in SUM_CASES])
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_sums_that_cancel_to_zero(self, n, data):
@@ -537,25 +555,14 @@ class TestProductSum:
                       [(c, a, a), (-2 * c, a, a), (c, a, list(a))], [(0, a, b)]):
             assert _product_sum(terms) == [0] * n
 
-    # The sum of three terms of one sign pattern, with weights 1, 2 and 5,
-    # puts coefficient n - 1 on the bound n * (1 + 2 + 5) * M^2 itself
-    # when every sign is +; M sets the slot width's rounding as in
-    # TestKroneckerProduct.check_slot_bound. At 17 and _DIRECT_MAX
-    # coefficients the sum is the direct one, from _DIRECT_MAX + 1 the
-    # four-point one.
+    # Three terms of one sign pattern, with weights 1, 2 and 5 (see
+    # check_slot_bound). At 17 and _DIRECT_MAX coefficients the sum is the
+    # direct one, from _DIRECT_MAX + 1 the four-point one.
     @pytest.mark.parametrize("residue", [0, 7, 1])
     @pytest.mark.parametrize("pattern", SIGN_PATTERNS)
     @pytest.mark.parametrize("n", [17, _DIRECT_MAX, _DIRECT_MAX + 1, 160, 769])
     def test_sum_coefficients_at_the_slot_bound(self, n, pattern, residue):
-        signs_a, signs_b, expected = sign_product(n, pattern)
-        weights = (1, 2, 5)
-        big = next(m for t in itertools.count(120) for m in [math.isqrt((1 << t) // (8 * n)) + 1]
-                   if ((8 * n * m * m).bit_length() + 8) % 8 == residue)
-        a, b = [big * s for s in signs_a], [big * s for s in signs_b]
-        product = _product_sum([(c, a, b) for c in weights])
-        assert product == [8 * big * big * c for c in expected]
-        if pattern == "plus":
-            assert product[n - 1] == 8 * n * big * big
+        check_slot_bound(_product_sum, n, pattern, residue, weights=(1, 2, 5))
 
 
 class TestSerialization:
@@ -581,7 +588,7 @@ class TestSerialization:
 display_coefficients = st.one_of(
     st.sampled_from([0, 0, 1, -1]),
     st.integers(-10**6, 10**6),
-    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=60),
+    rationals(-10**4, 10**4, 60),
 )
 
 
