@@ -1,10 +1,4 @@
-"""Rankin-Cohen brackets at level one.
-
-``rankin_cohen`` builds a bracket of two forms as a series; its integer
-core, ``_bracket_numerators``, works on bare numerator lists, so that the
-eigen scans of ``verify`` read a bracket's first five numerators off the
-operands' prefixes without making a series.
-"""
+"""Rankin-Cohen brackets at level one."""
 
 from __future__ import annotations
 
@@ -24,13 +18,14 @@ def rankin_cohen(g: GradedSeries, h: GradedSeries, m: int) -> GradedSeries:
     above the Eisenstein cap are refused. The sum is one call of the
     product kernel on the integer numerators of D^r(g) and D^s(h), over
     the product of the two denominators: its m + 1 products are summed at
-    the evaluation points and read back once (see _bracket_numerators).
-    When g and h have the same weight and numerators to the common
-    precision, terms r and m - r are one product whose weights differ by
-    (-1)^m: odd m gives zero with no product, and even m takes m/2 + 1, the
-    middle one a square. The sum shares one slot width, set by n sum_r |c_r|
-    max|D^r g| max|D^s h| for n coefficients, so at high m or precision
-    its multiplies are wider than m + 1 separate products would be.
+    the evaluation points and read back once. When g and h have the same
+    weight and numerators to the common precision, whatever their
+    denominators, which only scale the whole sum, terms r and m - r are
+    one product whose weights differ by (-1)^m: odd m gives zero with no
+    product, and even m takes m/2 + 1, the middle one a square. The sum
+    shares one slot width, set by n sum_r |c_r| max|D^r g| max|D^s h| for
+    n coefficients, so at high m or precision its multiplies are wider
+    than m + 1 separate products would be.
     """
     if m < 0:
         raise ValueError(f"bracket order must be nonnegative, got {m}")
@@ -43,19 +38,9 @@ def rankin_cohen(g: GradedSeries, h: GradedSeries, m: int) -> GradedSeries:
 
     prec = min(g.prec, h.prec)
     a, b = g.numerators[: prec + 1], h.numerators[: prec + 1]
-    nums = _bracket_numerators(a, b, k1, k2, m)
-    return GradedSeries(QSeries.from_numerators(nums, g.denominator * h.denominator), weight)
-
-
-def _bracket_numerators(a, b, k1: int, k2: int, m: int) -> list[int]:
-    """The numerators of [g, h]_m over the product of the two denominators,
-    for the numerator lists a and b of g and h, of one length, and their
-    weights k1 and k2: one call of the product kernel, or none (see
-    rankin_cohen). Equal lists of equal weights merge terms r and m - r
-    whatever the denominators, which only scale the whole sum."""
     same = k1 == k2 and a == b
     if same and m % 2:
-        return [0] * len(a)
+        return GradedSeries(QSeries.zero(prec), weight)
 
     def derivatives(nums):  # D^0 .. D^m
         out = [nums]
@@ -71,4 +56,5 @@ def _bracket_numerators(a, b, k1: int, k2: int, m: int) -> list[int]:
     ]
     if same:  # term m - r repeats term r's product and weight (m is even)
         terms = [(c * (1 + (2 * r < m)), x, y) for r, (c, x, y) in enumerate(terms[: m // 2 + 1])]
-    return _product_sum(terms)
+    nums = _product_sum(terms)
+    return GradedSeries(QSeries.from_numerators(nums, g.denominator * h.denominator), weight)

@@ -167,6 +167,16 @@ def _first_miss(
     return p, q, images, min(misses, default=None)
 
 
+def _precision_error(prec: int, bound: int = 10, window: int = 12) -> PrecisionError:
+    """The error eigenform_test(f, bound, window) raises for an f of
+    precision prec < bound * window, stated here once for the scans that
+    record it without building f."""
+    return PrecisionError(
+        f"eigenform test with bound {bound} and window {window} needs "
+        f"precision >= {bound * window}, have {prec}"
+    )
+
+
 def eigenform_test(
     f: Union[GradedSeries, YPolyForm], bound: int = 10, window: int = 12
 ) -> EigenReport:
@@ -193,10 +203,7 @@ def eigenform_test(
     k = f.weight
     prec = comps[0].prec
     if prec < bound * window:
-        raise PrecisionError(
-            f"eigenform test with bound {bound} and window {window} needs "
-            f"precision >= {bound * window}, have {prec}"
-        )
+        raise _precision_error(prec, bound, window)
 
     nums = [c.numerators for c in comps]
     first = next(

@@ -7,12 +7,13 @@ verified, stated as a formula, so a failing record can be re-derived
 from raw series without consulting anything else. Failing records always
 include a concrete witness (a coefficient index or a parameter tuple).
 
-The product and bracket scans decide each candidate from the integer
-numerators of its first five coefficients, computed from the operands'
-own by the product kernel or by rankin_cohen's integer core, and make a
-series only for a candidate they yield (see _eigen_scan). A line's eigen
-report goes into a table that run_suite makes per call and hands to both
-scans, so each line is tested once per run; it holds reports, not series.
+The product and bracket scans decide each candidate from its prefix, the
+series of its first five coefficients, made by the series product or by
+rankin_cohen from the operands' prefixes, and build in full only a
+candidate that the prefix does not decide (see _eigen_scan). A line's
+eigen report goes into a table that run_suite makes per call and hands to
+both scans, so each line is tested once per run; it holds reports, not
+series.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import math
 import time
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .brackets import _bracket_numerators, rankin_cohen
+from .brackets import rankin_cohen
 from .exactmath import bernoulli, sigma
 from .forms import (
     CATALOG_NAMES,
@@ -33,9 +34,9 @@ from .forms import (
     eisenstein,
     is_modular_member,
 )
-from .hecke import EigenReport, _first_miss, eigenform_test
+from .hecke import EigenReport, _first_miss, _precision_error, eigenform_test
 from .nearly import constant_term, e2_star, maass_shimura
-from .qseries import GradedSeries, PrecisionError, QSeries, _product, first_difference
+from .qseries import GradedSeries, first_difference
 
 __all__ = [
     "DEFAULT_PREC",
@@ -269,16 +270,6 @@ _SIEVE_PREC = 4
 _FULL_TEST_PREC = 120
 
 
-class _Prefix(NamedTuple):
-    """A scan candidate's weight and first _SIEVE_PREC + 1 coefficients, as
-    integer numerators over one denominator, not in lowest terms: what the
-    sieve and the line comparison read, in place of a series."""
-
-    weight: int
-    numerators: Sequence[int]
-    denominator: int
-
-
 def _line(weight: int, a0, prec: int) -> tuple[str, GradedSeries | None]:
     """(classification, L): the line L of weight at prec that a form of that
     weight with constant term a0 would be on: E_k if a0 != 0, else Delta_k
@@ -288,7 +279,7 @@ def _line(weight: int, a0, prec: int) -> tuple[str, GradedSeries | None]:
     return "cusp", cusp_delta(weight, prec) if weight in DELTA_WEIGHTS else None
 
 
-def _line_verdict(prefix: _Prefix, prec: int, line_reports: dict):
+def _line_verdict(prefix: GradedSeries, prec: int, line_reports: dict):
     """(c, the eigen report of L) if prefix is c*L on a_0.._SIEVE_PREC for
     the line L of its weight at prec (see _line), else (None, None): with c
     = a_j/L_j for j = 0 on the Eisenstein line and j = 1 on a cusp line,
@@ -310,15 +301,15 @@ def _line_verdict(prefix: _Prefix, prec: int, line_reports: dict):
 
 def _eigen_scan(candidates, prec: int, skipped: dict, line_reports: dict | None):
     """Decide each (key, label, prefix, build, modular) candidate: prefix is
-    its _Prefix, build(p) builds it at precision p, and ``modular`` marks a
-    modular form (see the scans).
+    its series to min(prec, _SIEVE_PREC), build(p) builds it at precision
+    p, and ``modular`` marks a modular form (see the scans).
 
     A zero prefix drops a candidate: a product of nonzero catalog forms has
     order at most 2, and a bracket has weight at most 26, so by Sturm's
     bound it is zero once a_0..a_2 vanish. A prefix that fails T_2 on
     exponents 0..2 (reading a_0..a_4; see _sieve_passes) drops it too, with
     the first violation the full test would find; every catalog candidate
-    whose prefix passes is an eigenform. Both read the prefix's integers.
+    whose prefix passes is an eigenform. Both read the prefix's numerators.
 
     A modular candidate of weight k, k // 12 <= _SIEVE_PREC, whose prefix is
     c*L on a_0..a_4 is c*L by Sturm's bound (see _line_verdict). It takes
@@ -326,44 +317,39 @@ def _eigen_scan(candidates, prec: int, skipped: dict, line_reports: dict | None)
     precision in scan_complete, since L is tested in full, once for all the
     scans that share line_reports (a new table if None). Every other pass,
     and one on a line whose own test fails, is built in full and tested
-    itself. Below _FULL_TEST_PREC the sieve and line verdicts are off: each
-    nonzero candidate records its PrecisionError.
+    itself. Below _FULL_TEST_PREC the sieve and line verdicts are off, and
+    no candidate is built: each nonzero one records the PrecisionError its
+    full test would raise.
 
     Yields (key, form, report, c) for each candidate in order: form is the
-    prefix as a series for a line verdict and the full build otherwise, c
-    as in _line_verdict or None off a line, and all None for a dropped one.
-    A candidate whose precision is too low maps its key to a line in
-    ``skipped`` instead. No series is made for a dropped candidate, and the
-    caller drops each form before the next.
+    prefix for a line verdict and the full build otherwise, c as in
+    _line_verdict or None off a line, and all None for a dropped one. A
+    candidate whose precision is too low maps its key to a line in
+    ``skipped`` instead. The caller drops each form before the next.
     """
     sieve = prec >= _FULL_TEST_PREC
     line_reports = {} if line_reports is None else line_reports
     for key, label, prefix, build, modular in candidates:
-        if not any(prefix.numerators) or (sieve and not _sieve_passes(prefix)):
+        if prefix.is_zero() or (sieve and not _sieve_passes(prefix)):
             yield key, None, None, None
             continue
+        if not sieve:
+            skipped[key] = f"{label}: {_precision_error(prec)}"
+            continue
         scale = result = None
-        if sieve and modular and prefix.weight // 12 <= _SIEVE_PREC:
+        if modular and prefix.weight // 12 <= _SIEVE_PREC:
             scale, result = _line_verdict(prefix, prec, line_reports)
         if result is not None and result.is_eigen_up_to_bound:
-            series = QSeries.from_numerators(prefix.numerators, prefix.denominator)
-            yield key, GradedSeries(series, prefix.weight), result, scale
+            yield key, prefix, result, scale
             continue
         form = build(prec)
-        try:
-            result = eigenform_test(form)
-        except PrecisionError as exc:
-            skipped[key] = f"{label}: {exc}"
-            continue
-        yield key, form, result, scale
+        yield key, form, eigenform_test(form), scale
 
 
-def _sieve_passes(prefix) -> bool:
+def _sieve_passes(prefix: GradedSeries) -> bool:
     """eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound for a
-    nonzero prefix of _SIEVE_PREC + 1 coefficients (a _Prefix, or a series
-    of that precision), read off its numerators by the test's own T_2
-    comparison on exponents 0.._SIEVE_PREC // 2, which a common factor of
-    the numerators does not change."""
+    nonzero prefix of precision _SIEVE_PREC, read off its numerators by the
+    test's own T_2 comparison on exponents 0.._SIEVE_PREC // 2."""
     nums = prefix.numerators
     m0 = next(m for m, a in enumerate(nums) if a)
     count = _SIEVE_PREC // 2 + 1
@@ -431,26 +417,21 @@ EXPECTED_EIGEN_PRODUCTS = tuple(_EXPECTED_PRODUCT_RESULTS)
 
 def _product_candidates(prec: int):
     """The (key, label, prefix, build, modular) candidates of the product
-    scan: a prefix is the kernel's product of the operands' first
-    numerators, those of D f being j*a_j, and a product is modular when
-    neither operand has a D or is E2. Only build takes a full derivative."""
-    items: list[tuple[str, int, GradedSeries, Sequence[int]]] = []
+    scan: a prefix is the product of the operands' heads, each operand's
+    head and its D taken once, and a product is modular when neither
+    operand has a D or is E2. Only build takes a full derivative."""
+    items: list[tuple[str, int, GradedSeries, GradedSeries]] = []
     for name in CATALOG_NAMES:
         form = _scan_form(name, prec)
-        head = form.numerators[: _SIEVE_PREC + 1]
+        head = form.truncate(min(prec, _SIEVE_PREC))
         items.append((name, 0, form, head))
-        items.append((name, 1, form, [j * a for j, a in enumerate(head)]))
+        items.append((name, 1, form, head.derivative()))
     for i, (left_name, left_order, left, left_head) in enumerate(items):
         for right_name, right_order, right, right_head in items[i:]:
             key = (left_name, left_order, right_name, right_order)
             modular = not (left_order or right_order) and "E2" not in key
-            prefix = _Prefix(
-                left.weight + right.weight + 2 * (left_order + right_order),
-                _product(left_head, right_head),
-                left.denominator * right.denominator,
-            )
             build = partial(_truncated_product, left, left_order, right, right_order)
-            yield key, _product_label(*key), prefix, build, modular
+            yield key, _product_label(*key), left_head * right_head, build, modular
 
 
 def product_search(
@@ -528,21 +509,20 @@ class BracketHit(NamedTuple):
 def _bracket_candidates(prec: int):
     """The (key, label, prefix, build, modular) candidates of the bracket
     scan: [g, h]_m, m <= 4, for modular catalog pairs up to the top catalog
-    weight. A prefix is rankin_cohen's integer core on the operands' first
-    numerators. Each is modular: a bracket of modular forms is one."""
+    weight. A prefix is the bracket of the operands' heads, each taken
+    once. Each is modular: a bracket of modular forms is one."""
     entries = []
     for name in CATALOG_NAMES:
         if name != "E2":
             form = _scan_form(name, prec)
-            entries.append((name, form, form.numerators[: _SIEVE_PREC + 1]))
+            entries.append((name, form, form.truncate(min(prec, _SIEVE_PREC))))
     top_weight = max(g.weight for _, g, _ in entries)
     for i, (g_name, g, g_head) in enumerate(entries):
         for h_name, h, h_head in entries[i:]:
             for m in range(5):
                 weight = g.weight + h.weight + 2 * m
                 if weight <= top_weight:
-                    nums = _bracket_numerators(g_head, h_head, g.weight, h.weight, m)
-                    prefix = _Prefix(weight, nums, g.denominator * h.denominator)
+                    prefix = rankin_cohen(g_head, h_head, m)
                     build = partial(_truncated_bracket, g, h, m)
                     yield (g_name, h_name, m), f"[{g_name},{h_name}]_{m}", prefix, build, True
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import importlib
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -19,7 +20,6 @@ from modforms.qseries import GradedSeries, PrecisionError, QSeries
 from modforms.verify import (
     _FULL_TEST_PREC,
     _SIEVE_PREC,
-    _Prefix,
     EXPECTED_EIGEN_PRODUCTS,
     SUITE_NAMES,
     BracketHit,
@@ -125,8 +125,8 @@ class TestPrefixSieve:
         # each with the report of its own full test.
         prec = 128
         full_builds = []
-        for key, label, head, build, modular in candidates(prec):
-            prefix, form = _series(head), build(prec)
+        for key, label, prefix, build, modular in candidates(prec):
+            form = build(prec)
             assert prefix.is_zero() == form.is_zero(), label
             if form.is_zero():
                 continue
@@ -167,8 +167,8 @@ class TestPrefixSieve:
         # on exponents 0..8 (a_0..a_16): five coefficients lose nothing.
         assert _SIEVE_PREC == 4
         passes = []
-        for key, label, head, build, _ in candidates(128):
-            short, long = _series(head), build(16)
+        for key, label, short, build, _ in candidates(128):
+            long = build(16)
             assert short.is_zero() == long.is_zero(), label
             if long.is_zero():
                 continue
@@ -183,7 +183,13 @@ class TestPrefixSieve:
         [(product_search, 300), (bracket_search, 92)],
         ids=["products", "brackets"],
     )
-    def test_low_precision_records_every_candidate(self, search, count):
+    def test_low_precision_records_every_candidate(self, search, count, monkeypatch):
+        # Each line is the full test's PrecisionError, recorded unbuilt.
+        def unbuilt(*args):
+            raise AssertionError("a candidate was built below _FULL_TEST_PREC")
+
+        monkeypatch.setattr(verify, "_truncated_product", unbuilt)
+        monkeypatch.setattr(verify, "_truncated_bracket", unbuilt)
         _, report = search(64)
         (check,) = [c for c in report.checks if c.check_id.endswith(".scan_complete")]
         assert not check.passed
@@ -249,14 +255,13 @@ class TestSieveVerdicts:
     @pytest.mark.parametrize("candidates", [_product_candidates, _bracket_candidates])
     def test_every_scan_candidate(self, candidates, prec):
         verdicts = []
-        for key, label, head, build, _ in candidates(prec):
-            prefix = _series(head)
-            # The integer prefix from the operands' heads is the prefix of
-            # the candidate built from the full operands.
+        for key, label, prefix, build, _ in candidates(prec):
+            # The prefix from the operands' heads is the prefix of the
+            # candidate built from the full operands.
             assert prefix == build(16).truncate(_SIEVE_PREC), label
             if prefix.is_zero():
                 continue
-            passed = _sieve_passes(head)
+            passed = _sieve_passes(prefix)
             assert passed == eigenform_test(prefix, 2, _SIEVE_PREC // 2).is_eigen_up_to_bound
             verdicts.append(passed)
         assert 0 < sum(verdicts) < len(verdicts)
@@ -290,11 +295,6 @@ class TestSieveVerdicts:
         assert set(counts) == {_SIEVE_PREC // 2 + 1, 128 // 2 + 1}
 
 
-def _series(prefix):
-    """A scan candidate's _Prefix as the series it stands for."""
-    return GradedSeries(QSeries.from_numerators(prefix.numerators, prefix.denominator), prefix.weight)
-
-
 def _line_multiple(form):
     """c*L for the Eisenstein or one-dimensional cusp line L of form's
     weight that form would be on (c from a_0 or a_1), or None off both."""
@@ -318,9 +318,8 @@ class TestSturmConditions:
             return build(p)
 
         skipped = {}
-        prefix = build(_SIEVE_PREC)
-        head = _Prefix(prefix.weight, prefix.numerators, prefix.denominator)
-        (yielded,) = _eigen_scan([("x", "x", head, logged, modular)], self.PREC, skipped, {})
+        candidate = ("x", "x", build(_SIEVE_PREC), logged, modular)
+        (yielded,) = _eigen_scan([candidate], self.PREC, skipped, {})
         assert not skipped
         return bool(built), yielded
 
@@ -412,6 +411,44 @@ class TestSharedProducts:
         assert len(products) == 33
         assert len(set(products)) == 31
         assert sum(tested) == 19
+
+
+class TestPrefixCalls:
+    def test_prefixes_are_made_by_series_products_and_brackets(self, monkeypatch):
+        # The scans make each candidate's prefix with the engine's own
+        # series product and rankin_cohen, the calls the benchmark's tracer
+        # counts: 300 products at _SIEVE_PREC in the product scan and 103
+        # brackets in the bracket scan, beside the full builds of D(E4)*E4,
+        # E2*Delta12 and the closing [E4,E6]_1. The sieve's
+        # hecke._first_miss calls are not among them.
+        for search in (product_search, bracket_search):
+            search(256)
+        calls = []
+        mul, bracket = QSeries.__mul__, brackets_module.rankin_cohen
+
+        def mul_spy(self, other):
+            product = mul(self, other)
+            if isinstance(other, QSeries):  # a scaling is not a product
+                calls.append(("mul", product.prec))
+            return product
+
+        def bracket_spy(g, h, m):
+            result = bracket(g, h, m)
+            calls.append(("rankin_cohen", result.prec))
+            return result
+
+        monkeypatch.setattr(QSeries, "__mul__", mul_spy)
+        for module in (brackets_module, verify):
+            monkeypatch.setattr(module, "rankin_cohen", bracket_spy)
+        counts = {}
+        for search in (product_search, bracket_search):
+            calls.clear()
+            search(256)
+            counts[search.__name__] = Counter(calls)
+        assert counts == {
+            "product_search": {("mul", _SIEVE_PREC): 300, ("mul", 256): 2},
+            "bracket_search": {("rankin_cohen", _SIEVE_PREC): 103, ("rankin_cohen", 256): 1},
+        }
 
 
 def _records(report):
